@@ -160,7 +160,6 @@ fn maintain_and_check(
         let own = compacted.clone();
         let start = Instant::now();
         apply(&mut me.run, own);
-        let apply_elapsed = start.elapsed().as_secs_f64();
         if idx == 0 {
             prebatch = Some(me.run.partition().clone());
         }
@@ -169,12 +168,6 @@ fn maintain_and_check(
         if idx == 0 {
             maintain_seconds = elapsed;
             ops = o;
-            if std::env::var_os("QSC_BENCH_PHASES").is_some() {
-                eprintln!(
-                    "    [{scenario} {round}] apply {apply_elapsed:.4}s maintain {:.4}s",
-                    elapsed - apply_elapsed
-                );
-            }
         }
         assignments.push(me.run.partition().canonical_assignment());
     }

@@ -22,12 +22,6 @@
 //! both sides of history — if the bar fails on exotic hardware, re-baseline
 //! both numbers together).
 //!
-//! `fast_math` is benchmarked explicitly: the headline is re-run with
-//! `RothkoConfig::fast_math(true)` and the speedup over the deterministic
-//! kernels is recorded. On the unit-weight benchmark graph the colorings
-//! must still agree exactly (integer sums are associativity-proof), which
-//! is asserted.
-//!
 //! Run with: `cargo run --release -p qsc-bench --bin bench_kernels
 //! [-- --smoke]` — `--smoke` asserts kernel == scalar equivalence on the
 //! full-size data but does not time anything, write JSON, or enforce the
@@ -447,28 +441,6 @@ fn main() {
         headline_speedup
     );
 
-    // fast_math: same instance with relaxed sum order. Off by default
-    // (asserted); on the unit-weight graph the colorings must still agree.
-    assert!(
-        !RothkoConfig::with_max_colors(200).fast_math,
-        "fast_math must be opt-in"
-    );
-    let fast = measure_rounds(reps, || {
-        let c = Rothko::new(config.clone().fast_math(true)).run(&g);
-        assert_eq!(c.partition.num_colors(), 200);
-        c
-    });
-    assert_eq!(
-        fast.value.partition.canonical_assignment(),
-        headline.value.partition.canonical_assignment(),
-        "unit-weight graph: fast_math must not change the coloring"
-    );
-    println!(
-        "fast_math: {:.4}s ({:.2}x vs deterministic kernels; colorings identical)",
-        fast.best(),
-        headline.best() / fast.best()
-    );
-
     let mut rows = micro_rows(&mut rng, reps, false);
     for r in &rows {
         r.print();
@@ -522,12 +494,9 @@ fn main() {
 
     let mut json: Vec<String> = rows.iter().map(Row::to_json).collect();
     json.push(format!(
-        "{{\"summary\":\"kernels_headline\",\"graph\":\"barabasi_albert\",\"nodes\":10000,\"colors\":200,\"baseline_seconds\":{BASELINE_SECONDS:.6},\"headline_seconds\":{:.6},\"headline_rounds\":{},\"headline_speedup\":{headline_speedup:.2},\"fast_math_seconds\":{:.6},\"fast_math_rounds\":{},\"fast_math_speedup\":{:.2},\"host_cpus\":{},\"peak_rss_bytes\":{},\"bar_enforced\":true}}",
+        "{{\"summary\":\"kernels_headline\",\"graph\":\"barabasi_albert\",\"nodes\":10000,\"colors\":200,\"baseline_seconds\":{BASELINE_SECONDS:.6},\"headline_seconds\":{:.6},\"headline_rounds\":{},\"headline_speedup\":{headline_speedup:.2},\"host_cpus\":{},\"peak_rss_bytes\":{},\"bar_enforced\":true}}",
         headline.best(),
         headline.rounds_json(),
-        fast.best(),
-        fast.rounds_json(),
-        headline.best() / fast.best(),
         host_cpus(),
         qsc_bench::peak_rss_json()
     ));

@@ -35,10 +35,9 @@
 //!   the sequential first-attainer index; the β = 0 witness-row scan.
 //! * [`prefetch_read`] — best-effort L1 prefetch hint for pointer-chasing
 //!   loops (the split apply phase); never changes results.
-//! * [`gather_stats`] / [`gather_stats_fast`] — sum + min/max of gathered
-//!   per-node values (the witness-split degree scan); the deterministic
-//!   variant sums through the canonical blocked tree, the fast variant
-//!   (behind `RothkoConfig::fast_math`) relaxes the reduction order.
+//! * [`gather_stats`] — sum + min/max of gathered per-node values (the
+//!   witness-split degree scan), summing through the canonical blocked
+//!   tree.
 //!
 //! ## Determinism
 //!
@@ -62,9 +61,7 @@
 //! check per 8-wide block remains — the spot-check notes in
 //! [`qsc_linalg::lanes`] cover the emitted assembly).
 
-pub use qsc_linalg::lanes::{
-    combine_tree, dot, dot_fast, fold_add, fold_sub, max_abs, min_max, sum, sum_fast, LANES,
-};
+pub use qsc_linalg::lanes::{combine_tree, dot, fold_add, fold_sub, max_abs, min_max, sum, LANES};
 
 use crate::storage::RowRep;
 
@@ -548,8 +545,7 @@ pub fn row_err_argmax(maxs: &[f64], mins: &[f64]) -> (f64, u32) {
 /// Sum + min/max of `vals[u]` gathered over a member list.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GatherStats {
-    /// Sum of the gathered values (canonical blocked tree in
-    /// [`gather_stats`], unspecified order in [`gather_stats_fast`]).
+    /// Sum of the gathered values (canonical blocked tree).
     pub sum: f64,
     /// Strict-compare minimum in member order (`INFINITY` when empty).
     pub min: f64,
@@ -578,27 +574,6 @@ pub fn gather_stats(members: &[u32], vals: &[f64]) -> GatherStats {
     }
     let mut sum = combine_tree(&lanes_acc);
     for &u in it.remainder() {
-        let d = vals[u as usize];
-        sum += d;
-        mn = if d < mn { d } else { mn };
-        mx = if d > mx { d } else { mx };
-    }
-    GatherStats {
-        sum,
-        min: mn,
-        max: mx,
-    }
-}
-
-/// [`gather_stats`] with an *unspecified* summation order (fast-math escape
-/// hatch — only `RothkoConfig::fast_math` paths may call this). Min/max
-/// semantics are unchanged.
-#[must_use]
-pub fn gather_stats_fast(members: &[u32], vals: &[f64]) -> GatherStats {
-    let mut sum = 0.0f64;
-    let mut mn = f64::INFINITY;
-    let mut mx = f64::NEG_INFINITY;
-    for &u in members {
         let d = vals[u as usize];
         sum += d;
         mn = if d < mn { d } else { mn };

@@ -164,10 +164,9 @@
 //! above. Floating-point *sums* follow one canonical blocked reduction
 //! tree (`qsc_linalg::lanes::sum` — fixed lane count, fixed combine
 //! order, independent of thread count and hardware), so "up to float
-//! associativity" never means "up to whatever the optimizer felt like":
-//! the only reassociating variants are the explicit `*_fast` kernels
-//! behind the opt-in `RothkoConfig::fast_math`. This is what lets maintained runs be cross-checked against
-//! fresh-from-checkpoint runs at every churn round
+//! associativity" never means "up to whatever the optimizer felt like",
+//! and no code path reassociates. This is what lets maintained runs be
+//! cross-checked against fresh-from-checkpoint runs at every churn round
 //! (`tests/tests/dynamic_graph.rs`, `tests/tests/merge_refine.rs`) and
 //! lets warm sweeps stay bit-identical to cold re-emission
 //! (`tests/tests/sweep_equivalence.rs`).

@@ -165,7 +165,7 @@
 //!   sorted nonzero `(color, weight)` vectors at 16 bytes per *nonzero*
 //!   entry, with rows that reach half the color capacity promoted to
 //!   plain slot arrays (hot rows keep dense probe cost). All apply paths
-//!   (split/merge/node-churn/edge-batch, serial and sharded), the member
+//!   (split/merge/node-churn/edge-batch, at every shard count), the member
 //!   scans, emission reads and `q_report()` go through
 //!   [`crate::kernels`]' sparse gather variants, which preserve the
 //!   member-order/first-attainer fold contract — so both layouts produce
@@ -188,44 +188,57 @@
 //! dense matrix is what caches were built for and `Auto` resolves dense;
 //! past it the sparse tier is both the memory wall's fix *and* faster.
 //!
-//! # Parallel sharded refinement
+//! # Sharded refinement: one path, any shard count
 //!
-//! Engines built with more than one thread
-//! ([`IncrementalDegrees::new_with_threads`]) shard the four data-parallel
-//! phases of a split across a persistent fork-join pool
-//! ([`crate::parallel::ThreadPool`]):
+//! Each data-parallel phase of the engine is one function that runs over
+//! a shard count. Below its dispatch threshold a phase runs as a single
+//! shard, inline on the calling thread; above it, it runs as
+//! `pool.slots()` shards on a persistent fork-join pool
+//! ([`crate::parallel::ThreadPool`], sized by
+//! [`IncrementalDegrees::new_with_threads`]; a one-slot pool spawns no
+//! threads). A serial engine is therefore the one-shard case of the same
+//! code, not a twin of it. The phases:
 //!
 //! * **Touched collection** — the moved-node list is cut into fixed-size
 //!   chunks (chunk size = the touched threshold, *never* the thread
-//!   count); each chunk is deduped with a generation-stamped seen-bitmap
-//!   into a `(neighbor, chunk-local delta)` list, the chunks fan out
-//!   across the pool round-robin, and the lists merge in chunk order.
-//!   Chunk boundaries and merge order are pure functions of the input, so
-//!   both the touched ordering and the accumulated weight deltas are
-//!   bit-identical for every thread count — on arbitrary float weights.
+//!   count). A list shorter than one chunk is deduped straight into the
+//!   touched list; longer lists deal their chunks round-robin to the
+//!   shards, each chunk is deduped into its own `(neighbor, chunk-local
+//!   delta)` list, and the lists merge in chunk order. Chunk boundaries
+//!   and merge order are pure functions of the input, so the touched
+//!   ordering and the accumulated weight deltas are bit-identical for
+//!   every thread count — on arbitrary float weights.
 //! * **Accumulator deltas** — the touched-node list is chunked
-//!   contiguously; each worker applies its nodes' parent→child mass shifts
-//!   (each node appears in exactly one chunk, so the row writes are
-//!   disjoint) and folds per-color partial aggregates (counts, zero
-//!   crossings, extension min/max with attainers, child-column min/max,
-//!   lost-extremum flags) into shard-local records.
-//! * **Member-axis scans** — the child color's axis rebuild chunks the
-//!   member list, each worker folding a full `k`-column min/max row.
+//!   contiguously, one chunk per shard; each shard applies its nodes'
+//!   parent→child mass shifts (each node appears in exactly one chunk, so
+//!   the row writes are disjoint) and folds per-color partial aggregates
+//!   (counts, zero crossings, extension min/max with attainers,
+//!   child-column min/max, lost-extremum flags) into shard-local records
+//!   (`ShardScratch::fold`). Merges fold their entry patches through the
+//!   same records, as one shard.
+//! * **Member-axis scans** — an axis rebuild chunks the member list, each
+//!   shard folding a full `k`-column min/max row.
 //! * **Entry rescans** — queued lost-extremum columns are distributed
-//!   whole-entry-per-worker.
+//!   whole-entry-per-shard; a shard whose entries share one member axis
+//!   folds them in a single member pass.
 //! * **Witness refresh** — stale rows are independent `O(k)` scans writing
 //!   disjoint cache slots.
 //!
-//! At every join the caller merges shard results *in shard order* using
-//! only exact reductions — min/max (selections, no arithmetic), sums of
-//! disjoint counts, logical or — and strict comparisons keep the
-//! first-shard attainer on ties, which equals the serial first-member
-//! attainer. Results are therefore **bit-identical for every thread
-//! count**, witness sequence included; `tests/tests/parallel_engine.rs`
-//! pins this across thread counts {1, 2, 8} and batch sizes {1, 4}, and
-//! the per-split debug cross-check ([`IncrementalDegrees::verify_against`])
-//! covers the sharded paths too. Small regions run inline — the dispatch
-//! thresholds ([`IncrementalDegrees::set_parallel_thresholds`]) only trade
+//! At every join the records merge *in shard order* using only exact
+//! reductions — min/max (selections, no arithmetic), sums of disjoint
+//! counts, logical or — and strict comparisons keep the first-shard
+//! attainer on ties, which is the first member in scan order. A shard's
+//! lost-extremum flag is judged against the attainer its own fold reached
+//! and dropped at the merge when an earlier shard already extended the
+//! entry, which is the attainer a single shard would have tracked.
+//! Results are therefore **bit-identical for every shard count** —
+//! values, extremum attainers, touched order and witness sequence;
+//! `tests/tests/parallel_engine.rs` pins this across thread counts
+//! {1, 2, 8} and batch sizes {1, 4}, `tests/tests/storage_modes.rs`
+//! compares whole engine snapshots across shard counts, and the per-split
+//! debug cross-check ([`IncrementalDegrees::verify_against`]) covers every
+//! shard count. The dispatch thresholds
+//! ([`IncrementalDegrees::set_parallel_thresholds`]) only trade
 //! scheduling, never semantics.
 //!
 //! # Witness-cache profiling
@@ -260,8 +273,7 @@
 //! decreasing order of measured profit:
 //!
 //! * **Member-axis rescans** fold whole accumulator rows through
-//!   `fold_minmax_row` (dense serial, sharded workers, and the sparse
-//!   degrees-only rebuild share it).
+//!   `fold_minmax_row` (every shard of a dense axis rebuild).
 //! * **Witness-row scans** at β = 0 collapse to one contiguous
 //!   max-spread pass ([`crate::kernels::row_err_argmax`]) instead of the
 //!   per-column weighted compare.
@@ -971,10 +983,6 @@ pub struct IncrementalDegrees {
     row_best: Vec<Option<RowBest>>,
     row_err_dirty: Vec<bool>,
     row_best_dirty: Vec<bool>,
-    /// Node-stamp scratch for deduplicating touched neighbors.
-    node_stamp: Vec<u32>,
-    node_delta: Vec<f64>,
-    stamp_gen: u32,
     /// Packed per-node dedupe mark for the touched collection: generation
     /// stamp in the low half, index into `touched_nodes` in the high half.
     /// One cache line per probe covers both "seen this round?" and "where
@@ -990,18 +998,13 @@ pub struct IncrementalDegrees {
     /// indices into `touched_colors`).
     color_slot: Vec<u32>,
     touched_colors: Vec<TouchedColor>,
-    /// Row-recompute scratch (4 × cap values + 4 × cap witnesses + 2 × cap
-    /// nonzero counts).
-    row_scratch: Vec<f64>,
-    row_arg_scratch: Vec<u32>,
-    row_nz_scratch: Vec<u32>,
-    /// Fork-join pool for the sharded split/refresh phases (`None` in serial
-    /// engines). Shared scheduling only — every parallel region reduces
-    /// per-shard summaries with exact operations, so results are
-    /// bit-identical across thread counts (see the module docs).
-    pool: Option<Arc<ThreadPool>>,
-    /// Per-worker shard scratch for the parallel phases (empty in serial
-    /// engines).
+    /// Fork-join pool of the data-parallel phases. A phase runs as one
+    /// shard on the calling thread below its dispatch threshold and as
+    /// `pool.slots()` shards above it; shards reduce with exact
+    /// operations, so results are bit-identical for every shard count
+    /// (see the module docs).
+    pool: Arc<ThreadPool>,
+    /// Per-shard scratch, one per pool slot (so at least one).
     shard_scratch: Vec<ShardScratch>,
     /// Parallel-dispatch thresholds (see [`Self::set_parallel_thresholds`]).
     par_min_touched: usize,
@@ -1023,9 +1026,9 @@ pub struct IncrementalDegrees {
     edge_acc_in: Vec<(NodeId, u32, f64)>,
     edge_acc_slot_out: HashMap<(NodeId, u32), usize>,
     edge_acc_slot_in: HashMap<(NodeId, u32), usize>,
-    /// Per-chunk `(node, chunk-local delta)` lists of the canonical
-    /// chunked touched-collection (capacity reused across splits).
-    chunk_out: Vec<Vec<(NodeId, f64)>>,
+    /// Per-chunk `(nodes, chunk-local deltas)` lists of the chunked
+    /// touched collection (capacity reused across splits).
+    chunk_out: Vec<(Vec<NodeId>, Vec<f64>)>,
     /// Merge-fold capture lists (out and in direction): `(node, old, new)`
     /// winner-column values of the touched nodes, recorded before the
     /// relabel so entry patches can run in the post-relabel id space
@@ -1139,29 +1142,30 @@ pub struct EngineSnapshot {
     pub in_nz: Vec<u32>,
 }
 
-/// Per-worker scratch used by the parallel split/refresh phases.
+/// Per-shard scratch of the data-parallel phases (one per pool slot; a
+/// one-shard phase uses the first).
 #[derive(Clone, Debug, Default)]
 struct ShardScratch {
     /// Self-validating `color -> record index` slots (mirrors `color_slot`).
     slot: Vec<u32>,
     /// Per-touched-color partial aggregates produced by this shard.
     records: Vec<ShardRecord>,
-    /// Member-axis min/max merge rows (4 × cap), their witnesses, and the
-    /// per-column nonzero counts (2 × cap).
+    /// Member-axis min/max rows (4 × cap), their witnesses, and the
+    /// per-column nonzero counts (2 × cap). The grouped entry rescan
+    /// reuses the first two rows.
     axis: Vec<f64>,
     axis_arg: Vec<u32>,
     axis_nz: Vec<u32>,
-    /// Chunked touched-collection worker state: a generation-stamped
-    /// seen-bitmap (lazily sized to `n`) and per-node partial weight
-    /// deltas, reused across the chunks this worker processes.
-    seen_stamp: Vec<u32>,
-    seen_gen: u32,
-    delta: Vec<f64>,
+    /// Touched-collection dedupe marks for the chunks this shard scans
+    /// (packed like the engine's `node_mark`; lazily sized to `n`).
+    mark: Vec<u64>,
+    mark_gen: u32,
 }
 
-/// One shard's partial aggregate for a touched color during the parallel
-/// accumulator phase. Merged at the join with exact min/max/or/sum
-/// reductions, so the merged result is independent of the shard count.
+/// One shard's partial aggregate for a touched color during the
+/// accumulator phase of a split (or the entry patch of a merge). Merged
+/// at the join with exact min/max/or/sum reductions, so the merged result
+/// is independent of the shard count.
 #[derive(Clone, Copy, Debug)]
 struct ShardRecord {
     color: u32,
@@ -1188,13 +1192,13 @@ struct ShardRecord {
     rescan_max: bool,
 }
 
-/// Minimum number of touched nodes before a split's accumulator phase is
-/// sharded across the pool (smaller batches run serially — the fork-join
-/// handshake would cost more than the work).
+/// Minimum number of touched nodes before a split's accumulator phase
+/// runs as `pool.slots()` shards (smaller batches run as one shard — the
+/// fork-join handshake would cost more than the work).
 const PAR_MIN_TOUCHED: usize = 2048;
 
 /// Minimum total scan work (entries × members, or rows × colors) before a
-/// member-scan or witness-refresh batch is sharded.
+/// member-scan or witness-refresh batch runs as `pool.slots()` shards.
 const PAR_MIN_SCAN_WORK: usize = 16384;
 
 /// A read-only view of the pair-summary matrices, so the witness-refresh
@@ -1267,9 +1271,9 @@ impl SummaryView<'_> {
     }
 
     /// One witness row scan: the row's maximum unweighted error and its
-    /// best β-weighted candidate. This is *the* row scan — serial refresh,
-    /// sharded refresh and the reference stepper all route through the same
-    /// operation order, which is what keeps their picks bit-identical.
+    /// best β-weighted candidate. This is *the* row scan — every refresh
+    /// shard and the reference stepper route through the same operation
+    /// order, which is what keeps their picks bit-identical.
     fn scan_row(&self, p: &Partition, s: usize, beta: f64) -> (f64, Option<RowBest>) {
         let splittable = p.size(s as u32) >= 2;
         // β = 0 (the default weighting) makes every candidate's weight its
@@ -1360,10 +1364,28 @@ impl SummaryView<'_> {
 }
 
 impl ShardScratch {
-    /// Fold one touched node into this shard's per-color aggregates during
-    /// the sharded accumulator phase. `orig_*`/`arg_*` are the entry's
-    /// batch-start extrema and tracked attainers (entries are only mutated
-    /// at the join, so workers read a consistent snapshot).
+    /// Size the member-axis rows for `cap` colors.
+    fn size_axis(&mut self, cap: usize) {
+        if self.axis.len() < 4 * cap {
+            self.axis.resize(4 * cap, 0.0);
+            self.axis_arg.resize(4 * cap, NO_ARG);
+            self.axis_nz.resize(2 * cap, 0);
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.slot.capacity() * 4
+            + self.records.capacity() * std::mem::size_of::<ShardRecord>()
+            + self.axis.capacity() * 8
+            + self.axis_arg.capacity() * 4
+            + self.axis_nz.capacity() * 4
+            + self.mark.capacity() * 8
+    }
+
+    /// Fold one touched node (whose accumulator moved from `old` to `new`)
+    /// into this shard's per-color aggregates. `orig_*`/`arg_*` are the
+    /// entry's batch-start extrema and tracked attainers (entries are only
+    /// mutated at the join, so every shard reads the same snapshot).
     #[allow(clippy::too_many_arguments)]
     fn fold(
         &mut self,
@@ -1387,6 +1409,30 @@ impl ShardScratch {
             fresh
         };
         let r = &mut self.records[slot];
+        // The entry loses its extremum only when its tracked attainer
+        // moves strictly inward (an exact test — ties at the extremum do
+        // not force a rescan); an unknown attainer falls back to the
+        // conservative batch-start-extremum heuristic. The attainer is the
+        // node this fold already extended the entry to, if any, else the
+        // batch-start one. The finalize step may still cancel a flagged
+        // side via the zero-count rule.
+        let arg_min = if r.ext_min < orig_min {
+            r.ext_min_arg
+        } else {
+            arg_min
+        };
+        let arg_max = if r.ext_max > orig_max {
+            r.ext_max_arg
+        } else {
+            arg_max
+        };
+        if new < old {
+            if old == orig_max && (arg_max == NO_ARG || arg_max == u) {
+                r.rescan_max = true;
+            }
+        } else if new > old && old == orig_min && (arg_min == NO_ARG || arg_min == u) {
+            r.rescan_min = true;
+        }
         r.count += 1;
         if (old == 0.0) != (new == 0.0) {
             r.nz_delta += if new != 0.0 { 1 } else { -1 };
@@ -1409,13 +1455,6 @@ impl ShardScratch {
         if child_val > r.child_max {
             r.child_max = child_val;
             r.child_max_arg = u;
-        }
-        if new < old {
-            if old == orig_max && (arg_max == NO_ARG || arg_max == u) {
-                r.rescan_max = true;
-            }
-        } else if new > old && old == orig_min && (arg_min == NO_ARG || arg_min == u) {
-            r.rescan_min = true;
         }
     }
 }
@@ -1473,22 +1512,13 @@ impl Clone for IncrementalDegrees {
             row_best: self.row_best.clone(),
             row_err_dirty: self.row_err_dirty.clone(),
             row_best_dirty: self.row_best_dirty.clone(),
-            node_stamp: self.node_stamp.clone(),
-            node_delta: self.node_delta.clone(),
-            stamp_gen: self.stamp_gen,
             node_mark: self.node_mark.clone(),
             mark_gen: self.mark_gen,
             touched_nodes: self.touched_nodes.clone(),
             touched_deltas: self.touched_deltas.clone(),
             color_slot: self.color_slot.clone(),
             touched_colors: self.touched_colors.clone(),
-            row_scratch: self.row_scratch.clone(),
-            row_arg_scratch: self.row_arg_scratch.clone(),
-            row_nz_scratch: self.row_nz_scratch.clone(),
-            pool: self
-                .pool
-                .as_ref()
-                .map(|p| Arc::new(ThreadPool::new(p.slots()))),
+            pool: Arc::new(ThreadPool::new(self.pool.slots())),
             shard_scratch: self.shard_scratch.clone(),
             par_min_touched: self.par_min_touched,
             par_min_scan_work: self.par_min_scan_work,
@@ -1513,17 +1543,18 @@ impl Clone for IncrementalDegrees {
 impl IncrementalDegrees {
     /// Build the full engine (accumulators + pair summaries + witness
     /// cache) for partition `p` on `g` in `O(n·k + m)` time. The number of
-    /// worker threads for the sharded split/refresh phases defaults to the
+    /// worker threads for the data-parallel phases defaults to the
     /// `QSC_THREADS` environment variable (1 when unset); see
     /// [`Self::new_with_threads`] for explicit control.
     pub fn new(g: &Graph, p: &Partition) -> Self {
         Self::with_mode(g, p, true, default_threads(), ResolvedStorage::Dense)
     }
 
-    /// Build the full engine with an explicit worker count for the sharded
-    /// split/refresh phases. `threads <= 1` builds a serial engine. Results
-    /// are bit-identical for every thread count — the shards reduce with
-    /// exact min/max/or merges (see the module docs).
+    /// Build the full engine with an explicit worker count for the
+    /// data-parallel phases. `threads <= 1` runs every phase as one shard
+    /// on the calling thread. Results are bit-identical for every thread
+    /// count — the shards reduce with exact min/max/or merges (see the
+    /// module docs).
     pub fn new_with_threads(g: &Graph, p: &Partition, threads: usize) -> Self {
         Self::with_mode(g, p, true, threads, ResolvedStorage::Dense)
     }
@@ -1583,7 +1614,8 @@ impl IncrementalDegrees {
         };
         let in_cap = if symmetric { 0 } else { dense_cap };
         let in_mat_cap = if symmetric { 0 } else { mat_cap };
-        let threads = threads.max(1);
+        // Degrees-only engines have no phase worth a worker thread.
+        let pool = Arc::new(ThreadPool::new(if track_summaries { threads } else { 1 }));
         let mut engine = IncrementalDegrees {
             n,
             k,
@@ -1611,24 +1643,14 @@ impl IncrementalDegrees {
             row_best: vec![None; mat_cap],
             row_err_dirty: vec![true; mat_cap],
             row_best_dirty: vec![true; mat_cap],
-            node_stamp: vec![0; n],
-            node_delta: vec![0.0; n],
-            stamp_gen: 0,
             node_mark: vec![0; n],
             mark_gen: 0,
             touched_nodes: Vec::new(),
             touched_deltas: Vec::new(),
             color_slot: vec![0; mat_cap],
             touched_colors: Vec::new(),
-            row_scratch: vec![0.0; 4 * mat_cap],
-            row_arg_scratch: vec![NO_ARG; 4 * mat_cap],
-            row_nz_scratch: vec![0; 2 * mat_cap],
-            pool: (track_summaries && threads > 1).then(|| Arc::new(ThreadPool::new(threads))),
-            shard_scratch: if track_summaries && threads > 1 {
-                vec![ShardScratch::default(); threads]
-            } else {
-                Vec::new()
-            },
+            shard_scratch: vec![ShardScratch::default(); pool.slots()],
+            pool,
             par_min_touched: PAR_MIN_TOUCHED,
             par_min_scan_work: PAR_MIN_SCAN_WORK,
             entry_scratch_out: Vec::new(),
@@ -1854,7 +1876,7 @@ impl IncrementalDegrees {
         };
         let in_cap = if symmetric { 0 } else { dense_cap };
         let in_mat_cap = if symmetric { 0 } else { mat_cap };
-        let threads = threads.max(1);
+        let pool = Arc::new(ThreadPool::new(if track_summaries { threads } else { 1 }));
 
         // Re-pad a tight rows×cols column back into the full strided
         // buffer construction would allocate (`alloc_rows × stride`;
@@ -1972,24 +1994,14 @@ impl IncrementalDegrees {
             row_best: vec![None; mat_cap],
             row_err_dirty: vec![true; mat_cap],
             row_best_dirty: vec![true; mat_cap],
-            node_stamp: vec![0; n],
-            node_delta: vec![0.0; n],
-            stamp_gen: 0,
             node_mark: vec![0; n],
             mark_gen: 0,
             touched_nodes: Vec::new(),
             touched_deltas: Vec::new(),
             color_slot: vec![0; mat_cap],
             touched_colors: Vec::new(),
-            row_scratch: vec![0.0; 4 * mat_cap],
-            row_arg_scratch: vec![NO_ARG; 4 * mat_cap],
-            row_nz_scratch: vec![0; 2 * mat_cap],
-            pool: (track_summaries && threads > 1).then(|| Arc::new(ThreadPool::new(threads))),
-            shard_scratch: if track_summaries && threads > 1 {
-                vec![ShardScratch::default(); threads]
-            } else {
-                Vec::new()
-            },
+            shard_scratch: vec![ShardScratch::default(); pool.slots()],
+            pool,
             par_min_touched: PAR_MIN_TOUCHED,
             par_min_scan_work: PAR_MIN_SCAN_WORK,
             entry_scratch_out: Vec::new(),
@@ -2076,15 +2088,15 @@ impl IncrementalDegrees {
             + self.row_best.capacity() * size_of::<Option<RowBest>>()
             + self.row_err_dirty.capacity()
             + self.row_best_dirty.capacity();
-        bytes += self.node_stamp.capacity() * 4
-            + self.node_delta.capacity() * 8
-            + self.node_mark.capacity() * 8;
+        bytes += self.node_mark.capacity() * 8;
         bytes += self.touched_nodes.capacity() * 4 + self.touched_deltas.capacity() * 8;
         bytes += self.color_slot.capacity() * 4
             + self.touched_colors.capacity() * size_of::<TouchedColor>();
-        bytes += self.row_scratch.capacity() * 8
-            + self.row_arg_scratch.capacity() * 4
-            + self.row_nz_scratch.capacity() * 4;
+        bytes += self
+            .shard_scratch
+            .iter()
+            .map(ShardScratch::heap_bytes)
+            .sum::<usize>();
         bytes
     }
 
@@ -2129,7 +2141,7 @@ impl IncrementalDegrees {
     /// batches shard. For any fixed thresholds, results are bit-identical
     /// across every thread count (the defaults just avoid paying the
     /// fork-join handshake for tiny regions); tests and benchmarks use
-    /// this to force the sharded paths on small inputs. Because the
+    /// this to force multi-shard phases on small inputs. Because the
     /// touched chunk size follows `min_touched`, two engines compared on
     /// non-representable float weights should share thresholds — a
     /// different chunking regroups the per-neighbor weight sums (exact
@@ -2283,9 +2295,9 @@ impl IncrementalDegrees {
     /// Cost: `O(deg(moved) + (|parent| + |child|)·k)` plus a one-column
     /// member rescan for each pair summary that actually lost its tracked
     /// extremum attainer. Engines built with more than one thread shard the
-    /// accumulator updates, member-axis scans and rescans across the pool
-    /// (see the module docs for the merge design); the result is
-    /// bit-identical to the serial engine.
+    /// accumulator updates, member-axis scans and rescans of large splits
+    /// across the pool (see the module docs for the merge design); the
+    /// result is bit-identical for every thread count.
     pub fn apply_split(&mut self, g: &Graph, p: &Partition, event: &SplitEvent) {
         let c = event.parent as usize;
         let child = event.child as usize;
@@ -2578,7 +2590,7 @@ impl IncrementalDegrees {
         let rec = &mut patches[slot];
         // Exact lost-extremum test against the batch-start snapshot, with
         // unknown attainers falling back to the conservative heuristic —
-        // the same rule as [`Self::patch_entry`] on the split path.
+        // the same rule as [`ShardScratch::fold`] on the split path.
         if new < old {
             if old == rec.orig_max && (arg_max == NO_ARG || arg_max == u) {
                 rec.rescan_max = true;
@@ -2676,12 +2688,11 @@ impl IncrementalDegrees {
             self.row_err_dirty[member_color as usize] = true;
             self.row_best_dirty[member_color as usize] = true;
         }
+        self.rescan_entries(p, &rescans, outgoing);
         if outgoing {
-            self.rescan_out_entries(p, &rescans);
             self.entry_scratch_out = rescans;
             self.edge_patches_out = patches;
         } else {
-            self.rescan_in_entries(p, &rescans);
             self.entry_scratch_in = rescans;
             self.edge_patches_in = patches;
         }
@@ -2899,20 +2910,41 @@ impl IncrementalDegrees {
         // ---- Patch entries over other colors' member axes from the
         // captured folds, now with partition and engine ids aligned.
         for (dir_idx, &outgoing) in directions.iter().enumerate() {
-            self.begin_color_batch();
             let capture = std::mem::take(&mut captures[dir_idx]);
-            for &(u, old, new) in &capture {
-                let i = p.color_of(u) as usize;
-                if i == winner {
-                    continue; // the winner's axis is rebuilt below
-                }
-                let (kind, row, col) = if outgoing {
-                    (EntryKind::OutCol, i, winner)
+            self.begin_shard_records(1);
+            {
+                let (emin, emax, amin, amax) = if outgoing {
+                    (
+                        &self.out_min,
+                        &self.out_max,
+                        &self.out_min_arg,
+                        &self.out_max_arg,
+                    )
                 } else {
-                    (EntryKind::InRow, winner, i)
+                    (
+                        &self.in_min,
+                        &self.in_max,
+                        &self.in_min_arg,
+                        &self.in_max_arg,
+                    )
                 };
-                self.patch_entry(kind, row, col, u, old, new, 0.0);
+                let sc = &mut self.shard_scratch[0];
+                for &(u, old, new) in &capture {
+                    let i = p.color_of(u) as usize;
+                    if i == winner {
+                        continue; // the winner's axis is rebuilt below
+                    }
+                    let idx = if outgoing {
+                        i * cap + winner
+                    } else {
+                        winner * cap + i
+                    };
+                    sc.fold(
+                        i as u32, u, old, new, 0.0, emin[idx], emax[idx], amin[idx], amax[idx],
+                    );
+                }
             }
+            self.merge_shard_records(1, winner, outgoing);
             if dir_idx == 0 {
                 self.merge_scratch = capture;
             } else {
@@ -3156,11 +3188,10 @@ impl IncrementalDegrees {
             self.row_err_dirty[i] = true;
             self.row_best_dirty[i] = true;
         }
+        self.rescan_entries(p, &rescans, outgoing);
         if outgoing {
-            self.rescan_out_entries(p, &rescans);
             self.entry_scratch_out = rescans;
         } else {
-            self.rescan_in_entries(p, &rescans);
             self.entry_scratch_in = rescans;
         }
         self.touched_colors = batch;
@@ -3194,8 +3225,6 @@ impl IncrementalDegrees {
                 self.din.resize(n_new * cap, 0.0);
             }
         }
-        self.node_stamp.resize(n_new, 0);
-        self.node_delta.resize(n_new, 0.0);
         self.node_mark.resize(n_new, 0);
         self.n = n_new;
         if !self.track_summaries {
@@ -3314,13 +3343,8 @@ impl IncrementalDegrees {
                 compact_rows(&mut self.din, n_old, cap, remap);
             }
         }
-        self.node_stamp.clear();
-        self.node_stamp.resize(n_new, 0);
-        self.node_delta.clear();
-        self.node_delta.resize(n_new, 0.0);
         self.node_mark.clear();
         self.node_mark.resize(n_new, 0);
-        self.stamp_gen = 0;
         self.mark_gen = 0;
         self.n = n_new;
         if !self.track_summaries {
@@ -3386,8 +3410,8 @@ impl IncrementalDegrees {
             self.row_err_dirty[ci] = true;
             self.row_best_dirty[ci] = true;
         }
-        self.rescan_out_entries(p, &out_rescans);
-        self.rescan_in_entries(p, &in_rescans);
+        self.rescan_entries(p, &out_rescans, true);
+        self.rescan_entries(p, &in_rescans, false);
         self.entry_scratch_out = out_rescans;
         self.entry_scratch_in = in_rescans;
         if self.last_beta < 0.0 {
@@ -3410,79 +3434,120 @@ impl IncrementalDegrees {
     /// rescans, witness-row invalidation). `collect_touched` must have run
     /// for the matching direction.
     ///
-    /// Engines with a pool shard the per-node phase across workers when the
-    /// touched set is large; the per-shard partial aggregates reduce with
-    /// exact min/max/or/sum merges at the join, so the batch — and
-    /// everything derived from it — is independent of the shard count.
+    /// The touched list is cut into contiguous chunks, one per shard (one
+    /// shard below the touched threshold). Each shard shifts its nodes'
+    /// rows (each node appears in exactly one chunk, so the row writes are
+    /// disjoint) and folds per-color partial aggregates into its records;
+    /// [`Self::merge_shard_records`] then reduces them in shard order with
+    /// exact min/max/or/sum merges, so the batch — and everything derived
+    /// from it — is independent of the shard count.
     fn apply_side(&mut self, p: &Partition, c: usize, child: usize, outgoing: bool) {
         let touched = std::mem::take(&mut self.touched_nodes);
         let deltas = std::mem::take(&mut self.touched_deltas);
-        self.begin_color_batch();
-        let sharded = self.pool.is_some() && touched.len() >= self.par_min_touched;
-        if sharded {
-            self.apply_side_sharded(p, c, child, outgoing, &touched, &deltas);
+        let shards = if touched.len() >= self.par_min_touched {
+            self.pool.slots()
         } else {
+            1
+        };
+        self.begin_shard_records(shards);
+        {
             let cap = self.cap;
-            // The touched rows land all over a multi-megabyte accumulator
-            // in an order the hardware prefetcher cannot predict, so the
-            // loop prefetches its own future rows. The distance covers the
-            // latency of one row's patch work; the hint never changes
-            // results.
-            const PREFETCH_AHEAD: usize = 16;
             let colors = p.assignment();
             let promote_k = self.promote_k();
-            for (pos, (&u, &d)) in touched.iter().zip(deltas.iter()).enumerate() {
-                if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                    kernels::prefetch_read(colors, w as usize);
-                }
-                let base = u as usize * cap;
-                let (old, new, child_val) = if self.sparse_accum {
-                    let rows = if outgoing {
-                        &mut self.sparse_out
+            let sparse = self.sparse_accum;
+            let (dense, rows, emin, emax, amin, amax) = if outgoing {
+                (
+                    &mut self.dout,
+                    &mut self.sparse_out,
+                    &self.out_min,
+                    &self.out_max,
+                    &self.out_min_arg,
+                    &self.out_max_arg,
+                )
+            } else {
+                (
+                    &mut self.din,
+                    &mut self.sparse_in,
+                    &self.in_min,
+                    &self.in_max,
+                    &self.in_min_arg,
+                    &self.in_max_arg,
+                )
+            };
+            let dense = SyncSliceMut::new(dense);
+            let rows = SyncSliceMut::new(rows);
+            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
+            run_shards(&self.pool, shards, |shard| {
+                // The touched rows land all over a multi-megabyte
+                // accumulator in an order the hardware prefetcher cannot
+                // predict, so the loop prefetches its own future rows. The
+                // distance covers the latency of one row's patch work; the
+                // hint never changes results.
+                const PREFETCH_AHEAD: usize = 16;
+                let (lo, hi) = chunk_range(touched.len(), shards, shard);
+                let (touched, deltas) = (&touched[lo..hi], &deltas[lo..hi]);
+                // SAFETY: each shard touches only its own scratch entry.
+                let sc = unsafe { scratch.get_mut(shard) };
+                for (pos, (&u, &d)) in touched.iter().zip(deltas).enumerate() {
+                    let ahead = touched.get(pos + PREFETCH_AHEAD).map(|&w| w as usize);
+                    if let Some(w) = ahead {
+                        kernels::prefetch_read(colors, w);
+                    }
+                    let (old, new, child_val) = if sparse {
+                        // SAFETY: every touched node appears exactly once
+                        // across the shards' chunks and the look-ahead
+                        // nodes are this chunk's own, so each tiered row is
+                        // reached by one shard only; within the chunk rows
+                        // change in list order, so promotion decisions do
+                        // not depend on the shard count either.
+                        unsafe {
+                            // Same two-stage pipeline as the sparse gather
+                            // kernels: the row struct well ahead, its heap
+                            // payload closer in (hints only).
+                            if let Some(w) = ahead {
+                                kernels::prefetch_read(rows.slice_mut(w, w + 1), 0);
+                            }
+                            if let Some(&w) = touched.get(pos + PREFETCH_AHEAD / 2) {
+                                kernels::prefetch_row_payload(rows.get_mut(w as usize), c as u32);
+                            }
+                            rows.get_mut(u as usize).split_shift(
+                                c as u32,
+                                child as u32,
+                                d,
+                                promote_k,
+                            )
+                        }
                     } else {
-                        &mut self.sparse_in
+                        let base = u as usize * cap;
+                        // SAFETY: as for the tiered rows, each accumulator
+                        // row is reached by one shard only.
+                        unsafe {
+                            if let Some(w) = ahead {
+                                let row = dense.slice_mut(w * cap, w * cap + cap);
+                                kernels::prefetch_read(row, c);
+                                kernels::prefetch_read(row, child);
+                            }
+                            let row = dense.slice_mut(base, base + cap);
+                            let old = row[c];
+                            let new = old - d;
+                            row[c] = new;
+                            row[child] += d;
+                            (old, new, row[child])
+                        }
                     };
-                    // Same two-stage pipeline as the sparse gather
-                    // kernels: the row struct well ahead, its heap
-                    // payload closer in (hints only — results are
-                    // unaffected).
-                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                        kernels::prefetch_read(rows.as_slice(), w as usize);
+                    let i = colors[u as usize] as usize;
+                    if i == c || i == child {
+                        continue; // both color axes are rebuilt afterwards
                     }
-                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD / 2) {
-                        kernels::prefetch_row_payload(&rows[w as usize], c as u32);
-                    }
-                    let row = &mut rows[u as usize];
-                    row.split_shift(c as u32, child as u32, d, promote_k)
-                } else {
-                    let acc = if outgoing {
-                        &mut self.dout
-                    } else {
-                        &mut self.din
-                    };
-                    if let Some(&w) = touched.get(pos + PREFETCH_AHEAD) {
-                        let wbase = w as usize * cap;
-                        kernels::prefetch_read(acc, wbase + c);
-                        kernels::prefetch_read(acc, wbase + child);
-                    }
-                    let old = acc[base + c];
-                    let new = old - d;
-                    acc[base + c] = new;
-                    acc[base + child] += d;
-                    (old, new, acc[base + child])
-                };
-                let i = p.color_of(u) as usize;
-                if i == c || i == child {
-                    continue; // both color axes are rebuilt afterwards
+                    let idx = if outgoing { i * cap + c } else { c * cap + i };
+                    sc.fold(
+                        i as u32, u, old, new, child_val, emin[idx], emax[idx], amin[idx],
+                        amax[idx],
+                    );
                 }
-                let (kind, row, col) = if outgoing {
-                    (EntryKind::OutCol, i, c)
-                } else {
-                    (EntryKind::InRow, c, i)
-                };
-                self.patch_entry(kind, row, col, u, old, new, child_val);
-            }
+            });
         }
+        self.merge_shard_records(shards, c, outgoing);
 
         // ---- Finalize the batch: per touched color, install the child
         // column entry, queue a rescan if the parent-column entry lost its
@@ -3576,11 +3641,10 @@ impl IncrementalDegrees {
             self.row_err_dirty[i] = true;
             self.row_best_dirty[i] = true;
         }
+        self.rescan_entries(p, &rescans, outgoing);
         if outgoing {
-            self.rescan_out_entries(p, &rescans);
             self.entry_scratch_out = rescans;
         } else {
-            self.rescan_in_entries(p, &rescans);
             self.entry_scratch_in = rescans;
         }
         self.touched_colors = batch;
@@ -3588,140 +3652,38 @@ impl IncrementalDegrees {
         self.touched_deltas = deltas;
     }
 
-    /// The sharded accumulator phase of [`Self::apply_side`]: workers take
-    /// disjoint contiguous chunks of the touched list, apply the
-    /// parent→child mass shifts to their nodes' accumulator rows (each node
-    /// appears in exactly one chunk, so the row writes are disjoint), and
-    /// fold per-color partial aggregates into their shard scratch. The
-    /// caller then merges the shard records — in shard order, with exact
-    /// min/max/or/sum reductions — into the touched-color batch and the
-    /// entry extrema, which makes the merged state identical to what the
-    /// serial loop produces.
-    fn apply_side_sharded(
-        &mut self,
-        p: &Partition,
-        c: usize,
-        child: usize,
-        outgoing: bool,
-        touched: &[NodeId],
-        deltas: &[f64],
-    ) {
+    /// Reset the first `shards` shards' per-color records for a new fold.
+    fn begin_shard_records(&mut self, shards: usize) {
         let cap = self.cap;
-        let pool = self.pool.clone().expect("sharded path requires a pool");
-        let shards = pool.slots();
-        for s in &mut self.shard_scratch {
-            if s.slot.len() < cap {
-                s.slot.resize(cap, u32::MAX);
+        for sc in &mut self.shard_scratch[..shards] {
+            if sc.slot.len() < cap {
+                sc.slot.resize(cap, u32::MAX);
             }
-            s.records.clear();
+            sc.records.clear();
         }
-        if self.sparse_accum {
-            let promote_k = self.promote_k();
-            let (rows, emin, emax, amin, amax) = if outgoing {
-                (
-                    &mut self.sparse_out,
-                    &self.out_min,
-                    &self.out_max,
-                    &self.out_min_arg,
-                    &self.out_max_arg,
-                )
-            } else {
-                (
-                    &mut self.sparse_in,
-                    &self.in_min,
-                    &self.in_max,
-                    &self.in_min_arg,
-                    &self.in_max_arg,
-                )
-            };
-            let rows = SyncSliceMut::new(rows);
-            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            pool.run(|slot| {
-                let (lo, hi) = chunk_range(touched.len(), shards, slot);
-                // SAFETY: each slot touches only its own scratch entry.
-                let shard = unsafe { scratch.get_mut(slot) };
-                for (&u, &d) in touched[lo..hi].iter().zip(&deltas[lo..hi]) {
-                    // SAFETY: every touched node appears exactly once
-                    // across all chunks, so each tiered row is mutated by
-                    // exactly one worker — and its mutation order within
-                    // the chunk equals the serial order, so promotion
-                    // decisions are thread-count independent too.
-                    let row = unsafe { rows.get_mut(u as usize) };
-                    let (old, new, child_val) =
-                        row.split_shift(c as u32, child as u32, d, promote_k);
-                    let i = p.color_of(u) as usize;
-                    if i == c || i == child {
-                        continue;
-                    }
-                    let idx = if outgoing { i * cap + c } else { c * cap + i };
-                    shard.fold(
-                        i as u32, u, old, new, child_val, emin[idx], emax[idx], amin[idx],
-                        amax[idx],
-                    );
-                }
-            });
-        } else {
-            let (acc, emin, emax, amin, amax) = if outgoing {
-                (
-                    &mut self.dout,
-                    &self.out_min,
-                    &self.out_max,
-                    &self.out_min_arg,
-                    &self.out_max_arg,
-                )
-            } else {
-                (
-                    &mut self.din,
-                    &self.in_min,
-                    &self.in_max,
-                    &self.in_min_arg,
-                    &self.in_max_arg,
-                )
-            };
-            let acc = SyncSliceMut::new(acc);
-            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            pool.run(|slot| {
-                let (lo, hi) = chunk_range(touched.len(), shards, slot);
-                // SAFETY: each slot touches only its own scratch entry.
-                let shard = unsafe { scratch.get_mut(slot) };
-                for (&u, &d) in touched[lo..hi].iter().zip(&deltas[lo..hi]) {
-                    let base = u as usize * cap;
-                    // SAFETY: every touched node appears exactly once
-                    // across all chunks, so each accumulator row is written
-                    // by exactly one worker.
-                    let row = unsafe { acc.slice_mut(base, base + cap) };
-                    let old = row[c];
-                    let new = old - d;
-                    row[c] = new;
-                    row[child] += d;
-                    let i = p.color_of(u) as usize;
-                    if i == c || i == child {
-                        continue;
-                    }
-                    let child_val = row[child];
-                    let idx = if outgoing { i * cap + c } else { c * cap + i };
-                    shard.fold(
-                        i as u32, u, old, new, child_val, emin[idx], emax[idx], amin[idx],
-                        amax[idx],
-                    );
-                }
-            });
-        }
-        // Deterministic merge: shards in slot order, records in insertion
-        // order; all reductions are exact, so the result equals the serial
-        // loop's batch regardless of the chunk boundaries.
-        for shard_idx in 0..shards {
-            let records = std::mem::take(&mut self.shard_scratch[shard_idx].records);
+    }
+
+    /// Merge the first `shards` shards' records — shards in order, records
+    /// in insertion order — into a fresh touched-color batch and the entry
+    /// extrema of column `c` (row `c` in the in direction). All reductions
+    /// are exact, so the result does not depend on the chunk boundaries.
+    fn merge_shard_records(&mut self, shards: usize, c: usize, outgoing: bool) {
+        // Slot lookups self-validate (a stored index is live only if the
+        // record at that index names the same color), so clearing the
+        // record list is all the reset a new batch needs.
+        self.touched_colors.clear();
+        for shard in 0..shards {
+            let records = std::mem::take(&mut self.shard_scratch[shard].records);
             for r in &records {
                 self.merge_shard_record(r, c, outgoing);
             }
-            self.shard_scratch[shard_idx].records = records;
+            self.shard_scratch[shard].records = records;
         }
     }
 
     /// Merge one shard's per-color aggregate into the touched-color batch
-    /// and the parent-column entry extrema (the join-side half of
-    /// [`Self::apply_side_sharded`]).
+    /// and the entry extrema (the join-side half of
+    /// [`ShardScratch::fold`]).
     fn merge_shard_record(&mut self, r: &ShardRecord, c: usize, outgoing: bool) {
         let cap = self.cap;
         let idx = if outgoing {
@@ -3749,8 +3711,12 @@ impl IncrementalDegrees {
         record.count += r.count;
         record.nz_delta += r.nz_delta;
         record.child_nonzero += r.child_nonzero;
-        record.rescan_min |= r.rescan_min;
-        record.rescan_max |= r.rescan_max;
+        // A shard flags a lost extremum against the attainer its own fold
+        // reached; once an earlier shard extended the entry past its
+        // batch-start extremum, that extension is the attainer, so the
+        // flag stands only while the entry still holds that extremum.
+        record.rescan_min |= r.rescan_min && cur_min == record.orig_min;
+        record.rescan_max |= r.rescan_max && cur_max == record.orig_max;
         if r.child_min < record.child_min {
             record.child_min = r.child_min;
             record.child_min_arg = r.child_min_arg;
@@ -3885,8 +3851,8 @@ impl IncrementalDegrees {
                 }
             }
         }
-        self.rescan_out_entries(p, &out_rescans);
-        self.rescan_in_entries(p, &in_rescans);
+        self.rescan_entries(p, &out_rescans, true);
+        self.rescan_entries(p, &in_rescans, false);
         self.entry_scratch_out = out_rescans;
         self.entry_scratch_in = in_rescans;
     }
@@ -3898,8 +3864,8 @@ impl IncrementalDegrees {
     /// β-weighted bests (`row_max_err` is β-independent), so a β-only
     /// rebuild skips the error bookkeeping entirely. Large batches of
     /// stale rows are sharded across the pool — each row is an independent
-    /// `O(k)` scan writing only its own cache slots, so results are
-    /// bit-identical to the serial order.
+    /// `O(k)` scan writing only its own cache slots, so results do not
+    /// depend on the shard count.
     pub fn refresh(&mut self, p: &Partition, beta: f64) {
         assert!(
             self.track_summaries,
@@ -3929,43 +3895,32 @@ impl IncrementalDegrees {
             in_min: &self.in_min,
             in_max: &self.in_max,
         };
-        if self.pool.is_some() && dirty.len() >= 2 && dirty.len() * k >= self.par_min_scan_work {
-            let pool = self.pool.clone().expect("checked above");
-            let shards = pool.slots();
-            let row_max_err = SyncSliceMut::new(&mut self.row_max_err);
-            let row_best = SyncSliceMut::new(&mut self.row_best);
-            let err_dirty = SyncSliceMut::new(&mut self.row_err_dirty);
-            let best_dirty = SyncSliceMut::new(&mut self.row_best_dirty);
-            pool.run(|slot| {
-                let (lo, hi) = chunk_range(dirty.len(), shards, slot);
-                for &s in &dirty[lo..hi] {
-                    let s = s as usize;
-                    let (max_err, best) = view.scan_row(p, s, beta);
-                    // SAFETY: the dirty list is duplicate-free and chunks
-                    // are disjoint, so each row's slots are written by one
-                    // worker.
-                    unsafe {
-                        if *err_dirty.get_mut(s) {
-                            *row_max_err.get_mut(s) = max_err;
-                            *err_dirty.get_mut(s) = false;
-                        }
-                        *row_best.get_mut(s) = best;
-                        *best_dirty.get_mut(s) = false;
-                    }
-                }
-            });
+        let shards = if dirty.len() >= 2 && dirty.len() * k >= self.par_min_scan_work {
+            self.pool.slots()
         } else {
-            for &s in &dirty {
+            1
+        };
+        let row_max_err = SyncSliceMut::new(&mut self.row_max_err);
+        let row_best = SyncSliceMut::new(&mut self.row_best);
+        let err_dirty = SyncSliceMut::new(&mut self.row_err_dirty);
+        let best_dirty = SyncSliceMut::new(&mut self.row_best_dirty);
+        run_shards(&self.pool, shards, |shard| {
+            let (lo, hi) = chunk_range(dirty.len(), shards, shard);
+            for &s in &dirty[lo..hi] {
                 let s = s as usize;
                 let (max_err, best) = view.scan_row(p, s, beta);
-                if self.row_err_dirty[s] {
-                    self.row_max_err[s] = max_err;
-                    self.row_err_dirty[s] = false;
+                // SAFETY: the dirty list is duplicate-free and chunks are
+                // disjoint, so each row's slots are written by one shard.
+                unsafe {
+                    if *err_dirty.get_mut(s) {
+                        *row_max_err.get_mut(s) = max_err;
+                        *err_dirty.get_mut(s) = false;
+                    }
+                    *row_best.get_mut(s) = best;
+                    *best_dirty.get_mut(s) = false;
                 }
-                self.row_best[s] = best;
-                self.row_best_dirty[s] = false;
             }
-        }
+        });
         self.dirty_scratch = dirty;
     }
 
@@ -4221,130 +4176,30 @@ impl IncrementalDegrees {
 
     /// Rebuild every pair summary indexed along color `s`'s member axis:
     /// out-entries `(s, j)` and in-entries `(j, s)` for all `j`, by scanning
-    /// the accumulator rows of `P_s`'s members. `O(|P_s| · k)`, sharded
-    /// across the pool for large colors (per-shard min/max rows merged in
-    /// shard order with exact comparisons — same values and extremum
-    /// witnesses as the serial member-order scan).
+    /// the accumulator rows of `P_s`'s members. `O(|P_s| · k)`. Each shard
+    /// (one below the scan-work threshold) folds a contiguous chunk of the
+    /// members into its own min/max rows, and the rows merge in shard
+    /// order with strict comparisons, which keep the first attainer — the
+    /// member-order scan's values and extremum witnesses, bit for bit.
+    /// Sparse storage folds only the stored entries per member and closes
+    /// the merged rows with one `fold_zero_tail` pass: any column some
+    /// member misses folds a 0.0 with the `NO_ARG` witness. The min/max
+    /// *values* equal the dense scan's exactly; only zero-extremum
+    /// attainers differ (NO_ARG instead of the first zero-valued member),
+    /// which is unobservable — attainers gate rescans, never values, and
+    /// NO_ARG forces the conservative rescan.
     fn recompute_color_axis(&mut self, p: &Partition, s: usize) {
         let k = self.k;
-        let members = p.members(s as u32);
-        if self.pool.is_some() && members.len() >= 2 && members.len() * k >= self.par_min_scan_work
-        {
-            self.recompute_color_axis_sharded(p, s);
-        } else {
-            self.recompute_color_axis_serial(p, s);
-        }
-        self.row_err_dirty[s] = true;
-        self.row_best_dirty[s] = true;
-    }
-
-    fn recompute_color_axis_serial(&mut self, p: &Partition, s: usize) {
-        let k = self.k;
         let cap = self.cap;
-        let (omin, rest) = self.row_scratch.split_at_mut(cap);
-        let (omax, rest) = rest.split_at_mut(cap);
-        let (imin, imax) = rest.split_at_mut(cap);
-        let (aomin, arest) = self.row_arg_scratch.split_at_mut(cap);
-        let (aomax, arest) = arest.split_at_mut(cap);
-        let (aimin, aimax) = arest.split_at_mut(cap);
-        let (onz, inz) = self.row_nz_scratch.split_at_mut(cap);
-        omin[..k].fill(f64::INFINITY);
-        omax[..k].fill(f64::NEG_INFINITY);
-        imin[..k].fill(f64::INFINITY);
-        imax[..k].fill(f64::NEG_INFINITY);
-        aomin[..k].fill(NO_ARG);
-        aomax[..k].fill(NO_ARG);
-        aimin[..k].fill(NO_ARG);
-        aimax[..k].fill(NO_ARG);
-        onz[..k].fill(0);
-        inz[..k].fill(0);
-        // One member loop for both modes: the dense out scan and (directed
-        // only) the in scan route through the same vectorized row kernel —
-        // exactly the scalar member-order scan, bit for bit (see
-        // `kernels::fold_minmax_row`). Sparse-storage engines fold only the
-        // stored (nonzero) entries per member and account for the implicit
-        // zeros afterwards with one `fold_zero_tail` pass: any column some
-        // member misses folds a 0.0 with the `NO_ARG` witness. The min/max
-        // *values* equal the dense scan's exactly; only the zero-extremum
-        // attainers differ (NO_ARG instead of the first zero-valued member),
-        // which is unobservable — attainers gate rescans, never values, and
-        // NO_ARG forces the conservative rescan.
-        if self.sparse_accum {
-            let members = p.members(s as u32);
-            for &u in members {
-                let row = &self.sparse_out[u as usize];
-                kernels::fold_minmax_sparse_row(u, row, k, omin, omax, aomin, aomax, onz);
-                if !self.symmetric {
-                    let row = &self.sparse_in[u as usize];
-                    kernels::fold_minmax_sparse_row(u, row, k, imin, imax, aimin, aimax, inz);
-                }
-            }
-            let count = members.len() as u32;
-            kernels::fold_zero_tail(count, k, omin, omax, aomin, aomax, onz);
-            if !self.symmetric {
-                kernels::fold_zero_tail(count, k, imin, imax, aimin, aimax, inz);
-            }
-        } else {
-            for &u in p.members(s as u32) {
-                let base = u as usize * cap;
-                kernels::fold_minmax_row(
-                    u,
-                    &self.dout[base..base + k],
-                    omin,
-                    omax,
-                    aomin,
-                    aomax,
-                    onz,
-                );
-                if !self.symmetric {
-                    kernels::fold_minmax_row(
-                        u,
-                        &self.din[base..base + k],
-                        imin,
-                        imax,
-                        aimin,
-                        aimax,
-                        inz,
-                    );
-                }
-            }
-        }
-        for j in 0..k {
-            self.out_min[s * cap + j] = omin[j];
-            self.out_max[s * cap + j] = omax[j];
-            self.out_min_arg[s * cap + j] = aomin[j];
-            self.out_max_arg[s * cap + j] = aomax[j];
-            self.out_nz[s * cap + j] = onz[j];
-        }
-        if !self.symmetric {
-            for j in 0..k {
-                self.in_min[j * cap + s] = imin[j];
-                self.in_max[j * cap + s] = imax[j];
-                self.in_min_arg[j * cap + s] = aimin[j];
-                self.in_max_arg[j * cap + s] = aimax[j];
-                self.in_nz[j * cap + s] = inz[j];
-            }
-        }
-    }
-
-    /// The sharded variant of the member-axis rebuild: each worker scans a
-    /// contiguous chunk of `P_s`'s members into its own 4-row min/max
-    /// scratch, and the caller merges the shard rows in shard order (strict
-    /// comparisons keep the first attainer, so the merge equals the serial
-    /// member-order scan bit-for-bit, extremum witnesses included).
-    fn recompute_color_axis_sharded(&mut self, p: &Partition, s: usize) {
-        let k = self.k;
-        let cap = self.cap;
-        let pool = self.pool.clone().expect("sharded path requires a pool");
-        let shards = pool.slots();
         let members = p.members(s as u32);
+        let shards = if members.len() >= 2 && members.len() * k >= self.par_min_scan_work {
+            self.pool.slots()
+        } else {
+            1
+        };
         let symmetric = self.symmetric;
-        for sc in &mut self.shard_scratch {
-            if sc.axis.len() < 4 * cap {
-                sc.axis.resize(4 * cap, 0.0);
-                sc.axis_arg.resize(4 * cap, NO_ARG);
-                sc.axis_nz.resize(2 * cap, 0);
-            }
+        for sc in &mut self.shard_scratch[..shards] {
+            sc.size_axis(cap);
         }
         {
             let dout = &self.dout;
@@ -4353,17 +4208,17 @@ impl IncrementalDegrees {
             let sparse_in = &self.sparse_in;
             let sparse_accum = self.sparse_accum;
             let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            pool.run(|slot| {
-                let (lo, hi) = chunk_range(members.len(), shards, slot);
-                // SAFETY: each slot touches only its own scratch entry.
-                let shard = unsafe { scratch.get_mut(slot) };
-                let (omin, rest) = shard.axis.split_at_mut(cap);
+            run_shards(&self.pool, shards, |shard| {
+                let (lo, hi) = chunk_range(members.len(), shards, shard);
+                // SAFETY: each shard touches only its own scratch entry.
+                let sc = unsafe { scratch.get_mut(shard) };
+                let (omin, rest) = sc.axis.split_at_mut(cap);
                 let (omax, rest) = rest.split_at_mut(cap);
                 let (imin, imax) = rest.split_at_mut(cap);
-                let (aomin, arest) = shard.axis_arg.split_at_mut(cap);
+                let (aomin, arest) = sc.axis_arg.split_at_mut(cap);
                 let (aomax, arest) = arest.split_at_mut(cap);
                 let (aimin, aimax) = arest.split_at_mut(cap);
-                let (onz, inz) = shard.axis_nz.split_at_mut(cap);
+                let (onz, inz) = sc.axis_nz.split_at_mut(cap);
                 omin[..k].fill(f64::INFINITY);
                 omax[..k].fill(f64::NEG_INFINITY);
                 aomin[..k].fill(NO_ARG);
@@ -4376,17 +4231,13 @@ impl IncrementalDegrees {
                     aimax[..k].fill(NO_ARG);
                     inz[..k].fill(0);
                 }
-                // Same row kernel as the serial scan — the shard's partial
-                // aggregates are the serial member-order scan of its chunk.
-                // Sparse storage folds the stored entries per member and
-                // closes each chunk with a zero tail over the chunk's own
-                // member count: a column some chunk member misses folds a
-                // 0.0/NO_ARG into that shard's partial, so the shard-order
-                // merge below reproduces the serial sparse scan's *values*
-                // exactly (zero-extremum attainers may stay NO_ARG — the
-                // usual conservative-rescan sentinel).
+                // The dense out scan and (directed only) the in scan route
+                // through the vectorized row kernel — exactly the scalar
+                // member-order scan, bit for bit (see
+                // `kernels::fold_minmax_row`).
+                let chunk = &members[lo..hi];
                 if sparse_accum {
-                    for &u in &members[lo..hi] {
+                    for &u in chunk {
                         let row = &sparse_out[u as usize];
                         kernels::fold_minmax_sparse_row(u, row, k, omin, omax, aomin, aomax, onz);
                         if !symmetric {
@@ -4396,86 +4247,71 @@ impl IncrementalDegrees {
                             );
                         }
                     }
-                    let count = (hi - lo) as u32;
-                    kernels::fold_zero_tail(count, k, omin, omax, aomin, aomax, onz);
-                    if !symmetric {
-                        kernels::fold_zero_tail(count, k, imin, imax, aimin, aimax, inz);
-                    }
                 } else {
-                    for &u in &members[lo..hi] {
+                    for &u in chunk {
                         let base = u as usize * cap;
-                        kernels::fold_minmax_row(
-                            u,
-                            &dout[base..base + k],
-                            omin,
-                            omax,
-                            aomin,
-                            aomax,
-                            onz,
-                        );
+                        let row = &dout[base..base + k];
+                        kernels::fold_minmax_row(u, row, omin, omax, aomin, aomax, onz);
                         if !symmetric {
-                            kernels::fold_minmax_row(
-                                u,
-                                &din[base..base + k],
-                                imin,
-                                imax,
-                                aimin,
-                                aimax,
-                                inz,
-                            );
+                            let row = &din[base..base + k];
+                            kernels::fold_minmax_row(u, row, imin, imax, aimin, aimax, inz);
                         }
                     }
                 }
             });
         }
-        for j in 0..k {
-            let mut omn = f64::INFINITY;
-            let mut omx = f64::NEG_INFINITY;
-            let (mut aomn, mut aomx) = (NO_ARG, NO_ARG);
-            let mut onz = 0u32;
-            let mut imn = f64::INFINITY;
-            let mut imx = f64::NEG_INFINITY;
-            let (mut aimn, mut aimx) = (NO_ARG, NO_ARG);
-            let mut inz = 0u32;
-            for sc in &self.shard_scratch[..shards] {
-                let v = sc.axis[j];
-                if v < omn {
-                    omn = v;
-                    aomn = sc.axis_arg[j];
-                }
-                let v = sc.axis[cap + j];
-                if v > omx {
-                    omx = v;
-                    aomx = sc.axis_arg[cap + j];
-                }
-                onz += sc.axis_nz[j];
-                if !symmetric {
-                    let v = sc.axis[2 * cap + j];
-                    if v < imn {
-                        imn = v;
-                        aimn = sc.axis_arg[2 * cap + j];
+        // Merge the shard rows into the first shard's, in shard order.
+        let (head, rest) = self.shard_scratch.split_at_mut(1);
+        let head = &mut head[0];
+        let halves: &[usize] = if symmetric { &[0] } else { &[0, 1] };
+        for sc in &rest[..shards - 1] {
+            for &h in halves {
+                let (lo, hi) = (2 * h * cap, (2 * h + 1) * cap);
+                for j in 0..k {
+                    if sc.axis[lo + j] < head.axis[lo + j] {
+                        head.axis[lo + j] = sc.axis[lo + j];
+                        head.axis_arg[lo + j] = sc.axis_arg[lo + j];
                     }
-                    let v = sc.axis[3 * cap + j];
-                    if v > imx {
-                        imx = v;
-                        aimx = sc.axis_arg[3 * cap + j];
+                    if sc.axis[hi + j] > head.axis[hi + j] {
+                        head.axis[hi + j] = sc.axis[hi + j];
+                        head.axis_arg[hi + j] = sc.axis_arg[hi + j];
                     }
-                    inz += sc.axis_nz[cap + j];
+                    head.axis_nz[h * cap + j] += sc.axis_nz[h * cap + j];
                 }
-            }
-            self.out_min[s * cap + j] = omn;
-            self.out_max[s * cap + j] = omx;
-            self.out_min_arg[s * cap + j] = aomn;
-            self.out_max_arg[s * cap + j] = aomx;
-            self.out_nz[s * cap + j] = onz;
-            if !symmetric {
-                self.in_min[j * cap + s] = imn;
-                self.in_max[j * cap + s] = imx;
-                self.in_min_arg[j * cap + s] = aimn;
-                self.in_max_arg[j * cap + s] = aimx;
-                self.in_nz[j * cap + s] = inz;
             }
         }
+        let (omin, rest) = head.axis.split_at_mut(cap);
+        let (omax, rest) = rest.split_at_mut(cap);
+        let (imin, imax) = rest.split_at_mut(cap);
+        let (aomin, arest) = head.axis_arg.split_at_mut(cap);
+        let (aomax, arest) = arest.split_at_mut(cap);
+        let (aimin, aimax) = arest.split_at_mut(cap);
+        let (onz, inz) = head.axis_nz.split_at_mut(cap);
+        if self.sparse_accum {
+            let count = members.len() as u32;
+            kernels::fold_zero_tail(count, k, omin, omax, aomin, aomax, onz);
+            if !symmetric {
+                kernels::fold_zero_tail(count, k, imin, imax, aimin, aimax, inz);
+            }
+        }
+        for j in 0..k {
+            self.out_min[s * cap + j] = omin[j];
+            self.out_max[s * cap + j] = omax[j];
+            self.out_min_arg[s * cap + j] = aomin[j];
+            self.out_max_arg[s * cap + j] = aomax[j];
+            self.out_nz[s * cap + j] = onz[j];
+        }
+        if !symmetric {
+            for j in 0..k {
+                self.in_min[j * cap + s] = imin[j];
+                self.in_max[j * cap + s] = imax[j];
+                self.in_min_arg[j * cap + s] = aimin[j];
+                self.in_max_arg[j * cap + s] = aimax[j];
+                self.in_nz[j * cap + s] = inz[j];
+            }
+        }
+        self.row_err_dirty[s] = true;
+        self.row_best_dirty[s] = true;
     }
 
     /// Collect the distinct neighbors of `moved` (sources of their in-edges
@@ -4484,23 +4320,19 @@ impl IncrementalDegrees {
     /// index-parallel `touched_deltas` (so consumers read them
     /// positionally, without a per-node gather).
     ///
-    /// Moved lists of at least `par_min_touched` nodes use the *canonical
-    /// chunked accumulation*: the list is cut into fixed-size chunks
-    /// (chunk size = `par_min_touched`, a pure function of the engine's
-    /// thresholds — **never** of the thread count), each chunk is deduped
-    /// with a generation-stamped seen-bitmap into a `(node, chunk-local
-    /// delta)` list, and the lists are merged in chunk order. A neighbor's
-    /// global first appearance is in the earliest chunk that touches it,
-    /// at that chunk's local first-touch position, so the merged touched
-    /// ordering equals the serial first-appearance scan exactly; and
-    /// because the chunk boundaries and the merge order are
-    /// thread-independent, the accumulated deltas are **bit-identical for
-    /// every thread count** — on arbitrary float weights, not just
-    /// representable ones — preserving the engine-wide determinism
-    /// contract. Pooled engines fan the chunks out across workers
-    /// (round-robin; scheduling only), serial engines process them inline.
-    /// Below the threshold a single sequential scan runs, which is the
-    /// one-chunk case of the same grouping.
+    /// The moved list is cut into fixed-size chunks (chunk size =
+    /// `par_min_touched`, a pure function of the engine's thresholds —
+    /// **never** of the thread count). A list shorter than one chunk is
+    /// scanned straight into the touched list. Longer lists deal their
+    /// chunks round-robin to the pool's shards; each chunk is deduped into
+    /// its own `(nodes, chunk-local deltas)` list, and the lists merge in
+    /// chunk order. A neighbor's global first appearance is in the
+    /// earliest chunk that touches it, at that chunk's local first-touch
+    /// position, so the merged ordering equals a first-appearance scan of
+    /// the whole list; and because the chunk boundaries and the merge
+    /// order do not depend on the thread count, neither do the
+    /// accumulated deltas — on arbitrary float weights, not just
+    /// representable ones.
     fn collect_touched(&mut self, g: &Graph, moved: &[NodeId], incoming: bool) {
         // Mapped graphs: start faulting the moved nodes' arc span in now,
         // so the batched scan below overlaps page-in with compute (no-op
@@ -4508,479 +4340,182 @@ impl IncrementalDegrees {
         g.advise_arcs_will_need(moved);
         let chunk_size = self.par_min_touched;
         if moved.len() < chunk_size.max(2) {
-            self.mark_gen = self.mark_gen.wrapping_add(1);
-            if self.mark_gen == 0 {
-                self.node_mark.fill(0);
-                self.mark_gen = 1;
-            }
-            let gen = self.mark_gen;
-            self.touched_nodes.clear();
-            self.touched_deltas.clear();
-            for &v in moved {
-                let (nbrs, wts) = if incoming {
-                    g.in_arcs(v)
-                } else {
-                    g.out_arcs(v)
-                };
-                for (idx, &u) in nbrs.iter().enumerate() {
-                    let m = self.node_mark[u as usize];
-                    if m as u32 != gen {
-                        self.node_mark[u as usize] =
-                            gen as u64 | ((self.touched_nodes.len() as u64) << 32);
-                        self.touched_nodes.push(u);
-                        self.touched_deltas.push(wts[idx]);
-                    } else {
-                        self.touched_deltas[(m >> 32) as usize] += wts[idx];
-                    }
-                }
-            }
+            scan_chunk(
+                g,
+                moved,
+                incoming,
+                &mut self.node_mark,
+                &mut self.mark_gen,
+                &mut self.touched_nodes,
+                &mut self.touched_deltas,
+            );
             return;
         }
-        self.collect_touched_chunked(g, moved, incoming, chunk_size);
-    }
-
-    /// The chunked half of [`Self::collect_touched`]: scan each chunk into
-    /// its own `(node, delta)` list — across the pool when one is attached
-    /// — then merge the lists in chunk order (see the entry point for the
-    /// determinism argument).
-    fn collect_touched_chunked(
-        &mut self,
-        g: &Graph,
-        moved: &[NodeId],
-        incoming: bool,
-        chunk_size: usize,
-    ) {
         let chunks = moved.len().div_ceil(chunk_size);
-        let mut outputs = std::mem::take(&mut self.chunk_out);
-        if outputs.len() < chunks {
-            outputs.resize_with(chunks, Vec::new);
+        let shards = self.pool.slots();
+        let mut lists = std::mem::take(&mut self.chunk_out);
+        if lists.len() < chunks {
+            lists.resize_with(chunks, Default::default);
         }
-        if let Some(pool) = self.pool.clone() {
-            let n = self.n;
-            let slots = pool.slots();
-            for s in &mut self.shard_scratch {
-                if s.seen_stamp.len() < n {
-                    s.seen_stamp.resize(n, 0);
-                    s.delta.resize(n, 0.0);
-                }
+        let n = self.n;
+        for sc in &mut self.shard_scratch {
+            if sc.mark.len() < n {
+                sc.mark.resize(n, 0);
             }
+        }
+        {
             let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            let out = SyncSliceMut::new(&mut outputs);
-            pool.run(|slot| {
-                // SAFETY: each slot touches only its own scratch entry.
-                let shard = unsafe { scratch.get_mut(slot) };
-                let mut c = slot;
-                while c < chunks {
+            let out = SyncSliceMut::new(&mut lists);
+            run_shards(&self.pool, shards, |shard| {
+                // SAFETY: each shard touches only its own scratch entry.
+                let sc = unsafe { scratch.get_mut(shard) };
+                for c in (shard..chunks).step_by(shards) {
                     let lo = c * chunk_size;
                     let hi = (lo + chunk_size).min(moved.len());
-                    // SAFETY: chunks are assigned round-robin by slot, so
-                    // each output list is written by exactly one worker.
-                    let list = unsafe { out.get_mut(c) };
+                    // SAFETY: chunks are dealt round-robin by shard, so
+                    // each list is written by exactly one shard.
+                    let (nodes, deltas) = unsafe { out.get_mut(c) };
+                    let movers = &moved[lo..hi];
                     scan_chunk(
                         g,
-                        &moved[lo..hi],
+                        movers,
                         incoming,
-                        &mut shard.seen_stamp,
-                        &mut shard.seen_gen,
-                        &mut shard.delta,
-                        list,
+                        &mut sc.mark,
+                        &mut sc.mark_gen,
+                        nodes,
+                        deltas,
                     );
-                    c += slots;
                 }
             });
-        } else {
-            for (c, list) in outputs.iter_mut().enumerate().take(chunks) {
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(moved.len());
-                scan_chunk(
-                    g,
-                    &moved[lo..hi],
-                    incoming,
-                    &mut self.node_stamp,
-                    &mut self.stamp_gen,
-                    &mut self.node_delta,
-                    list,
-                );
-            }
         }
         // Merge in chunk order: global first-appearance dedupe over the
-        // chunk lists, chunk-local partials added in chunk order. (The
-        // serial path above may have used node_stamp/node_delta as chunk
-        // scratch; `node_mark` runs on its own generation counter.)
-        self.mark_gen = self.mark_gen.wrapping_add(1);
-        if self.mark_gen == 0 {
-            self.node_mark.fill(0);
-            self.mark_gen = 1;
-        }
-        let gen = self.mark_gen;
+        // chunk lists, chunk-local sums added in chunk order. Merged sums
+        // start from +0.0 (`0.0 + d` differs from `d` only for a -0.0 `d`).
+        let gen = next_gen(&mut self.node_mark, &mut self.mark_gen);
         self.touched_nodes.clear();
         self.touched_deltas.clear();
-        for list in &outputs[..chunks] {
-            for &(u, d) in list {
-                let m = self.node_mark[u as usize];
-                if m as u32 != gen {
-                    self.node_mark[u as usize] =
-                        gen as u64 | ((self.touched_nodes.len() as u64) << 32);
-                    self.touched_nodes.push(u);
-                    self.touched_deltas.push(d);
-                } else {
-                    self.touched_deltas[(m >> 32) as usize] += d;
-                }
+        for (nodes, deltas) in &lists[..chunks] {
+            for (&u, &d) in nodes.iter().zip(deltas) {
+                touch(
+                    &mut self.node_mark,
+                    gen,
+                    &mut self.touched_nodes,
+                    &mut self.touched_deltas,
+                    u,
+                    0.0 + d,
+                );
             }
         }
-        self.chunk_out = outputs;
+        self.chunk_out = lists;
     }
 
-    fn begin_color_batch(&mut self) {
-        // Slot lookups self-validate (a stored index is live only if the
-        // record at that index names the same color), so clearing the
-        // record list is all the reset a new batch needs.
-        self.touched_colors.clear();
-    }
-
-    /// Patch one pair summary entry for a touched node `u` whose
-    /// accumulator moved from `old` to `new`, and record the node's
-    /// `child`-column value for the batch finalization. `row`/`col` index
-    /// the entry in the affected matrix (`EntryKind` chooses which); the
-    /// *batched* color is the one whose member axis the entry ranges over.
-    #[allow(clippy::too_many_arguments)]
-    fn patch_entry(
-        &mut self,
-        kind: EntryKind,
-        row: usize,
-        col: usize,
-        u: NodeId,
-        old: f64,
-        new: f64,
-        child_val: f64,
-    ) {
-        let idx = row * self.cap + col;
-        let (cur_min, cur_max, arg_min, arg_max) = match kind {
-            EntryKind::OutCol => (
-                self.out_min[idx],
-                self.out_max[idx],
-                self.out_min_arg[idx],
-                self.out_max_arg[idx],
-            ),
-            EntryKind::InRow => (
-                self.in_min[idx],
-                self.in_max[idx],
-                self.in_min_arg[idx],
-                self.in_max_arg[idx],
-            ),
-        };
-        let batched_color = match kind {
-            EntryKind::OutCol => row as u32,
-            EntryKind::InRow => col as u32,
-        };
-        let slot = self.color_slot[batched_color as usize] as usize;
-        let slot = if slot < self.touched_colors.len()
-            && self.touched_colors[slot].color == batched_color
-        {
-            slot
+    /// Recompute a batch of pair-summary entries from their member axes:
+    /// out-entry `(i, j)` scans `P_i`'s members, in-entry `(i, j)` scans
+    /// `P_j`'s (values, first attainers in member order, nonzero counts).
+    /// Each shard (one below the scan-work threshold) takes a contiguous
+    /// chunk of whole entries and writes only those, so results do not
+    /// depend on the shard count. A chunk whose entries share one member
+    /// axis — the parent-axis repair after a split always does — folds all
+    /// its columns in a single member pass
+    /// ([`kernels::scan_gather_columns`]), loading each accumulator row
+    /// once; per column that is the same member-order fold, bit for bit.
+    fn rescan_entries(&mut self, p: &Partition, entries: &[(u32, u32)], outgoing: bool) {
+        if entries.is_empty() {
+            return;
+        }
+        // (member color, column) of an entry.
+        let axis = |&(i, j): &(u32, u32)| if outgoing { (i, j) } else { (j, i) };
+        let work: usize = entries.iter().map(|e| p.size(axis(e).0)).sum();
+        let shards = if entries.len() >= 2 && work >= self.par_min_scan_work {
+            self.pool.slots()
         } else {
-            let fresh = self.touched_colors.len();
-            self.color_slot[batched_color as usize] = fresh as u32;
-            self.touched_colors
-                .push(TouchedColor::fresh(batched_color, cur_min, cur_max));
-            fresh
+            1
         };
-        let record = &mut self.touched_colors[slot];
-        // The entry loses its extremum only when its *tracked attainer*
-        // moves strictly inward (an exact test — ties at the extremum no
-        // longer force a rescan); an unknown attainer falls back to the
-        // conservative batch-start-extremum heuristic. The finalize step
-        // may still cancel a flagged side via the zero-count rule.
-        if new < old {
-            if old == record.orig_max && (arg_max == NO_ARG || arg_max == u) {
-                record.rescan_max = true;
+        let cap = self.cap;
+        for sc in &mut self.shard_scratch[..shards] {
+            sc.size_axis(cap);
+        }
+        let sparse = self.sparse_accum;
+        let (dense, rows, emin, emax, amin, amax, enz) = if outgoing || self.symmetric {
+            (
+                &self.dout,
+                &self.sparse_out,
+                &mut self.out_min,
+                &mut self.out_max,
+                &mut self.out_min_arg,
+                &mut self.out_max_arg,
+                &mut self.out_nz,
+            )
+        } else {
+            (
+                &self.din,
+                &self.sparse_in,
+                &mut self.in_min,
+                &mut self.in_max,
+                &mut self.in_min_arg,
+                &mut self.in_max_arg,
+                &mut self.in_nz,
+            )
+        };
+        let (emin, emax) = (SyncSliceMut::new(emin), SyncSliceMut::new(emax));
+        let (amin, amax) = (SyncSliceMut::new(amin), SyncSliceMut::new(amax));
+        let enz = SyncSliceMut::new(enz);
+        let write = |&(i, j): &(u32, u32), (mn, mx, an, ax, nz): (f64, f64, u32, u32, u32)| {
+            let idx = i as usize * cap + j as usize;
+            // SAFETY: the entry list is duplicate-free and chunks are
+            // disjoint, so each entry is written by one shard.
+            unsafe {
+                *emin.get_mut(idx) = mn;
+                *emax.get_mut(idx) = mx;
+                *amin.get_mut(idx) = an;
+                *amax.get_mut(idx) = ax;
+                *enz.get_mut(idx) = nz;
             }
-        } else if new > old && old == record.orig_min && (arg_min == NO_ARG || arg_min == u) {
-            record.rescan_min = true;
-        }
-        record.count += 1;
-        if (old == 0.0) != (new == 0.0) {
-            record.nz_delta += if new != 0.0 { 1 } else { -1 };
-        }
-        if child_val != 0.0 {
-            record.child_nonzero += 1;
-        }
-        if child_val < record.child_min {
-            record.child_min = child_val;
-            record.child_min_arg = u;
-        }
-        if child_val > record.child_max {
-            record.child_max = child_val;
-            record.child_max_arg = u;
-        }
-        let (emn, emx, amn, amx) = match kind {
-            EntryKind::OutCol => (
-                &mut self.out_min[idx],
-                &mut self.out_max[idx],
-                &mut self.out_min_arg[idx],
-                &mut self.out_max_arg[idx],
-            ),
-            EntryKind::InRow => (
-                &mut self.in_min[idx],
-                &mut self.in_max[idx],
-                &mut self.in_min_arg[idx],
-                &mut self.in_max_arg[idx],
-            ),
         };
-        if new < *emn {
-            *emn = new;
-            *amn = u;
-        }
-        if new > *emx {
-            *emx = new;
-            *amx = u;
-        }
-    }
-
-    /// One-entry column scan routed by storage: the dense strided gather or
-    /// the tiered-row probe fold — same member order, same strict compares,
-    /// same first-attainer rule, so values *and* witnesses agree between the
-    /// two (an absent sparse entry reads the same `+0.0` the dense row
-    /// stores).
-    fn scan_col(
-        &self,
-        outgoing: bool,
-        members: &[NodeId],
-        col: usize,
-    ) -> (f64, f64, u32, u32, u32) {
-        if self.sparse_accum {
-            let rows = if outgoing || self.symmetric {
-                &self.sparse_out
-            } else {
-                &self.sparse_in
+        let scratch = SyncSliceMut::new(&mut self.shard_scratch);
+        run_shards(&self.pool, shards, |shard| {
+            let (lo, hi) = chunk_range(entries.len(), shards, shard);
+            let chunk = &entries[lo..hi];
+            let Some(first) = chunk.first() else {
+                return;
             };
-            kernels::scan_gather_column_sparse(members, rows, col as u32)
-        } else {
-            let acc = if outgoing { &self.dout } else { &self.din };
-            scan_entry_column(members, acc, self.cap, col)
-        }
-    }
-
-    /// Recompute out-entry `(i, j)` from `P_i`'s members (values and
-    /// extremum witnesses; first attainer in member order wins ties).
-    fn rescan_out_entry(&mut self, p: &Partition, i: usize, j: usize) {
-        let cap = self.cap;
-        let (mn, mx, amn, amx, nz) = self.scan_col(true, p.members(i as u32), j);
-        self.out_min[i * cap + j] = mn;
-        self.out_max[i * cap + j] = mx;
-        self.out_min_arg[i * cap + j] = amn;
-        self.out_max_arg[i * cap + j] = amx;
-        self.out_nz[i * cap + j] = nz;
-    }
-
-    /// Recompute in-entry `(i, j)` from `P_j`'s members.
-    fn rescan_in_entry(&mut self, p: &Partition, i: usize, j: usize) {
-        let cap = self.cap;
-        let (mn, mx, amn, amx, nz) = self.scan_col(false, p.members(j as u32), i);
-        self.in_min[i * cap + j] = mn;
-        self.in_max[i * cap + j] = mx;
-        self.in_min_arg[i * cap + j] = amn;
-        self.in_max_arg[i * cap + j] = amx;
-        self.in_nz[i * cap + j] = nz;
-    }
-
-    /// Recompute a batch of out-entries `(i, j)` (each scanning `P_i`),
-    /// sharding across the pool when the total member-scan work is large.
-    /// Each entry is written by exactly one worker, so the results are the
-    /// same as the serial loop.
-    fn rescan_out_entries(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        let work: usize = entries.iter().map(|&(i, _)| p.size(i)).sum();
-        if self.pool.is_none() || entries.len() < 2 || work < self.par_min_scan_work {
-            // Entries sharing one member axis (the parent-axis repair batch
-            // always does) fold in a single member pass — each accumulator
-            // row is loaded once for every queued column. Per column this
-            // is the same member-order fold, bit for bit.
-            if entries.len() >= 2 && entries.iter().all(|&(i, _)| i == entries[0].0) {
-                self.rescan_out_row_grouped(p, entries);
+            let members = p.members(axis(first).0);
+            if chunk.len() < 2 || chunk.iter().any(|e| axis(e).0 != axis(first).0) {
+                for e in chunk {
+                    let (color, col) = axis(e);
+                    let members = p.members(color);
+                    write(
+                        e,
+                        if sparse {
+                            kernels::scan_gather_column_sparse(members, rows, col)
+                        } else {
+                            kernels::scan_gather_column(members, dense, cap, col as usize)
+                        },
+                    );
+                }
                 return;
             }
-            for &(i, j) in entries {
-                self.rescan_out_entry(p, i as usize, j as usize);
-            }
-            return;
-        }
-        let cap = self.cap;
-        let pool = self.pool.clone().expect("checked above");
-        let shards = pool.slots();
-        let dout = &self.dout;
-        let sparse_out = &self.sparse_out;
-        let sparse_accum = self.sparse_accum;
-        let emin = SyncSliceMut::new(&mut self.out_min);
-        let emax = SyncSliceMut::new(&mut self.out_max);
-        let amin = SyncSliceMut::new(&mut self.out_min_arg);
-        let amax = SyncSliceMut::new(&mut self.out_max_arg);
-        let enz = SyncSliceMut::new(&mut self.out_nz);
-        pool.run(|slot| {
-            let (lo, hi) = chunk_range(entries.len(), shards, slot);
-            for &(i, j) in &entries[lo..hi] {
-                let (mn, mx, an, ax, nz) = if sparse_accum {
-                    kernels::scan_gather_column_sparse(p.members(i), sparse_out, j)
+            debug_assert!(chunk.len() <= cap);
+            let cols: Vec<u32> = chunk.iter().map(|e| axis(e).1).collect();
+            // SAFETY: each shard touches only its own scratch entry.
+            let sc = unsafe { scratch.get_mut(shard) };
+            {
+                // Results land at mins [s], maxs [cap + s] (witnesses
+                // likewise) and counts [s].
+                let (mn, mx) = sc.axis.split_at_mut(cap);
+                let (amn, amx) = sc.axis_arg.split_at_mut(cap);
+                let (mx, amx, nz) = (&mut mx[..cap], &mut amx[..cap], &mut sc.axis_nz[..cap]);
+                if sparse {
+                    kernels::scan_gather_columns_sparse(members, rows, &cols, mn, mx, amn, amx, nz);
                 } else {
-                    scan_entry_column(p.members(i), dout, cap, j as usize)
-                };
-                let idx = i as usize * cap + j as usize;
-                // SAFETY: the entry list is duplicate-free and chunks are
-                // disjoint, so each index is written by one worker.
-                unsafe {
-                    *emin.get_mut(idx) = mn;
-                    *emax.get_mut(idx) = mx;
-                    *amin.get_mut(idx) = an;
-                    *amax.get_mut(idx) = ax;
-                    *enz.get_mut(idx) = nz;
+                    kernels::scan_gather_columns(members, dense, cap, &cols, mn, mx, amn, amx, nz);
                 }
             }
-        });
-    }
-
-    /// Recompute a batch of in-entries `(i, j)` (each scanning `P_j`); the
-    /// in-direction mirror of [`Self::rescan_out_entries`].
-    fn rescan_in_entries(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        let work: usize = entries.iter().map(|&(_, j)| p.size(j)).sum();
-        if self.pool.is_none() || entries.len() < 2 || work < self.par_min_scan_work {
-            // Mirror of the out-side grouping: in-entries sharing the
-            // member color `j` fold all queued first indices in one pass
-            // over `P_j`'s `din` rows.
-            if entries.len() >= 2 && entries.iter().all(|&(_, j)| j == entries[0].1) {
-                self.rescan_in_row_grouped(p, entries);
-                return;
-            }
-            for &(i, j) in entries {
-                self.rescan_in_entry(p, i as usize, j as usize);
-            }
-            return;
-        }
-        let cap = self.cap;
-        let pool = self.pool.clone().expect("checked above");
-        let shards = pool.slots();
-        let din = &self.din;
-        let sparse_in = &self.sparse_in;
-        let sparse_accum = self.sparse_accum;
-        let emin = SyncSliceMut::new(&mut self.in_min);
-        let emax = SyncSliceMut::new(&mut self.in_max);
-        let amin = SyncSliceMut::new(&mut self.in_min_arg);
-        let amax = SyncSliceMut::new(&mut self.in_max_arg);
-        let enz = SyncSliceMut::new(&mut self.in_nz);
-        pool.run(|slot| {
-            let (lo, hi) = chunk_range(entries.len(), shards, slot);
-            for &(i, j) in &entries[lo..hi] {
-                let (mn, mx, an, ax, nz) = if sparse_accum {
-                    kernels::scan_gather_column_sparse(p.members(j), sparse_in, i)
-                } else {
-                    scan_entry_column(p.members(j), din, cap, i as usize)
-                };
-                let idx = i as usize * cap + j as usize;
-                // SAFETY: disjoint duplicate-free chunks (see
-                // rescan_out_entries).
-                unsafe {
-                    *emin.get_mut(idx) = mn;
-                    *emax.get_mut(idx) = mx;
-                    *amin.get_mut(idx) = an;
-                    *amax.get_mut(idx) = ax;
-                    *enz.get_mut(idx) = nz;
-                }
+            for (s, e) in chunk.iter().enumerate() {
+                let (a, b) = (&sc.axis, &sc.axis_arg);
+                write(e, (a[s], a[cap + s], b[s], b[cap + s], sc.axis_nz[s]));
             }
         });
-    }
-
-    /// Serial grouped rescan of out-entries that all share member color
-    /// `entries[0].0`: one pass over that color's `dout` rows folds every
-    /// queued column via [`kernels::scan_gather_columns`], then the
-    /// results land entry by entry. Equal to [`Self::rescan_out_entry`]
-    /// per entry, bit for bit (same member-order fold per column).
-    fn rescan_out_row_grouped(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        let cap = self.cap;
-        let i = entries[0].0;
-        debug_assert!(entries.len() <= cap);
-        let cols: Vec<u32> = entries.iter().map(|&(_, j)| j).collect();
-        {
-            let (mn, mx) = self.row_scratch.split_at_mut(cap);
-            let (amn, amx) = self.row_arg_scratch.split_at_mut(cap);
-            if self.sparse_accum {
-                kernels::scan_gather_columns_sparse(
-                    p.members(i),
-                    &self.sparse_out,
-                    &cols,
-                    mn,
-                    &mut mx[..cap],
-                    amn,
-                    &mut amx[..cap],
-                    &mut self.row_nz_scratch[..cap],
-                );
-            } else {
-                kernels::scan_gather_columns(
-                    p.members(i),
-                    &self.dout,
-                    cap,
-                    &cols,
-                    mn,
-                    &mut mx[..cap],
-                    amn,
-                    &mut amx[..cap],
-                    &mut self.row_nz_scratch[..cap],
-                );
-            }
-        }
-        // Scratch layout after the scan: mins at [s], maxs at [cap + s]
-        // (arg slices likewise), counts at [s].
-        for (s, &(_, j)) in entries.iter().enumerate() {
-            let idx = i as usize * cap + j as usize;
-            self.out_min[idx] = self.row_scratch[s];
-            self.out_max[idx] = self.row_scratch[cap + s];
-            self.out_min_arg[idx] = self.row_arg_scratch[s];
-            self.out_max_arg[idx] = self.row_arg_scratch[cap + s];
-            self.out_nz[idx] = self.row_nz_scratch[s];
-        }
-    }
-
-    /// In-direction mirror of [`Self::rescan_out_row_grouped`]: entries
-    /// share member color `entries[0].1` and fold their queued first
-    /// indices in one pass over that color's `din` rows.
-    fn rescan_in_row_grouped(&mut self, p: &Partition, entries: &[(u32, u32)]) {
-        let cap = self.cap;
-        let j = entries[0].1;
-        debug_assert!(entries.len() <= cap);
-        let cols: Vec<u32> = entries.iter().map(|&(i, _)| i).collect();
-        {
-            let (mn, mx) = self.row_scratch.split_at_mut(cap);
-            let (amn, amx) = self.row_arg_scratch.split_at_mut(cap);
-            if self.sparse_accum {
-                kernels::scan_gather_columns_sparse(
-                    p.members(j),
-                    &self.sparse_in,
-                    &cols,
-                    mn,
-                    &mut mx[..cap],
-                    amn,
-                    &mut amx[..cap],
-                    &mut self.row_nz_scratch[..cap],
-                );
-            } else {
-                kernels::scan_gather_columns(
-                    p.members(j),
-                    &self.din,
-                    cap,
-                    &cols,
-                    mn,
-                    &mut mx[..cap],
-                    amn,
-                    &mut amx[..cap],
-                    &mut self.row_nz_scratch[..cap],
-                );
-            }
-        }
-        for (s, &(i, _)) in entries.iter().enumerate() {
-            let idx = i as usize * cap + j as usize;
-            self.in_min[idx] = self.row_scratch[s];
-            self.in_max[idx] = self.row_scratch[cap + s];
-            self.in_min_arg[idx] = self.row_arg_scratch[s];
-            self.in_max_arg[idx] = self.row_arg_scratch[cap + s];
-            self.in_nz[idx] = self.row_nz_scratch[s];
-        }
     }
 
     /// Grow the column capacity to hold `needed` colors. Capacity doubles
@@ -5051,9 +4586,6 @@ impl IncrementalDegrees {
             self.row_err_dirty.resize(new_cap, true);
             self.row_best_dirty.resize(new_cap, true);
             self.color_slot.resize(new_cap, u32::MAX);
-            self.row_scratch.resize(4 * new_cap, 0.0);
-            self.row_arg_scratch.resize(4 * new_cap, NO_ARG);
-            self.row_nz_scratch.resize(2 * new_cap, 0);
         }
         self.cap = new_cap;
     }
@@ -5200,21 +4732,6 @@ fn regrow<T: Copy>(
     *data = grown;
 }
 
-/// Min/max (with first-attainer witnesses) of `acc[u * cap + col]` over the
-/// given members, in member order — the shared kernel of every entry
-/// rescan, routed through the branch-free gather scan in [`crate::kernels`]
-/// (identical sequential semantics, select form instead of branches).
-#[inline]
-#[allow(clippy::type_complexity)]
-fn scan_entry_column(
-    members: &[NodeId],
-    acc: &[f64],
-    cap: usize,
-    col: usize,
-) -> (f64, f64, u32, u32, u32) {
-    kernels::scan_gather_column(members, acc, cap, col)
-}
-
 /// Build one sparse accumulator row from a node's arc slices: per-color
 /// weight sums in arc order (stable sort keeps same-color weights in arc
 /// order, so each sum matches the dense accumulation bit-for-bit), zeros
@@ -5237,43 +4754,79 @@ fn sparse_row_from_arcs((nbrs, wts): (&[NodeId], &[f64]), p: &Partition) -> Vec<
     row
 }
 
-/// Dedupe one chunk of movers' neighbors into `out` as `(node, chunk-local
-/// delta)` pairs in first-touch order, using the caller's
-/// generation-stamped scratch arrays — the per-chunk kernel of the
-/// canonical chunked touched-collection.
+/// Run one data-parallel phase: `f(shard)` for every shard of `0..shards`,
+/// across the pool when `shards == pool.slots()`, inline on the calling
+/// thread (no handshake) when `shards == 1`.
+fn run_shards(pool: &ThreadPool, shards: usize, f: impl Fn(usize) + Sync) {
+    if shards == 1 {
+        // A region of its own for the claim checker, as `run` opens one.
+        #[cfg(feature = "audit")]
+        crate::audit::begin_region();
+        f(0);
+    } else {
+        debug_assert_eq!(shards, pool.slots());
+        pool.run(f);
+    }
+}
+
+/// Advance a packed mark array's generation stamp, clearing the marks when
+/// the counter wraps so a stale stamp can never match.
+fn next_gen(mark: &mut [u64], gen: &mut u32) -> u32 {
+    *gen = gen.wrapping_add(1);
+    if *gen == 0 {
+        mark.fill(0);
+        *gen = 1;
+    }
+    *gen
+}
+
+/// Add weight `w` to node `u`'s entry of a deduped `(nodes, deltas)` list,
+/// appending the node on its first touch this generation. `mark[u]` packs
+/// the generation stamp (low half) with the node's index into `nodes`
+/// (high half), so one probe answers both "seen?" and "where?".
+#[inline(always)]
+fn touch(
+    mark: &mut [u64],
+    gen: u32,
+    nodes: &mut Vec<NodeId>,
+    deltas: &mut Vec<f64>,
+    u: NodeId,
+    w: f64,
+) {
+    let m = mark[u as usize];
+    if m as u32 != gen {
+        mark[u as usize] = u64::from(gen) | ((nodes.len() as u64) << 32);
+        nodes.push(u);
+        deltas.push(w);
+    } else {
+        deltas[(m >> 32) as usize] += w;
+    }
+}
+
+/// Dedupe one chunk of movers' neighbors into `(nodes, deltas)` in
+/// first-touch order, summing each neighbor's arc weights in arc order —
+/// the per-chunk kernel of the touched collection.
 fn scan_chunk(
     g: &Graph,
     movers: &[NodeId],
     incoming: bool,
-    stamp: &mut [u32],
+    mark: &mut [u64],
     gen: &mut u32,
-    delta: &mut [f64],
-    out: &mut Vec<(NodeId, f64)>,
+    nodes: &mut Vec<NodeId>,
+    deltas: &mut Vec<f64>,
 ) {
-    out.clear();
-    *gen = gen.wrapping_add(1);
-    if *gen == 0 {
-        stamp.fill(0);
-        *gen = 1;
-    }
-    let gen = *gen;
+    let gen = next_gen(mark, gen);
+    nodes.clear();
+    deltas.clear();
     for &v in movers {
         let (nbrs, wts) = if incoming {
             g.in_arcs(v)
         } else {
             g.out_arcs(v)
         };
-        for (idx, &u) in nbrs.iter().enumerate() {
-            if stamp[u as usize] != gen {
-                stamp[u as usize] = gen;
-                delta[u as usize] = 0.0;
-                out.push((u, 0.0));
-            }
-            delta[u as usize] += wts[idx];
+        for (&u, &w) in nbrs.iter().zip(wts) {
+            touch(mark, gen, nodes, deltas, u, w);
         }
-    }
-    for entry in out.iter_mut() {
-        entry.1 = delta[entry.0 as usize];
     }
 }
 
@@ -5294,15 +4847,6 @@ fn accumulate_edge(
             list.push((u, col, delta));
         }
     }
-}
-
-/// Which matrix a [`IncrementalDegrees::patch_entry`] call updates.
-#[derive(Clone, Copy, Debug)]
-enum EntryKind {
-    /// Out-matrix entry `(i, c)`: the batched color is the row `i`.
-    OutCol,
-    /// In-matrix entry `(c, j)`: the batched color is the column `j`.
-    InRow,
 }
 
 /// `size^exponent` with the paper's convention that an exponent of zero

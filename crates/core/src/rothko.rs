@@ -180,14 +180,6 @@ pub struct RothkoConfig {
     /// error instead of only ever refining. Off by default — one-shot runs
     /// and budget sweeps are monotone refinements.
     pub coarsen: bool,
-    /// Relax the canonical summation order in the witness-split threshold
-    /// scan (see [`crate::kernels::gather_stats_fast`]): same values up to
-    /// float associativity, but the reduction order is unspecified, so runs
-    /// are **excluded from the bit-identity determinism contract**
-    /// (colorings may differ in threshold-tie cases between builds). Off by
-    /// default; only opt in for throughput measurements — `bench_kernels`
-    /// records the comparison.
-    pub fast_math: bool,
     /// Accumulator storage for the incremental engine (see
     /// [`StorageMode`]): dense `n × k` matrices, tiered sparse rows, or the
     /// default `Auto` density heuristic (dense until the projected dense
@@ -211,7 +203,6 @@ impl Default for RothkoConfig {
             threads: None,
             batch: 1,
             coarsen: false,
-            fast_math: false,
             storage: StorageMode::Auto,
         }
     }
@@ -310,13 +301,6 @@ impl RothkoConfig {
     /// [`Self::coarsen`] — the field).
     pub fn coarsen(mut self, coarsen: bool) -> Self {
         self.coarsen = coarsen;
-        self
-    }
-
-    /// Builder-style setter for the relaxed-summation mode (see
-    /// [`Self::fast_math`] — the field). Off by default.
-    pub fn fast_math(mut self, fast_math: bool) -> Self {
-        self.fast_math = fast_math;
         self
     }
 
@@ -1192,16 +1176,11 @@ impl<'g> RothkoRun<'g> {
         let members = self.partition.members(w.split_color);
         let len = members.len();
         debug_assert!(len >= 2, "witness picked a singleton color");
-        // Sum + min/max in one vectorized gather pass. The deterministic
-        // kernel reduces the sum through the canonical blocked tree (this
-        // is where the engine's determinism pins were re-baselined when the
-        // canonical order switched from the sequential fold); `fast_math`
-        // swaps in the relaxed-order variant.
-        let stats = if self.config.fast_math {
-            kernels::gather_stats_fast(members, &self.deg_scratch)
-        } else {
-            kernels::gather_stats(members, &self.deg_scratch)
-        };
+        // Sum + min/max in one vectorized gather pass. The kernel reduces
+        // the sum through the canonical blocked tree (this is where the
+        // engine's determinism pins were re-baselined when the canonical
+        // order switched from the sequential fold).
+        let stats = kernels::gather_stats(members, &self.deg_scratch);
         let (sum, min, max) = (stats.sum, stats.min, stats.max);
         if min == max {
             // Degenerate: every member has the same degree towards the

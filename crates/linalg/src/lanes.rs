@@ -37,11 +37,6 @@
 //!   [`scale`]) touch each index independently, so vectorization cannot
 //!   reorder anything observable.
 //!
-//! [`sum_fast`] / [`dot_fast`] are the explicit escape hatch: same values
-//! up to float associativity, but the reduction order is *unspecified* and
-//! may change between versions. Only opt-in paths (e.g.
-//! `RothkoConfig::fast_math`) may call them.
-//!
 //! ## Bounds-check elimination audit
 //!
 //! Each blocked loop below asserts its shape once (`debug_assert!`) and
@@ -79,27 +74,6 @@ pub fn sum(xs: &[f64]) -> f64 {
     acc
 }
 
-/// Sum with an *unspecified* reduction order (fast-math escape hatch).
-///
-/// Values agree with [`sum`] up to float associativity. Do not use on
-/// paths covered by the determinism contract.
-#[must_use]
-pub fn sum_fast(xs: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; LANES];
-    let mut it = xs.chunks_exact(LANES);
-    for chunk in &mut it {
-        let c = &chunk[..LANES];
-        for l in 0..LANES {
-            lanes[l] += c[l];
-        }
-    }
-    let mut acc: f64 = lanes.iter().sum();
-    for &x in it.remainder() {
-        acc += x;
-    }
-    acc
-}
-
 /// Dot product with the canonical blocked reduction tree (see [`sum`]).
 #[must_use]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -117,18 +91,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     }
     let mut acc = combine_tree(&lanes);
     for i in blocks * LANES..n {
-        acc += a[i] * b[i];
-    }
-    acc
-}
-
-/// Dot product with an *unspecified* reduction order (see [`sum_fast`]).
-#[must_use]
-pub fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len().min(b.len());
-    let mut acc = 0.0f64;
-    for i in 0..n {
         acc += a[i] * b[i];
     }
     acc

@@ -60,13 +60,13 @@ pub enum Layout {
 }
 
 /// File header length: magic + version + block count + header CRC.
-const FILE_HEADER: usize = 20;
+pub(crate) const FILE_HEADER: usize = 20;
 /// v1 block header: id, enc, reserved, count, payload_len, pcrc.
 const BLOCK_HEADER_V1: usize = 24;
 /// v2 block header: v1 fields + a CRC over the 24 bytes before it, so a
 /// damaged header (most importantly the `enc` byte, which v1 leaves
 /// unguarded) is caught at open rather than misdirecting a decoder.
-const BLOCK_HEADER_V2: usize = 28;
+pub(crate) const BLOCK_HEADER_V2: usize = 28;
 /// Alignment every mappable payload starts on in a v2 file — enough for
 /// any scalar column plus full-width SIMD loads.
 pub(crate) const MAP_ALIGN: usize = 64;
@@ -421,7 +421,9 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
     s.opt_u64(c.threads.map(|v| v as u64));
     s.u64(c.batch as u64);
     s.flag(c.coarsen);
-    s.flag(c.fast_math);
+    // Retired relaxed-summation flag: its byte stays so the format is
+    // unchanged, always written as 0.
+    s.flag(false);
     s.u8(storage_tag(c.storage));
     s.u64(data.run.iterations as u64);
     s.u64(data.run.merges as u64);
@@ -634,6 +636,35 @@ impl ColumnSource for BlockMap<'_> {
     }
 }
 
+/// The file header's block count, capped by how many block headers the
+/// bytes after the file header can hold, so a crafted count fails typed
+/// instead of sizing an allocation. `file_len` must be at least
+/// [`FILE_HEADER`].
+pub(crate) fn bounded_block_count(
+    block_count: u32,
+    file_len: usize,
+    block_header: usize,
+) -> Result<usize, PersistError> {
+    let count = usize::try_from(block_count).unwrap_or(usize::MAX);
+    if count > (file_len - FILE_HEADER) / block_header {
+        return Err(PersistError::Truncated {
+            context: "checkpoint block table",
+        });
+    }
+    Ok(count)
+}
+
+/// The payload of `len` bytes at `pos`, or a typed error when it runs past
+/// the end of `bytes` (`len` comes from the file, so `pos + len` may
+/// overflow).
+pub(crate) fn block_payload(bytes: &[u8], pos: usize, len: usize) -> Result<&[u8], PersistError> {
+    pos.checked_add(len)
+        .and_then(|end| bytes.get(pos..end))
+        .ok_or(PersistError::Truncated {
+            context: "checkpoint block payload",
+        })
+}
+
 fn parse_blocks(bytes: &[u8]) -> Result<BlockMap<'_>, PersistError> {
     if bytes.len() < FILE_HEADER {
         return Err(PersistError::Truncated {
@@ -662,8 +693,9 @@ fn parse_blocks(bytes: &[u8]) -> Result<BlockMap<'_>, PersistError> {
     } else {
         BLOCK_HEADER_V2
     };
+    let block_count = bounded_block_count(block_count, bytes.len(), block_header)?;
     let mut pos = FILE_HEADER;
-    let mut blocks = Vec::with_capacity(block_count as usize);
+    let mut blocks = Vec::with_capacity(block_count);
     for _ in 0..block_count {
         let hdr = bytes
             .get(pos..pos + block_header)
@@ -696,9 +728,7 @@ fn parse_blocks(bytes: &[u8]) -> Result<BlockMap<'_>, PersistError> {
         }
         pos += block_header;
         let payload_at = pos;
-        let payload = bytes.get(pos..pos + len).ok_or(PersistError::Truncated {
-            context: "checkpoint block payload",
-        })?;
+        let payload = block_payload(bytes, pos, len)?;
         pos += len;
         if crc32(payload) != pcrc {
             return Err(PersistError::CrcMismatch {
@@ -899,15 +929,18 @@ pub(crate) fn parse_scalars(version: u32, payload: &[u8]) -> Result<ScalarState,
         threads: s.opt_u64()?.map(|v| v as usize),
         batch: s.usize()?,
         coarsen: s.flag()?,
-        fast_math: s.flag()?,
-        storage: match s.u8()? {
-            0 => StorageMode::Dense,
-            1 => StorageMode::Sparse,
-            2 => StorageMode::Auto,
-            _ => {
-                return Err(PersistError::Corrupt {
-                    context: "unknown storage-mode tag",
-                })
+        storage: {
+            // Retired relaxed-summation flag: read and ignored.
+            s.flag()?;
+            match s.u8()? {
+                0 => StorageMode::Dense,
+                1 => StorageMode::Sparse,
+                2 => StorageMode::Auto,
+                _ => {
+                    return Err(PersistError::Corrupt {
+                        context: "unknown storage-mode tag",
+                    })
+                }
             }
         },
     };
@@ -1274,13 +1307,13 @@ pub fn write_checkpoint_file_with(
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        // Persist the rename itself. Directory fsync is best-effort on
-        // platforms where opening a directory for write is not allowed.
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    // The rename is durable only once the parent directory is flushed; a
+    // failure to open or sync it is returned like any other write error.
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    fs::File::open(dir)?.sync_all()?;
     Ok(stats)
 }
 

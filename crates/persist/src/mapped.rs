@@ -27,9 +27,10 @@ use qsc_core::mmap::{MapError, MappedFile, MappedSlice, Pod};
 use qsc_graph::{ColumnBuf, NodeId, SharedColumn};
 
 use crate::checkpoint::{
-    assemble_checkpoint, mappable_width, parse_scalars, CheckpointData, ColumnSource, ScalarState,
-    BLK_PAD, BLK_PART_MEMBERS, BLK_PART_OFFSETS, BLK_RED_SUM, BLK_SCALARS, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION_MAPPED, MAP_ALIGN,
+    assemble_checkpoint, block_payload, bounded_block_count, mappable_width, parse_scalars,
+    CheckpointData, ColumnSource, ScalarState, BLK_PAD, BLK_PART_MEMBERS, BLK_PART_OFFSETS,
+    BLK_RED_SUM, BLK_SCALARS, BLOCK_HEADER_V2, CHECKPOINT_MAGIC, CHECKPOINT_VERSION_MAPPED,
+    FILE_HEADER, MAP_ALIGN,
 };
 use crate::codec::{crc32, decode_bools, decode_f64s, decode_u32s, decode_u64s, ENC_RAW};
 use crate::error::PersistError;
@@ -92,7 +93,7 @@ impl MappedStore {
         }
         let file = Arc::new(MappedFile::open(path)?);
         let bytes = file.bytes();
-        if bytes.len() < 20 {
+        if bytes.len() < FILE_HEADER {
             return Err(PersistError::Truncated {
                 context: "checkpoint shorter than its header",
             });
@@ -113,12 +114,15 @@ impl MappedStore {
                 context: "checkpoint header",
             });
         }
-        let mut pos = 20usize;
-        let mut blocks: Vec<BlockEntry> = Vec::with_capacity(block_count as usize);
+        let block_count = bounded_block_count(block_count, bytes.len(), BLOCK_HEADER_V2)?;
+        let mut pos = FILE_HEADER;
+        let mut blocks: Vec<BlockEntry> = Vec::with_capacity(block_count);
         for _ in 0..block_count {
-            let hdr = bytes.get(pos..pos + 28).ok_or(PersistError::Truncated {
-                context: "checkpoint block header",
-            })?;
+            let hdr = bytes
+                .get(pos..pos + BLOCK_HEADER_V2)
+                .ok_or(PersistError::Truncated {
+                    context: "checkpoint block header",
+                })?;
             let id = crate::le::le_u16(&hdr[0..2])?;
             let enc = hdr[2];
             let count = usize::try_from(crate::le::le_u64(&hdr[4..12])?).map_err(|_| {
@@ -138,11 +142,9 @@ impl MappedStore {
                     context: "checkpoint block header",
                 });
             }
-            pos += 28;
+            pos += BLOCK_HEADER_V2;
             let offset = pos;
-            let payload = bytes.get(pos..pos + len).ok_or(PersistError::Truncated {
-                context: "checkpoint block payload",
-            })?;
+            let payload = block_payload(bytes, pos, len)?;
             pos += len;
             if id == BLK_PAD {
                 // Pads are tiny (< MAP_ALIGN bytes): validate eagerly.

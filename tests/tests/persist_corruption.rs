@@ -6,7 +6,9 @@
 //! typed [`qsc_persist::PersistError`] or decode to the exact original
 //! state (flips landing in ignored padding); every strict prefix
 //! truncation must fail typed. Targeted cases pin the specific error
-//! variants for bad magic, unknown versions, and header CRC damage.
+//! variants for bad magic, unknown versions, and header CRC damage, and
+//! crafted block counts and payload lengths behind valid CRCs fail typed
+//! without allocating or overflowing.
 //!
 //! WAL: damage in a *sealed* segment is a hard error; any truncation or
 //! flip in the *last* (open) segment recovers cleanly to the longest
@@ -794,4 +796,82 @@ fn mapped_store_rejects_packed_files_and_vice_versa() {
     let a = decode_checkpoint(&packed).unwrap();
     let b = decode_checkpoint(&mapped).unwrap();
     assert_eq!(encode_checkpoint(&a).0, encode_checkpoint(&b).0);
+}
+
+// ---------------------------------------------------------------------
+// Crafted counts and lengths with valid CRCs: the decoders must bound
+// what they read from the file before allocating or adding offsets.
+// ---------------------------------------------------------------------
+
+/// Overwrite the file header's block count and re-seal the header CRC.
+fn with_block_count(bytes: &[u8], count: u32) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    b[12..16].copy_from_slice(&count.to_le_bytes());
+    let crc = qsc_persist::codec::crc32(&b[0..16]);
+    b[16..20].copy_from_slice(&crc.to_le_bytes());
+    b
+}
+
+/// Overwrite the first block's payload length (header at byte 20); v2
+/// headers get their header CRC re-sealed so only the length is wrong.
+fn with_first_payload_len(bytes: &[u8], len: u64, v2: bool) -> Vec<u8> {
+    let mut b = bytes.to_vec();
+    b[32..40].copy_from_slice(&len.to_le_bytes());
+    if v2 {
+        let crc = qsc_persist::codec::crc32(&b[20..44]);
+        b[44..48].copy_from_slice(&crc.to_le_bytes());
+    }
+    b
+}
+
+#[test]
+fn crafted_block_count_fails_typed_in_both_layouts() {
+    for bytes in [checkpoint_bytes(8), mapped_checkpoint_bytes(8)] {
+        // A bare 20-byte header and a whole file, each claiming u32::MAX
+        // blocks: no allocation sized by the count, a typed error.
+        for len in [20, bytes.len()] {
+            let crafted = with_block_count(&bytes[..len], u32::MAX);
+            assert!(matches!(
+                decode_checkpoint(&crafted),
+                Err(PersistError::Truncated { .. })
+            ));
+        }
+    }
+    if zero_copy_available() {
+        let bytes = mapped_checkpoint_bytes(8);
+        for len in [20, bytes.len()] {
+            let crafted = with_block_count(&bytes[..len], u32::MAX);
+            let (dir, path) = mapped_file_with("block-count", &crafted);
+            assert!(matches!(
+                MappedStore::open(&path),
+                Err(PersistError::Truncated { .. })
+            ));
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn crafted_payload_length_fails_typed_in_both_layouts() {
+    // A length near u64::MAX would overflow `offset + len`.
+    for len in [u64::MAX, u64::MAX - 8] {
+        let v1 = with_first_payload_len(&checkpoint_bytes(9), len, false);
+        assert!(matches!(
+            decode_checkpoint(&v1),
+            Err(PersistError::Truncated { .. })
+        ));
+        let v2 = with_first_payload_len(&mapped_checkpoint_bytes(9), len, true);
+        assert!(matches!(
+            decode_checkpoint(&v2),
+            Err(PersistError::Truncated { .. })
+        ));
+        if zero_copy_available() {
+            let (dir, path) = mapped_file_with("payload-len", &v2);
+            assert!(matches!(
+                MappedStore::open(&path),
+                Err(PersistError::Truncated { .. })
+            ));
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
 }

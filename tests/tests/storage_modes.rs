@@ -6,13 +6,14 @@
 //! single observable bit. This suite pins that over mixed
 //! split/merge/node-churn/edge-batch traces on dense and symmetric random
 //! graphs, at threads 1 and 4 (with parallel thresholds forced down so the
-//! sharded apply/rescan/axis paths actually run): colorings, witness
+//! multi-shard apply/rescan/axis paths actually run): colorings, witness
 //! sequences, q-error bits, q-reports and reduced emissions all compared
-//! across every storage mode × thread count combination. Weights are
-//! multiples of 0.5 so all sums are exact and equalities can be required
-//! bit-for-bit.
+//! across every storage mode × thread count combination. Within a storage
+//! mode, whole engine snapshots — extremum attainers included — must
+//! also match across shard counts. Weights are multiples of 0.5 so all
+//! sums are exact and equalities can be required bit-for-bit.
 
-use qsc_core::q_error::IncrementalDegrees;
+use qsc_core::q_error::{EngineSnapshot, IncrementalDegrees, RowsSnapshot};
 use qsc_core::reduced::quotient_matrix;
 use qsc_core::rothko::{Rothko, RothkoConfig};
 use qsc_core::{Partition, StorageMode};
@@ -93,19 +94,63 @@ fn random_split(p: &mut Partition, rng: &mut StdRng) -> Option<qsc_core::SplitEv
     p.split_color(c, |v| v >= pivot && v != members[0])
 }
 
-/// All six (storage, threads) engine variants over one graph + partition.
-/// Threads-4 engines get their parallel thresholds forced down so every
-/// sharded path (apply, entry rescans, axis rebuilds) actually runs.
+/// Engine variants per storage mode over one graph + partition, the
+/// mode's default threads-1 engine first: threads 1, 3 and 4 with the
+/// parallel thresholds forced down, so every phase (apply, entry
+/// rescans, axis rebuilds) runs chunked — as one shard over many chunks,
+/// an uneven shard count, and the four-shard case.
 fn engine_variants(g: &Graph, p: &Partition) -> Vec<(String, IncrementalDegrees)> {
     let mut out = Vec::new();
     for mode in [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto] {
-        for threads in [1usize, 4] {
+        for (threads, forced) in [(1usize, false), (1, true), (3, true), (4, true)] {
             let mut e = IncrementalDegrees::new_with_storage(g, p, threads, mode, p.num_colors());
-            if threads > 1 {
+            if forced {
                 e.set_parallel_thresholds(1, 1);
             }
-            out.push((format!("{mode:?}/t{threads}"), e));
+            let tag = if forced { "/forced" } else { "" };
+            out.push((format!("{mode:?}/t{threads}{tag}"), e));
         }
+    }
+    out
+}
+
+/// Every field of an engine snapshot, `f64` values as raw bits.
+fn snapshot_bits(s: &EngineSnapshot) -> Vec<Vec<u64>> {
+    fn f(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+    fn u(v: &[u32]) -> Vec<u64> {
+        v.iter().map(|&x| u64::from(x)).collect()
+    }
+    fn rows(r: &RowsSnapshot) -> Vec<Vec<u64>> {
+        vec![
+            r.offsets.iter().map(|&o| o as u64).collect(),
+            u(&r.colors),
+            f(&r.weights),
+            r.dense.iter().map(|&d| u64::from(d)).collect(),
+        ]
+    }
+    let flags = [s.symmetric, s.track_summaries, s.sparse_accum, s.promote];
+    let mut out = vec![
+        vec![s.n as u64, s.k as u64, s.last_beta.to_bits()],
+        flags.iter().map(|&b| u64::from(b)).collect(),
+        f(&s.dout),
+        f(&s.din),
+    ];
+    out.extend(rows(&s.rows_out));
+    out.extend(rows(&s.rows_in));
+    for v in [&s.out_min, &s.out_max, &s.in_min, &s.in_max] {
+        out.push(f(v));
+    }
+    for v in [
+        &s.out_min_arg,
+        &s.out_max_arg,
+        &s.in_min_arg,
+        &s.in_max_arg,
+        &s.out_nz,
+        &s.in_nz,
+    ] {
+        out.push(u(v));
     }
     out
 }
@@ -157,6 +202,19 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                     e.verify_against(&current, &p),
                     Ok(()),
                     "round {round}: {name} diverged from scratch"
+                );
+            }
+            // ...every engine's full state, extremum attainers included,
+            // is bit-identical to its storage mode's default engine...
+            for (name, e) in engines.iter() {
+                let (ref_name, reference) = engines
+                    .iter()
+                    .find(|(n, _)| n.split('/').next() == name.split('/').next())
+                    .expect("each mode lists its default engine first");
+                assert_eq!(
+                    snapshot_bits(&e.snapshot()),
+                    snapshot_bits(&reference.snapshot()),
+                    "round {round}: snapshot {name} vs {ref_name}"
                 );
             }
             // ...and every observable is bit-identical across variants.
