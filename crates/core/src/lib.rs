@@ -136,8 +136,8 @@
 //!
 //! **Borrowed columns.** The restore path does not even have to *read*
 //! the file eagerly: every `Graph` column and the engine's persisted
-//! accumulator planes are [`qsc_graph::ColumnBuf`]s — owned `Vec`s for
-//! built graphs, or shared views into a checkpoint mapped by this
+//! accumulator planes are [`qsc_graph::ColumnBuf`]s — `Arc`-shared owned
+//! `Vec`s for built graphs, or shared views into a checkpoint mapped by this
 //! crate's [`mmap`] module (`MappedFile` wraps the raw
 //! `mmap`/`munmap`/`madvise` syscalls behind a safe API; `MappedSlice`
 //! implements [`qsc_graph::SharedColumn`], carrying the map's lifetime
@@ -148,9 +148,12 @@
 //! exceeds RAM still open in O(1). Owned and mapped stacks run the same
 //! code paths (`Deref<Target = [T]>`) and are bit-identical at every
 //! thread count; the engine hints paging (`advise`) ahead of whole-axis
-//! sweeps and touched-list scans, and the first mutation after a mapped
-//! restart compacts to owned columns at the `GraphStore` swap boundary
-//! (copy-on-write), leaving the mutation path untouched.
+//! sweeps and touched-list scans. Every compaction is copy-on-write at
+//! the `GraphStore` swap boundary: it writes fresh owned columns once
+//! (after a mapped restart, the first one leaves the mapping behind),
+//! and every graph handle taken from it — the engine's, a checkpoint's,
+//! a recovery delta's — is an O(1) clone sharing those columns, leaving
+//! the mutation path untouched.
 //!
 //! **Determinism contract.** Every event consumer must uphold what the
 //! engine guarantees: applying an event sequence leaves state *bit

@@ -289,6 +289,10 @@ impl WarmFlowSolver {
 /// Re-route the previous solution onto a fresh residual graph: each
 /// remembered `(u, v)` flow is replayed onto the new network's arcs,
 /// clamped to their capacities, with node imbalances tracked in `excess`.
+///
+/// Flow on arcs *into* the source is not replayed: it would leave residual
+/// source→x capacity, which breaks the labeling invariant once the source
+/// sits at height `n`, and the discharge could then stop below the maximum.
 fn seed_previous_flows(
     rg: &mut ResidualGraph,
     network: &FlowNetwork,
@@ -296,6 +300,9 @@ fn seed_previous_flows(
     excess: &mut [f64],
 ) {
     for (a, (u, v, _)) in network.graph.arcs().enumerate() {
+        if v == network.source {
+            continue;
+        }
         let Some(f) = remaining.get_mut(&(u, v)) else {
             continue;
         };
@@ -380,7 +387,7 @@ fn global_relabel(rg: &ResidualGraph, sink: usize, source: usize, height: &mut [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsc_graph::{generators, GraphBuilder};
+    use qsc_graph::{generators, GraphBuilder, NodeId};
 
     #[test]
     fn clrs_network_value() {
@@ -484,6 +491,33 @@ mod tests {
                     (warm - cold).abs() < 1e-6,
                     "seed {seed} round {round}: warm {warm} vs cold {cold}"
                 );
+            }
+        }
+        // Symmetric BA networks with ±1 integer capacity churn: the
+        // previous optimum often carries flow on arcs into the source,
+        // which the warm start must not replay.
+        use rand::{Rng, SeedableRng};
+        for seed in 0..200u64 {
+            let g = generators::barabasi_albert(40, 3, seed).to_directed();
+            let arcs: Vec<(NodeId, NodeId)> = g.arcs().map(|(u, v, _)| (u, v)).collect();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut caps: Vec<f64> = arcs
+                .iter()
+                .map(|_| rng.random_range(1..5u32) as f64)
+                .collect();
+            let mut solver = WarmFlowSolver::new();
+            for round in 0..8u32 {
+                let mut b = GraphBuilder::new_directed(40);
+                for (&(u, v), &c) in arcs.iter().zip(&caps) {
+                    b.add_edge(u, v, c);
+                }
+                let net = FlowNetwork::new(b.build(), 0, 1);
+                let warm = solver.solve(&net).value;
+                let cold = crate::dinic::max_flow(&net).value;
+                assert_eq!(warm, cold, "BA seed {seed} round {round}");
+                for c in &mut caps {
+                    *c = (*c + rng.random_range(0..3u32) as f64 - 1.0).max(1.0);
+                }
             }
         }
     }

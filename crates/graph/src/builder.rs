@@ -147,34 +147,15 @@ impl GraphBuilder {
             out_weights.push(w);
         }
 
-        // In CSR.
-        let mut in_offsets = vec![0usize; n + 1];
-        for &(_, v, _) in &merged {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![0 as NodeId; merged.len()];
-        let mut in_weights = vec![0f64; merged.len()];
-        for &(u, v, w) in &merged {
-            let pos = cursor[v as usize];
-            in_sources[pos] = u;
-            in_weights[pos] = w;
-            cursor[v as usize] += 1;
-        }
-
-        Graph::from_parts(
+        // The in direction is derived (shared outright for undirected
+        // graphs, whose symmetric rows make it the out direction).
+        Graph::from_out_columns(
             n,
             m,
             directed,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_sources,
-            in_weights,
+            out_offsets.into(),
+            out_targets.into(),
+            out_weights.into(),
         )
     }
 }

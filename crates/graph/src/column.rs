@@ -1,10 +1,12 @@
 //! Borrowed-or-owned column storage for CSR arrays.
 //!
 //! [`ColumnBuf<T>`] is the storage behind every [`crate::Graph`] column and
-//! the engine's persisted accumulator planes: either a plain owned
-//! `Vec<T>`, or a shared reference-counted view into memory owned by
-//! someone else — in practice a checkpoint file mapped by
-//! `qsc_core::mmap::MappedFile` and sliced by `qsc-persist`. The mapped
+//! the engine's persisted accumulator planes: either an owned `Vec<T>`
+//! behind an `Arc`, or a shared reference-counted view into memory owned
+//! by someone else — in practice a checkpoint file mapped by
+//! `qsc_core::mmap::MappedFile` and sliced by `qsc-persist`. Both variants
+//! are `Arc`-shared, so cloning a column (and hence a `Graph`) is O(1) and
+//! never copies elements; two graphs can hold the same column. The mapped
 //! slice's lifetime is carried by the `Arc` inside the trait object, so a
 //! `Graph` built over mapped columns is `'static` and freely clonable
 //! while the file stays mapped exactly as long as any column references
@@ -19,8 +21,7 @@
 //!
 //! Mutation never happens through a `ColumnBuf`: `Graph` is immutable and
 //! all write paths (delta compaction, builders) construct fresh owned
-//! vectors. [`ColumnBuf::make_owned`] is the explicit copy-on-write
-//! escape hatch for callers that need a `Vec<T>` back.
+//! vectors, so sharing one column between clones is always safe.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -61,11 +62,13 @@ pub trait SharedColumn<T>: Send + Sync {
     }
 }
 
-/// A column that is either owned (`Vec<T>`) or a shared view into memory
-/// owned elsewhere (see module docs). Dereferences to `&[T]` either way.
+/// A column that is either owned (an `Arc`-shared `Vec<T>`) or a shared
+/// view into memory owned elsewhere (see module docs). Dereferences to
+/// `&[T]` either way; `clone` is O(1) for both.
 pub enum ColumnBuf<T: 'static> {
-    /// Plain owned storage — the default for every built graph.
-    Owned(Vec<T>),
+    /// Owned storage — the default for every built graph. Clones share
+    /// the vector.
+    Owned(Arc<Vec<T>>),
     /// Shared storage; the `Arc` keeps the backing (e.g. a mapped file)
     /// alive for as long as this column exists.
     Shared(Arc<dyn SharedColumn<T>>),
@@ -107,18 +110,6 @@ impl<T> ColumnBuf<T> {
 }
 
 impl<T: Clone> ColumnBuf<T> {
-    /// Copy-on-write: ensure the column is owned, copying shared contents
-    /// out of the backing memory if necessary, and return the vector.
-    pub fn make_owned(&mut self) -> &mut Vec<T> {
-        if let ColumnBuf::Shared(s) = self {
-            *self = ColumnBuf::Owned(s.as_slice().to_vec());
-        }
-        match self {
-            ColumnBuf::Owned(v) => v,
-            ColumnBuf::Shared(_) => unreachable!("just converted to owned"),
-        }
-    }
-
     /// The column contents as a fresh owned vector.
     pub fn to_vec(&self) -> Vec<T> {
         self.as_slice().to_vec()
@@ -137,7 +128,7 @@ impl<T> Deref for ColumnBuf<T> {
 impl<T> From<Vec<T>> for ColumnBuf<T> {
     #[inline]
     fn from(v: Vec<T>) -> Self {
-        ColumnBuf::Owned(v)
+        ColumnBuf::Owned(Arc::new(v))
     }
 }
 
@@ -150,14 +141,14 @@ impl<T> From<Arc<dyn SharedColumn<T>>> for ColumnBuf<T> {
 
 impl<T> Default for ColumnBuf<T> {
     fn default() -> Self {
-        ColumnBuf::Owned(Vec::new())
+        ColumnBuf::Owned(Arc::default())
     }
 }
 
-impl<T: Clone> Clone for ColumnBuf<T> {
+impl<T> Clone for ColumnBuf<T> {
     fn clone(&self) -> Self {
         match self {
-            ColumnBuf::Owned(v) => ColumnBuf::Owned(v.clone()),
+            ColumnBuf::Owned(v) => ColumnBuf::Owned(Arc::clone(v)),
             ColumnBuf::Shared(s) => ColumnBuf::Shared(Arc::clone(s)),
         }
     }
@@ -208,19 +199,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_view_and_cow() {
+    fn clones_share_storage() {
         static DATA: [u64; 4] = [9, 8, 7, 6];
         let shared: Arc<dyn SharedColumn<u64>> = Arc::new(StaticCol(&DATA));
-        let mut c: ColumnBuf<u64> = shared.into();
+        let c: ColumnBuf<u64> = shared.into();
         assert!(c.is_shared());
         assert_eq!(&c[..], &[9, 8, 7, 6]);
         let c2 = c.clone();
         assert_eq!(c, c2);
-        c.make_owned().push(5);
-        assert!(!c.is_shared());
-        assert_eq!(&c[..], &[9, 8, 7, 6, 5]);
         assert!(c2.is_shared());
-        assert_eq!(&c2[..], &[9, 8, 7, 6]);
+        assert_eq!(c.as_ptr(), c2.as_ptr());
+        let owned: ColumnBuf<u64> = vec![1, 2].into();
+        assert_eq!(owned.clone().as_ptr(), owned.as_ptr());
     }
 
     #[test]

@@ -22,6 +22,11 @@ pub type NodeId = u32;
 /// [`Graph::from_mapped_columns`] — the read paths are identical either
 /// way, and mutation always goes through delta compaction into fresh
 /// owned columns (copy-on-write at the compaction boundary).
+///
+/// Both kinds of column are `Arc`-shared, so `clone` is O(1) and copies
+/// no arcs. An undirected graph's in-columns *are* its out-columns (the
+/// symmetric rows make the two directions bit-identical), so it stores
+/// its arcs once.
 #[derive(Clone, Debug)]
 pub struct Graph {
     n: usize,
@@ -38,94 +43,37 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Build a graph from raw parts. Intended for use by [`GraphBuilder`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        n: usize,
-        m: usize,
-        directed: bool,
-        out_offsets: Vec<usize>,
-        out_targets: Vec<NodeId>,
-        out_weights: Vec<f64>,
-        in_offsets: Vec<usize>,
-        in_sources: Vec<NodeId>,
-        in_weights: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(out_offsets.len(), n + 1);
-        debug_assert_eq!(in_offsets.len(), n + 1);
-        debug_assert_eq!(out_targets.len(), out_weights.len());
-        debug_assert_eq!(in_sources.len(), in_weights.len());
-        Graph {
-            n,
-            m,
-            directed,
-            out_offsets: out_offsets.into(),
-            out_targets: out_targets.into(),
-            out_weights: out_weights.into(),
-            in_offsets: in_offsets.into(),
-            in_sources: in_sources.into(),
-            in_weights: in_weights.into(),
-        }
-    }
-
     /// Build a graph directly from per-node out-adjacency rows, each sorted
     /// by target with at most one entry per target (i.e. already merged).
     /// For undirected graphs every edge `{u, v}` must appear in both rows
     /// (self-loops once), exactly as the CSR stores it.
     ///
-    /// `O(n + arcs)` with no sorting — this is the fast path for callers
-    /// that maintain merged adjacency themselves ([`crate::delta::GraphDelta`]
-    /// compaction, the patched reduced-graph emission) and it produces
-    /// bit-identical CSR arrays to a [`GraphBuilder`] fed the same arcs.
+    /// `O(n + arcs)` with no sorting, and bit-identical CSR arrays to a
+    /// [`GraphBuilder`] fed the same arcs. This is the fast path for the
+    /// patched reduced-graph emission, which maintains merged rows itself.
     pub fn from_row_adjacency(n: usize, directed: bool, rows: &[Vec<(NodeId, f64)>]) -> Self {
         assert_eq!(rows.len(), n, "one adjacency row per node");
         let arcs: usize = rows.iter().map(|r| r.len()).sum();
-        let mut out_offsets = vec![0usize; n + 1];
+        let mut out_offsets = Vec::with_capacity(n + 1);
+        out_offsets.push(0usize);
         let mut out_targets = Vec::with_capacity(arcs);
         let mut out_weights = Vec::with_capacity(arcs);
-        let mut in_offsets = vec![0usize; n + 1];
-        let mut m = 0usize;
-        for (u, row) in rows.iter().enumerate() {
-            out_offsets[u + 1] = out_offsets[u] + row.len();
-            for (idx, &(v, w)) in row.iter().enumerate() {
-                debug_assert!((v as usize) < n, "target {v} out of range");
-                debug_assert!(
-                    idx == 0 || row[idx - 1].0 < v,
-                    "row {u} not strictly sorted by target"
-                );
+        for row in rows {
+            for &(v, w) in row {
                 out_targets.push(v);
                 out_weights.push(w);
-                in_offsets[v as usize + 1] += 1;
-                if directed || u as NodeId <= v {
-                    m += 1;
-                }
             }
+            out_offsets.push(out_targets.len());
         }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![0 as NodeId; arcs];
-        let mut in_weights = vec![0f64; arcs];
-        for (u, row) in rows.iter().enumerate() {
-            for &(v, w) in row {
-                let pos = cursor[v as usize];
-                in_sources[pos] = u as NodeId;
-                in_weights[pos] = w;
-                cursor[v as usize] += 1;
-            }
-        }
-        Graph {
+        let m = logical_edges(n, directed, &out_offsets, &out_targets);
+        Self::from_out_columns(
             n,
             m,
             directed,
-            out_offsets: out_offsets.into(),
-            out_targets: out_targets.into(),
-            out_weights: out_weights.into(),
-            in_offsets: in_offsets.into(),
-            in_sources: in_sources.into(),
-            in_weights: in_weights.into(),
-        }
+            out_offsets.into(),
+            out_targets.into(),
+            out_weights.into(),
+        )
     }
 
     /// Rebuild a graph from its out-CSR arrays alone (the checkpoint
@@ -138,11 +86,10 @@ impl Graph {
     /// maintains, so feeding back [`Self::out_adjacency`] round-trips.
     ///
     /// The in-adjacency is reconstructed deterministically: undirected
-    /// graphs copy the out arrays verbatim (symmetric storage with
-    /// ascending neighbors makes the two directions bit-identical), and
-    /// directed graphs run the same counting sort by target as
-    /// [`Self::from_row_adjacency`], so the rebuilt graph's arrays are
-    /// bit-identical to the writer's. `O(n + arcs)`.
+    /// graphs share the out columns (symmetric storage with ascending
+    /// neighbors makes the two directions bit-identical), and directed
+    /// graphs run a counting sort by target, so the rebuilt graph's arrays
+    /// are bit-identical to the writer's. `O(n + arcs)`.
     pub fn from_out_csr(
         n: usize,
         directed: bool,
@@ -153,21 +100,7 @@ impl Graph {
         assert_eq!(out_offsets.len(), n + 1, "offsets must have n + 1 entries");
         assert_eq!(out_targets.len(), out_weights.len());
         assert_eq!(*out_offsets.last().expect("n + 1 >= 1"), out_targets.len());
-        let mut m = 0usize;
-        for u in 0..n {
-            debug_assert!(out_offsets[u] <= out_offsets[u + 1], "offsets not monotone");
-            for e in out_offsets[u]..out_offsets[u + 1] {
-                let v = out_targets[e];
-                debug_assert!((v as usize) < n, "target {v} out of range");
-                debug_assert!(
-                    e == out_offsets[u] || out_targets[e - 1] < v,
-                    "row {u} not strictly sorted by target"
-                );
-                if directed || u as NodeId <= v {
-                    m += 1;
-                }
-            }
-        }
+        let m = logical_edges(n, directed, &out_offsets, &out_targets);
         Self::from_out_columns(
             n,
             m,
@@ -261,11 +194,13 @@ impl Graph {
     }
 
     /// Shared construction tail: derive the in-adjacency from validated
-    /// out-columns. Undirected graphs reuse the out-columns (symmetric
-    /// storage with ascending neighbors makes the directions
-    /// bit-identical — for shared columns this is an `Arc` clone, not a
-    /// copy); directed graphs counting-sort into owned in-columns.
-    fn from_out_columns(
+    /// out-columns whose logical edge count `m` the caller already knows
+    /// (debug builds recount it and re-check the CSR invariants).
+    /// Undirected graphs reuse the out-columns (symmetric storage with
+    /// ascending neighbors makes the directions bit-identical, so this is
+    /// an `Arc` clone, not a copy); directed graphs counting-sort into
+    /// owned in-columns, sources ascending within each row.
+    pub(crate) fn from_out_columns(
         n: usize,
         m: usize,
         directed: bool,
@@ -273,10 +208,30 @@ impl Graph {
         out_targets: ColumnBuf<NodeId>,
         out_weights: ColumnBuf<f64>,
     ) -> Self {
+        debug_assert_eq!(out_offsets.len(), n + 1);
+        debug_assert_eq!(out_targets.len(), out_weights.len());
+        #[cfg(debug_assertions)]
+        for u in 0..n {
+            let (lo, hi) = (out_offsets[u], out_offsets[u + 1]);
+            debug_assert!(lo <= hi, "offsets not monotone at node {u}");
+            for e in lo..hi {
+                let v = out_targets[e];
+                debug_assert!((v as usize) < n, "target {v} out of range");
+                debug_assert!(
+                    e == lo || out_targets[e - 1] < v,
+                    "row {u} not strictly sorted by target"
+                );
+            }
+        }
+        debug_assert_eq!(
+            m,
+            logical_edges(n, directed, &out_offsets, &out_targets),
+            "logical edge count"
+        );
         let arcs = out_targets.len();
         let (in_offsets, in_sources, in_weights) = if directed {
             // Counting sort by target: sources within a row come out
-            // ascending, matching `from_row_adjacency` exactly.
+            // ascending, as a `GraphBuilder` lays them out.
             let mut in_offsets = vec![0usize; n + 1];
             for &v in out_targets.iter() {
                 in_offsets[v as usize + 1] += 1;
@@ -614,6 +569,21 @@ impl Graph {
         g.m = g.out_targets.len();
         g
     }
+}
+
+/// Logical edge count of out-CSR arrays: every arc for directed graphs,
+/// arcs `u -> v` with `u <= v` (each edge once, self-loops included) for
+/// undirected ones.
+fn logical_edges(n: usize, directed: bool, offsets: &[usize], targets: &[NodeId]) -> usize {
+    if directed {
+        return targets.len();
+    }
+    let mut m = 0usize;
+    for u in 0..n {
+        let row = &targets[offsets[u]..offsets[u + 1]];
+        m += row.iter().filter(|&&v| u as NodeId <= v).count();
+    }
+    m
 }
 
 #[cfg(test)]

@@ -21,8 +21,11 @@
 //!   patch their accumulators with (`IncrementalDegrees::apply_edge_batch`,
 //!   `ReducedDelta::apply_edge_batch`).
 //! * **Periodic compaction.** [`GraphDelta::compact`] folds the overlay
-//!   back into a fresh CSR [`Graph`] in `O(n + m + overlay)` (no sort — the
-//!   overlay is kept in neighbor order) and resets the overlay. Callers
+//!   back into a fresh CSR [`Graph`] and resets the overlay. The delta
+//!   tracks the rows that gained overlay entries, so compaction is one bulk
+//!   copy of the clean rows' arcs, `O(n)` offset writes and `O(overlay)`
+//!   merges of the dirty rows (no sort — the overlay is kept in neighbor
+//!   order); the returned graph is an O(1) clone of the new base. Callers
 //!   compact when they need raw adjacency again (the refinement engine's
 //!   split path scans CSR arrays) or when the overlay grows past a
 //!   fraction of the arc count ([`GraphDelta::overlay_arcs`]).
@@ -227,6 +230,11 @@ pub struct GraphDelta {
     /// nodes inserted since the last compaction (their whole adjacency
     /// lives in the overlay).
     overlay: Vec<Vec<(NodeId, ArcState)>>,
+    /// Rows that may differ from the base since the last compaction: every
+    /// row that gained overlay entries, plus inserted and removed ids.
+    /// Unsorted, possibly with repeats; compaction sorts and dedups it and
+    /// copies every other row verbatim.
+    dirty: Vec<NodeId>,
     /// Per-node dead flag: removed ids stay allocated until the next
     /// [`Self::compact_renumber`].
     dead: Vec<bool>,
@@ -253,6 +261,7 @@ impl GraphDelta {
         GraphDelta {
             base,
             overlay: vec![Vec::new(); n],
+            dirty: Vec::new(),
             dead: vec![false; n],
             removed_nodes: 0,
             inserted_nodes: 0,
@@ -433,6 +442,7 @@ impl GraphDelta {
     pub fn insert_node(&mut self) -> NodeId {
         let id = self.overlay.len() as NodeId;
         self.overlay.push(Vec::new());
+        self.dirty.push(id);
         self.dead.push(false);
         self.inserted_nodes += 1;
         self.node_events.push(NodeEvent::Insert { node: id });
@@ -461,6 +471,7 @@ impl GraphDelta {
             }
         }
         self.dead[v as usize] = true;
+        self.dirty.push(v);
         self.removed_nodes += 1;
         self.node_events.push(NodeEvent::Remove { node: v });
         Ok(())
@@ -484,9 +495,11 @@ impl GraphDelta {
     }
 
     /// Fold the overlay into a fresh CSR graph, reset the overlay, and
-    /// return a clone of the new base (the delta keeps the other copy and
-    /// stays usable for further batches). `O(n + m + overlay)`; no sorting
-    /// — both the base arcs and the overlay rows are in neighbor order.
+    /// return the new base (an O(1) clone: the delta and the caller share
+    /// its columns, and the delta stays usable for further batches). One
+    /// bulk copy of the arcs, `O(n)` offset writes and `O(overlay)` merges
+    /// of the dirty rows; no sorting — both the base arcs and the overlay
+    /// rows are in neighbor order.
     ///
     /// Pending events are *not* drained: compaction changes the
     /// representation, not the mutation history. Panics if node churn is
@@ -497,69 +510,18 @@ impl GraphDelta {
             !self.node_churn_pending(),
             "node insertions/removals pending; use compact_renumber"
         );
-        if self.overlay_arcs > 0 {
-            // Build the new out-CSR directly: rows without overlay entries
-            // (the overwhelming majority after a small batch) are bulk
-            // span copies from the old CSR; only touched rows pay the
-            // merge. `Graph::from_out_csr` then derives the in direction
-            // bit-identically to the row-by-row reference rebuild.
-            let n = self.num_nodes();
-            let arc_cap = self.base.num_arcs() + self.overlay_arcs;
-            let mut offsets = Vec::with_capacity(n + 1);
-            offsets.push(0usize);
-            let mut targets: Vec<NodeId> = Vec::with_capacity(arc_cap);
-            let mut weights: Vec<f64> = Vec::with_capacity(arc_cap);
-            for u in 0..n {
-                let (base_ts, base_ws) = self.base.out_arcs(u as NodeId);
-                let over = &self.overlay[u];
-                if over.is_empty() {
-                    targets.extend_from_slice(base_ts);
-                    weights.extend_from_slice(base_ws);
-                } else {
-                    // Same merge as `live_row`, writing in place.
-                    let mut oi = 0usize;
-                    let push_over =
-                        |targets: &mut Vec<NodeId>, weights: &mut Vec<f64>, oi: &mut usize| {
-                            if let (v, ArcState::Present(w)) = over[*oi] {
-                                targets.push(v);
-                                weights.push(w);
-                            }
-                            *oi += 1;
-                        };
-                    for (idx, &t) in base_ts.iter().enumerate() {
-                        while oi < over.len() && over[oi].0 < t {
-                            push_over(&mut targets, &mut weights, &mut oi);
-                        }
-                        if oi < over.len() && over[oi].0 == t {
-                            push_over(&mut targets, &mut weights, &mut oi);
-                        } else {
-                            targets.push(t);
-                            weights.push(base_ws[idx]);
-                        }
-                    }
-                    while oi < over.len() {
-                        push_over(&mut targets, &mut weights, &mut oi);
-                    }
-                }
-                offsets.push(targets.len());
-            }
-            self.base = Graph::from_out_csr(n, self.is_directed(), offsets, targets, weights);
-            for row in &mut self.overlay {
-                row.clear();
-            }
-            self.overlay_arcs = 0;
-        }
-        debug_assert_eq!(self.base.num_edges(), self.num_edges);
-        self.base.clone()
+        self.compact_renumber().0
     }
 
     /// Fold the overlay into a fresh CSR graph *renumbering the node ids*:
     /// dead ids are dropped, survivors keep their relative order (and new
     /// nodes their appended positions). Returns the compacted graph and the
     /// [`NodeRemap`] consumers need to compact their own node-indexed
-    /// state. The delta continues from the new id space. `O(n + m +
-    /// overlay)`; with no node churn pending this equals [`Self::compact`]
-    /// plus an identity remap.
+    /// state. The delta continues from the new id space. Same cost as
+    /// [`Self::compact`] — one bulk arc copy (targets mapped through the
+    /// remap when ids were removed), `O(n)` offsets, `O(overlay)` merges
+    /// and an O(1) returned clone; with no node churn pending it equals
+    /// [`Self::compact`] plus an identity remap.
     pub fn compact_renumber(&mut self) -> (Graph, NodeRemap) {
         let total = self.num_nodes();
         let mut old_to_new = vec![NodeId::MAX; total];
@@ -575,28 +537,84 @@ impl GraphDelta {
             old_to_new,
             new_len: new_n,
         };
+        let mut dirty = std::mem::take(&mut self.dirty);
         if self.node_churn_pending() || self.overlay_arcs > 0 {
-            let mut rows: Vec<Vec<(NodeId, f64)>> = Vec::with_capacity(new_n);
-            for u in 0..total as NodeId {
-                if self.dead[u as usize] {
-                    continue;
-                }
-                rows.push(self.live_row(u, Some(&remap)));
-            }
-            self.base = Graph::from_row_adjacency(new_n, self.is_directed(), &rows);
-            self.overlay.clear();
-            self.overlay.resize(new_n, Vec::new());
+            dirty.sort_unstable();
+            dirty.dedup();
+            self.base = self.rebuild(&dirty, &remap);
+        }
+        for &u in &dirty {
+            self.overlay[u as usize].clear();
+        }
+        if self.node_churn_pending() {
+            self.overlay.truncate(new_n);
             self.dead.clear();
             self.dead.resize(new_n, false);
-            self.overlay_arcs = 0;
             self.inserted_nodes = 0;
             self.removed_nodes = 0;
         }
+        self.overlay_arcs = 0;
+        dirty.clear();
+        self.dirty = dirty;
         debug_assert_eq!(self.base.num_edges(), self.num_edges);
         (self.base.clone(), remap)
     }
 
     // ---- internals ----
+
+    /// The compaction builder: the merged out-CSR over the live ids,
+    /// renumbered through `remap`. `dirty` (ascending, deduplicated) lists
+    /// every row that may differ from the base; each span of clean rows
+    /// between two dirty ones is one bulk copy of its arcs plus shifted
+    /// offsets — verbatim when no id was removed, targets mapped through
+    /// `remap` otherwise (clean rows never target a removed node: removal
+    /// deletes every incident edge, dirtying both endpoints' rows).
+    fn rebuild(&self, dirty: &[NodeId], remap: &NodeRemap) -> Graph {
+        let (base_offsets, base_targets, base_weights) = self.base.out_adjacency();
+        let arc_cap = self.base.num_arcs() + self.overlay_arcs;
+        let mut offsets = Vec::with_capacity(remap.new_len() + 1);
+        offsets.push(0usize);
+        let mut targets: Vec<NodeId> = Vec::with_capacity(arc_cap);
+        let mut weights: Vec<f64> = Vec::with_capacity(arc_cap);
+        let renumber = self.removed_nodes > 0;
+        let (base_n, total) = (self.base.num_nodes(), self.num_nodes());
+        let mut clean_from = 0usize;
+        for &d in dirty.iter().chain(&[total as NodeId]) {
+            // Rows `clean_from..d` are clean, hence base rows: one span.
+            let d = d as usize;
+            let (from, to) = (clean_from.min(base_n), d.min(base_n));
+            let (lo, hi) = (base_offsets[from], base_offsets[to]);
+            let shift = targets.len();
+            if renumber {
+                let old_to_new = &remap.old_to_new;
+                targets.extend(base_targets[lo..hi].iter().map(|&t| old_to_new[t as usize]));
+            } else {
+                targets.extend_from_slice(&base_targets[lo..hi]);
+            }
+            weights.extend_from_slice(&base_weights[lo..hi]);
+            offsets.extend(base_offsets[from + 1..=to].iter().map(|&o| o - lo + shift));
+            if d == total {
+                break;
+            }
+            if !self.dead[d] {
+                self.for_each_live_arc(d as NodeId, |v, w| {
+                    targets.push(remap.old_to_new[v as usize]);
+                    weights.push(w);
+                });
+                offsets.push(targets.len());
+            }
+            clean_from = d + 1;
+        }
+        debug_assert_eq!(offsets.len(), remap.new_len() + 1);
+        Graph::from_out_columns(
+            remap.new_len(),
+            self.num_edges,
+            self.is_directed(),
+            offsets.into(),
+            targets.into(),
+            weights.into(),
+        )
+    }
 
     /// Guarded base-arc weight: nodes appended since the last compaction
     /// have no base arcs.
@@ -617,53 +635,38 @@ impl GraphDelta {
         (u as usize) < n && (v as usize) < n && self.base.has_edge(u, v)
     }
 
-    /// The merged (base + overlay) out-row of live node `u`, in neighbor
-    /// order, optionally renumbered through `remap` (which must keep every
-    /// live target; relative order is preserved, so the row stays sorted).
-    fn live_row(&self, u: NodeId, remap: Option<&NodeRemap>) -> Vec<(NodeId, f64)> {
+    /// Call `emit(target, weight)` for every arc of the merged (base +
+    /// overlay) out-row of `u`, in neighbor order.
+    fn for_each_live_arc(&self, u: NodeId, mut emit: impl FnMut(NodeId, f64)) {
         let (targets, weights) = if (u as usize) < self.base.num_nodes() {
             self.base.out_arcs(u)
         } else {
             (&[][..], &[][..])
         };
         let over = &self.overlay[u as usize];
-        let mut row = Vec::with_capacity(targets.len() + over.len());
-        let mut push = |v: NodeId, w: f64| {
-            let v = match remap {
-                Some(r) => r.map(v).expect("live row targets a removed node"),
-                None => v,
-            };
-            row.push((v, w));
-        };
-        let mut oi = 0usize;
-        for (idx, &t) in targets.iter().enumerate() {
-            while oi < over.len() && over[oi].0 < t {
-                if let (v, ArcState::Present(w)) = over[oi] {
-                    push(v, w);
-                }
-                oi += 1;
-            }
-            if oi < over.len() && over[oi].0 == t {
-                if let (v, ArcState::Present(w)) = over[oi] {
-                    push(v, w);
-                }
-                oi += 1;
+        let (mut bi, mut oi) = (0usize, 0usize);
+        while bi < targets.len() || oi < over.len() {
+            if oi == over.len() || (bi < targets.len() && targets[bi] < over[oi].0) {
+                emit(targets[bi], weights[bi]);
+                bi += 1;
             } else {
-                push(t, weights[idx]);
+                let (v, state) = over[oi];
+                if bi < targets.len() && targets[bi] == v {
+                    bi += 1; // the overlay entry overrides this base arc
+                }
+                if let ArcState::Present(w) = state {
+                    emit(v, w);
+                }
+                oi += 1;
             }
         }
-        while oi < over.len() {
-            if let (v, ArcState::Present(w)) = over[oi] {
-                push(v, w);
-            }
-            oi += 1;
-        }
-        row
     }
 
     /// Live out-neighbors of `v` (merged view), in neighbor order.
     fn live_out_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        self.live_row(v, None).into_iter().map(|(t, _)| t).collect()
+        let mut out = Vec::new();
+        self.for_each_live_arc(v, |t, _| out.push(t));
+        out
     }
 
     /// Live in-neighbors of `v`: base in-arcs still live, plus
@@ -729,6 +732,9 @@ impl GraphDelta {
             }
             Err(i) => {
                 if state != ArcState::Absent || base_has {
+                    if row.is_empty() {
+                        self.dirty.push(u);
+                    }
                     row.insert(i, (v, state));
                     self.overlay_arcs += 1;
                 }
@@ -744,25 +750,40 @@ mod tests {
 
     /// Rebuild a graph equal to `delta`'s current state from scratch via
     /// [`GraphBuilder`] — the slow O(n²) reference path pinning
-    /// [`GraphDelta::compact`].
+    /// [`GraphDelta::compact`] and [`GraphDelta::compact_renumber`]: live
+    /// ids are renumbered in order, removed ids dropped.
     fn rebuild_reference(delta: &GraphDelta) -> Graph {
-        let n = delta.num_nodes();
+        let live: Vec<NodeId> = (0..delta.num_nodes() as NodeId)
+            .filter(|&v| delta.is_live(v))
+            .collect();
         let mut b = if delta.is_directed() {
-            GraphBuilder::new_directed(n)
+            GraphBuilder::new_directed(live.len())
         } else {
-            GraphBuilder::new_undirected(n)
+            GraphBuilder::new_undirected(live.len())
         };
-        for u in 0..n as NodeId {
-            for v in 0..n as NodeId {
-                if delta.is_directed() || u <= v {
-                    let w = delta.weight(u, v);
-                    if delta.has_edge(u, v) {
-                        b.add_edge(u, v, w);
-                    }
+        for (nu, &u) in live.iter().enumerate() {
+            for (nv, &v) in live.iter().enumerate() {
+                if (delta.is_directed() || nu <= nv) && delta.has_edge(u, v) {
+                    b.add_edge(nu as NodeId, nv as NodeId, delta.weight(u, v));
                 }
             }
         }
         b.build()
+    }
+
+    /// All six CSR arrays of `g` equal `r`'s, weights bit for bit.
+    fn assert_same_csr(g: &Graph, r: &Graph, ctx: &str) {
+        assert_eq!(g.num_nodes(), r.num_nodes(), "{ctx}: nodes");
+        assert_eq!(g.num_edges(), r.num_edges(), "{ctx}: edges");
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for (dir, (go, gt, gw), (ro, rt, rw)) in [
+            ("out", g.out_adjacency(), r.out_adjacency()),
+            ("in", g.in_adjacency(), r.in_adjacency()),
+        ] {
+            assert_eq!(go, ro, "{ctx}: {dir} offsets");
+            assert_eq!(gt, rt, "{ctx}: {dir} targets");
+            assert_eq!(bits(gw), bits(rw), "{ctx}: {dir} weights");
+        }
     }
 
     fn triangle() -> Graph {
@@ -876,7 +897,7 @@ mod tests {
         let a: Vec<_> = compacted.arcs().collect();
         let b: Vec<_> = reference.arcs().collect();
         assert_eq!(a, b);
-        // In-adjacency too (from_row_adjacency builds it independently).
+        // In-adjacency too (compaction derives it from the out-columns).
         for v in compacted.nodes() {
             let ca: Vec<_> = compacted.in_edges(v).collect();
             let ra: Vec<_> = reference.in_edges(v).collect();
@@ -1077,5 +1098,110 @@ mod tests {
         d.drain_node_events();
         let g2 = d.compact();
         assert_eq!(g2.weight(0, 3), 9.0);
+    }
+
+    /// Insert `(u, v)` if absent; otherwise delete or reweight it.
+    fn toggle(d: &mut GraphDelta, rng: &mut rand::rngs::StdRng, u: NodeId, v: NodeId) {
+        use rand::Rng;
+        let w = rng.random_range(1..16u32) as f64 * 0.25;
+        if !d.has_edge(u, v) {
+            d.insert_edge(u, v, w).unwrap();
+        } else if rng.random_range(0..2u32) == 0 {
+            d.delete_edge(u, v).unwrap();
+        } else {
+            d.reweight_edge(u, v, w + 8.0).unwrap();
+        }
+    }
+
+    #[test]
+    fn randomized_compaction_matches_reference() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24u64 {
+            let directed = seed % 2 == 1;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = 12 + seed as usize % 5;
+            let mut b = if directed {
+                GraphBuilder::new_directed(n)
+            } else {
+                GraphBuilder::new_undirected(n)
+            };
+            for _ in 0..2 * n {
+                let (u, v) = (rng.random_range(0..n as u32), rng.random_range(0..n as u32));
+                if !b.contains_edge(u, v) {
+                    b.add_edge(u, v, rng.random_range(1..16u32) as f64 * 0.5);
+                }
+            }
+            let mut d = GraphDelta::new(b.build());
+            for round in 0..8 {
+                let ctx = format!("seed {seed} round {round} directed {directed}");
+                let live: Vec<NodeId> = (0..d.num_nodes() as NodeId).collect();
+                let pick = |rng: &mut rand::rngs::StdRng| live[rng.random_range(0..live.len())];
+                // Dirty first and last rows, two adjacent rows, a self-loop.
+                let last = *live.last().unwrap();
+                let s = pick(&mut rng);
+                let forced = [
+                    (0, pick(&mut rng)),
+                    (last, pick(&mut rng)),
+                    (3, 4),
+                    (4, pick(&mut rng)),
+                    (s, s),
+                ];
+                for (u, v) in forced {
+                    toggle(&mut d, &mut rng, u, v);
+                }
+                // A row dirtied and then restored to its base state.
+                let (u, v) = (pick(&mut rng), pick(&mut rng));
+                if d.has_edge(u, v) {
+                    let w = d.weight(u, v);
+                    d.reweight_edge(u, v, w + 1.0).unwrap();
+                    d.reweight_edge(u, v, w).unwrap();
+                } else {
+                    d.insert_edge(u, v, 1.0).unwrap();
+                    d.delete_edge(u, v).unwrap();
+                }
+                for _ in 0..rng.random_range(0..12u32) {
+                    let (u, v) = (pick(&mut rng), pick(&mut rng));
+                    toggle(&mut d, &mut rng, u, v);
+                }
+                if round % 2 == 1 {
+                    // Node churn: an isolated insert that survives, one
+                    // removed while still isolated, one wired then kept,
+                    // and a removed connected node (never 0, 3, 4 or the
+                    // last id, so the forced rows above stay live).
+                    d.insert_node();
+                    let gone = d.insert_node();
+                    let (wired, peer) = (d.insert_node(), pick(&mut rng));
+                    toggle(&mut d, &mut rng, wired, peer);
+                    d.remove_node(gone).unwrap();
+                    let victim = 5 + rng.random_range(0..(n as u32 - 6));
+                    d.remove_node(victim).unwrap();
+                }
+                let reference = rebuild_reference(&d);
+                let g = if d.node_churn_pending() {
+                    d.compact_renumber().0
+                } else {
+                    d.compact()
+                };
+                assert_eq!(d.overlay_arcs(), 0, "{ctx}");
+                assert_same_csr(&g, &reference, &ctx);
+                assert_same_csr(d.base(), &reference, &ctx);
+                // Compaction shares storage instead of copying it.
+                let c = g.clone();
+                assert_eq!(c.out_adjacency().1.as_ptr(), g.out_adjacency().1.as_ptr());
+                assert_eq!(
+                    g.out_adjacency().2.as_ptr(),
+                    d.base().out_adjacency().2.as_ptr()
+                );
+                if !directed {
+                    let ((o, t, w), (io, is, iw)) = (g.out_adjacency(), g.in_adjacency());
+                    assert_eq!(
+                        (o.as_ptr(), t.as_ptr(), w.as_ptr()),
+                        (io.as_ptr(), is.as_ptr(), iw.as_ptr())
+                    );
+                }
+                d.drain_events();
+                d.drain_node_events();
+            }
+        }
     }
 }

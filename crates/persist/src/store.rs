@@ -187,9 +187,6 @@ impl Store {
         reduced: Option<&ReducedDelta>,
     ) -> Result<CheckpointStats, PersistError> {
         self.wal.sync()?;
-        let phases = std::env::var_os("QSC_PERSIST_PHASES").is_some();
-        // qsc-audit: allow(no-wallclock-in-results) -- QSC_PERSIST_PHASES diagnostics; both clocks feed eprintln only, never the checkpoint bytes
-        let t0 = std::time::Instant::now();
         let data = CheckpointData {
             graph: run.graph().clone(),
             config: run.config().clone(),
@@ -197,19 +194,11 @@ impl Store {
             reduced: reduced.map(ReducedDelta::snapshot),
             wal_seq: self.wal.last_seq(),
         };
-        if phases {
-            eprintln!("[persist] snapshot: {:.3}s", t0.elapsed().as_secs_f64());
-        }
-        // qsc-audit: allow(no-wallclock-in-results) -- QSC_PERSIST_PHASES diagnostics; feeds eprintln only
-        let t1 = std::time::Instant::now();
         let stats = write_checkpoint_file_with(
             &self.dir.join(CHECKPOINT_FILE),
             &data,
             self.options.layout,
         )?;
-        if phases {
-            eprintln!("[persist] encode+write: {:.3}s", t1.elapsed().as_secs_f64());
-        }
         self.wal.rotate()?;
         self.wal.truncate_covered(data.wal_seq)?;
         Ok(stats)
@@ -228,22 +217,8 @@ impl Store {
     /// is unsound — take the owned decode path. Either way the
     /// recovered state is bit-identical.
     pub fn recover(dir: &Path, threads: Option<usize>) -> Result<Recovered, PersistError> {
-        let phases = std::env::var_os("QSC_PERSIST_PHASES").is_some();
-        // qsc-audit: allow(no-wallclock-in-results) -- QSC_PERSIST_PHASES diagnostics; recovery timing feeds eprintln only, never the recovered state
-        let t0 = std::time::Instant::now();
         let ck = load_checkpoint_auto(&dir.join(CHECKPOINT_FILE))?;
-        if phases {
-            eprintln!(
-                "[persist] checkpoint read+decode: {:.3}s",
-                t0.elapsed().as_secs_f64()
-            );
-        }
-        // qsc-audit: allow(no-wallclock-in-results) -- QSC_PERSIST_PHASES diagnostics; feeds eprintln only
-        let t1 = std::time::Instant::now();
         let records = read_wal(dir, ck.wal_seq)?;
-        if phases {
-            eprintln!("[persist] WAL read: {:.3}s", t1.elapsed().as_secs_f64());
-        }
         // The WAL must resume exactly where the checkpoint's coverage
         // ends; a later start means a whole leading segment went missing
         // (read_wal can only check continuity between segments it sees).
@@ -255,13 +230,7 @@ impl Store {
                 });
             }
         }
-        // qsc-audit: allow(no-wallclock-in-results) -- QSC_PERSIST_PHASES diagnostics; feeds eprintln only
-        let t2 = std::time::Instant::now();
-        let out = replay(ck, records, threads);
-        if phases {
-            eprintln!("[persist] replay: {:.3}s", t2.elapsed().as_secs_f64());
-        }
-        out
+        replay(ck, records, threads)
     }
 }
 
