@@ -1,10 +1,25 @@
 //! # qsc-bench
 //!
 //! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation (Sec. 6). Each experiment is a binary (see `src/bin/`); the
-//! mapping from paper table/figure to binary is given in `DESIGN.md`
-//! ("Per-experiment index") and the measured results are recorded in
-//! `EXPERIMENTS.md`.
+//! evaluation (Sec. 6). Each experiment is a binary in `src/bin/`:
+//!
+//! | paper            | binary                                   |
+//! |------------------|------------------------------------------|
+//! | Fig. 1           | `fig1_karate`                            |
+//! | Fig. 2, Sec. 6.3 | `fig2_robustness`                        |
+//! | Fig. 3           | `fig3_lp_example`                        |
+//! | Fig. 7           | `fig7_tradeoff`                          |
+//! | Fig. 8           | `fig8_colors`                            |
+//! | Table 1          | `table1_centrality`, `table1_lp`         |
+//! | Tables 2 and 3   | `table2_graphs`, `table3_lps`            |
+//! | Tables 4 and 5   | `table4_compression`, `table5_lp_compression` |
+//! | Table 6          | `table6_responsiveness`                  |
+//! | Sec. 5.2         | `ablation_rothko`                        |
+//!
+//! The `bench_*` binaries measure the implementation itself (incremental
+//! engine, sweeps, parallel shards, churn, lane kernels, storage tiers,
+//! checkpoints, mapped checkpoints) and write the `BENCH_*.json` records
+//! at the repository root. Each binary prints a self-contained report.
 //!
 //! This library crate holds the small amount of shared harness code: wall
 //! clock timing, text-table rendering, and serializable result records.

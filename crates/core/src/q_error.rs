@@ -4,9 +4,9 @@
 //! For a coloring `P` of a weighted directed graph, the *q-error* of a pair
 //! of colors `(P_i, P_j)` in the outgoing direction is
 //! `max_{v ∈ P_i} w(v, P_j) − min_{v ∈ P_i} w(v, P_j)`; the incoming
-//! direction is defined symmetrically over `w(P_i, v)` for `v ∈ P_j`.
-//! A coloring is `q`-stable iff every such error is at most `q`, and stable
-//! iff every error is exactly zero.
+//! direction is the same quantity on the reversed graph, over `w(P_i, v)`
+//! for `v ∈ P_j`. A coloring is `q`-stable iff every such error is at most
+//! `q`, and stable iff every error is exactly zero.
 //!
 //! Two evaluators live here:
 //!
@@ -21,172 +21,132 @@
 //!   and keeps the anytime loop's per-step latency interactive (Table 6 of
 //!   the paper).
 //!
-//! # Incremental maintenance invariants
+//! # One state model, used once per direction
 //!
-//! `IncrementalDegrees` maintains, between any two calls of
-//! [`IncrementalDegrees::apply_split`]:
+//! The engine's state is two *sides*, one per direction, each holding the
+//! same things. A side's entries are addressed `(member color a, other
+//! color b)`: entry `(a, b)` summarizes the accumulator values at column
+//! `b` of `P_a`'s members. The out side's entry `(i, j)` is out-entry
+//! `(i, j)` of [`DegreeMatrices`]; the in side's entry `(j, i)` is
+//! in-entry `(i, j)`. Each side keeps its matrices in the
+//! `DegreeMatrices` row-major layout, so the two sides differ only in
+//! their stride pair (`(cap, 1)` out, `(1, cap)` in). On undirected graphs
+//! the in side mirrors the out side exactly (`w(P_j, v) == w(v, P_j)`,
+//! including floating-point operation order, since the CSR stores both
+//! adjacency directions in ascending neighbor order), so the engine keeps
+//! only the out side and every in-direction access resolves to it: half
+//! the memory and per-event work, bit-identical results.
 //!
-//! 1. **Accumulators.** For every node `v` and color `j < k`:
-//!    `dout[v][j] = w(v, P_j)` and `din[v][j] = w(P_j, v)` — the per-node
-//!    per-color weighted degrees. Nodes with no edges into a color hold an
-//!    explicit `0.0`, so min/max over a color's members needs no implicit
-//!    zero bookkeeping (unlike `DegreeMatrices`, which tracks non-zero
-//!    counts instead of dense rows).
-//! 2. **Pair summaries.** For every ordered color pair `(i, j)`:
-//!    `out_min/out_max[i][j] = min/max_{u ∈ P_i} dout[u][j]` and
-//!    `in_min/in_max[i][j] = min/max_{v ∈ P_j} din[v][i]` — numerically
-//!    identical to `DegreeMatrices::compute` up to floating-point
-//!    associativity (exactly identical for integer-valued weights).
-//! 3. **Witness rows.** Per *split-candidate* color `s`, a lazily refreshed
-//!    cache row over all entries whose split color is `s` (the out-entries
-//!    `(s, ·)` and in-entries `(·, s)`): the row's maximum unweighted error
-//!    and its best β-weighted witness candidate. The two caches have
-//!    *separate* staleness flags: a split marks error-dirty only the rows
-//!    whose entries actually changed — the parent, the child, every color
-//!    containing a neighbor of a moved node — while rows whose cached best
-//!    merely pointed at the parent (its *size* changed, its errors did
-//!    not) go best-dirty only, and a β change alone (β-weighted bests
-//!    stale, row maxima β-independent) dirties no error state at all. A
-//!    [`IncrementalDegrees::refresh`] + witness pick therefore costs
-//!    `O(stale rows · k)`, not `O(k²)`, and
-//!    [`IncrementalDegrees::max_error`] stays valid across β changes
-//!    without any rescan.
-//! 4. **Extremum witnesses and nonzero counts.** Every pair summary entry
-//!    also tracks *which* member attains its min/max (or an explicit
-//!    "unknown" sentinel) and how many members have a non-zero value.
-//!    These never influence entry values — they only decide whether a
-//!    one-column member rescan is needed when members change: an entry
-//!    whose tracked attainer neither moved nor departed provably keeps its
-//!    extremum, and a `min == 0` entry keeps its minimum while any member
-//!    value stays exactly zero (the dominant case on sparse graphs, where
-//!    ties at zero used to force a rescan storm). Unknown attainers fall
-//!    back to the conservative value-equality heuristic.
+//! Between any two events, each side maintains:
 //!
-//! A split `P_c → (P_c, P_child)` updates state as follows. Accumulator
-//! columns `c`/`child` change only for in/out-neighbors of the moved nodes
-//! (weight conservation: `dout[u][c] + dout[u][child]` is invariant, and
-//! symmetrically for `din`). Pair summaries split into three classes:
-//! rows/columns of `c` and `child` over the *member* axis are rebuilt by
-//! scanning the two colors' members (`O((|P_c| + |P_child|) · k)`); entries
-//! `(i, c)`/`(c, j)` over *other* colors' member axes are patched from the
-//! touched neighbors, falling back to a one-column rescan only when a
-//! touched node was the entry's unique extremum; all remaining entries are
-//! untouched by construction. Debug builds cross-check the full state
-//! against `DegreeMatrices::compute` after every split
+//! 1. **Accumulators** ([`crate::storage`]). For every node `v` and color
+//!    `j < k`, the weight of `v` toward `P_j` in the side's direction —
+//!    `w(v, P_j)` out, `w(P_j, v)` in — held as a dense `n × cap` plane or
+//!    as tiered per-node rows, chosen per engine by
+//!    [`crate::storage::StorageMode`]. Missing tiered entries read as an
+//!    exact `0.0`, so min/max over a color's members needs no implicit
+//!    zero bookkeeping. Every maintained value is bit-identical across the
+//!    tiers; only memory and access constants differ. `Auto` picks the
+//!    tiered rows only when the projected dense footprint passes
+//!    [`crate::storage::AUTO_DENSE_BYTES`] on a graph sparse relative to
+//!    the color budget: below that the dense plane is cache-friendly and
+//!    faster, above it the rows are both smaller and faster.
+//! 2. **Pair summaries.** For every entry `(a, b)`: the min and max over
+//!    `P_a`'s members of their value at `b` — numerically identical to
+//!    `DegreeMatrices::compute` up to floating-point associativity
+//!    (exactly identical for integer-valued weights).
+//! 3. **Extremum attainers and nonzero counts.** Every entry also tracks
+//!    *which* member attains its min/max (or [`NO_ARG`], unknown) and how
+//!    many members hold a non-zero value. These never influence entry
+//!    values — they only decide whether a one-column member rescan is
+//!    needed when members change: an entry whose tracked attainer neither
+//!    moved nor departed provably keeps its extremum, and a `min == 0`
+//!    entry keeps its minimum while any member value stays exactly zero
+//!    (the dominant case on sparse graphs, where ties at zero would
+//!    otherwise force a rescan storm). Unknown attainers fall back to the
+//!    conservative value-equality heuristic.
+//!
+//! Engine-wide, a **witness-row cache** keeps, per *split-candidate* color
+//! `s`, the maximum unweighted error over all entries whose split color is
+//! `s` (out-entries `(s, ·)` and in-entries `(·, s)`) and its best
+//! β-weighted witness candidate. The two have *separate* staleness flags:
+//! a split marks error-dirty only the rows whose entries actually changed,
+//! while rows whose cached best merely pointed at the parent (its *size*
+//! changed, its errors did not) go best-dirty only, and a β change alone
+//! dirties no error state at all. A [`IncrementalDegrees::refresh`] plus
+//! witness pick therefore costs `O(stale rows · k)`, not `O(k²)`, and
+//! [`IncrementalDegrees::max_error`] stays valid across β changes. The pick
+//! is one `O(k)` scan over the cached bests: a heap cannot beat it,
+//! because the α size weighting depends on current color sizes and would
+//! force a rebuild per pick (a heapify measured 13–16× slower than the
+//! scan at `k` from 10² to 10⁴).
+//!
+//! Each event is a sequence of phases, and each phase is written once and
+//! run once per side:
+//!
+//! * **Splits** ([`IncrementalDegrees::apply_split`], `P_c → (P_c,
+//!   P_child)`). Accumulator columns `c`/`child` change only for the
+//!   neighbors of the moved nodes (weight conservation: the sum of a
+//!   node's `c` and `child` values is invariant). Entries over *other*
+//!   colors' member axes are patched from the touched neighbors; the
+//!   child's member axis is rebuilt by scanning its members; the parent's
+//!   entries keep their values unless their tracked attainer departed to
+//!   the child, which queues a one-column member rescan.
+//! * **Edge batches** ([`IncrementalDegrees::apply_edge_batch`]). An event
+//!   `(u, v, Δ)` adds `Δ` to `u`'s out-value at `color(v)` and to `v`'s
+//!   in-value at `color(u)` (or `u`'s mirrored out-value on undirected
+//!   graphs). Each side first combines the batch into one delta per
+//!   (node, column) — the entry patch rules are sound only when each value
+//!   changes once per batch — then folds every change into its entry with
+//!   the split path's rules. Cost per batch: `O(events + touched
+//!   entries)` plus the rescans, without touching the graph. The partition
+//!   must be unchanged by the batch: graph updates and coloring updates
+//!   are separate deltas, sequenced by the caller
+//!   (`crate::rothko::RothkoRun::apply_edge_batch` patches the engine,
+//!   swaps the graph, and then re-establishes the (q, k) invariant by
+//!   splitting).
+//! * **Merges** ([`IncrementalDegrees::apply_merge`]). The dual of a split:
+//!   the loser's members join the winner, accumulator columns fold for the
+//!   neighbors of the moved members, entries over other colors' member
+//!   axes are patched with the split path's rules, the winner's member
+//!   axis is rebuilt, and the last color is relabeled into the freed slot
+//!   (`O(touched + k)` row/column copies). Merge *selection*
+//!   ([`IncrementalDegrees::pick_merge`]) is the dual of the witness rule:
+//!   it picks the pair minimizing the **post-merge q-error bound** — exact
+//!   for the merged member-axis rows (`min`/`max` over a union is the
+//!   `min`/`max` of the parts) and an upper bound for the folded columns
+//!   (the spread of a sum is at most the sum of the spreads) — so a
+//!   maintained run can coarsen while provably staying within its error
+//!   target.
+//! * **Node churn** ([`IncrementalDegrees::apply_node_inserts`] /
+//!   [`IncrementalDegrees::apply_node_removals`]). Fresh isolated nodes
+//!   append all-zero rows and extend their color's entries with explicit
+//!   zero attainers. Removals (legal only for isolated nodes, whose edges
+//!   the preceding edge batch deleted) compact the node axis through the
+//!   `GraphDelta` remap, remap the attainers, and rescan only the entries
+//!   whose zero extremum lost its last zero member.
+//!
+//! Every patch phase ends with the same **settle rule** per changed entry:
+//! apply the nonzero-count delta; for each extremum flagged as possibly
+//! lost, either queue a member rescan or — when the entry's extremum is
+//! zero and a zero-valued member remains — keep the value and forget the
+//! attainer; dirty the member color's witness row. The queued rescans then
+//! run as one batch.
+//!
+//! All paths preserve the determinism contract: the patched state equals
+//! a freshly built engine on the resulting graph/partition (bit-for-bit
+//! for exactly representable weights), so maintained and
+//! fresh-from-checkpoint runs pick identical witnesses *and* identical
+//! merge pairs. Debug builds cross-check the full state against
+//! `DegreeMatrices::compute` after every split and merge
 //! ([`IncrementalDegrees::verify_against`]).
 //!
-//! # Edge-event maintenance (dynamic graphs)
-//!
-//! Splits are one half of the delta vocabulary; the other is *edge churn*.
-//! [`IncrementalDegrees::apply_edge_batch`] patches the same state for a
-//! batch of [`EdgeEvent`]s (signed weight changes of logical edges, the
-//! currency of `qsc_graph::delta::GraphDelta`) without touching the graph
-//! at all: an event `(u, v, Δ)` adds `Δ` to `dout[u][color(v)]` (and to
-//! `din[v][color(u)]`, or the mirrored out-entry on undirected graphs),
-//! then folds the change into the affected pair-summary entry with exactly
-//! the split path's machinery — inline outward extension with attainers,
-//! exact lost-extremum detection via the tracked attainer, the `min == 0`
-//! zero-member skip rule, and a one-column member rescan only when an
-//! extremum was provably lost. Cost per batch:
-//! `O(events + touched entries)` plus those rescans — the "O(endpoints'
-//! colors + touched entries)" the dynamic-graph maintenance path needs.
-//! Witness rows of touched entries go error-dirty, so the next
-//! [`IncrementalDegrees::refresh`] re-derives `max_error` and the cached
-//! bests; color sizes are untouched, so no β bookkeeping is disturbed.
-//! The partition must be unchanged by the batch (`p.num_colors()` equals
-//! the engine's color count): graph updates and coloring updates are
-//! separate deltas, sequenced by the caller
-//! (`crate::rothko::RothkoRun::apply_edge_batch` patches the engine, swaps
-//! the graph, and then re-establishes the (q, k) invariant by splitting).
-//!
-//! # Merge and node-churn maintenance (bidirectional events)
-//!
-//! Splits and edge events only ever *refine* or *perturb*; two more event
-//! kinds complete the bidirectional algebra:
-//!
-//! * **Merges** ([`IncrementalDegrees::apply_merge`]). The dual of a split:
-//!   the loser color's members join the winner, accumulator columns fold
-//!   (`dout[u][winner] += dout[u][loser]` for the in-neighbors of the
-//!   moved members — `O(touched)`, no other node changes), entries over
-//!   other colors' member axes are patched with the split path's exact
-//!   lost-extremum machinery, the winner's member axis is rebuilt from the
-//!   merged member list, and the last color is relabeled into the freed
-//!   slot (`O(touched + k)` row/column copies). Merge *selection*
-//!   ([`IncrementalDegrees::pick_merge`]) is the dual of the witness rule:
-//!   among all color pairs it picks the one minimizing the **post-merge
-//!   q-error bound** — exact for the merged member-axis rows
-//!   (`min`/`max` over a union is the `min`/`max` of the parts) and an
-//!   upper bound for the folded columns (the spread of a sum is at most
-//!   the sum of the spreads) — so a maintained run can coarsen while
-//!   provably staying within its error target.
-//! * **Node churn** ([`IncrementalDegrees::apply_node_inserts`] /
-//!   [`IncrementalDegrees::apply_node_removals`]). The accumulators are
-//!   *growable* (fresh isolated nodes append all-zero rows and extend
-//!   their color's pair summaries inline with explicit zero attainers) and
-//!   *compactable* (after removals — legal only for isolated nodes, whose
-//!   incident edges were already deleted by the preceding edge batch — the
-//!   node axis is renumbered through the `GraphDelta` remap, extremum
-//!   witnesses are remapped, and only the colors that lost members rebuild
-//!   their member axes).
-//!
-//! Both paths preserve the engine-wide determinism contract: the patched
-//! state equals a freshly built engine on the resulting graph/partition
-//! (bit-for-bit for exactly representable weights), so maintained and
-//! fresh-from-checkpoint runs pick identical witnesses *and* identical
-//! merge pairs.
-//!
-//! Two structural specializations keep the engine lean:
-//!
-//! * **Symmetric graphs.** For undirected graphs the in-direction state is
-//!   an exact mirror of the out-direction (`din[v] == dout[v]`,
-//!   `in_min/max[i][j] == out_min/max[j][i]`, bit-for-bit, because the CSR
-//!   stores both adjacency directions in ascending neighbor order), so the
-//!   engine skips it entirely — half the memory and per-split work with
-//!   identical results.
-//! * **Degrees-only mode** ([`IncrementalDegrees::new_degrees_only`]).
-//!   Signature-based refiners (the stable coloring) read accumulator
-//!   values and never ask for pair errors; this mode maintains only
-//!   invariant 1 — and it does so with *sparse* per-node rows (sorted
-//!   non-zero `(color, weight)` pairs) instead of dense `n × k` storage,
-//!   making `apply_split` pure `O(deg(moved) · log deg)` and the whole
-//!   engine `O(m)` memory, which keeps near-discrete colorings (`k → n`)
-//!   affordable in both time and space.
-//!
-//! # Storage tiers
-//!
-//! The summary-tracking engine's invariant-1 accumulators themselves come
-//! in two layouts, selected per engine by `RothkoConfig::storage`
-//! ([`crate::storage::StorageMode`]) and resolved once at construction:
-//!
-//! * **Dense** — the historical `n × cap` matrices (`dout`/`din`), 8
-//!   bytes per (node, color) slot. Unbeatable per probe when the matrix
-//!   is cache-resident: a member scan is one strided load per row.
-//! * **Sparse** — per-node tiered rows ([`crate::storage::RowRep`]):
-//!   sorted nonzero `(color, weight)` vectors at 16 bytes per *nonzero*
-//!   entry, with rows that reach half the color capacity promoted to
-//!   plain slot arrays (hot rows keep dense probe cost). All apply paths
-//!   (split/merge/node-churn/edge-batch, at every shard count), the member
-//!   scans, emission reads and `q_report()` go through
-//!   [`crate::kernels`]' sparse gather variants, which preserve the
-//!   member-order/first-attainer fold contract — so both layouts produce
-//!   bit-identical colorings, witnesses and error bits at every thread
-//!   count (`tests/tests/storage_modes.rs` pins this over mixed traces).
-//!
-//! Measured on the `bench_memory` BA ladder (m = 10, k = 200, engine
-//! resident bytes, avg row ≈ 20 nonzeros ≈ 330 B/node sparse vs 2 KiB
-//! dense):
-//!
-//! | n    | sparse    | dense      | reduction | step+maintain    |
-//! |------|-----------|------------|-----------|------------------|
-//! | 10k  | 5.1 MiB   | 21.6 MiB   | 4.2×      | ~1.6× dense      |
-//! | 100k | 27 MiB    | 199 MiB    | 7.4×      | **0.4× dense**   |
-//! | 1M   | 180 MiB   | 1.93 GiB*  | **11×**   | dense infeasible |
-//!
-//! (*analytic projection, validated within 5% against real dense engines
-//! on the smaller rungs.) The wall-time crossover is why the default
-//! `Auto` mode gates on projected dense footprint: below ~256 MiB the
-//! dense matrix is what caches were built for and `Auto` resolves dense;
-//! past it the sparse tier is both the memory wall's fix *and* faster.
+//! **Degrees-only mode** ([`IncrementalDegrees::new_degrees_only`]).
+//! Signature-based refiners (the stable coloring) read accumulator values
+//! and never ask for pair errors; this mode maintains only the
+//! accumulators, as tiered rows that never promote, making `apply_split`
+//! pure `O(deg(moved) · log deg)` and the whole engine `O(m)` memory,
+//! which keeps near-discrete colorings (`k → n`) affordable.
 //!
 //! # Sharded refinement: one path, any shard count
 //!
@@ -235,77 +195,48 @@
 //! values, extremum attainers, touched order and witness sequence;
 //! `tests/tests/parallel_engine.rs` pins this across thread counts
 //! {1, 2, 8} and batch sizes {1, 4}, `tests/tests/storage_modes.rs`
-//! compares whole engine snapshots across shard counts, and the per-split
-//! debug cross-check ([`IncrementalDegrees::verify_against`]) covers every
-//! shard count. The dispatch thresholds
-//! ([`IncrementalDegrees::set_parallel_thresholds`]) only trade
-//! scheduling, never semantics.
-//!
-//! # Witness-cache profiling
-//!
-//! The ROADMAP asked whether a binary heap over the cached row bests beats
-//! [`IncrementalDegrees::pick_witness`]'s `O(k)` scan at large `k`. The
-//! `witness_cache` micro-benchmark (in `qsc-bench`) measured both on the
-//! reference container (1 × 2.7 GHz core), mean per pick:
-//!
-//! | k      | linear scan | heapify + pop |
-//! |--------|-------------|---------------|
-//! | 10²    | 0.15 µs     | 2.4 µs        |
-//! | 10³    | 1.5 µs      | 21 µs         |
-//! | 10⁴    | 15 µs       | 200 µs        |
-//!
-//! The scan wins by ~13–16× at every size (and the real-engine pick at
-//! `k ∈ {10², 10³}` matches the synthetic scan numbers): the α size
-//! weighting depends on current color sizes, so a heap would have to be
-//! rebuilt per pick, and one `O(k)` heapify plus allocation can never beat
-//! one cache-friendly `O(k)` scan. The scan stays.
+//! compares whole engine snapshots across shard counts and pins their
+//! digest, and the per-split debug cross-check
+//! ([`IncrementalDegrees::verify_against`]) covers every shard count. The
+//! dispatch thresholds ([`IncrementalDegrees::set_parallel_thresholds`])
+//! only trade scheduling, never semantics.
 //!
 //! # Lane-kernel hot paths
 //!
 //! The engine's inner loops route through [`crate::kernels`] (blocked,
 //! autovectorization-friendly f64 lane work with *exact sequential scan
-//! semantics* — see the module's determinism notes). On the 10k-node
-//! Barabási–Albert / 200-color headline run (serial, 1 × 2.7 GHz core,
-//! `bench_kernels`), the full step loop went from 0.0426 s pre-kernel to
-//! 0.0320 s (1.33×); the isolated member-axis rescan kernel
-//! ([`crate::kernels::fold_minmax_row`]) measures 2.4–3.4× over the
-//! scalar loop it replaced. What the rewire actually changed, in
-//! decreasing order of measured profit:
+//! semantics* — see the module's determinism notes):
 //!
 //! * **Member-axis rescans** fold whole accumulator rows through
-//!   `fold_minmax_row` (every shard of a dense axis rebuild).
-//! * **Witness-row scans** at β = 0 collapse to one contiguous
-//!   max-spread pass ([`crate::kernels::row_err_argmax`]) instead of the
-//!   per-column weighted compare.
+//!   [`crate::kernels::fold_minmax_row`].
+//! * **Witness-row scans** at β = 0 collapse to one contiguous max-spread
+//!   pass ([`crate::kernels::row_err_argmax`]) instead of the per-column
+//!   weighted compare.
 //! * **Final report**: [`crate::rothko::RothkoRun::finish`] reads
 //!   [`IncrementalDegrees::q_report`] off the live summaries (`O(k²)`)
 //!   instead of recomputing [`DegreeMatrices`] from the graph
-//!   (`O(n·k + m)`) — worth ~4 ms of the 32 ms headline alone.
+//!   (`O(n·k + m)`).
 //! * **Parent-axis repair** batches the queued one-column rescans of one
 //!   member axis into a single member pass
 //!   ([`crate::kernels::scan_gather_columns`]), loading each accumulator
 //!   row once instead of once per column.
-//! * **Split apply** walks the touched list with explicit L1 prefetch
+//! * **Split apply** walks the touched list with explicit prefetch
 //!   ([`crate::kernels::prefetch_read`]) and reads the per-node deltas
-//!   positionally from `touched_deltas` (collected index-parallel to the
-//!   touched list) instead of re-gathering a per-node array.
+//!   positionally from the touched list instead of re-gathering a
+//!   per-node array.
 //!
-//! The strided entry *gather* itself (`scan_gather_column`) is memory
-//! bound and gains nothing from lane form (measured 1.0×) — the wins
-//! above all come from removing passes or folding them wider, not from
-//! prettier arithmetic. Single-core wall-clock on the reference container
-//! swings ±15 % with host load; `bench_kernels` warms the frequency
-//! governor and reports best-of-5 with raw rounds recorded.
+//! The strided entry *gather* itself is memory bound and gains nothing
+//! from lane form; the wins come from removing passes or folding them
+//! wider.
 
 use crate::kernels;
 use crate::parallel::{chunk_range, default_threads, SyncSliceMut, ThreadPool};
 use crate::partition::{MergeEvent, Partition, SplitEvent};
 use crate::similarity::Similarity;
-use crate::storage::{ResolvedStorage, RowRep, StorageMode};
+use crate::storage::{pad_into, regrow, tight, Accum, ResolvedStorage, StorageMode};
 use qsc_graph::delta::{EdgeEvent, NodeRemap};
 use qsc_graph::{ColumnAdvice, ColumnBuf, Graph, NodeId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Sentinel for "extremum attainer unknown" in the pair-summary witness
 /// arrays (forces the conservative rescan heuristic for that entry).
@@ -702,7 +633,7 @@ trait PairMinMax {
 ///
 /// * merged member-axis rows are exact (`min`/`max` over the union of two
 ///   member sets is the `min`/`max` of the per-set extrema);
-/// * folded columns (`dout[v][a] + dout[v][b]`) use the sum-of-spreads
+/// * folded columns (`w(v, P_a) + w(v, P_b)`) use the sum-of-spreads
 ///   bound `spread(x + y) <= spread(x) + spread(y)`;
 /// * the merged self entry combines both rules.
 ///
@@ -713,7 +644,7 @@ trait PairMinMax {
 /// first columns already blow the budget.
 fn merge_bound<V: PairMinMax>(view: &V, k: usize, a: usize, b: usize, cap: f64) -> f64 {
     let mut bound = 0.0f64;
-    // Merged self entry (ab, ab), out: `dout[v][a] + dout[v][b]` over the
+    // Merged self entry (ab, ab), out: `w(v, P_a) + w(v, P_b)` over the
     // union — per-column union extrema, then the interval sum.
     let (aam, aax) = view.out_mm(a, a);
     let (bam, bax) = view.out_mm(b, a);
@@ -865,8 +796,8 @@ impl TouchedColor {
 /// zero-crossing count — the edge-path analogue of [`TouchedColor`].
 #[derive(Clone, Copy, Debug)]
 struct EdgeEntryPatch {
-    row: u32,
-    col: u32,
+    member: u32,
+    other: u32,
     orig_min: f64,
     orig_max: f64,
     rescan_min: bool,
@@ -894,95 +825,31 @@ struct EdgeEntryPatch {
 /// let scratch = DegreeMatrices::compute(&g, &p);
 /// assert_eq!(engine.out_error(0, 1), scratch.out_error(0, 1));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct IncrementalDegrees {
     n: usize,
     k: usize,
-    /// Column capacity (stride) of the accumulators and matrices; grows
-    /// geometrically as colors are added.
+    /// Column capacity (stride) of the accumulator planes and summary
+    /// matrices; grows geometrically as colors are added.
     cap: usize,
-    /// `dout[v * cap + j] = w(v, P_j)` (dense rows; dense-storage summary
-    /// mode only — empty when `sparse_accum`).
-    dout: Vec<f64>,
-    /// `din[v * cap + j] = w(P_j, v)` (dense rows; dense-storage summary
-    /// mode only — empty when `sparse_accum`).
-    din: Vec<f64>,
-    /// Tiered accumulator rows ([`RowRep`]) — the storage of the
-    /// degrees-only mode *and* of sparse-storage summary engines: per
-    /// node, sorted non-zero `(color, weight)` pairs, with hot rows
-    /// promoted to a dense slot tier (summary mode only; degrees-only
-    /// rows never promote, preserving their `O(deg(v))` bound).
-    /// `O(deg(v))` per node instead of a dense `k`-column row, which
-    /// keeps near-discrete colorings (`k → n`) and large sparse graphs
-    /// at `O(m)` memory instead of `O(n·k)`.
-    sparse_out: Vec<RowRep>,
-    sparse_in: Vec<RowRep>,
-    /// True when the accumulators live in `sparse_out`/`sparse_in`
-    /// (degrees-only engines and sparse-storage summary engines); false
-    /// when they live in the dense `dout`/`din` matrices. Pure storage —
-    /// every maintained *value* is bit-identical between the two.
-    sparse_accum: bool,
-    /// Whether sparse rows may promote to their dense tier (summary-mode
-    /// sparse engines; degrees-only engines never promote). The hint
-    /// passed to [`RowRep::add`] is the live color count `k` when
-    /// enabled, `0` otherwise — see [`Self::promote_k`].
-    promote: bool,
-    /// `out_min/out_max[i * cap + j]` over `u ∈ P_i` of `dout[u][j]`.
-    out_min: Vec<f64>,
-    out_max: Vec<f64>,
-    /// `in_min/in_max[i * cap + j]` over `v ∈ P_j` of `din[v][i]`.
-    in_min: Vec<f64>,
-    in_max: Vec<f64>,
-    /// Extremum witnesses: `out_min_arg[i * cap + j]` is a member of `P_i`
-    /// attaining `out_min[i * cap + j]` (and so on), or [`NO_ARG`] when the
-    /// attainer is unknown. Splits consult these to decide whether a pair
-    /// summary actually lost its extremum — an exact `O(1)` test that
-    /// replaces the tie-prone "value equals extremum" heuristic and its
-    /// rescan storm on integer-weighted graphs. Witness choice never
-    /// affects entry *values* (a rescan recomputes the same exact min/max a
-    /// skipped rescan preserves), so results stay bit-identical.
-    out_min_arg: Vec<u32>,
-    out_max_arg: Vec<u32>,
-    in_min_arg: Vec<u32>,
-    in_max_arg: Vec<u32>,
-    /// Per-entry nonzero-member counts: `out_nz[i * cap + j]` is the number
-    /// of members of `P_i` with `dout[u][j] != 0.0` (and `in_nz[i * cap +
-    /// j]` the members of `P_j` with `din[v][i] != 0.0`). A `min == 0.0`
-    /// entry whose count stays below the color size provably keeps its
-    /// minimum when members depart — the dominant skip rule on sparse
-    /// graphs, where almost every pair summary has zero-valued members.
-    out_nz: Vec<u32>,
-    in_nz: Vec<u32>,
-    /// Whether the graph is undirected (stored as symmetric arcs). The
-    /// in-direction state is then an exact mirror of the out-direction
-    /// (`din[v] == dout[v]` and `in_min/max[i][j] == out_min/max[j][i]`,
-    /// including floating-point operation order, since the CSR stores both
-    /// adjacency directions in ascending neighbor order), so the engine
-    /// skips it entirely: half the memory, half the per-split work,
-    /// bit-identical results.
+    /// The out side and the in side (see the module docs). The in side is
+    /// empty on symmetric engines; [`Self::dir`] maps every in-direction
+    /// access to the out side there.
+    sides: [Side; 2],
+    /// Whether the graph is undirected (stored as symmetric arcs), so the
+    /// in side mirrors the out side and is not kept.
     symmetric: bool,
     /// Whether pair summaries and the witness cache are maintained. The
     /// degrees-only mode (`new_degrees_only`) keeps just the accumulators,
-    /// which is all signature-based refiners like the stable coloring need;
-    /// it makes `apply_split` pure `O(deg(moved))` and skips the `O(k²)`
-    /// matrix storage entirely.
+    /// which is all signature-based refiners like the stable coloring need.
     track_summaries: bool,
     /// β exponent used by the last [`Self::refresh`]; negative values void
     /// the best-pointed-at-parent invalidation shortcut (shrinking a target
     /// color then *grows* candidate weights), so splits dirty every row's
     /// cached best.
     last_beta: f64,
-    /// Witness-row cache (see module docs, invariant 3). The two staleness
-    /// flags are split because they have different triggers: `row_err_dirty`
-    /// means the row's *entries* changed (max error and best both stale),
-    /// while `row_best_dirty` alone means only the cached β-weighted best is
-    /// stale (a color size or β itself changed) — `row_max_err` is
-    /// β-independent, so a β-only rebuild skips the error bookkeeping
-    /// entirely and [`Self::max_error`] stays valid across β changes.
-    row_max_err: Vec<f64>,
-    row_best: Vec<Option<RowBest>>,
-    row_err_dirty: Vec<bool>,
-    row_best_dirty: Vec<bool>,
+    /// The witness-row cache (module docs).
+    rows: WitnessRows,
     /// Packed per-node dedupe mark for the touched collection: generation
     /// stamp in the low half, index into `touched_nodes` in the high half.
     /// One cache line per probe covers both "seen this round?" and "where
@@ -1003,38 +870,436 @@ pub struct IncrementalDegrees {
     /// `pool.slots()` shards above it; shards reduce with exact
     /// operations, so results are bit-identical for every shard count
     /// (see the module docs).
-    pool: Arc<ThreadPool>,
+    pool: Pool,
     /// Per-shard scratch, one per pool slot (so at least one).
     shard_scratch: Vec<ShardScratch>,
     /// Parallel-dispatch thresholds (see [`Self::set_parallel_thresholds`]).
     par_min_touched: usize,
     par_min_scan_work: usize,
-    /// Reusable per-split scratch lists (queued rescans per direction, and
-    /// the refresh's stale-row list) — kept on the engine so the split
-    /// path stays allocation-free.
-    entry_scratch_out: Vec<(u32, u32)>,
-    entry_scratch_in: Vec<(u32, u32)>,
+    /// The refresh's stale-row list.
     dirty_scratch: Vec<u32>,
-    /// Edge-batch scratch: per-direction patched-entry records and their
-    /// entry-index → record-slot maps, plus the per-(node, column)
-    /// combined-delta lists (capacity reused across batches).
-    edge_patches_out: Vec<EdgeEntryPatch>,
-    edge_patches_in: Vec<EdgeEntryPatch>,
-    edge_slot_out: HashMap<usize, usize>,
-    edge_slot_in: HashMap<usize, usize>,
-    edge_acc_out: Vec<(NodeId, u32, f64)>,
-    edge_acc_in: Vec<(NodeId, u32, f64)>,
-    edge_acc_slot_out: HashMap<(NodeId, u32), usize>,
-    edge_acc_slot_in: HashMap<(NodeId, u32), usize>,
     /// Per-chunk `(nodes, chunk-local deltas)` lists of the chunked
-    /// touched collection (capacity reused across splits).
+    /// touched collection.
     chunk_out: Vec<(Vec<NodeId>, Vec<f64>)>,
-    /// Merge-fold capture lists (out and in direction): `(node, old, new)`
-    /// winner-column values of the touched nodes, recorded before the
-    /// relabel so entry patches can run in the post-relabel id space
-    /// (capacity reused across merges).
-    merge_scratch: Vec<(NodeId, f64, f64)>,
-    merge_scratch_in: Vec<(NodeId, f64, f64)>,
+}
+
+/// The engine's fork-join pool. A clone gets a pool of its own with the
+/// same slot count, since a pool's fork-join handshake serves one engine
+/// at a time.
+#[derive(Debug)]
+struct Pool(ThreadPool);
+
+impl Clone for Pool {
+    fn clone(&self) -> Self {
+        Pool(ThreadPool::new(self.0.slots()))
+    }
+}
+
+/// One direction of the engine's state (see the module docs): its
+/// accumulators, its pair summaries, and the per-event scratch its phases
+/// reuse (kept here so every event path stays allocation-free).
+#[derive(Clone, Debug, Default)]
+struct Side {
+    acc: Accum,
+    pairs: Pairs,
+    /// Queued member rescans, as `(member color, other color)` entries.
+    rescans: Vec<(u32, u32)>,
+    /// Edge batch: patched-entry records and their entry-index → record
+    /// map.
+    patches: Vec<EdgeEntryPatch>,
+    patch_slot: HashMap<usize, usize>,
+    /// Edge batch: one combined delta per `(node, column)`, in first-touch
+    /// order, and its `(node, column)` → list-index map.
+    combined: Vec<(NodeId, u32, f64)>,
+    combined_slot: HashMap<(NodeId, u32), usize>,
+    /// Merge fold: `(node, old, new)` winner-column values of the touched
+    /// nodes, recorded before the relabel so entry patches run in the
+    /// post-relabel id space.
+    capture: Vec<(NodeId, f64, f64)>,
+}
+
+/// One side's pair summaries: for every entry `(member color a, other
+/// color b)`, the min and max over `P_a`'s members of their accumulator
+/// value at `b`, the members attaining them ([`NO_ARG`] when unknown),
+/// and the number of members with a non-zero value. Entry `(a, b)` lives
+/// at `a * ms + b * os` of each `cap × cap` matrix.
+#[derive(Clone, Debug, Default)]
+struct Pairs {
+    outgoing: bool,
+    ms: usize,
+    os: usize,
+    min: Vec<f64>,
+    max: Vec<f64>,
+    min_arg: Vec<u32>,
+    max_arg: Vec<u32>,
+    nz: Vec<u32>,
+}
+
+/// The witness-row cache, one slot per color (see the module docs). The
+/// two staleness flags have different triggers: `err_dirty` means the
+/// row's *entries* changed (max error and best both stale), while
+/// `best_dirty` alone means only the cached β-weighted best is stale (a
+/// color size or β itself changed) — `max_err` is β-independent, so a
+/// β-only rebuild skips the error bookkeeping entirely and
+/// [`IncrementalDegrees::max_error`] stays valid across β changes.
+#[derive(Clone, Debug)]
+struct WitnessRows {
+    max_err: Vec<f64>,
+    best: Vec<Option<RowBest>>,
+    err_dirty: Vec<bool>,
+    best_dirty: Vec<bool>,
+}
+
+impl WitnessRows {
+    /// `cap` slots, all dirty.
+    fn new(cap: usize) -> Self {
+        WitnessRows {
+            max_err: vec![0.0; cap],
+            best: vec![None; cap],
+            err_dirty: vec![true; cap],
+            best_dirty: vec![true; cap],
+        }
+    }
+
+    /// Mark row `s` stale in both its error and its best.
+    #[inline]
+    fn dirty(&mut self, s: usize) {
+        self.err_dirty[s] = true;
+        self.best_dirty[s] = true;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.max_err.capacity() * 8
+            + self.best.capacity() * std::mem::size_of::<Option<RowBest>>()
+            + self.err_dirty.capacity()
+            + self.best_dirty.capacity()
+    }
+}
+
+impl Pairs {
+    /// Summaries over a `cap × cap` matrix (`cells_cap = 0` for a side or
+    /// mode that keeps none), every entry "no edges": zero extrema with
+    /// unknown attainers and no nonzero members.
+    fn new(outgoing: bool, cap: usize, cells_cap: usize) -> Self {
+        let cells = cells_cap * cells_cap;
+        let mut pairs = Pairs {
+            outgoing,
+            ms: 0,
+            os: 0,
+            min: vec![0.0; cells],
+            max: vec![0.0; cells],
+            min_arg: vec![NO_ARG; cells],
+            max_arg: vec![NO_ARG; cells],
+            nz: vec![0; cells],
+        };
+        pairs.restride(cap);
+        pairs
+    }
+
+    fn restride(&mut self, cap: usize) {
+        (self.ms, self.os) = if self.outgoing { (cap, 1) } else { (1, cap) };
+    }
+
+    /// Index of entry `(member, other)`.
+    #[inline]
+    fn at(&self, member: usize, other: usize) -> usize {
+        member * self.ms + other * self.os
+    }
+
+    /// The q-error `max − min` of entry `(member, other)`.
+    #[inline]
+    fn error(&self, member: usize, other: usize) -> f64 {
+        let idx = self.at(member, other);
+        self.max[idx] - self.min[idx]
+    }
+
+    /// Extend entry `idx` outward: a strictly smaller `lo` (attained by
+    /// `lo_arg`) or strictly larger `hi` (by `hi_arg`) replaces the
+    /// extremum; ties keep the earlier attainer.
+    #[inline]
+    fn extend(&mut self, idx: usize, lo: f64, lo_arg: u32, hi: f64, hi_arg: u32) {
+        if lo < self.min[idx] {
+            self.min[idx] = lo;
+            self.min_arg[idx] = lo_arg;
+        }
+        if hi > self.max[idx] {
+            self.max[idx] = hi;
+            self.max_arg[idx] = hi_arg;
+        }
+    }
+
+    /// Reset every entry naming color `c` (as member or other) among the
+    /// first `k` colors to "no edges".
+    fn clear_color(&mut self, c: usize, k: usize) {
+        for i in 0..k {
+            for idx in [self.at(i, c), self.at(c, i)] {
+                self.min[idx] = 0.0;
+                self.max[idx] = 0.0;
+                self.min_arg[idx] = NO_ARG;
+                self.max_arg[idx] = NO_ARG;
+                self.nz[idx] = 0;
+            }
+        }
+    }
+
+    /// Grow the matrices from `old_cap × old_cap` to `new_cap × new_cap`.
+    fn grow(&mut self, old_cap: usize, new_cap: usize) {
+        regrow(&mut self.min, old_cap, new_cap, old_cap, new_cap, 0.0);
+        regrow(&mut self.max, old_cap, new_cap, old_cap, new_cap, 0.0);
+        regrow(
+            &mut self.min_arg,
+            old_cap,
+            new_cap,
+            old_cap,
+            new_cap,
+            NO_ARG,
+        );
+        regrow(
+            &mut self.max_arg,
+            old_cap,
+            new_cap,
+            old_cap,
+            new_cap,
+            NO_ARG,
+        );
+        regrow(&mut self.nz, old_cap, new_cap, old_cap, new_cap, 0);
+        self.restride(new_cap);
+    }
+
+    /// Move color `from = k - 1`'s rows and columns to the free slot `to`
+    /// in every matrix. Values are copied, never recomputed. The skip set
+    /// `{from, to}` splits the range into two contiguous runs, so the row
+    /// moves are two `copy_within` memmoves and the (strided) column moves
+    /// two branch-free loops; the move is the same in both orientations.
+    fn relabel(&mut self, k: usize, from: usize, to: usize) {
+        fn relabel<T: Copy>(m: &mut [T], cap: usize, k: usize, from: usize, to: usize) {
+            debug_assert!(from == k - 1 && to < from);
+            let diag = m[from * cap + from];
+            m.copy_within(from * cap..from * cap + to, to * cap);
+            m.copy_within(from * cap + to + 1..from * cap + from, to * cap + to + 1);
+            for j in 0..to {
+                m[j * cap + to] = m[j * cap + from];
+            }
+            for j in to + 1..from {
+                m[j * cap + to] = m[j * cap + from];
+            }
+            m[to * cap + to] = diag;
+        }
+        let cap = self.ms.max(self.os);
+        relabel(&mut self.min, cap, k, from, to);
+        relabel(&mut self.max, cap, k, from, to);
+        relabel(&mut self.min_arg, cap, k, from, to);
+        relabel(&mut self.max_arg, cap, k, from, to);
+        relabel(&mut self.nz, cap, k, from, to);
+    }
+
+    /// Renumber the attainers of the first `k × k` entries through a node
+    /// remap (removed attainers become [`NO_ARG`]).
+    fn remap_args(&mut self, k: usize, remap: &NodeRemap) {
+        for a in 0..k {
+            for b in 0..k {
+                let idx = self.at(a, b);
+                for slot in [&mut self.min_arg[idx], &mut self.max_arg[idx]] {
+                    if *slot != NO_ARG {
+                        *slot = remap.map(*slot).unwrap_or(NO_ARG);
+                    }
+                }
+            }
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.min.capacity() + self.max.capacity()) * 8
+            + (self.min_arg.capacity() + self.max_arg.capacity() + self.nz.capacity()) * 4
+    }
+}
+
+impl Side {
+    fn new(outgoing: bool, cap: usize, cells_cap: usize, acc: Accum) -> Self {
+        Side {
+            acc,
+            pairs: Pairs::new(outgoing, cap, cells_cap),
+            ..Side::default()
+        }
+    }
+
+    /// The settle rule (module docs) for entry `(member, other)` after a
+    /// batch changed its member values: apply the nonzero-count delta,
+    /// then queue a rescan if a flagged extremum is really lost — a zero
+    /// extremum provably stands while the entry keeps a zero-valued member
+    /// of `P_member` (`size` members), and then only forgets its attainer
+    /// — and dirty the member color's witness row.
+    #[allow(clippy::too_many_arguments)]
+    fn settle(
+        &mut self,
+        rows: &mut WitnessRows,
+        member: u32,
+        other: u32,
+        size: usize,
+        nz_delta: i64,
+        rescan_min: bool,
+        rescan_max: bool,
+    ) {
+        let pr = &mut self.pairs;
+        let idx = pr.at(member as usize, other as usize);
+        pr.nz[idx] = (i64::from(pr.nz[idx]) + nz_delta) as u32;
+        let zero_member = (pr.nz[idx] as usize) < size;
+        let need = (rescan_min && !(pr.min[idx] == 0.0 && zero_member))
+            || (rescan_max && !(pr.max[idx] == 0.0 && zero_member));
+        if need {
+            self.rescans.push((member, other));
+        } else {
+            if rescan_min {
+                pr.min_arg[idx] = NO_ARG;
+            }
+            if rescan_max {
+                pr.max_arg[idx] = NO_ARG;
+            }
+        }
+        rows.dirty(member as usize);
+    }
+
+    /// Add `delta` to the combined edge-batch delta of `(u, col)`.
+    fn combine(&mut self, u: NodeId, col: u32, delta: f64) {
+        match self.combined_slot.entry((u, col)) {
+            std::collections::hash_map::Entry::Occupied(e) => self.combined[*e.get()].2 += delta,
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(self.combined.len());
+                self.combined.push((u, col, delta));
+            }
+        }
+    }
+
+    /// Apply one combined edge-batch change to `u`'s value at `other` and
+    /// fold it into entry `(member, other)`'s patch record (`member` is
+    /// `u`'s color): the lost-extremum test against the batch-start
+    /// snapshot, the zero-crossing count, and the inline extension.
+    fn patch_edge(&mut self, u: NodeId, member: u32, other: u32, delta: f64, promote_k: usize) {
+        let (old, new) = self.acc.add(u, other, delta, promote_k);
+        let pr = &mut self.pairs;
+        let idx = pr.at(member as usize, other as usize);
+        let patches = &mut self.patches;
+        let slot = *self.patch_slot.entry(idx).or_insert_with(|| {
+            patches.push(EdgeEntryPatch {
+                member,
+                other,
+                orig_min: pr.min[idx],
+                orig_max: pr.max[idx],
+                rescan_min: false,
+                rescan_max: false,
+                nz_delta: 0,
+            });
+            patches.len() - 1
+        });
+        let rec = &mut patches[slot];
+        let (lost_min, lost_max) = lost_extremum(
+            u,
+            old,
+            new,
+            rec.orig_min,
+            rec.orig_max,
+            pr.min_arg[idx],
+            pr.max_arg[idx],
+        );
+        rec.rescan_min |= lost_min;
+        rec.rescan_max |= lost_max;
+        if (old == 0.0) != (new == 0.0) {
+            rec.nz_delta += if new != 0.0 { 1 } else { -1 };
+        }
+        pr.extend(idx, new, u, new, u);
+    }
+
+    /// Tight snapshot columns over the live `k` colors.
+    fn snapshot(&self, k: usize, cap: usize) -> SideColumns {
+        let (plane, rows) = self.acc.snapshot(k);
+        let pr = &self.pairs;
+        let rows_of = |v: usize| if v == 0 { 0 } else { k };
+        SideColumns {
+            plane,
+            rows,
+            min: tight(&pr.min, rows_of(pr.min.len()), k, cap),
+            max: tight(&pr.max, rows_of(pr.max.len()), k, cap),
+            min_arg: tight(&pr.min_arg, rows_of(pr.min_arg.len()), k, cap),
+            max_arg: tight(&pr.max_arg, rows_of(pr.max_arg.len()), k, cap),
+            nz: tight(&pr.nz, rows_of(pr.nz.len()), k, cap),
+        }
+    }
+
+    /// Copy tight `k × k` snapshot summaries into this side's matrices.
+    #[allow(clippy::too_many_arguments)]
+    fn load(
+        &mut self,
+        k: usize,
+        cap: usize,
+        min: &[f64],
+        max: &[f64],
+        min_arg: &[u32],
+        max_arg: &[u32],
+        nz: &[u32],
+    ) {
+        let pr = &mut self.pairs;
+        pad_into(&mut pr.min, min, k, k, cap);
+        pad_into(&mut pr.max, max, k, k, cap);
+        pad_into(&mut pr.min_arg, min_arg, k, k, cap);
+        pad_into(&mut pr.max_arg, max_arg, k, k, cap);
+        pad_into(&mut pr.nz, nz, k, k, cap);
+    }
+
+    /// Heap bytes of every buffer this side owns.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.acc.heap_bytes()
+            + self.pairs.heap_bytes()
+            + self.rescans.capacity() * size_of::<(u32, u32)>()
+            + self.patches.capacity() * size_of::<EdgeEntryPatch>()
+            + self.patch_slot.capacity() * size_of::<(usize, usize)>()
+            + self.combined.capacity() * size_of::<(NodeId, u32, f64)>()
+            + self.combined_slot.capacity() * size_of::<((NodeId, u32), usize)>()
+            + self.capture.capacity() * size_of::<(NodeId, f64, f64)>()
+    }
+}
+
+/// One side's tight snapshot columns (the per-direction half of an
+/// [`EngineSnapshot`]).
+struct SideColumns {
+    plane: ColumnBuf<f64>,
+    rows: RowsSnapshot,
+    min: Vec<f64>,
+    max: Vec<f64>,
+    min_arg: Vec<u32>,
+    max_arg: Vec<u32>,
+    nz: Vec<u32>,
+}
+
+/// Whether a member's value moving from `old` to `new` loses the entry its
+/// batch-start extremum (`orig_min`/`orig_max`, attained by `arg_min`/
+/// `arg_max`): only when the tracked attainer moves strictly inward — an
+/// exact test, ties at the extremum do not force a rescan. An unknown
+/// attainer falls back to the conservative "the value left the extremum"
+/// heuristic. Returns `(min lost, max lost)`.
+#[inline]
+fn lost_extremum(
+    u: NodeId,
+    old: f64,
+    new: f64,
+    orig_min: f64,
+    orig_max: f64,
+    arg_min: u32,
+    arg_max: u32,
+) -> (bool, bool) {
+    if new < old {
+        (
+            false,
+            old == orig_max && (arg_max == NO_ARG || arg_max == u),
+        )
+    } else if new > old {
+        (
+            old == orig_min && (arg_min == NO_ARG || arg_min == u),
+            false,
+        )
+    } else {
+        (false, false)
+    }
 }
 
 /// One direction's tiered accumulator rows in columnar form — the shape
@@ -1080,9 +1345,9 @@ impl RowsSnapshot {
 /// rule), so they are serialized exactly rather than recomputed.
 ///
 /// What is deliberately **excluded** (derivable, so restoring it would
-/// only bloat checkpoints): the witness-row caches (`row_max_err` /
-/// `row_best`), which a restored engine marks all-dirty — the next
-/// [`IncrementalDegrees::refresh`] recomputes them from the summary
+/// only bloat checkpoints): the witness-row cache, which a restored
+/// engine marks all-dirty — the next
+/// [`IncrementalDegrees::refresh`] recomputes it from the summary
 /// entries, a pure function, so the recomputed values are bit-identical
 /// to the writer's; every per-event scratch buffer; and the thread pool
 /// (rebuilt from the restore-time thread count — the determinism
@@ -1150,9 +1415,9 @@ struct ShardScratch {
     slot: Vec<u32>,
     /// Per-touched-color partial aggregates produced by this shard.
     records: Vec<ShardRecord>,
-    /// Member-axis min/max rows (4 × cap), their witnesses, and the
-    /// per-column nonzero counts (2 × cap). The grouped entry rescan
-    /// reuses the first two rows.
+    /// One side's member-axis min and max rows (`2 × cap`), their
+    /// witnesses, and the per-column nonzero counts (`cap`); the grouped
+    /// entry rescan reuses them.
     axis: Vec<f64>,
     axis_arg: Vec<u32>,
     axis_nz: Vec<u32>,
@@ -1201,24 +1466,38 @@ const PAR_MIN_TOUCHED: usize = 2048;
 /// member-scan or witness-refresh batch runs as `pool.slots()` shards.
 const PAR_MIN_SCAN_WORK: usize = 16384;
 
-/// A read-only view of the pair-summary matrices, so the witness-refresh
-/// scans can run from worker threads while the caller holds the row caches
-/// mutably.
+/// A read-only view of both sides' pair summaries, so the witness-refresh
+/// scans can run from worker threads while the caller holds the row
+/// caches mutably. It reads the matrices in their shared row-major
+/// layout — out-entry `(i, j)` and a directed engine's in-entry `(i, j)`
+/// both sit at `i * cap + j` — so the `O(k)`-per-pair merge-bound and
+/// row scans index with a compile-time unit column stride; a symmetric
+/// engine's in-entry `(i, j)` is the mirrored out-entry `(j, i)`.
 struct SummaryView<'a> {
     k: usize,
     cap: usize,
     symmetric: bool,
-    out_min: &'a [f64],
-    out_max: &'a [f64],
-    in_min: &'a [f64],
-    in_max: &'a [f64],
+    out: &'a Pairs,
+    inn: &'a Pairs,
+}
+
+impl<'a> SummaryView<'a> {
+    fn new(sides: &'a [Side; 2], k: usize, cap: usize, symmetric: bool) -> Self {
+        SummaryView {
+            k,
+            cap,
+            symmetric,
+            out: &sides[0].pairs,
+            inn: &sides[1].pairs,
+        }
+    }
 }
 
 impl PairMinMax for SummaryView<'_> {
     #[inline]
     fn out_mm(&self, i: usize, j: usize) -> (f64, f64) {
         let idx = i * self.cap + j;
-        (self.out_min[idx], self.out_max[idx])
+        (self.out.min[idx], self.out.max[idx])
     }
 
     #[inline]
@@ -1227,7 +1506,7 @@ impl PairMinMax for SummaryView<'_> {
             return self.out_mm(j, i);
         }
         let idx = i * self.cap + j;
-        (self.in_min[idx], self.in_max[idx])
+        (self.inn.min[idx], self.inn.max[idx])
     }
 }
 
@@ -1259,15 +1538,14 @@ pub fn pick_merge_scratch(m: &DegreeMatrices, max_bound: f64) -> Option<MergeCan
 impl SummaryView<'_> {
     #[inline]
     fn out_error(&self, i: usize, j: usize) -> f64 {
-        self.out_max[i * self.cap + j] - self.out_min[i * self.cap + j]
+        let (min, max) = self.out_mm(i, j);
+        max - min
     }
 
     #[inline]
     fn in_error(&self, i: usize, j: usize) -> f64 {
-        if self.symmetric {
-            return self.out_error(j, i);
-        }
-        self.in_max[i * self.cap + j] - self.in_min[i * self.cap + j]
+        let (min, max) = self.in_mm(i, j);
+        max - min
     }
 
     /// One witness row scan: the row's maximum unweighted error and its
@@ -1284,8 +1562,8 @@ impl SummaryView<'_> {
         if beta == 0.0 {
             let base = s * self.cap;
             let (mut max_err, arg) = crate::kernels::row_err_argmax(
-                &self.out_max[base..base + self.k],
-                &self.out_min[base..base + self.k],
+                &self.out.max[base..base + self.k],
+                &self.out.min[base..base + self.k],
             );
             let mut best = if splittable && max_err > 0.0 {
                 Some(RowBest {
@@ -1366,11 +1644,29 @@ impl SummaryView<'_> {
 impl ShardScratch {
     /// Size the member-axis rows for `cap` colors.
     fn size_axis(&mut self, cap: usize) {
-        if self.axis.len() < 4 * cap {
-            self.axis.resize(4 * cap, 0.0);
-            self.axis_arg.resize(4 * cap, NO_ARG);
-            self.axis_nz.resize(2 * cap, 0);
+        if self.axis.len() < 2 * cap {
+            self.axis.resize(2 * cap, 0.0);
+            self.axis_arg.resize(2 * cap, NO_ARG);
+            self.axis_nz.resize(cap, 0);
         }
+    }
+
+    /// The member-axis rows: `(mins, maxs, min witnesses, max witnesses,
+    /// nonzero counts)`, `cap` columns each.
+    #[allow(clippy::type_complexity)]
+    fn axis_rows(
+        &mut self,
+        cap: usize,
+    ) -> (&mut [f64], &mut [f64], &mut [u32], &mut [u32], &mut [u32]) {
+        let (mn, mx) = self.axis.split_at_mut(cap);
+        let (amn, amx) = self.axis_arg.split_at_mut(cap);
+        (
+            mn,
+            &mut mx[..cap],
+            amn,
+            &mut amx[..cap],
+            &mut self.axis_nz[..cap],
+        )
     }
 
     fn heap_bytes(&self) -> usize {
@@ -1409,12 +1705,9 @@ impl ShardScratch {
             fresh
         };
         let r = &mut self.records[slot];
-        // The entry loses its extremum only when its tracked attainer
-        // moves strictly inward (an exact test — ties at the extremum do
-        // not force a rescan); an unknown attainer falls back to the
-        // conservative batch-start-extremum heuristic. The attainer is the
-        // node this fold already extended the entry to, if any, else the
-        // batch-start one. The finalize step may still cancel a flagged
+        // The lost-extremum test (`lost_extremum`) against the attainer
+        // this fold already extended the entry to, if any, else the
+        // batch-start one. The settle rule may still cancel a flagged
         // side via the zero-count rule.
         let arg_min = if r.ext_min < orig_min {
             r.ext_min_arg
@@ -1426,13 +1719,9 @@ impl ShardScratch {
         } else {
             arg_max
         };
-        if new < old {
-            if old == orig_max && (arg_max == NO_ARG || arg_max == u) {
-                r.rescan_max = true;
-            }
-        } else if new > old && old == orig_min && (arg_min == NO_ARG || arg_min == u) {
-            r.rescan_min = true;
-        }
+        let (lost_min, lost_max) = lost_extremum(u, old, new, orig_min, orig_max, arg_min, arg_max);
+        r.rescan_min |= lost_min;
+        r.rescan_max |= lost_max;
         r.count += 1;
         if (old == 0.0) != (new == 0.0) {
             r.nz_delta += if new != 0.0 { 1 } else { -1 };
@@ -1480,66 +1769,6 @@ impl ShardRecord {
     }
 }
 
-impl Clone for IncrementalDegrees {
-    /// Clones share no thread pool: each clone gets its own (same slot
-    /// count), since a pool's fork-join handshake serves one engine at a
-    /// time.
-    fn clone(&self) -> Self {
-        IncrementalDegrees {
-            n: self.n,
-            k: self.k,
-            cap: self.cap,
-            dout: self.dout.clone(),
-            din: self.din.clone(),
-            sparse_out: self.sparse_out.clone(),
-            sparse_in: self.sparse_in.clone(),
-            sparse_accum: self.sparse_accum,
-            promote: self.promote,
-            out_min: self.out_min.clone(),
-            out_max: self.out_max.clone(),
-            in_min: self.in_min.clone(),
-            in_max: self.in_max.clone(),
-            out_min_arg: self.out_min_arg.clone(),
-            out_max_arg: self.out_max_arg.clone(),
-            in_min_arg: self.in_min_arg.clone(),
-            in_max_arg: self.in_max_arg.clone(),
-            out_nz: self.out_nz.clone(),
-            in_nz: self.in_nz.clone(),
-            symmetric: self.symmetric,
-            track_summaries: self.track_summaries,
-            last_beta: self.last_beta,
-            row_max_err: self.row_max_err.clone(),
-            row_best: self.row_best.clone(),
-            row_err_dirty: self.row_err_dirty.clone(),
-            row_best_dirty: self.row_best_dirty.clone(),
-            node_mark: self.node_mark.clone(),
-            mark_gen: self.mark_gen,
-            touched_nodes: self.touched_nodes.clone(),
-            touched_deltas: self.touched_deltas.clone(),
-            color_slot: self.color_slot.clone(),
-            touched_colors: self.touched_colors.clone(),
-            pool: Arc::new(ThreadPool::new(self.pool.slots())),
-            shard_scratch: self.shard_scratch.clone(),
-            par_min_touched: self.par_min_touched,
-            par_min_scan_work: self.par_min_scan_work,
-            entry_scratch_out: self.entry_scratch_out.clone(),
-            entry_scratch_in: self.entry_scratch_in.clone(),
-            dirty_scratch: self.dirty_scratch.clone(),
-            edge_patches_out: self.edge_patches_out.clone(),
-            edge_patches_in: self.edge_patches_in.clone(),
-            edge_slot_out: self.edge_slot_out.clone(),
-            edge_slot_in: self.edge_slot_in.clone(),
-            edge_acc_out: self.edge_acc_out.clone(),
-            edge_acc_in: self.edge_acc_in.clone(),
-            edge_acc_slot_out: self.edge_acc_slot_out.clone(),
-            edge_acc_slot_in: self.edge_acc_slot_in.clone(),
-            chunk_out: self.chunk_out.clone(),
-            merge_scratch: self.merge_scratch.clone(),
-            merge_scratch_in: self.merge_scratch_in.clone(),
-        }
-    }
-}
-
 impl IncrementalDegrees {
     /// Build the full engine (accumulators + pair summaries + witness
     /// cache) for partition `p` on `g` in `O(n·k + m)` time. The number of
@@ -1567,7 +1796,7 @@ impl IncrementalDegrees {
     /// same capacity a dense engine would actually allocate). All storage
     /// modes maintain bit-identical state — sparse storage trades access
     /// constants for `O(n + m)` instead of `O(n·k)` accumulator memory
-    /// (see the "Tiered accumulator storage" module notes).
+    /// (see [`crate::storage`]).
     pub fn new_with_storage(
         g: &Graph,
         p: &Partition,
@@ -1605,108 +1834,22 @@ impl IncrementalDegrees {
         let symmetric = !g.is_directed();
         let k = p.num_colors();
         let cap = k.next_power_of_two().max(4);
-        let sparse_accum = !track_summaries || storage == ResolvedStorage::Sparse;
-        let mat_cap = if track_summaries { cap } else { 0 };
-        let dense_cap = if track_summaries && !sparse_accum {
-            cap
+        // Degrees-only engines keep tiered rows that never promote.
+        let tier = if track_summaries {
+            storage
         } else {
-            0
+            ResolvedStorage::Sparse
         };
-        let in_cap = if symmetric { 0 } else { dense_cap };
-        let in_mat_cap = if symmetric { 0 } else { mat_cap };
-        // Degrees-only engines have no phase worth a worker thread.
-        let pool = Arc::new(ThreadPool::new(if track_summaries { threads } else { 1 }));
-        let mut engine = IncrementalDegrees {
-            n,
-            k,
-            cap,
-            dout: vec![0.0; n * dense_cap],
-            din: vec![0.0; n * in_cap],
-            sparse_out: Vec::new(),
-            sparse_in: Vec::new(),
-            sparse_accum,
-            promote: track_summaries && sparse_accum,
-            out_min: vec![0.0; mat_cap * mat_cap],
-            out_max: vec![0.0; mat_cap * mat_cap],
-            in_min: vec![0.0; in_mat_cap * in_mat_cap],
-            in_max: vec![0.0; in_mat_cap * in_mat_cap],
-            out_min_arg: vec![NO_ARG; mat_cap * mat_cap],
-            out_max_arg: vec![NO_ARG; mat_cap * mat_cap],
-            in_min_arg: vec![NO_ARG; in_mat_cap * in_mat_cap],
-            in_max_arg: vec![NO_ARG; in_mat_cap * in_mat_cap],
-            out_nz: vec![0; mat_cap * mat_cap],
-            in_nz: vec![0; in_mat_cap * in_mat_cap],
-            symmetric,
-            track_summaries,
-            last_beta: 0.0,
-            row_max_err: vec![0.0; mat_cap],
-            row_best: vec![None; mat_cap],
-            row_err_dirty: vec![true; mat_cap],
-            row_best_dirty: vec![true; mat_cap],
-            node_mark: vec![0; n],
-            mark_gen: 0,
-            touched_nodes: Vec::new(),
-            touched_deltas: Vec::new(),
-            color_slot: vec![0; mat_cap],
-            touched_colors: Vec::new(),
-            shard_scratch: vec![ShardScratch::default(); pool.slots()],
-            pool,
-            par_min_touched: PAR_MIN_TOUCHED,
-            par_min_scan_work: PAR_MIN_SCAN_WORK,
-            entry_scratch_out: Vec::new(),
-            entry_scratch_in: Vec::new(),
-            dirty_scratch: Vec::new(),
-            edge_patches_out: Vec::new(),
-            edge_patches_in: Vec::new(),
-            edge_slot_out: HashMap::new(),
-            edge_slot_in: HashMap::new(),
-            edge_acc_out: Vec::new(),
-            edge_acc_in: Vec::new(),
-            edge_acc_slot_out: HashMap::new(),
-            edge_acc_slot_in: HashMap::new(),
-            chunk_out: Vec::new(),
-            merge_scratch: Vec::new(),
-            merge_scratch_in: Vec::new(),
-        };
-
+        let promote_k = if track_summaries { k } else { 0 };
         // Whole-axis initialization sweeps every arc front to back; on a
         // mapped graph let the kernel stream the cold pages in ahead of
         // the scan instead of faulting them one miss at a time.
         g.advise(ColumnAdvice::Sequential);
-        if sparse_accum {
-            // Tiered accumulator rows: per node, sum the arc weights by
-            // color in arc order (a stable sort preserves that order within
-            // a color, so the sums are bit-identical to the dense
-            // accumulation) and keep the non-zero pairs; summary engines
-            // promote rows that already meet the density bar.
-            let promote_k = if engine.promote { k } else { 0 };
-            engine.sparse_out = (0..n as NodeId)
-                .map(|v| RowRep::from_sorted(sparse_row_from_arcs(g.out_arcs(v), p), promote_k))
-                .collect();
-            if !symmetric {
-                engine.sparse_in = (0..n as NodeId)
-                    .map(|v| RowRep::from_sorted(sparse_row_from_arcs(g.in_arcs(v), p), promote_k))
-                    .collect();
-            }
-        } else {
-            // Dense accumulators: one sweep over each adjacency direction.
-            let (offs, tgts, wts) = g.out_adjacency();
-            for v in 0..n {
-                let base = v * cap;
-                for e in offs[v]..offs[v + 1] {
-                    engine.dout[base + p.color_of(tgts[e]) as usize] += wts[e];
-                }
-            }
-            if !symmetric {
-                let (offs, srcs, wts) = g.in_adjacency();
-                for v in 0..n {
-                    let base = v * cap;
-                    for e in offs[v]..offs[v + 1] {
-                        engine.din[base + p.color_of(srcs[e]) as usize] += wts[e];
-                    }
-                }
-            }
-        }
+        let colors = p.assignment();
+        let out = Accum::build(tier, n, cap, promote_k, colors, |v| g.out_arcs(v));
+        let in_rows = if symmetric { 0 } else { n };
+        let inn = Accum::build(tier, in_rows, cap, promote_k, colors, |v| g.in_arcs(v));
+        let mut engine = Self::assemble(n, k, symmetric, track_summaries, threads, 0.0, [out, inn]);
         if track_summaries {
             // Pair summaries: scan each color's members once.
             for s in 0..k {
@@ -1714,6 +1857,50 @@ impl IncrementalDegrees {
             }
         }
         engine
+    }
+
+    /// The one constructor: an engine over the given accumulators with
+    /// fresh ("no edges") pair summaries, an all-dirty witness cache and
+    /// empty scratch.
+    fn assemble(
+        n: usize,
+        k: usize,
+        symmetric: bool,
+        track_summaries: bool,
+        threads: usize,
+        last_beta: f64,
+        [out, inn]: [Accum; 2],
+    ) -> Self {
+        let cap = k.next_power_of_two().max(4);
+        let mat_cap = if track_summaries { cap } else { 0 };
+        let in_mat_cap = if symmetric { 0 } else { mat_cap };
+        // Degrees-only engines have no phase worth a worker thread.
+        let pool = Pool(ThreadPool::new(if track_summaries { threads } else { 1 }));
+        IncrementalDegrees {
+            n,
+            k,
+            cap,
+            sides: [
+                Side::new(true, cap, mat_cap, out),
+                Side::new(false, cap, in_mat_cap, inn),
+            ],
+            symmetric,
+            track_summaries,
+            last_beta,
+            rows: WitnessRows::new(mat_cap),
+            node_mark: vec![0; n],
+            mark_gen: 0,
+            touched_nodes: Vec::new(),
+            touched_deltas: Vec::new(),
+            color_slot: vec![0; mat_cap],
+            touched_colors: Vec::new(),
+            shard_scratch: vec![ShardScratch::default(); pool.0.slots()],
+            pool,
+            par_min_touched: PAR_MIN_TOUCHED,
+            par_min_scan_work: PAR_MIN_SCAN_WORK,
+            dirty_scratch: Vec::new(),
+            chunk_out: Vec::new(),
+        }
     }
 
     /// Capture the engine's complete logical state for persistence.
@@ -1728,112 +1915,30 @@ impl IncrementalDegrees {
     /// recomputed.
     #[must_use]
     pub fn snapshot(&self) -> EngineSnapshot {
-        fn tight<T: Copy>(padded: &[T], rows: usize, cols: usize, stride: usize) -> Vec<T> {
-            let mut out = Vec::with_capacity(rows * cols);
-            for r in 0..rows {
-                out.extend_from_slice(&padded[r * stride..r * stride + cols]);
-            }
-            out
-        }
-        fn rows_snapshot(rows: &[RowRep]) -> RowsSnapshot {
-            if rows.is_empty() {
-                // Absent direction (dense storage, symmetric in-side, or
-                // an empty graph): all columns empty, `is_present` false.
-                return RowsSnapshot::default();
-            }
-            let mut snap = RowsSnapshot {
-                offsets: Vec::with_capacity(rows.len() + 1),
-                colors: Vec::new(),
-                weights: Vec::new(),
-                dense: Vec::with_capacity(rows.len()),
-            };
-            snap.offsets.push(0);
-            let mut buf = Vec::new();
-            for row in rows {
-                buf.clear();
-                row.push_nonzero_entries(&mut buf);
-                for &(c, w) in &buf {
-                    snap.colors.push(c);
-                    snap.weights.push(w);
-                }
-                snap.offsets.push(snap.colors.len());
-                snap.dense.push(row.is_dense());
-            }
-            snap
-        }
-        let (n, k, cap) = (self.n, self.k, self.cap);
+        let [out, inn] = [&self.sides[0], &self.sides[1]].map(|s| s.snapshot(self.k, self.cap));
+        let sparse_accum = self.sides[0].acc.tier() == ResolvedStorage::Sparse;
         EngineSnapshot {
-            n,
-            k,
+            n: self.n,
+            k: self.k,
             symmetric: self.symmetric,
             track_summaries: self.track_summaries,
-            sparse_accum: self.sparse_accum,
-            promote: self.promote,
+            sparse_accum,
+            promote: self.track_summaries && sparse_accum,
             last_beta: self.last_beta,
-            dout: tight(&self.dout, if self.dout.is_empty() { 0 } else { n }, k, cap).into(),
-            din: tight(&self.din, if self.din.is_empty() { 0 } else { n }, k, cap).into(),
-            rows_out: rows_snapshot(&self.sparse_out),
-            rows_in: rows_snapshot(&self.sparse_in),
-            out_min: tight(
-                &self.out_min,
-                if self.out_min.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            out_max: tight(
-                &self.out_max,
-                if self.out_max.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_min: tight(
-                &self.in_min,
-                if self.in_min.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_max: tight(
-                &self.in_max,
-                if self.in_max.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            out_min_arg: tight(
-                &self.out_min_arg,
-                if self.out_min_arg.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            out_max_arg: tight(
-                &self.out_max_arg,
-                if self.out_max_arg.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_min_arg: tight(
-                &self.in_min_arg,
-                if self.in_min_arg.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_max_arg: tight(
-                &self.in_max_arg,
-                if self.in_max_arg.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            out_nz: tight(
-                &self.out_nz,
-                if self.out_nz.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
-            in_nz: tight(
-                &self.in_nz,
-                if self.in_nz.is_empty() { 0 } else { k },
-                k,
-                cap,
-            ),
+            dout: out.plane,
+            din: inn.plane,
+            rows_out: out.rows,
+            rows_in: inn.rows,
+            out_min: out.min,
+            out_max: out.max,
+            in_min: inn.min,
+            in_max: inn.max,
+            out_min_arg: out.min_arg,
+            out_max_arg: out.max_arg,
+            in_min_arg: inn.min_arg,
+            in_max_arg: inn.max_arg,
+            out_nz: out.nz,
+            in_nz: inn.nz,
         }
     }
 
@@ -1868,258 +1973,134 @@ impl IncrementalDegrees {
             "snapshot promote flag inconsistent with its mode flags"
         );
         let cap = k.next_power_of_two().max(4);
-        let mat_cap = if track_summaries { cap } else { 0 };
-        let dense_cap = if track_summaries && !sparse_accum {
-            cap
+        let tier = if sparse_accum {
+            ResolvedStorage::Sparse
         } else {
-            0
+            ResolvedStorage::Dense
         };
-        let in_cap = if symmetric { 0 } else { dense_cap };
-        let in_mat_cap = if symmetric { 0 } else { mat_cap };
-        let pool = Arc::new(ThreadPool::new(if track_summaries { threads } else { 1 }));
-
-        // Re-pad a tight rows×cols column back into the full strided
-        // buffer construction would allocate (`alloc_rows × stride`;
-        // matrices are `cap × cap`, so rows `k..cap` exist and hold
-        // background values — splits that grow `k` within capacity index
-        // them before writing). `alloc_rows == 0` marks an absent buffer.
-        fn pad<T: Copy>(
-            tight: &[T],
-            rows: usize,
-            cols: usize,
-            alloc_rows: usize,
-            stride: usize,
-            fill: T,
-        ) -> Vec<T> {
-            if alloc_rows == 0 {
-                assert!(
-                    tight.is_empty(),
-                    "snapshot column for absent matrix is non-empty"
-                );
-                return Vec::new();
-            }
-            assert_eq!(tight.len(), rows * cols, "snapshot column length mismatch");
-            let mut out = vec![fill; alloc_rows * stride];
-            for r in 0..rows {
-                out[r * stride..r * stride + cols]
-                    .copy_from_slice(&tight[r * cols..(r + 1) * cols]);
-            }
-            out
-        }
-        fn rows_restore(snap: &RowsSnapshot, n: usize, promote_k: usize) -> Vec<RowRep> {
-            if !snap.is_present() {
-                assert_eq!(
-                    n, 0,
-                    "row snapshot absent for a direction that needs {n} rows"
-                );
-                return Vec::new();
-            }
-            assert_eq!(
-                snap.offsets.len(),
-                n + 1,
-                "row snapshot offsets length mismatch"
-            );
-            assert_eq!(
-                snap.dense.len(),
-                n,
-                "row snapshot tier-flag length mismatch"
-            );
-            assert_eq!(
-                *snap.offsets.last().unwrap(),
-                snap.colors.len(),
-                "row snapshot entry count mismatch"
-            );
-            assert_eq!(
-                snap.colors.len(),
-                snap.weights.len(),
-                "row snapshot column mismatch"
-            );
-            (0..n)
-                .map(|v| {
-                    let (lo, hi) = (snap.offsets[v], snap.offsets[v + 1]);
-                    let entries: Vec<(u32, f64)> = snap.colors[lo..hi]
-                        .iter()
-                        .copied()
-                        .zip(snap.weights[lo..hi].iter().copied())
-                        .collect();
-                    if snap.dense[v] {
-                        RowRep::dense_from_sorted(&entries, promote_k)
-                    } else {
-                        RowRep::Sparse(entries)
-                    }
-                })
-                .collect()
-        }
-
         let promote_k = if promote { k } else { 0 };
-        // Mapped-restore path: the planes are read exactly once below,
-        // front to back — let the pages stream in ahead of the copy.
-        snap.dout.advise(ColumnAdvice::Sequential);
-        snap.din.advise(ColumnAdvice::Sequential);
-        IncrementalDegrees {
+        let in_rows = if symmetric { 0 } else { n };
+        let out = Accum::restore(tier, &snap.dout, &snap.rows_out, n, k, cap, promote_k);
+        let inn = Accum::restore(tier, &snap.din, &snap.rows_in, in_rows, k, cap, promote_k);
+        let mut engine = Self::assemble(
             n,
             k,
-            cap,
-            dout: pad(
-                &snap.dout,
-                n,
-                k,
-                if dense_cap > 0 { n } else { 0 },
-                cap,
-                0.0,
-            ),
-            din: pad(&snap.din, n, k, if in_cap > 0 { n } else { 0 }, cap, 0.0),
-            sparse_out: rows_restore(&snap.rows_out, if sparse_accum { n } else { 0 }, promote_k),
-            sparse_in: rows_restore(
-                &snap.rows_in,
-                if sparse_accum && !symmetric { n } else { 0 },
-                promote_k,
-            ),
-            sparse_accum,
-            promote,
-            out_min: pad(&snap.out_min, k, k, mat_cap, cap, 0.0),
-            out_max: pad(&snap.out_max, k, k, mat_cap, cap, 0.0),
-            in_min: pad(&snap.in_min, k, k, in_mat_cap, cap, 0.0),
-            in_max: pad(&snap.in_max, k, k, in_mat_cap, cap, 0.0),
-            out_min_arg: pad(&snap.out_min_arg, k, k, mat_cap, cap, NO_ARG),
-            out_max_arg: pad(&snap.out_max_arg, k, k, mat_cap, cap, NO_ARG),
-            in_min_arg: pad(&snap.in_min_arg, k, k, in_mat_cap, cap, NO_ARG),
-            in_max_arg: pad(&snap.in_max_arg, k, k, in_mat_cap, cap, NO_ARG),
-            out_nz: pad(&snap.out_nz, k, k, mat_cap, cap, 0),
-            in_nz: pad(&snap.in_nz, k, k, in_mat_cap, cap, 0),
             symmetric,
             track_summaries,
-            last_beta: snap.last_beta,
-            row_max_err: vec![0.0; mat_cap],
-            row_best: vec![None; mat_cap],
-            row_err_dirty: vec![true; mat_cap],
-            row_best_dirty: vec![true; mat_cap],
-            node_mark: vec![0; n],
-            mark_gen: 0,
-            touched_nodes: Vec::new(),
-            touched_deltas: Vec::new(),
-            color_slot: vec![0; mat_cap],
-            touched_colors: Vec::new(),
-            shard_scratch: vec![ShardScratch::default(); pool.slots()],
-            pool,
-            par_min_touched: PAR_MIN_TOUCHED,
-            par_min_scan_work: PAR_MIN_SCAN_WORK,
-            entry_scratch_out: Vec::new(),
-            entry_scratch_in: Vec::new(),
-            dirty_scratch: Vec::new(),
-            edge_patches_out: Vec::new(),
-            edge_patches_in: Vec::new(),
-            edge_slot_out: HashMap::new(),
-            edge_slot_in: HashMap::new(),
-            edge_acc_out: Vec::new(),
-            edge_acc_in: Vec::new(),
-            edge_acc_slot_out: HashMap::new(),
-            edge_acc_slot_in: HashMap::new(),
-            chunk_out: Vec::new(),
-            merge_scratch: Vec::new(),
-            merge_scratch_in: Vec::new(),
-        }
+            threads,
+            snap.last_beta,
+            [out, inn],
+        );
+        let s = snap;
+        engine.sides[0].load(
+            k,
+            cap,
+            &s.out_min,
+            &s.out_max,
+            &s.out_min_arg,
+            &s.out_max_arg,
+            &s.out_nz,
+        );
+        engine.sides[1].load(
+            k,
+            cap,
+            &s.in_min,
+            &s.in_max,
+            &s.in_min_arg,
+            &s.in_max_arg,
+            &s.in_nz,
+        );
+        engine
     }
 
-    /// Promotion hint for [`RowRep::add`]: the live color count when
-    /// tiering is active, `0` (never promote) otherwise.
+    /// Promotion hint for tiered rows ([`crate::storage::RowRep::add`]):
+    /// the live color count for summary engines, `0` (never promote) for
+    /// degrees-only ones.
     #[inline]
     fn promote_k(&self) -> usize {
-        if self.promote {
+        if self.track_summaries {
             self.k
         } else {
             0
         }
     }
 
-    /// Add `delta` to the maintained accumulator value, returning
-    /// `(old, new)` — the one write primitive shared by every event path,
-    /// identical arithmetic in both storage tiers.
+    /// The one direction accessor: the index into `sides` of the side
+    /// that holds direction `outgoing` — the out side when `outgoing ||
+    /// symmetric` (the in side mirrors it on undirected graphs), else the
+    /// in side.
     #[inline]
-    fn accum_add(&mut self, outgoing: bool, v: NodeId, col: usize, delta: f64) -> (f64, f64) {
-        if self.sparse_accum {
-            let promote_k = self.promote_k();
-            let rows = if outgoing || self.symmetric {
-                &mut self.sparse_out
-            } else {
-                &mut self.sparse_in
-            };
-            rows[v as usize].add(col as u32, delta, promote_k)
+    fn dir(&self, outgoing: bool) -> usize {
+        usize::from(!outgoing && !self.symmetric)
+    }
+
+    #[inline]
+    fn side(&self, outgoing: bool) -> &Side {
+        &self.sides[self.dir(outgoing)]
+    }
+
+    /// The directions whose sides the engine keeps (`outgoing` flags).
+    fn directions(&self) -> &'static [bool] {
+        if self.symmetric {
+            &[true]
         } else {
-            let acc = if outgoing || self.symmetric {
-                &mut self.dout
-            } else {
-                &mut self.din
-            };
-            let slot = &mut acc[v as usize * self.cap + col];
-            let old = *slot;
-            let new = old + delta;
-            *slot = new;
-            (old, new)
+            &[true, false]
         }
     }
 
-    /// Heap bytes resident in the engine's long-lived state: accumulators
-    /// (dense matrices or tiered rows), pair summaries, witness caches and
-    /// the per-node scratch. Reusable per-event scratch lists are included
-    /// too — they are part of what the process actually keeps resident.
+    /// Run one phase on direction `outgoing`'s side, moved out of the
+    /// engine for the duration so the phase can hold it mutably next to
+    /// the engine's shared scratch.
+    fn with_side<R>(&mut self, outgoing: bool, f: impl FnOnce(&mut Self, &mut Side) -> R) -> R {
+        let d = self.dir(outgoing);
+        let mut side = std::mem::take(&mut self.sides[d]);
+        let result = f(self, &mut side);
+        self.sides[d] = side;
+        result
+    }
+
+    /// Heap bytes resident in the engine: both sides (accumulators, pair
+    /// summaries and their per-event scratch), the witness cache, the
+    /// per-node and per-shard scratch and every other reusable per-event
+    /// buffer — all of it is part of what the process keeps resident.
     /// This is the number `bench_memory` reports per storage mode.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let rows = |v: &Vec<RowRep>| {
-            v.capacity() * size_of::<RowRep>() + v.iter().map(RowRep::heap_bytes).sum::<usize>()
-        };
-        let mut bytes = self.dout.capacity() * 8 + self.din.capacity() * 8;
-        bytes += rows(&self.sparse_out) + rows(&self.sparse_in);
-        bytes += (self.out_min.capacity()
-            + self.out_max.capacity()
-            + self.in_min.capacity()
-            + self.in_max.capacity())
-            * 8;
-        bytes += (self.out_min_arg.capacity()
-            + self.out_max_arg.capacity()
-            + self.in_min_arg.capacity()
-            + self.in_max_arg.capacity()
-            + self.out_nz.capacity()
-            + self.in_nz.capacity())
-            * 4;
-        bytes += self.row_max_err.capacity() * 8
-            + self.row_best.capacity() * size_of::<Option<RowBest>>()
-            + self.row_err_dirty.capacity()
-            + self.row_best_dirty.capacity();
-        bytes += self.node_mark.capacity() * 8;
-        bytes += self.touched_nodes.capacity() * 4 + self.touched_deltas.capacity() * 8;
-        bytes += self.color_slot.capacity() * 4
-            + self.touched_colors.capacity() * size_of::<TouchedColor>();
-        bytes += self
-            .shard_scratch
-            .iter()
-            .map(ShardScratch::heap_bytes)
-            .sum::<usize>();
-        bytes
+        let chunk_lists = self.chunk_out.capacity() * size_of::<(Vec<NodeId>, Vec<f64>)>()
+            + self
+                .chunk_out
+                .iter()
+                .map(|(nodes, deltas)| nodes.capacity() * 4 + deltas.capacity() * 8)
+                .sum::<usize>();
+        self.sides.iter().map(Side::heap_bytes).sum::<usize>()
+            + self.rows.heap_bytes()
+            + self.node_mark.capacity() * 8
+            + self.touched_nodes.capacity() * 4
+            + self.touched_deltas.capacity() * 8
+            + self.color_slot.capacity() * 4
+            + self.touched_colors.capacity() * size_of::<TouchedColor>()
+            + self
+                .shard_scratch
+                .iter()
+                .map(ShardScratch::heap_bytes)
+                .sum::<usize>()
+            + self.dirty_scratch.capacity() * 4
+            + chunk_lists
     }
 
     /// What [`Self::resident_bytes`] would report with a *dense*
     /// accumulator tier at the current `n × cap` shape: the measured
-    /// resident bytes with the accumulator tier swapped for `n · cap`
-    /// `f64` slots per tracked direction. For a dense engine this is the
+    /// resident bytes with the accumulators swapped for `n · cap` `f64`
+    /// slots per kept direction. For a dense engine this is the
     /// measurement itself (within allocator slack); for a sparse engine it
     /// is the analytic dense projection `bench_memory` compares against at
     /// scales where a dense engine is deliberately never built.
     #[must_use]
     pub fn projected_dense_resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let rows = |v: &Vec<RowRep>| {
-            v.capacity() * size_of::<RowRep>() + v.iter().map(RowRep::heap_bytes).sum::<usize>()
-        };
-        let accum_now = self.dout.capacity() * 8
-            + self.din.capacity() * 8
-            + rows(&self.sparse_out)
-            + rows(&self.sparse_in);
-        let dirs = if self.symmetric { 1 } else { 2 };
+        let accum_now: usize = self.sides.iter().map(|s| s.acc.heap_bytes()).sum();
         let dense_accum = if self.track_summaries {
-            self.n * self.cap * 8 * dirs
+            self.n * self.cap * 8 * self.directions().len()
         } else {
             // Degrees-only engines never hold dense accumulators.
             accum_now
@@ -2170,51 +2151,13 @@ impl IncrementalDegrees {
     /// The maintained `w(v, P_j)` accumulator.
     #[inline]
     pub fn out_degree_of(&self, v: NodeId, color: u32) -> f64 {
-        if self.sparse_accum {
-            return self.sparse_out[v as usize].get(color);
-        }
-        self.dout[v as usize * self.cap + color as usize]
+        self.side(true).acc.get(v, color)
     }
 
     /// The maintained `w(P_j, v)` accumulator.
     #[inline]
     pub fn in_degree_of(&self, v: NodeId, color: u32) -> f64 {
-        if self.symmetric {
-            return self.out_degree_of(v, color);
-        }
-        if self.sparse_accum {
-            return self.sparse_in[v as usize].get(color);
-        }
-        self.din[v as usize * self.cap + color as usize]
-    }
-
-    /// The full out-degree accumulator row of `v` (length `k`). Contiguous
-    /// rows exist only in dense-storage summary engines; sparse-storage and
-    /// degrees-only engines keep tiered rows and panic here — read
-    /// per-color values through [`Self::out_degree_of`] instead.
-    #[inline]
-    pub fn out_row(&self, v: NodeId) -> &[f64] {
-        assert!(
-            !self.sparse_accum,
-            "sparse-storage engines keep tiered rows; use out_degree_of"
-        );
-        let base = v as usize * self.cap;
-        &self.dout[base..base + self.k]
-    }
-
-    /// The full in-degree accumulator row of `v` (length `k`); see
-    /// [`Self::out_row`] for the sparse-storage caveat.
-    #[inline]
-    pub fn in_row(&self, v: NodeId) -> &[f64] {
-        if self.symmetric {
-            return self.out_row(v);
-        }
-        assert!(
-            !self.sparse_accum,
-            "sparse-storage engines keep tiered rows; use in_degree_of"
-        );
-        let base = v as usize * self.cap;
-        &self.din[base..base + self.k]
+        self.side(false).acc.get(v, color)
     }
 
     /// Outgoing error `U − L` at `(i, j)` (same convention as
@@ -2225,7 +2168,7 @@ impl IncrementalDegrees {
             self.track_summaries,
             "pair summaries not tracked by this engine"
         );
-        self.out_max[i * self.cap + j] - self.out_min[i * self.cap + j]
+        self.side(true).pairs.error(i, j)
     }
 
     /// Incoming error at `(i, j)` (same convention as
@@ -2236,10 +2179,7 @@ impl IncrementalDegrees {
             self.track_summaries,
             "pair summaries not tracked by this engine"
         );
-        if self.symmetric {
-            return self.out_error(j, i);
-        }
-        self.in_max[i * self.cap + j] - self.in_min[i * self.cap + j]
+        self.side(false).pairs.error(j, i)
     }
 
     /// Package the engine's pair summaries as a [`QErrorReport`] — the
@@ -2253,6 +2193,7 @@ impl IncrementalDegrees {
             "q_report requires a summary-tracking engine"
         );
         let k = self.k;
+        let out = &self.side(true).pairs;
         let mut max_q = 0.0f64;
         let mut worst = None;
         let mut total = 0.0f64;
@@ -2269,7 +2210,7 @@ impl IncrementalDegrees {
                     max_q = ei;
                     worst = Some((i as u32, j as u32, Direction::In));
                 }
-                if self.out_nz[i * self.cap + j] > 0 {
+                if out.nz[out.at(i, j)] > 0 {
                     total += eo;
                     total += ei;
                     count += 2;
@@ -2311,85 +2252,61 @@ impl IncrementalDegrees {
         self.k += 1;
 
         if !self.track_summaries {
-            self.apply_split_degrees_only(g, event);
-            #[cfg(debug_assertions)]
-            {
-                debug_assert_eq!(
-                    self.verify_against(g, p),
-                    Ok(()),
-                    "incremental state diverged from scratch recomputation"
-                );
+            // Degrees-only: shift each touched row's mass from the parent
+            // to the child column, `O(deg(moved) · log deg)`.
+            for &outgoing in self.directions() {
+                self.collect_touched(g, &event.moved_nodes, outgoing);
+                let d = self.dir(outgoing);
+                let (nodes, deltas) = (&self.touched_nodes, &self.touched_deltas);
+                self.sides[d]
+                    .acc
+                    .shift(nodes, deltas, c as u32, child as u32, 0);
             }
-            return;
-        }
-        let cap = self.cap;
-
-        // Fresh row/column for the child: "no edges" until proven
-        // otherwise.
-        for i in 0..self.k {
-            self.out_min[i * cap + child] = 0.0;
-            self.out_max[i * cap + child] = 0.0;
-            self.out_min[child * cap + i] = 0.0;
-            self.out_max[child * cap + i] = 0.0;
-            self.out_min_arg[i * cap + child] = NO_ARG;
-            self.out_max_arg[i * cap + child] = NO_ARG;
-            self.out_min_arg[child * cap + i] = NO_ARG;
-            self.out_max_arg[child * cap + i] = NO_ARG;
-            self.out_nz[i * cap + child] = 0;
-            self.out_nz[child * cap + i] = 0;
-            if !self.symmetric {
-                self.in_min[i * cap + child] = 0.0;
-                self.in_max[i * cap + child] = 0.0;
-                self.in_min[child * cap + i] = 0.0;
-                self.in_max[child * cap + i] = 0.0;
-                self.in_min_arg[i * cap + child] = NO_ARG;
-                self.in_max_arg[i * cap + child] = NO_ARG;
-                self.in_min_arg[child * cap + i] = NO_ARG;
-                self.in_max_arg[child * cap + i] = NO_ARG;
-                self.in_nz[i * cap + child] = 0;
-                self.in_nz[child * cap + i] = 0;
-            }
-        }
-        self.row_max_err[child] = 0.0;
-        self.row_best[child] = None;
-
-        // ---- Out side: sources with edges into the moved nodes (their
-        // dout mass shifts from column `parent` to column `child`), then
-        // for directed graphs the mirrored in side (targets of the moved
-        // nodes' out-edges).
-        self.collect_touched(g, &event.moved_nodes, true);
-        self.apply_side(p, c, child, true);
-        if !self.symmetric {
-            self.collect_touched(g, &event.moved_nodes, false);
-            self.apply_side(p, c, child, false);
-        }
-
-        // ---- Member axes of child and parent. The child is rebuilt from
-        // its members' (now final) accumulator rows; the parent's entries
-        // over unchanged columns only shrank in membership, so they keep
-        // their value unless their tracked extremum attainer departed to
-        // the child (then a one-column member rescan re-derives it).
-        self.recompute_color_axis(p, child);
-        self.recompute_parent_axis(p, c, child);
-
-        // ---- Witness-row invalidation: rows recomputed above changed
-        // entries (error and best both stale), and any cached best that
-        // pointed at the parent saw its target *size* change — its error is
-        // untouched, so only the β-weighted best goes stale. A negative β
-        // voids that shortcut: shrinking a target color *raises* candidate
-        // weights, so stale non-best candidates can overtake silently —
-        // dirty every row's best.
-        self.row_err_dirty[c] = true;
-        self.row_best_dirty[c] = true;
-        self.row_err_dirty[child] = true;
-        self.row_best_dirty[child] = true;
-        if self.last_beta < 0.0 {
-            self.row_best_dirty[..self.k].fill(true);
         } else {
-            for s in 0..self.k {
-                if let Some(best) = &self.row_best[s] {
-                    if best.other as usize == c {
-                        self.row_best_dirty[s] = true;
+            // Fresh row/column for the child: "no edges" until proven
+            // otherwise.
+            for &outgoing in self.directions() {
+                let d = self.dir(outgoing);
+                self.sides[d].pairs.clear_color(child, self.k);
+            }
+            self.rows.max_err[child] = 0.0;
+            self.rows.best[child] = None;
+
+            // Per side, the nodes whose rows shift from column `parent` to
+            // column `child` are the moved nodes' neighbors against that
+            // direction (sources of their in-arcs for the out side).
+            for &outgoing in self.directions() {
+                self.collect_touched(g, &event.moved_nodes, outgoing);
+                self.with_side(outgoing, |e, side| e.apply_side(side, p, c, child));
+            }
+
+            // Member axes of child and parent. The child is rebuilt from
+            // its members' (now final) accumulator rows; the parent's
+            // entries over unchanged columns only shrank in membership, so
+            // they keep their value unless their tracked extremum attainer
+            // departed to the child.
+            self.recompute_color_axis(p, child);
+            for &outgoing in self.directions() {
+                self.with_side(outgoing, |e, side| e.repair_parent_axis(side, p, c, child));
+            }
+
+            // Witness-row invalidation: rows recomputed above changed
+            // entries (error and best both stale), and any cached best
+            // that pointed at the parent saw its target *size* change —
+            // its error is untouched, so only the β-weighted best goes
+            // stale. A negative β voids that shortcut: shrinking a target
+            // color *raises* candidate weights, so stale non-best
+            // candidates can overtake silently — dirty every row's best.
+            self.rows.dirty(c);
+            self.rows.dirty(child);
+            if self.last_beta < 0.0 {
+                self.rows.best_dirty[..self.k].fill(true);
+            } else {
+                for s in 0..self.k {
+                    if let Some(best) = &self.rows.best[s] {
+                        if best.other as usize == c {
+                            self.rows.best_dirty[s] = true;
+                        }
                     }
                 }
             }
@@ -2405,44 +2322,13 @@ impl IncrementalDegrees {
         }
     }
 
-    /// The degrees-only split path: shift each touched node's sparse
-    /// accumulator mass from the parent to the child column. Pure
-    /// `O(deg(moved) · log deg)` — no summaries, no matrices.
-    fn apply_split_degrees_only(&mut self, g: &Graph, event: &SplitEvent) {
-        let c = event.parent;
-        let child = event.child;
-        // Incoming arcs identify the nodes whose *out*-rows change, and
-        // vice versa; undirected graphs mirror, so one pass suffices.
-        let directions: &[bool] = if self.symmetric {
-            &[true]
-        } else {
-            &[true, false]
-        };
-        for &incoming in directions {
-            self.collect_touched(g, &event.moved_nodes, incoming);
-            let touched = std::mem::take(&mut self.touched_nodes);
-            let deltas = std::mem::take(&mut self.touched_deltas);
-            for (&u, &d) in touched.iter().zip(deltas.iter()) {
-                let row = if incoming {
-                    &mut self.sparse_out[u as usize]
-                } else {
-                    &mut self.sparse_in[u as usize]
-                };
-                row.add(c, -d, 0);
-                row.add(child, d, 0);
-            }
-            self.touched_nodes = touched;
-            self.touched_deltas = deltas;
-        }
-    }
-
     /// Patch the engine for a batch of edge events — graph-free dynamic
-    /// maintenance (see the module docs, "Edge-event maintenance"). `p` is
-    /// the *unchanged* partition the engine is synchronized with; each
-    /// event carries the signed weight delta of one logical edge
-    /// (undirected events are applied to both stored arc directions,
-    /// self-loops once), exactly as
-    /// `qsc_graph::delta::GraphDelta::drain_events` produces them.
+    /// maintenance (see the module docs, "Edge batches"). `p` is the
+    /// *unchanged* partition the engine is synchronized with; each event
+    /// carries the signed weight delta of one logical edge (undirected
+    /// events are applied to both stored arc directions, self-loops
+    /// once), exactly as `qsc_graph::delta::GraphDelta::drain_events`
+    /// produces them.
     ///
     /// Cost: `O(events + touched entries)` plus a one-column member rescan
     /// for each pair summary that provably lost a tracked extremum.
@@ -2454,248 +2340,66 @@ impl IncrementalDegrees {
         if events.is_empty() {
             return;
         }
+        for &outgoing in self.directions() {
+            self.with_side(outgoing, |e, side| e.edge_side(side, p, events, outgoing));
+        }
+    }
+
+    /// One side of an edge batch. An event `(s, t, Δ)` changes `s`'s
+    /// out-value at `color(t)` and `t`'s in-value at `color(s)`; on
+    /// undirected graphs the mirrored arc is `t`'s out-value at
+    /// `color(s)` (a self-loop is a single stored arc).
+    fn edge_side(&mut self, side: &mut Side, p: &Partition, events: &[EdgeEvent], outgoing: bool) {
+        let symmetric = self.symmetric;
+        let arcs = events.iter().flat_map(|ev| {
+            let (u, w) = if outgoing {
+                (ev.source, ev.target)
+            } else {
+                (ev.target, ev.source)
+            };
+            let mirror = (symmetric && u != w).then_some((w, u, ev.delta));
+            std::iter::once((u, w, ev.delta)).chain(mirror)
+        });
         if !self.track_summaries {
-            // Degrees-only mode: pure sparse-row updates, O(log deg) each.
-            for ev in events {
-                let cu = p.color_of(ev.source);
-                let cv = p.color_of(ev.target);
-                self.sparse_out[ev.source as usize].add(cv, ev.delta, 0);
-                if self.symmetric {
-                    if ev.source != ev.target {
-                        self.sparse_out[ev.target as usize].add(cu, ev.delta, 0);
-                    }
-                } else {
-                    self.sparse_in[ev.target as usize].add(cu, ev.delta, 0);
-                }
+            // Degrees-only mode: pure row updates, in event order.
+            for (u, w, delta) in arcs {
+                side.acc.add(u, p.color_of(w), delta, 0);
             }
             return;
         }
-        self.edge_patches_out.clear();
-        self.edge_patches_in.clear();
-        self.edge_slot_out.clear();
-        self.edge_slot_in.clear();
         // Combine the events into one delta per (node, column) first: the
-        // entry-patch rules below (inline extension + exact lost-extremum
-        // detection) are sound only when each accumulator cell changes
-        // exactly once per batch, as on the split path.
-        let mut acc_out = std::mem::take(&mut self.edge_acc_out);
-        let mut acc_in = std::mem::take(&mut self.edge_acc_in);
-        acc_out.clear();
-        acc_in.clear();
-        self.edge_acc_slot_out.clear();
-        self.edge_acc_slot_in.clear();
-        for ev in events {
-            let cu = p.color_of(ev.source);
-            let cv = p.color_of(ev.target);
-            accumulate_edge(
-                &mut acc_out,
-                &mut self.edge_acc_slot_out,
-                ev.source,
-                cv,
-                ev.delta,
-            );
-            if self.symmetric {
-                // The mirrored arc's out-accumulator (the in-state is not
-                // stored); a self-loop is a single stored arc.
-                if ev.source != ev.target {
-                    accumulate_edge(
-                        &mut acc_out,
-                        &mut self.edge_acc_slot_out,
-                        ev.target,
-                        cu,
-                        ev.delta,
-                    );
-                }
-            } else {
-                accumulate_edge(
-                    &mut acc_in,
-                    &mut self.edge_acc_slot_in,
-                    ev.target,
-                    cu,
-                    ev.delta,
-                );
-            }
+        // entry patch rules are sound only when each accumulator value
+        // changes exactly once per batch, as on the split path.
+        side.combined.clear();
+        side.combined_slot.clear();
+        for (u, w, delta) in arcs {
+            side.combine(u, p.color_of(w), delta);
         }
-        for &(u, col, d) in &acc_out {
+        side.patches.clear();
+        side.patch_slot.clear();
+        let promote_k = self.promote_k();
+        for i in 0..side.combined.len() {
+            let (u, col, d) = side.combined[i];
             if d != 0.0 {
-                self.patch_edge_value(true, u, p.color_of(u), col, d);
+                side.patch_edge(u, p.color_of(u), col, d, promote_k);
             }
         }
-        self.finalize_edge_batch(p, true);
-        if !self.symmetric {
-            for &(u, col, d) in &acc_in {
-                if d != 0.0 {
-                    self.patch_edge_value(false, u, p.color_of(u), col, d);
-                }
-            }
-            self.finalize_edge_batch(p, false);
-        }
-        self.edge_acc_out = acc_out;
-        self.edge_acc_in = acc_in;
-    }
-
-    /// Apply one arc-accumulator change of an edge batch and fold it into
-    /// the affected pair-summary entry's patch record. `member_color` is
-    /// the color of `u` (the node whose accumulator row changes); the
-    /// entry is `(member_color, other_color)` in the out matrix or
-    /// `(other_color, member_color)` in the in matrix.
-    fn patch_edge_value(
-        &mut self,
-        outgoing: bool,
-        u: NodeId,
-        member_color: u32,
-        other_color: u32,
-        delta: f64,
-    ) {
-        let cap = self.cap;
-        let (old, new) = self.accum_add(outgoing, u, other_color as usize, delta);
-        let (entry_row, entry_col) = if outgoing {
-            (member_color, other_color)
-        } else {
-            (other_color, member_color)
-        };
-        let idx = entry_row as usize * cap + entry_col as usize;
-        let (cur_min, cur_max, arg_min, arg_max) = if outgoing {
-            (
-                self.out_min[idx],
-                self.out_max[idx],
-                self.out_min_arg[idx],
-                self.out_max_arg[idx],
-            )
-        } else {
-            (
-                self.in_min[idx],
-                self.in_max[idx],
-                self.in_min_arg[idx],
-                self.in_max_arg[idx],
-            )
-        };
-        let (patches, slots) = if outgoing {
-            (&mut self.edge_patches_out, &mut self.edge_slot_out)
-        } else {
-            (&mut self.edge_patches_in, &mut self.edge_slot_in)
-        };
-        let slot = *slots.entry(idx).or_insert_with(|| {
-            patches.push(EdgeEntryPatch {
-                row: entry_row,
-                col: entry_col,
-                orig_min: cur_min,
-                orig_max: cur_max,
-                rescan_min: false,
-                rescan_max: false,
-                nz_delta: 0,
-            });
-            patches.len() - 1
-        });
-        let rec = &mut patches[slot];
-        // Exact lost-extremum test against the batch-start snapshot, with
-        // unknown attainers falling back to the conservative heuristic —
-        // the same rule as [`ShardScratch::fold`] on the split path.
-        if new < old {
-            if old == rec.orig_max && (arg_max == NO_ARG || arg_max == u) {
-                rec.rescan_max = true;
-            }
-        } else if new > old && old == rec.orig_min && (arg_min == NO_ARG || arg_min == u) {
-            rec.rescan_min = true;
-        }
-        if (old == 0.0) != (new == 0.0) {
-            rec.nz_delta += if new != 0.0 { 1 } else { -1 };
-        }
-        let (emn, emx, amn, amx) = if outgoing {
-            (
-                &mut self.out_min[idx],
-                &mut self.out_max[idx],
-                &mut self.out_min_arg[idx],
-                &mut self.out_max_arg[idx],
-            )
-        } else {
-            (
-                &mut self.in_min[idx],
-                &mut self.in_max[idx],
-                &mut self.in_min_arg[idx],
-                &mut self.in_max_arg[idx],
-            )
-        };
-        if new < *emn {
-            *emn = new;
-            *amn = u;
-        }
-        if new > *emx {
-            *emx = new;
-            *amx = u;
-        }
-    }
-
-    /// Finalize one direction of an edge batch: apply the queued
-    /// zero-crossing count deltas, decide which flagged extrema actually
-    /// need a member rescan (the `min == 0` zero-member rule cancels the
-    /// rest, exactly as on the split path), run the rescans, and dirty the
-    /// touched witness rows.
-    fn finalize_edge_batch(&mut self, p: &Partition, outgoing: bool) {
-        let cap = self.cap;
-        let patches = std::mem::take(if outgoing {
-            &mut self.edge_patches_out
-        } else {
-            &mut self.edge_patches_in
-        });
-        let mut rescans = std::mem::take(if outgoing {
-            &mut self.entry_scratch_out
-        } else {
-            &mut self.entry_scratch_in
-        });
-        rescans.clear();
+        let patches = std::mem::take(&mut side.patches);
         for rec in &patches {
-            let idx = rec.row as usize * cap + rec.col as usize;
-            let member_color = if outgoing { rec.row } else { rec.col };
-            let size = p.size(member_color);
-            let nz = {
-                let slot = if outgoing {
-                    &mut self.out_nz[idx]
-                } else {
-                    &mut self.in_nz[idx]
-                };
-                *slot = (*slot as i64 + rec.nz_delta) as u32;
-                *slot
-            };
-            let (mn, mx) = if outgoing {
-                (self.out_min[idx], self.out_max[idx])
-            } else {
-                (self.in_min[idx], self.in_max[idx])
-            };
-            let zero_member = (nz as usize) < size;
-            let need = (rec.rescan_min && !(mn == 0.0 && zero_member))
-                || (rec.rescan_max && !(mx == 0.0 && zero_member));
-            if need {
-                rescans.push((rec.row, rec.col));
-            } else {
-                // A flagged side whose zero extremum provably stands keeps
-                // its value but no longer knows a specific attainer.
-                if rec.rescan_min {
-                    if outgoing {
-                        self.out_min_arg[idx] = NO_ARG;
-                    } else {
-                        self.in_min_arg[idx] = NO_ARG;
-                    }
-                }
-                if rec.rescan_max {
-                    if outgoing {
-                        self.out_max_arg[idx] = NO_ARG;
-                    } else {
-                        self.in_max_arg[idx] = NO_ARG;
-                    }
-                }
-            }
-            self.row_err_dirty[member_color as usize] = true;
-            self.row_best_dirty[member_color as usize] = true;
+            let size = p.size(rec.member);
+            let (lo, hi) = (rec.rescan_min, rec.rescan_max);
+            side.settle(
+                &mut self.rows,
+                rec.member,
+                rec.other,
+                size,
+                rec.nz_delta,
+                lo,
+                hi,
+            );
         }
-        self.rescan_entries(p, &rescans, outgoing);
-        if outgoing {
-            self.entry_scratch_out = rescans;
-            self.edge_patches_out = patches;
-        } else {
-            self.entry_scratch_in = rescans;
-            self.edge_patches_in = patches;
-        }
+        side.patches = patches;
+        self.rescan_queued(side, p);
     }
 
     /// The best coarsening candidate: the color pair whose merge has the
@@ -2713,15 +2417,7 @@ impl IncrementalDegrees {
         if self.k < 2 {
             return None;
         }
-        let view = SummaryView {
-            k: self.k,
-            cap: self.cap,
-            symmetric: self.symmetric,
-            out_min: &self.out_min,
-            out_max: &self.out_max,
-            in_min: &self.in_min,
-            in_max: &self.in_max,
-        };
+        let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
         pick_merge_view(&view, self.k, max_bound)
     }
 
@@ -2736,15 +2432,7 @@ impl IncrementalDegrees {
             "merge bounds require a summary-tracking engine"
         );
         assert!((a as usize) < self.k && (b as usize) < self.k && a < b);
-        let view = SummaryView {
-            k: self.k,
-            cap: self.cap,
-            symmetric: self.symmetric,
-            out_min: &self.out_min,
-            out_max: &self.out_max,
-            in_min: &self.in_min,
-            in_max: &self.in_max,
-        };
+        let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
         merge_bound(&view, self.k, a as usize, b as usize, f64::INFINITY)
     }
 
@@ -2754,7 +2442,7 @@ impl IncrementalDegrees {
     ///
     /// A merged pair's bound dominates each color's own cached row error
     /// (every union term contains the color's own spread), so only colors
-    /// with `row_max_err <= max_bound` can participate — the scan
+    /// with a cached row error `<= max_bound` can participate — the scan
     /// prefilters to those in `O(k)` and pays `O(|eligible|² · k)` for the
     /// bounds, which in steady maintenance (most colors split right up to
     /// the target) is far below the naive `O(k³)`. Requires
@@ -2766,20 +2454,12 @@ impl IncrementalDegrees {
             "merge candidates require a summary-tracking engine"
         );
         debug_assert!(
-            self.row_err_dirty[..self.k].iter().all(|d| !d),
+            self.rows.err_dirty[..self.k].iter().all(|d| !d),
             "merge_candidates with dirty rows; call refresh() first"
         );
-        let view = SummaryView {
-            k: self.k,
-            cap: self.cap,
-            symmetric: self.symmetric,
-            out_min: &self.out_min,
-            out_max: &self.out_max,
-            in_min: &self.in_min,
-            in_max: &self.in_max,
-        };
+        let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
         let eligible: Vec<usize> = (0..self.k)
-            .filter(|&c| self.row_max_err[c] <= max_bound)
+            .filter(|&c| self.rows.max_err[c] <= max_bound)
             .collect();
         let mut out = Vec::new();
         for (i, &a) in eligible.iter().enumerate() {
@@ -2831,72 +2511,24 @@ impl IncrementalDegrees {
             "merge event relabel does not match the engine's color count"
         );
 
-        if !self.track_summaries {
-            self.apply_merge_degrees_only(g, p, event);
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(self.verify_against(g, p), Ok(()), "merge diverged");
-            return;
-        }
-
-        let cap = self.cap;
-        // ---- Fold the accumulator columns, capturing (node, old, new)
-        // winner-column values so entry patches can run after the relabel,
-        // in the final id space.
-        let directions: &[bool] = if self.symmetric {
-            &[true]
-        } else {
-            &[true, false]
-        };
-        let mut captures: Vec<Vec<(NodeId, f64, f64)>> = Vec::with_capacity(2);
-        for (dir_idx, &outgoing) in directions.iter().enumerate() {
-            // In-neighbors of the moved members hold the non-zero
-            // out-accumulator entries towards the loser (and vice versa).
+        // ---- Fold the accumulator columns. Neighbors of the moved members
+        // against each direction hold its non-zero values towards the
+        // loser. Each side captures (node, old, new) winner-column values
+        // so its entry patches can run after the relabel, in the final id
+        // space.
+        let promote_k = self.promote_k();
+        for &outgoing in self.directions() {
             self.collect_touched(g, &event.moved_nodes, outgoing);
-            let touched = std::mem::take(&mut self.touched_nodes);
-            let mut capture = std::mem::take(if dir_idx == 0 {
-                &mut self.merge_scratch
-            } else {
-                &mut self.merge_scratch_in
-            });
-            capture.clear();
-            if self.sparse_accum {
-                let promote_k = self.promote_k();
-                let rows = if outgoing {
-                    &mut self.sparse_out
-                } else {
-                    &mut self.sparse_in
-                };
-                for &u in &touched {
-                    let row = &mut rows[u as usize];
-                    let lost = row.get(loser as u32);
-                    if lost == 0.0 {
-                        continue;
-                    }
-                    row.add(loser as u32, -lost, promote_k);
-                    let (old, new) = row.add(winner as u32, lost, promote_k);
-                    capture.push((u, old, new));
-                }
-            } else {
-                let acc = if outgoing {
-                    &mut self.dout
-                } else {
-                    &mut self.din
-                };
-                for &u in &touched {
-                    let base = u as usize * cap;
-                    let lost = acc[base + loser];
-                    if lost == 0.0 {
-                        continue;
-                    }
-                    let old = acc[base + winner];
-                    let new = old + lost;
-                    acc[base + winner] = new;
-                    acc[base + loser] = 0.0;
-                    capture.push((u, old, new));
-                }
-            }
-            captures.push(capture);
-            self.touched_nodes = touched;
+            let d = self.dir(outgoing);
+            let side = &mut self.sides[d];
+            let (from, into) = (loser as u32, winner as u32);
+            side.acc.fold_column(
+                &self.touched_nodes,
+                from,
+                into,
+                promote_k,
+                &mut side.capture,
+            );
         }
 
         // ---- Relabel the ex-last color into the freed loser slot (no-op
@@ -2907,80 +2539,36 @@ impl IncrementalDegrees {
         self.k -= 1;
         let k = self.k;
 
-        // ---- Patch entries over other colors' member axes from the
-        // captured folds, now with partition and engine ids aligned.
-        for (dir_idx, &outgoing) in directions.iter().enumerate() {
-            let capture = std::mem::take(&mut captures[dir_idx]);
-            self.begin_shard_records(1);
-            {
-                let (emin, emax, amin, amax) = if outgoing {
-                    (
-                        &self.out_min,
-                        &self.out_max,
-                        &self.out_min_arg,
-                        &self.out_max_arg,
-                    )
-                } else {
-                    (
-                        &self.in_min,
-                        &self.in_max,
-                        &self.in_min_arg,
-                        &self.in_max_arg,
-                    )
-                };
-                let sc = &mut self.shard_scratch[0];
-                for &(u, old, new) in &capture {
-                    let i = p.color_of(u) as usize;
-                    if i == winner {
-                        continue; // the winner's axis is rebuilt below
-                    }
-                    let idx = if outgoing {
-                        i * cap + winner
-                    } else {
-                        winner * cap + i
-                    };
-                    sc.fold(
-                        i as u32, u, old, new, 0.0, emin[idx], emax[idx], amin[idx], amax[idx],
-                    );
-                }
+        if self.track_summaries {
+            // ---- Patch entries over other colors' member axes from the
+            // captured folds, now with partition and engine ids aligned.
+            for &outgoing in self.directions() {
+                self.with_side(outgoing, |e, side| e.patch_merge_side(side, p, winner));
             }
-            self.merge_shard_records(1, winner, outgoing);
-            if dir_idx == 0 {
-                self.merge_scratch = capture;
-            } else {
-                self.merge_scratch_in = capture;
-            }
-            self.finalize_merge_side(p, winner, outgoing);
-        }
 
-        // ---- The winner's member axis (rows (winner, ·) and in-entries
-        // (·, winner)) is rebuilt from the merged member list.
-        self.recompute_color_axis(p, winner);
+            // ---- The winner's member axis is rebuilt from the merged
+            // member list.
+            self.recompute_color_axis(p, winner);
 
-        // ---- Witness bookkeeping: cached bests still name pre-merge
-        // colors — the merged-away loser invalidates and the relabeled
-        // ex-last renames. The winner's size *grew*, which is the reverse
-        // of the split path: with any non-zero β a non-best candidate
-        // targeting the winner can silently overtake an untouched row's
-        // cached best (β > 0: its weight rose; β < 0: the best's own
-        // weight fell), so every row's best goes stale. With β = 0 the
-        // weights are size-independent and the targeted invalidation
-        // suffices.
-        if self.last_beta != 0.0 {
-            self.row_best_dirty[..k].fill(true);
-            for s in 0..k {
-                if let Some(best) = &mut self.row_best[s] {
-                    if best.other as usize == last {
-                        best.other = loser as u32;
-                    }
-                }
+            // ---- Witness bookkeeping: cached bests still name pre-merge
+            // colors — the merged-away loser invalidates and the relabeled
+            // ex-last renames. The winner's size *grew*, which is the
+            // reverse of the split path: with any non-zero β a non-best
+            // candidate targeting the winner can silently overtake an
+            // untouched row's cached best (β > 0: its weight rose; β < 0:
+            // the best's own weight fell), so every row's best goes stale.
+            // With β = 0 the weights are size-independent and the targeted
+            // invalidation suffices.
+            let beta_weighted = self.last_beta != 0.0;
+            if beta_weighted {
+                self.rows.best_dirty[..k].fill(true);
             }
-        } else {
             for s in 0..k {
-                if let Some(best) = &mut self.row_best[s] {
-                    if best.other as usize == loser || best.other as usize == winner {
-                        self.row_best_dirty[s] = true;
-                    } else if best.other as usize == last {
+                if let Some(best) = &mut self.rows.best[s] {
+                    let other = best.other as usize;
+                    if !beta_weighted && (other == loser || other == winner) {
+                        self.rows.best_dirty[s] = true;
+                    } else if other == last {
                         best.other = loser as u32;
                     }
                 }
@@ -2995,206 +2583,53 @@ impl IncrementalDegrees {
         );
     }
 
-    /// The degrees-only merge path: fold the loser column of every touched
-    /// sparse row into the winner, then relabel the ex-last color.
-    fn apply_merge_degrees_only(&mut self, g: &Graph, p: &Partition, event: &MergeEvent) {
-        let winner = event.winner;
-        let loser = event.loser;
-        let last = (self.k - 1) as u32;
-        let directions: &[bool] = if self.symmetric {
-            &[true]
-        } else {
-            &[true, false]
-        };
-        for &outgoing in directions {
-            self.collect_touched(g, &event.moved_nodes, outgoing);
-            let touched = std::mem::take(&mut self.touched_nodes);
-            for &u in &touched {
-                let row = if outgoing {
-                    &mut self.sparse_out[u as usize]
-                } else {
-                    &mut self.sparse_in[u as usize]
-                };
-                let lost = row.get(loser);
-                if lost != 0.0 {
-                    row.add(loser, -lost, 0);
-                    row.add(winner, lost, 0);
-                }
+    /// One side of a merge's entry patch: fold the captured winner-column
+    /// changes into the entries `(member color, winner)` over the other
+    /// colors' member axes (as one shard), then settle and rescan them.
+    fn patch_merge_side(&mut self, side: &mut Side, p: &Partition, winner: usize) {
+        self.begin_shard_records(1);
+        let sc = &mut self.shard_scratch[0];
+        let pr = &side.pairs;
+        for &(u, old, new) in &side.capture {
+            let i = p.color_of(u) as usize;
+            if i == winner {
+                continue; // the winner's axis is rebuilt afterwards
             }
-            self.touched_nodes = touched;
-            if loser != last {
-                // Relabel: move the ex-last column into the freed slot for
-                // the (in/out-)neighbors of the relabeled class.
-                self.collect_touched(g, p.members(loser), outgoing);
-                let touched = std::mem::take(&mut self.touched_nodes);
-                for &u in &touched {
-                    let row = if outgoing {
-                        &mut self.sparse_out[u as usize]
-                    } else {
-                        &mut self.sparse_in[u as usize]
-                    };
-                    row.relabel(last, loser);
-                }
-                self.touched_nodes = touched;
-            }
+            let idx = pr.at(i, winner);
+            let (mn, mx, amn, amx) = (pr.min[idx], pr.max[idx], pr.min_arg[idx], pr.max_arg[idx]);
+            sc.fold(i as u32, u, old, new, 0.0, mn, mx, amn, amx);
         }
-        self.k -= 1;
+        self.merge_shard_records(side, 1, winner);
+        self.settle_touched(side, p, winner);
+        self.rescan_queued(side, p);
     }
 
     /// Move color `last = k - 1`'s engine state into the freed `loser`
-    /// slot: accumulator columns for the relabeled class's neighbors,
-    /// row/column copies in every pair-summary array, and the witness-row
-    /// caches. Values are copied, never recomputed, so the relabel is
-    /// exact. Runs with the *old* `k` still in place.
+    /// slot: accumulator columns for the relabeled class's neighbors (the
+    /// only rows holding values at `last`; the merged-away loser's column
+    /// was zeroed by the fold), row/column copies in every summary matrix,
+    /// and the witness-row caches. Values are copied, never recomputed, so
+    /// the relabel is exact. Runs with the *old* `k` still in place.
     fn relabel_last_color(&mut self, g: &Graph, p: &Partition, loser: usize) {
-        let cap = self.cap;
         let last = self.k - 1;
-        // Accumulator columns: only the relabeled class's neighbors hold
-        // non-zero values in column `last` (the merged-away loser's column
-        // was zeroed by the fold).
-        let directions: &[bool] = if self.symmetric {
-            &[true]
-        } else {
-            &[true, false]
-        };
-        for &outgoing in directions {
+        for &outgoing in self.directions() {
             self.collect_touched(g, p.members(loser as u32), outgoing);
-            let touched = std::mem::take(&mut self.touched_nodes);
-            if self.sparse_accum {
-                let rows = if outgoing {
-                    &mut self.sparse_out
-                } else {
-                    &mut self.sparse_in
-                };
-                for &u in &touched {
-                    rows[u as usize].relabel(last as u32, loser as u32);
-                }
-            } else {
-                let acc = if outgoing {
-                    &mut self.dout
-                } else {
-                    &mut self.din
-                };
-                for &u in &touched {
-                    let base = u as usize * cap;
-                    acc[base + loser] = acc[base + last];
-                    acc[base + last] = 0.0;
-                }
+            let d = self.dir(outgoing);
+            let side = &mut self.sides[d];
+            side.acc
+                .relabel(&self.touched_nodes, last as u32, loser as u32);
+            if self.track_summaries {
+                side.pairs.relabel(self.k, last, loser);
             }
-            self.touched_nodes = touched;
         }
-        // Pair-summary arrays: row and column `last` move to `loser`
-        // (diagonal handled explicitly).
-        let k = self.k;
-        // `from` is always the last live color, so the skip set `{from, to}`
-        // splits the column range into two contiguous runs — the row moves
-        // become two `copy_within` memmoves and the (strided) column moves
-        // two branch-free loops, touching exactly the cells the old
-        // skip-branch loop touched.
-        fn relabel<T: Copy>(m: &mut [T], cap: usize, k: usize, from: usize, to: usize) {
-            debug_assert!(from == k - 1 && to < from);
-            let diag = m[from * cap + from];
-            m.copy_within(from * cap..from * cap + to, to * cap);
-            m.copy_within(from * cap + to + 1..from * cap + from, to * cap + to + 1);
-            for j in 0..to {
-                m[j * cap + to] = m[j * cap + from];
-            }
-            for j in to + 1..from {
-                m[j * cap + to] = m[j * cap + from];
-            }
-            m[to * cap + to] = diag;
+        if self.track_summaries {
+            // The row's content is the same set of entries, just renamed.
+            let rows = &mut self.rows;
+            rows.max_err[loser] = rows.max_err[last];
+            rows.best[loser] = rows.best[last];
+            rows.err_dirty[loser] = rows.err_dirty[last];
+            rows.best_dirty[loser] = rows.best_dirty[last];
         }
-        relabel(&mut self.out_min, cap, k, last, loser);
-        relabel(&mut self.out_max, cap, k, last, loser);
-        relabel(&mut self.out_min_arg, cap, k, last, loser);
-        relabel(&mut self.out_max_arg, cap, k, last, loser);
-        relabel(&mut self.out_nz, cap, k, last, loser);
-        if !self.symmetric {
-            relabel(&mut self.in_min, cap, k, last, loser);
-            relabel(&mut self.in_max, cap, k, last, loser);
-            relabel(&mut self.in_min_arg, cap, k, last, loser);
-            relabel(&mut self.in_max_arg, cap, k, last, loser);
-            relabel(&mut self.in_nz, cap, k, last, loser);
-        }
-        // Witness-row caches move wholesale (the row's content is the same
-        // set of entries, just renamed).
-        self.row_max_err[loser] = self.row_max_err[last];
-        self.row_best[loser] = self.row_best[last];
-        self.row_err_dirty[loser] = self.row_err_dirty[last];
-        self.row_best_dirty[loser] = self.row_best_dirty[last];
-    }
-
-    /// Finalize one direction of a merge's entry-patch batch: apply the
-    /// queued zero-crossing deltas, decide which flagged extrema need a
-    /// member rescan (same zero-member rule as the split path), run the
-    /// rescans, and dirty the touched witness rows. The merge analogue of
-    /// the split finalize, minus the child-column installation.
-    fn finalize_merge_side(&mut self, p: &Partition, winner: usize, outgoing: bool) {
-        let cap = self.cap;
-        let batch = std::mem::take(&mut self.touched_colors);
-        let mut rescans = if outgoing {
-            std::mem::take(&mut self.entry_scratch_out)
-        } else {
-            std::mem::take(&mut self.entry_scratch_in)
-        };
-        rescans.clear();
-        for t in &batch {
-            let i = t.color as usize;
-            let size = p.size(t.color);
-            let idx = if outgoing {
-                i * cap + winner
-            } else {
-                winner * cap + i
-            };
-            let nz = {
-                let slot = if outgoing {
-                    &mut self.out_nz[idx]
-                } else {
-                    &mut self.in_nz[idx]
-                };
-                *slot = (*slot as i64 + t.nz_delta) as u32;
-                *slot
-            };
-            let (mn, mx) = if outgoing {
-                (self.out_min[idx], self.out_max[idx])
-            } else {
-                (self.in_min[idx], self.in_max[idx])
-            };
-            let zero_member = (nz as usize) < size;
-            let need = (t.rescan_min && !(mn == 0.0 && zero_member))
-                || (t.rescan_max && !(mx == 0.0 && zero_member));
-            if need {
-                if outgoing {
-                    rescans.push((t.color, winner as u32));
-                } else {
-                    rescans.push((winner as u32, t.color));
-                }
-            } else {
-                if t.rescan_min {
-                    if outgoing {
-                        self.out_min_arg[idx] = NO_ARG;
-                    } else {
-                        self.in_min_arg[idx] = NO_ARG;
-                    }
-                }
-                if t.rescan_max {
-                    if outgoing {
-                        self.out_max_arg[idx] = NO_ARG;
-                    } else {
-                        self.in_max_arg[idx] = NO_ARG;
-                    }
-                }
-            }
-            self.row_err_dirty[i] = true;
-            self.row_best_dirty[i] = true;
-        }
-        self.rescan_entries(p, &rescans, outgoing);
-        if outgoing {
-            self.entry_scratch_out = rescans;
-        } else {
-            self.entry_scratch_in = rescans;
-        }
-        self.touched_colors = batch;
     }
 
     /// Grow the node axis for freshly inserted isolated nodes. `p` is the
@@ -3213,56 +2648,27 @@ impl IncrementalDegrees {
         );
         assert_eq!(p.num_colors(), self.k, "inserts cannot change colors");
         let n_new = self.n + colors.len();
-        if self.sparse_accum {
-            self.sparse_out.resize(n_new, RowRep::new());
-            if !self.symmetric {
-                self.sparse_in.resize(n_new, RowRep::new());
-            }
-        } else {
-            let cap = self.cap;
-            self.dout.resize(n_new * cap, 0.0);
-            if !self.symmetric {
-                self.din.resize(n_new * cap, 0.0);
-            }
+        let (k, kept) = (self.k, self.directions().len());
+        for side in &mut self.sides[..kept] {
+            side.acc.append(n_new);
         }
         self.node_mark.resize(n_new, 0);
         self.n = n_new;
         if !self.track_summaries {
             return;
         }
-        let cap = self.cap;
-        let k = self.k;
         for (i, &c) in colors.iter().enumerate() {
             let v = first + i as NodeId;
             debug_assert_eq!(p.color_of(v), c, "insert color mismatch");
-            let c = c as usize;
-            for j in 0..k {
-                // Out-entry (c, j): the new member contributes an explicit
-                // zero towards every color.
-                let idx = c * cap + j;
-                if 0.0 < self.out_min[idx] {
-                    self.out_min[idx] = 0.0;
-                    self.out_min_arg[idx] = v;
-                }
-                if 0.0 > self.out_max[idx] {
-                    self.out_max[idx] = 0.0;
-                    self.out_max_arg[idx] = v;
-                }
-                if !self.symmetric {
-                    // In-entry (j, c) ranges over P_c's members too.
-                    let idx = j * cap + c;
-                    if 0.0 < self.in_min[idx] {
-                        self.in_min[idx] = 0.0;
-                        self.in_min_arg[idx] = v;
-                    }
-                    if 0.0 > self.in_max[idx] {
-                        self.in_max[idx] = 0.0;
-                        self.in_max_arg[idx] = v;
-                    }
+            // The new member contributes an explicit zero towards every
+            // color, on every side.
+            for side in &mut self.sides[..kept] {
+                for j in 0..k {
+                    let idx = side.pairs.at(c as usize, j);
+                    side.pairs.extend(idx, 0.0, v, 0.0, v);
                 }
             }
-            self.row_err_dirty[c] = true;
-            self.row_best_dirty[c] = true;
+            self.rows.dirty(c as usize);
         }
         // Sizes of the inserted colors *grew* — the reverse of the split
         // path: with any non-zero β a candidate targeting a grown color
@@ -3271,7 +2677,7 @@ impl IncrementalDegrees {
         // weights are size-independent and nothing needs invalidating
         // beyond the inserted colors' own rows (done above).
         if self.last_beta != 0.0 {
-            self.row_best_dirty[..k].fill(true);
+            self.rows.best_dirty[..k].fill(true);
         }
     }
 
@@ -3283,8 +2689,8 @@ impl IncrementalDegrees {
     /// compaction produced, and `removed_colors` the colors the removed
     /// nodes belonged to (any order, duplicates fine).
     ///
-    /// Cost: `O(n)` row compaction + `O(k²)` witness remap + a member-axis
-    /// rebuild (`O(|members| · k)`) per affected color.
+    /// Cost: `O(n)` row compaction + `O(k²)` witness remap + a one-column
+    /// rescan per stale entry of an affected color.
     pub fn apply_node_removals(
         &mut self,
         p: &Partition,
@@ -3298,141 +2704,76 @@ impl IncrementalDegrees {
             "partition out of sync with removals"
         );
         assert_eq!(p.num_colors(), self.k, "removals cannot change colors");
-        let n_old = self.n;
-        let n_new = remap.new_len();
-        let cap = self.cap;
-        if self.sparse_accum {
+        let (k, kept) = (self.k, self.directions().len());
+        for side in &mut self.sides[..kept] {
             #[cfg(debug_assertions)]
-            for v in 0..n_old as NodeId {
-                if remap.is_removed(v) {
-                    debug_assert!(
-                        self.sparse_out[v as usize].is_all_zero(),
-                        "removed node {v} still has out-weight"
-                    );
-                    if !self.symmetric {
-                        debug_assert!(
-                            self.sparse_in[v as usize].is_all_zero(),
-                            "removed node {v} still has in-weight"
-                        );
-                    }
-                }
+            for v in (0..self.n as NodeId).filter(|&v| remap.is_removed(v)) {
+                debug_assert!(
+                    side.acc.row_is_zero(v, k),
+                    "removed node {v} still has weight"
+                );
             }
-            compact_sparse_rows(&mut self.sparse_out, remap);
-            if !self.symmetric {
-                compact_sparse_rows(&mut self.sparse_in, remap);
-            }
-        } else {
-            #[cfg(debug_assertions)]
-            for v in 0..n_old as NodeId {
-                if remap.is_removed(v) {
-                    let base = v as usize * cap;
-                    debug_assert!(
-                        self.dout[base..base + self.k].iter().all(|&w| w == 0.0),
-                        "removed node {v} still has out-weight"
-                    );
-                    if !self.symmetric {
-                        debug_assert!(
-                            self.din[base..base + self.k].iter().all(|&w| w == 0.0),
-                            "removed node {v} still has in-weight"
-                        );
-                    }
-                }
-            }
-            compact_rows(&mut self.dout, n_old, cap, remap);
-            if !self.symmetric {
-                compact_rows(&mut self.din, n_old, cap, remap);
-            }
+            side.acc.compact(remap);
         }
         self.node_mark.clear();
-        self.node_mark.resize(n_new, 0);
+        self.node_mark.resize(remap.new_len(), 0);
         self.mark_gen = 0;
-        self.n = n_new;
+        self.n = remap.new_len();
         if !self.track_summaries {
             return;
         }
         // Remap the extremum witnesses (attainers of unaffected colors are
-        // survivors; attainers inside affected colors are rebuilt below,
-        // so a defensive NO_ARG for a removed id is fine either way).
-        let k = self.k;
-        for args in [
-            &mut self.out_min_arg,
-            &mut self.out_max_arg,
-            &mut self.in_min_arg,
-            &mut self.in_max_arg,
-        ] {
-            if args.is_empty() {
-                continue;
-            }
-            for i in 0..k {
-                for j in 0..k {
-                    let slot = &mut args[i * cap + j];
-                    if *slot != NO_ARG {
-                        *slot = remap.map(*slot).unwrap_or(NO_ARG);
-                    }
-                }
-            }
-        }
-        // Only the colors that lost members can see entry values change,
-        // and only in one way: the removed rows were all-zero, so an entry
-        // is stale iff a zero extremum just lost its last zero member
-        // (`nz == new size`). Everything else keeps its value — negative
-        // minima / positive maxima are attained by survivors, and a zero
-        // extremum with another zero member stands (its attainer was
-        // remapped to `NO_ARG` above if it was removed). `O(k)` exact
-        // checks per affected color plus a one-column rescan per stale
-        // entry, instead of a full member-axis rebuild.
+        // survivors; a removed attainer becomes NO_ARG). Then only the
+        // colors that lost members can see entry values change, and only
+        // in one way: the removed rows were all-zero, so an entry is stale
+        // iff a zero extremum just lost its last zero member (`nz == new
+        // size`). Everything else keeps its value — negative minima /
+        // positive maxima are attained by survivors, and a zero extremum
+        // with another zero member stands. `O(k)` exact checks per
+        // affected color plus a one-column rescan per stale entry, instead
+        // of a full member-axis rebuild.
         let mut affected: Vec<u32> = removed_colors.to_vec();
         affected.sort_unstable();
         affected.dedup();
-        let mut out_rescans = std::mem::take(&mut self.entry_scratch_out);
-        let mut in_rescans = std::mem::take(&mut self.entry_scratch_in);
-        out_rescans.clear();
-        in_rescans.clear();
-        for &c in &affected {
-            let ci = c as usize;
-            let size = p.size(c);
-            for j in 0..k {
-                let idx = ci * cap + j;
-                if (self.out_nz[idx] as usize) == size
-                    && (self.out_min[idx] == 0.0 || self.out_max[idx] == 0.0)
-                {
-                    out_rescans.push((c, j as u32));
-                }
-                if !self.symmetric {
-                    let idx = j * cap + ci;
-                    if (self.in_nz[idx] as usize) == size
-                        && (self.in_min[idx] == 0.0 || self.in_max[idx] == 0.0)
-                    {
-                        in_rescans.push((j as u32, c));
+        for &outgoing in self.directions() {
+            self.with_side(outgoing, |e, side| {
+                let pr = &mut side.pairs;
+                pr.remap_args(k, remap);
+                for &c in &affected {
+                    for j in 0..k {
+                        let idx = pr.at(c as usize, j);
+                        if (pr.nz[idx] as usize) == p.size(c)
+                            && (pr.min[idx] == 0.0 || pr.max[idx] == 0.0)
+                        {
+                            side.rescans.push((c, j as u32));
+                        }
                     }
                 }
-            }
-            self.row_err_dirty[ci] = true;
-            self.row_best_dirty[ci] = true;
+                e.rescan_queued(side, p);
+            });
         }
-        self.rescan_entries(p, &out_rescans, true);
-        self.rescan_entries(p, &in_rescans, false);
-        self.entry_scratch_out = out_rescans;
-        self.entry_scratch_in = in_rescans;
+        for &c in &affected {
+            self.rows.dirty(c as usize);
+        }
         if self.last_beta < 0.0 {
-            self.row_best_dirty[..k].fill(true);
+            self.rows.best_dirty[..k].fill(true);
         } else {
             for s in 0..k {
-                if let Some(best) = &self.row_best[s] {
+                if let Some(best) = &self.rows.best[s] {
                     if affected.binary_search(&best.other).is_ok() {
-                        self.row_best_dirty[s] = true;
+                        self.rows.best_dirty[s] = true;
                     }
                 }
             }
         }
     }
 
-    /// Apply one direction of a split to the accumulators and pair
-    /// summaries: shift every touched node's mass from the parent to the
-    /// child column, patch the entries over *other* colors' member axes,
-    /// then finalize the batch (child-column entries, lost-extremum
-    /// rescans, witness-row invalidation). `collect_touched` must have run
-    /// for the matching direction.
+    /// Apply one side of a split to the accumulators and pair summaries:
+    /// shift every touched node's mass from the parent to the child
+    /// column, patch the entries over *other* colors' member axes, then
+    /// settle the batch (child-column entries, lost-extremum rescans,
+    /// witness-row invalidation). `collect_touched` must have run for the
+    /// matching direction.
     ///
     /// The touched list is cut into contiguous chunks, one per shard (one
     /// shard below the touched threshold). Each shard shifts its nodes'
@@ -3441,177 +2782,64 @@ impl IncrementalDegrees {
     /// [`Self::merge_shard_records`] then reduces them in shard order with
     /// exact min/max/or/sum merges, so the batch — and everything derived
     /// from it — is independent of the shard count.
-    fn apply_side(&mut self, p: &Partition, c: usize, child: usize, outgoing: bool) {
+    fn apply_side(&mut self, side: &mut Side, p: &Partition, c: usize, child: usize) {
         let touched = std::mem::take(&mut self.touched_nodes);
         let deltas = std::mem::take(&mut self.touched_deltas);
         let shards = if touched.len() >= self.par_min_touched {
-            self.pool.slots()
+            self.pool.0.slots()
         } else {
             1
         };
         self.begin_shard_records(shards);
         {
-            let cap = self.cap;
             let colors = p.assignment();
             let promote_k = self.promote_k();
-            let sparse = self.sparse_accum;
-            let (dense, rows, emin, emax, amin, amax) = if outgoing {
-                (
-                    &mut self.dout,
-                    &mut self.sparse_out,
-                    &self.out_min,
-                    &self.out_max,
-                    &self.out_min_arg,
-                    &self.out_max_arg,
-                )
-            } else {
-                (
-                    &mut self.din,
-                    &mut self.sparse_in,
-                    &self.in_min,
-                    &self.in_max,
-                    &self.in_min_arg,
-                    &self.in_max_arg,
-                )
-            };
-            let dense = SyncSliceMut::new(dense);
-            let rows = SyncSliceMut::new(rows);
+            let pr = &side.pairs;
+            let acc = side.acc.shared();
             let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            run_shards(&self.pool, shards, |shard| {
-                // The touched rows land all over a multi-megabyte
-                // accumulator in an order the hardware prefetcher cannot
-                // predict, so the loop prefetches its own future rows. The
-                // distance covers the latency of one row's patch work; the
-                // hint never changes results.
+            run_shards(&self.pool.0, shards, |shard| {
                 const PREFETCH_AHEAD: usize = 16;
                 let (lo, hi) = chunk_range(touched.len(), shards, shard);
-                let (touched, deltas) = (&touched[lo..hi], &deltas[lo..hi]);
+                let chunk = &touched[lo..hi];
                 // SAFETY: each shard touches only its own scratch entry.
                 let sc = unsafe { scratch.get_mut(shard) };
-                for (pos, (&u, &d)) in touched.iter().zip(deltas).enumerate() {
-                    let ahead = touched.get(pos + PREFETCH_AHEAD).map(|&w| w as usize);
-                    if let Some(w) = ahead {
-                        kernels::prefetch_read(colors, w);
+                let fold = |pos: usize, u: NodeId, old: f64, new: f64, child_val: f64| {
+                    if let Some(&w) = chunk.get(pos + PREFETCH_AHEAD) {
+                        kernels::prefetch_read(colors, w as usize);
                     }
-                    let (old, new, child_val) = if sparse {
-                        // SAFETY: every touched node appears exactly once
-                        // across the shards' chunks and the look-ahead
-                        // nodes are this chunk's own, so each tiered row is
-                        // reached by one shard only; within the chunk rows
-                        // change in list order, so promotion decisions do
-                        // not depend on the shard count either.
-                        unsafe {
-                            // Same two-stage pipeline as the sparse gather
-                            // kernels: the row struct well ahead, its heap
-                            // payload closer in (hints only).
-                            if let Some(w) = ahead {
-                                kernels::prefetch_read(rows.slice_mut(w, w + 1), 0);
-                            }
-                            if let Some(&w) = touched.get(pos + PREFETCH_AHEAD / 2) {
-                                kernels::prefetch_row_payload(rows.get_mut(w as usize), c as u32);
-                            }
-                            rows.get_mut(u as usize).split_shift(
-                                c as u32,
-                                child as u32,
-                                d,
-                                promote_k,
-                            )
-                        }
-                    } else {
-                        let base = u as usize * cap;
-                        // SAFETY: as for the tiered rows, each accumulator
-                        // row is reached by one shard only.
-                        unsafe {
-                            if let Some(w) = ahead {
-                                let row = dense.slice_mut(w * cap, w * cap + cap);
-                                kernels::prefetch_read(row, c);
-                                kernels::prefetch_read(row, child);
-                            }
-                            let row = dense.slice_mut(base, base + cap);
-                            let old = row[c];
-                            let new = old - d;
-                            row[c] = new;
-                            row[child] += d;
-                            (old, new, row[child])
-                        }
-                    };
                     let i = colors[u as usize] as usize;
                     if i == c || i == child {
-                        continue; // both color axes are rebuilt afterwards
+                        return; // both color axes are rebuilt afterwards
                     }
-                    let idx = if outgoing { i * cap + c } else { c * cap + i };
-                    sc.fold(
-                        i as u32, u, old, new, child_val, emin[idx], emax[idx], amin[idx],
-                        amax[idx],
+                    let idx = pr.at(i, c);
+                    let (mn, mx) = (pr.min[idx], pr.max[idx]);
+                    let (amn, amx) = (pr.min_arg[idx], pr.max_arg[idx]);
+                    sc.fold(i as u32, u, old, new, child_val, mn, mx, amn, amx);
+                };
+                // SAFETY: every touched node appears exactly once across
+                // the shards' chunks, so each accumulator row is reached by
+                // one shard only.
+                unsafe {
+                    acc.split_shift_each(
+                        chunk,
+                        &deltas[lo..hi],
+                        c as u32,
+                        child as u32,
+                        promote_k,
+                        fold,
                     );
                 }
             });
         }
-        self.merge_shard_records(shards, c, outgoing);
-
-        // ---- Finalize the batch: per touched color, install the child
-        // column entry, queue a rescan if the parent-column entry lost its
-        // extremum, and invalidate the witness row.
-        let batch = std::mem::take(&mut self.touched_colors);
-        let cap = self.cap;
-        let mut rescans = if outgoing {
-            std::mem::take(&mut self.entry_scratch_out)
-        } else {
-            std::mem::take(&mut self.entry_scratch_in)
-        };
-        rescans.clear();
-        for t in &batch {
-            let i = t.color as usize;
-            let size = p.size(t.color);
-            // Parent-column entry: apply the zero-crossing count delta,
-            // then decide whether a flagged extremum actually needs a
-            // rescan — a zero extremum provably stands while the entry
-            // keeps a zero-valued member.
-            let parent_idx = if outgoing { i * cap + c } else { c * cap + i };
-            let nz = {
-                let slot = if outgoing {
-                    &mut self.out_nz[parent_idx]
-                } else {
-                    &mut self.in_nz[parent_idx]
-                };
-                *slot = (*slot as i64 + t.nz_delta) as u32;
-                *slot
-            };
-            let (pmin, pmax) = if outgoing {
-                (self.out_min[parent_idx], self.out_max[parent_idx])
-            } else {
-                (self.in_min[parent_idx], self.in_max[parent_idx])
-            };
-            let zero_member = (nz as usize) < size;
-            let need_rescan = (t.rescan_min && !(pmin == 0.0 && zero_member))
-                || (t.rescan_max && !(pmax == 0.0 && zero_member));
-            if need_rescan {
-                if outgoing {
-                    rescans.push((t.color, c as u32));
-                } else {
-                    rescans.push((c as u32, t.color));
-                }
-            } else {
-                // A flagged side whose zero extremum provably stands keeps
-                // its value but no longer knows a specific attainer.
-                if t.rescan_min {
-                    if outgoing {
-                        self.out_min_arg[parent_idx] = NO_ARG;
-                    } else {
-                        self.in_min_arg[parent_idx] = NO_ARG;
-                    }
-                }
-                if t.rescan_max {
-                    if outgoing {
-                        self.out_max_arg[parent_idx] = NO_ARG;
-                    } else {
-                        self.in_max_arg[parent_idx] = NO_ARG;
-                    }
-                }
-            }
+        self.merge_shard_records(side, shards, c);
+        // Settle the parent-column entries, then install the child-column
+        // entries from the folded child values.
+        self.settle_touched(side, p, c);
+        let pr = &mut side.pairs;
+        for t in &self.touched_colors {
             let (mut mn, mut mx) = (t.child_min, t.child_max);
             let (mut amn, mut amx) = (t.child_min_arg, t.child_max_arg);
-            if t.count < size {
+            if t.count < p.size(t.color) {
                 // Some member of the color has no edges towards the child:
                 // an (unknown) attainer of weight zero.
                 if mn > 0.0 {
@@ -3623,31 +2851,14 @@ impl IncrementalDegrees {
                     amx = NO_ARG;
                 }
             }
-            if outgoing {
-                let idx = i * cap + child;
-                self.out_min[idx] = mn;
-                self.out_max[idx] = mx;
-                self.out_min_arg[idx] = amn;
-                self.out_max_arg[idx] = amx;
-                self.out_nz[idx] = t.child_nonzero;
-            } else {
-                let idx = child * cap + i;
-                self.in_min[idx] = mn;
-                self.in_max[idx] = mx;
-                self.in_min_arg[idx] = amn;
-                self.in_max_arg[idx] = amx;
-                self.in_nz[idx] = t.child_nonzero;
-            }
-            self.row_err_dirty[i] = true;
-            self.row_best_dirty[i] = true;
+            let idx = pr.at(t.color as usize, child);
+            pr.min[idx] = mn;
+            pr.max[idx] = mx;
+            pr.min_arg[idx] = amn;
+            pr.max_arg[idx] = amx;
+            pr.nz[idx] = t.child_nonzero;
         }
-        self.rescan_entries(p, &rescans, outgoing);
-        if outgoing {
-            self.entry_scratch_out = rescans;
-        } else {
-            self.entry_scratch_in = rescans;
-        }
-        self.touched_colors = batch;
+        self.rescan_queued(side, p);
         self.touched_nodes = touched;
         self.touched_deltas = deltas;
     }
@@ -3664,10 +2875,10 @@ impl IncrementalDegrees {
     }
 
     /// Merge the first `shards` shards' records — shards in order, records
-    /// in insertion order — into a fresh touched-color batch and the entry
-    /// extrema of column `c` (row `c` in the in direction). All reductions
-    /// are exact, so the result does not depend on the chunk boundaries.
-    fn merge_shard_records(&mut self, shards: usize, c: usize, outgoing: bool) {
+    /// in insertion order — into a fresh touched-color batch and the
+    /// entries `(record color, c)`. All reductions are exact, so the result
+    /// does not depend on the chunk boundaries.
+    fn merge_shard_records(&mut self, side: &mut Side, shards: usize, c: usize) {
         // Slot lookups self-validate (a stored index is live only if the
         // record at that index names the same color), so clearing the
         // record list is all the reset a new batch needs.
@@ -3675,7 +2886,7 @@ impl IncrementalDegrees {
         for shard in 0..shards {
             let records = std::mem::take(&mut self.shard_scratch[shard].records);
             for r in &records {
-                self.merge_shard_record(r, c, outgoing);
+                self.merge_shard_record(&mut side.pairs, r, c);
             }
             self.shard_scratch[shard].records = records;
         }
@@ -3684,18 +2895,9 @@ impl IncrementalDegrees {
     /// Merge one shard's per-color aggregate into the touched-color batch
     /// and the entry extrema (the join-side half of
     /// [`ShardScratch::fold`]).
-    fn merge_shard_record(&mut self, r: &ShardRecord, c: usize, outgoing: bool) {
-        let cap = self.cap;
-        let idx = if outgoing {
-            r.color as usize * cap + c
-        } else {
-            c * cap + r.color as usize
-        };
-        let (cur_min, cur_max) = if outgoing {
-            (self.out_min[idx], self.out_max[idx])
-        } else {
-            (self.in_min[idx], self.in_max[idx])
-        };
+    fn merge_shard_record(&mut self, pr: &mut Pairs, r: &ShardRecord, c: usize) {
+        let idx = pr.at(r.color as usize, c);
+        let (cur_min, cur_max) = (pr.min[idx], pr.max[idx]);
         let slot = self.color_slot[r.color as usize] as usize;
         let slot = if slot < self.touched_colors.len() && self.touched_colors[slot].color == r.color
         {
@@ -3725,143 +2927,66 @@ impl IncrementalDegrees {
             record.child_max = r.child_max;
             record.child_max_arg = r.child_max_arg;
         }
-        let (emn, emx, amn, amx) = if outgoing {
-            (
-                &mut self.out_min[idx],
-                &mut self.out_max[idx],
-                &mut self.out_min_arg[idx],
-                &mut self.out_max_arg[idx],
-            )
-        } else {
-            (
-                &mut self.in_min[idx],
-                &mut self.in_max[idx],
-                &mut self.in_min_arg[idx],
-                &mut self.in_max_arg[idx],
-            )
-        };
-        if r.ext_min < *emn {
-            *emn = r.ext_min;
-            *amn = r.ext_min_arg;
-        }
-        if r.ext_max > *emx {
-            *emx = r.ext_max;
-            *amx = r.ext_max_arg;
+        pr.extend(idx, r.ext_min, r.ext_min_arg, r.ext_max, r.ext_max_arg);
+    }
+
+    /// Settle every entry `(touched color, c)` of the merged batch.
+    fn settle_touched(&mut self, side: &mut Side, p: &Partition, c: usize) {
+        for t in &self.touched_colors {
+            let size = p.size(t.color);
+            let (lo, hi) = (t.rescan_min, t.rescan_max);
+            side.settle(&mut self.rows, t.color, c as u32, size, t.nz_delta, lo, hi);
         }
     }
 
-    /// Rebuild the parent's member-axis entries after a split: out-entries
-    /// `(c, j)` and in-entries `(j, c)`. Columns `c`/`child` saw their
-    /// accumulator values change and are always rescanned; for every other
-    /// column the values are untouched and membership only shrank, so the
+    /// Repair the parent's member axis after a split: entries `(c, j)`.
+    /// Columns `c`/`child` saw their accumulator values change and are
+    /// always rescanned; for every other column the values are untouched
+    /// and membership only shrank, so the nonzero count drops by what the
+    /// child took (the child axis was rebuilt just before this) and the
     /// old extremum stands unless its tracked attainer departed to the
-    /// child (with unknown attainers falling back to the conservative
-    /// "child attained the parent's extremum" heuristic). Cost: `O(k)`
-    /// exact checks plus `O(|parent|)` per column that actually lost an
-    /// extremum.
-    fn recompute_parent_axis(&mut self, p: &Partition, c: usize, child: usize) {
-        let cap = self.cap;
+    /// child — with unknown attainers falling back to the conservative
+    /// "the child attained the parent's extremum" heuristic. The settle
+    /// rule decides the rest. Cost: `O(k)` exact checks plus `O(|parent|)`
+    /// per column that actually lost an extremum.
+    fn repair_parent_axis(&mut self, side: &mut Side, p: &Partition, c: usize, child: usize) {
         let parent_size = p.size(c as u32);
-        let mut out_rescans = std::mem::take(&mut self.entry_scratch_out);
-        let mut in_rescans = std::mem::take(&mut self.entry_scratch_in);
-        out_rescans.clear();
-        in_rescans.clear();
-        // Whether one side of an entry lost its extremum: a zero extremum
-        // stands while the entry keeps a zero-valued member (count rule,
-        // checked first — the attainer may then be forgotten); otherwise
-        // the tracked attainer must not have departed to the child, with
-        // unknown attainers falling back to the conservative "child
-        // attained it" heuristic. Returns (lost, forget_arg).
-        let side_lost = |value: f64, zero_member: bool, arg: u32, fallback: bool| -> (bool, bool) {
-            if value == 0.0 && zero_member {
-                (false, arg != NO_ARG && p.color_of(arg) != c as u32)
-            } else if arg == NO_ARG {
-                (fallback, false)
+        let departed = |arg: u32, fallback: bool| {
+            if arg == NO_ARG {
+                fallback
             } else {
-                (p.color_of(arg) != c as u32, false)
+                p.color_of(arg) != c as u32
             }
         };
         for j in 0..self.k {
             if j == c || j == child {
-                out_rescans.push((c as u32, j as u32));
-                if !self.symmetric {
-                    // In-entry over the parent's member axis with the
-                    // changed column as first index: (c, c) for j == c,
-                    // (child, c) for j == child.
-                    in_rescans.push((j as u32, c as u32));
-                }
+                side.rescans.push((c as u32, j as u32));
                 continue;
             }
-            // The parent's nonzero count over an unchanged column is the
-            // old count minus what the child took (the child axis was
-            // rebuilt just before this).
-            let out_idx = c * cap + j;
-            let out_child = child * cap + j;
-            self.out_nz[out_idx] -= self.out_nz[out_child];
-            let zero_member = (self.out_nz[out_idx] as usize) < parent_size;
-            let (min_lost, min_forget) = side_lost(
-                self.out_min[out_idx],
-                zero_member,
-                self.out_min_arg[out_idx],
-                self.out_min[out_child] == self.out_min[out_idx],
+            let pr = &side.pairs;
+            let (idx, cidx) = (pr.at(c, j), pr.at(child, j));
+            let lost_min = departed(pr.min_arg[idx], pr.min[cidx] == pr.min[idx]);
+            let lost_max = departed(pr.max_arg[idx], pr.max[cidx] == pr.max[idx]);
+            let nz_delta = -i64::from(pr.nz[cidx]);
+            let (cu, ju) = (c as u32, j as u32);
+            side.settle(
+                &mut self.rows,
+                cu,
+                ju,
+                parent_size,
+                nz_delta,
+                lost_min,
+                lost_max,
             );
-            let (max_lost, max_forget) = side_lost(
-                self.out_max[out_idx],
-                zero_member,
-                self.out_max_arg[out_idx],
-                self.out_max[out_child] == self.out_max[out_idx],
-            );
-            if min_lost || max_lost {
-                out_rescans.push((c as u32, j as u32));
-            } else {
-                if min_forget {
-                    self.out_min_arg[out_idx] = NO_ARG;
-                }
-                if max_forget {
-                    self.out_max_arg[out_idx] = NO_ARG;
-                }
-            }
-            if self.symmetric {
-                continue;
-            }
-            let in_idx = j * cap + c;
-            let in_child = j * cap + child;
-            self.in_nz[in_idx] -= self.in_nz[in_child];
-            let zero_member = (self.in_nz[in_idx] as usize) < parent_size;
-            let (min_lost, min_forget) = side_lost(
-                self.in_min[in_idx],
-                zero_member,
-                self.in_min_arg[in_idx],
-                self.in_min[in_child] == self.in_min[in_idx],
-            );
-            let (max_lost, max_forget) = side_lost(
-                self.in_max[in_idx],
-                zero_member,
-                self.in_max_arg[in_idx],
-                self.in_max[in_child] == self.in_max[in_idx],
-            );
-            if min_lost || max_lost {
-                in_rescans.push((j as u32, c as u32));
-            } else {
-                if min_forget {
-                    self.in_min_arg[in_idx] = NO_ARG;
-                }
-                if max_forget {
-                    self.in_max_arg[in_idx] = NO_ARG;
-                }
-            }
         }
-        self.rescan_entries(p, &out_rescans, true);
-        self.rescan_entries(p, &in_rescans, false);
-        self.entry_scratch_out = out_rescans;
-        self.entry_scratch_in = in_rescans;
+        self.rescan_queued(side, p);
     }
 
     /// Recompute the stale witness rows. `beta` is the target-size exponent
     /// of the witness weighting (the paper's β). Rows whose *entries*
     /// changed since the last refresh rescan both their maximum error and
     /// their cached best; a β change alone only stales the cached
-    /// β-weighted bests (`row_max_err` is β-independent), so a β-only
+    /// β-weighted bests (the row maxima are β-independent), so a β-only
     /// rebuild skips the error bookkeeping entirely. Large batches of
     /// stale rows are sharded across the pool — each row is an independent
     /// `O(k)` scan writing only its own cache slots, so results do not
@@ -3872,7 +2997,7 @@ impl IncrementalDegrees {
             "refresh requires a summary-tracking engine"
         );
         if beta != self.last_beta {
-            self.row_best_dirty[..self.k].fill(true);
+            self.rows.best_dirty[..self.k].fill(true);
             self.last_beta = beta;
         }
         let k = self.k;
@@ -3880,31 +3005,23 @@ impl IncrementalDegrees {
         dirty.clear();
         dirty.extend(
             (0..k as u32)
-                .filter(|&s| self.row_err_dirty[s as usize] || self.row_best_dirty[s as usize]),
+                .filter(|&s| self.rows.err_dirty[s as usize] || self.rows.best_dirty[s as usize]),
         );
         if dirty.is_empty() {
             self.dirty_scratch = dirty;
             return;
         }
-        let view = SummaryView {
-            k,
-            cap: self.cap,
-            symmetric: self.symmetric,
-            out_min: &self.out_min,
-            out_max: &self.out_max,
-            in_min: &self.in_min,
-            in_max: &self.in_max,
-        };
+        let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
         let shards = if dirty.len() >= 2 && dirty.len() * k >= self.par_min_scan_work {
-            self.pool.slots()
+            self.pool.0.slots()
         } else {
             1
         };
-        let row_max_err = SyncSliceMut::new(&mut self.row_max_err);
-        let row_best = SyncSliceMut::new(&mut self.row_best);
-        let err_dirty = SyncSliceMut::new(&mut self.row_err_dirty);
-        let best_dirty = SyncSliceMut::new(&mut self.row_best_dirty);
-        run_shards(&self.pool, shards, |shard| {
+        let row_max_err = SyncSliceMut::new(&mut self.rows.max_err);
+        let row_best = SyncSliceMut::new(&mut self.rows.best);
+        let err_dirty = SyncSliceMut::new(&mut self.rows.err_dirty);
+        let best_dirty = SyncSliceMut::new(&mut self.rows.best_dirty);
+        run_shards(&self.pool.0, shards, |shard| {
             let (lo, hi) = chunk_range(dirty.len(), shards, shard);
             for &s in &dirty[lo..hi] {
                 let s = s as usize;
@@ -3929,10 +3046,10 @@ impl IncrementalDegrees {
     /// the row maxima are β-independent).
     pub fn max_error(&self) -> f64 {
         debug_assert!(
-            self.row_err_dirty[..self.k].iter().all(|d| !d),
+            self.rows.err_dirty[..self.k].iter().all(|d| !d),
             "max_error called with dirty witness rows; call refresh() first"
         );
-        self.row_max_err[..self.k]
+        self.rows.max_err[..self.k]
             .iter()
             .cloned()
             .fold(0.0, f64::max)
@@ -3947,7 +3064,7 @@ impl IncrementalDegrees {
         self.debug_assert_fresh();
         let mut best: Option<(f64, WitnessCandidate)> = None;
         for s in 0..self.k {
-            let Some(row) = &self.row_best[s] else {
+            let Some(row) = &self.rows.best[s] else {
                 continue;
             };
             let weighted = row.weighted * size_pow(p.size(s as u32), alpha);
@@ -3986,7 +3103,7 @@ impl IncrementalDegrees {
         self.debug_assert_fresh();
         let mut scored: Vec<(f64, u32)> = Vec::new();
         for s in 0..self.k {
-            if let Some(row) = &self.row_best[s] {
+            if let Some(row) = &self.rows.best[s] {
                 scored.push((row.weighted * size_pow(p.size(s as u32), alpha), s as u32));
             }
         }
@@ -3997,7 +3114,7 @@ impl IncrementalDegrees {
         scored
             .into_iter()
             .map(|(_, s)| {
-                let row = self.row_best[s as usize].as_ref().expect("scored row");
+                let row = self.rows.best[s as usize].as_ref().expect("scored row");
                 WitnessCandidate {
                     split_color: s,
                     other_color: row.other,
@@ -4011,9 +3128,9 @@ impl IncrementalDegrees {
     #[inline]
     fn debug_assert_fresh(&self) {
         debug_assert!(
-            self.row_err_dirty[..self.k]
+            self.rows.err_dirty[..self.k]
                 .iter()
-                .chain(self.row_best_dirty[..self.k].iter())
+                .chain(self.rows.best_dirty[..self.k].iter())
                 .all(|d| !d),
             "witness pick with dirty rows; call refresh() first"
         );
@@ -4025,33 +3142,24 @@ impl IncrementalDegrees {
     /// description of the first mismatch. Intended for tests and the debug
     /// assertion inside [`Self::apply_split`].
     pub fn verify_against(&self, g: &Graph, p: &Partition) -> Result<(), String> {
-        if p.num_colors() != self.k {
-            return Err(format!(
-                "color count {} != engine {}",
-                p.num_colors(),
-                self.k
-            ));
+        let k = self.k;
+        if p.num_colors() != k {
+            return Err(format!("color count {} != engine {k}", p.num_colors()));
         }
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
         if self.track_summaries {
             let scratch = DegreeMatrices::compute(g, p);
-            for i in 0..self.k {
-                for j in 0..self.k {
-                    let idx = i * self.cap + j;
-                    let sidx = i * self.k + j;
-                    let (in_min_ours, in_max_ours) = if self.symmetric {
-                        (
-                            self.out_min[j * self.cap + i],
-                            self.out_max[j * self.cap + i],
-                        )
-                    } else {
-                        (self.in_min[idx], self.in_max[idx])
-                    };
+            let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
+            for i in 0..k {
+                for j in 0..k {
+                    let sidx = i * k + j;
+                    let (out_min, out_max) = view.out_mm(i, j);
+                    let (in_min, in_max) = view.in_mm(i, j);
                     for (name, ours, theirs) in [
-                        ("out_min", self.out_min[idx], scratch.out_min[sidx]),
-                        ("out_max", self.out_max[idx], scratch.out_max[sidx]),
-                        ("in_min", in_min_ours, scratch.in_min[sidx]),
-                        ("in_max", in_max_ours, scratch.in_max[sidx]),
+                        ("out_min", out_min, scratch.out_min[sidx]),
+                        ("out_max", out_max, scratch.out_max[sidx]),
+                        ("in_min", in_min, scratch.in_min[sidx]),
+                        ("in_max", in_max, scratch.in_max[sidx]),
                     ] {
                         if !close(ours, theirs) {
                             return Err(format!(
@@ -4059,81 +3167,46 @@ impl IncrementalDegrees {
                             ));
                         }
                     }
-                    // Tracked extremum witnesses, when known, must attain
-                    // their entry's value and belong to the member axis
-                    // (read through the storage-routed accessors, so the
-                    // check covers both dense matrices and tiered rows).
-                    for (name, arg, val) in [
-                        ("out_min_arg", self.out_min_arg[idx], self.out_min[idx]),
-                        ("out_max_arg", self.out_max_arg[idx], self.out_max[idx]),
-                    ] {
-                        if arg != NO_ARG {
-                            let attained = self.out_degree_of(arg, j as u32);
-                            if p.color_of(arg) as usize != i || attained != val {
+                }
+            }
+            // Per kept side, entry (a, b): tracked attainers, when known,
+            // must attain the entry's value and belong to the member axis,
+            // and the nonzero-member count must match a recount of the
+            // maintained values. The recount deliberately uses maintained
+            // *values*: with inexact weights an incremental subtraction
+            // can leave a tiny residue where a fresh sum gives an exact
+            // zero, and the zero-skip rule is sound for exactly this
+            // value-based count.
+            for &outgoing in self.directions() {
+                let (side, dir) = (self.side(outgoing), if outgoing { "out" } else { "in" });
+                for a in 0..k {
+                    for b in 0..k {
+                        let pr = &side.pairs;
+                        let idx = pr.at(a, b);
+                        for (name, arg, val) in [
+                            ("min", pr.min_arg[idx], pr.min[idx]),
+                            ("max", pr.max_arg[idx], pr.max[idx]),
+                        ] {
+                            if arg == NO_ARG {
+                                continue;
+                            }
+                            let attained = side.acc.get(arg, b as u32);
+                            if p.color_of(arg) as usize != a || attained != val {
                                 return Err(format!(
-                                    "{name}[{i}][{j}]: witness {arg} (color {}, value {attained}) does not attain {val}",
+                                    "{dir} {name} attainer of ({a}, {b}): node {arg} (color {}, value {attained}) does not attain {val}",
                                     p.color_of(arg)
                                 ));
                             }
                         }
-                    }
-                    if !self.symmetric {
-                        for (name, arg, val) in [
-                            ("in_min_arg", self.in_min_arg[idx], self.in_min[idx]),
-                            ("in_max_arg", self.in_max_arg[idx], self.in_max[idx]),
-                        ] {
-                            if arg != NO_ARG {
-                                let attained = self.in_degree_of(arg, i as u32);
-                                if p.color_of(arg) as usize != j || attained != val {
-                                    return Err(format!(
-                                        "{name}[{i}][{j}]: witness {arg} (color {}, value {attained}) does not attain {val}",
-                                        p.color_of(arg)
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if self.track_summaries {
-            // Nonzero-member counts, recounted from the maintained
-            // accumulators (which are themselves verified below). Note
-            // these deliberately count maintained *values*: with inexact
-            // weights an incremental subtraction can leave a tiny residue
-            // where a fresh sum gives an exact zero, and the zero-skip
-            // rule is sound for exactly this value-based count.
-            for i in 0..self.k {
-                let mut counts = vec![0u32; self.k];
-                for &u in p.members(i as u32) {
-                    for (j, count) in counts.iter_mut().enumerate() {
-                        *count += u32::from(self.out_degree_of(u, j as u32) != 0.0);
-                    }
-                }
-                for (j, &count) in counts.iter().enumerate() {
-                    if self.out_nz[i * self.cap + j] != count {
-                        return Err(format!(
-                            "out_nz[{i}][{j}]: incremental {} vs recounted {}",
-                            self.out_nz[i * self.cap + j],
-                            count
-                        ));
-                    }
-                }
-            }
-            if !self.symmetric {
-                for j in 0..self.k {
-                    let mut counts = vec![0u32; self.k];
-                    for &v in p.members(j as u32) {
-                        for (i, count) in counts.iter_mut().enumerate() {
-                            *count += u32::from(self.in_degree_of(v, i as u32) != 0.0);
-                        }
-                    }
-                    for (i, &count) in counts.iter().enumerate() {
-                        if self.in_nz[i * self.cap + j] != count {
+                        let count = p
+                            .members(a as u32)
+                            .iter()
+                            .filter(|&&u| side.acc.get(u, b as u32) != 0.0)
+                            .count();
+                        if pr.nz[idx] as usize != count {
                             return Err(format!(
-                                "in_nz[{i}][{j}]: incremental {} vs recounted {}",
-                                self.in_nz[i * self.cap + j],
-                                count
+                                "{dir} nonzero count of ({a}, {b}): incremental {} vs recounted {count}",
+                                pr.nz[idx]
                             ));
                         }
                     }
@@ -4142,30 +3215,24 @@ impl IncrementalDegrees {
         }
         // Accumulators, recomputed fresh.
         for v in 0..self.n as NodeId {
-            let mut fresh = vec![0.0f64; self.k];
-            for (t, w) in g.out_edges(v) {
-                fresh[p.color_of(t) as usize] += w;
-            }
-            for (j, &expected) in fresh.iter().enumerate() {
-                if !close(self.out_degree_of(v, j as u32), expected) {
-                    return Err(format!(
-                        "dout[{v}][{j}]: incremental {} vs fresh {}",
-                        self.out_degree_of(v, j as u32),
-                        expected
-                    ));
+            for outgoing in [true, false] {
+                let mut fresh = vec![0.0f64; k];
+                let (nbrs, wts) = if outgoing {
+                    g.out_arcs(v)
+                } else {
+                    g.in_arcs(v)
+                };
+                for (&u, &w) in nbrs.iter().zip(wts) {
+                    fresh[p.color_of(u) as usize] += w;
                 }
-            }
-            let mut fresh = vec![0.0f64; self.k];
-            for (s, w) in g.in_edges(v) {
-                fresh[p.color_of(s) as usize] += w;
-            }
-            for (j, &expected) in fresh.iter().enumerate() {
-                if !close(self.in_degree_of(v, j as u32), expected) {
-                    return Err(format!(
-                        "din[{v}][{j}]: incremental {} vs fresh {}",
-                        self.in_degree_of(v, j as u32),
-                        expected
-                    ));
+                for (j, &expected) in fresh.iter().enumerate() {
+                    let ours = self.side(outgoing).acc.get(v, j as u32);
+                    if !close(ours, expected) {
+                        let dir = if outgoing { "out" } else { "in" };
+                        return Err(format!(
+                            "{dir} accumulator [{v}][{j}]: incremental {ours} vs fresh {expected}"
+                        ));
+                    }
                 }
             }
         }
@@ -4174,144 +3241,83 @@ impl IncrementalDegrees {
 
     // ---- internals ----
 
-    /// Rebuild every pair summary indexed along color `s`'s member axis:
-    /// out-entries `(s, j)` and in-entries `(j, s)` for all `j`, by scanning
-    /// the accumulator rows of `P_s`'s members. `O(|P_s| · k)`. Each shard
+    /// Rebuild every pair summary indexed along color `s`'s member axis,
+    /// on every kept side: entries `(s, j)` for all `j`.
+    fn recompute_color_axis(&mut self, p: &Partition, s: usize) {
+        for &outgoing in self.directions() {
+            self.with_side(outgoing, |e, side| e.rebuild_axis(side, p, s));
+        }
+        self.rows.dirty(s);
+    }
+
+    /// One side of [`Self::recompute_color_axis`], by scanning the
+    /// accumulator rows of `P_s`'s members. `O(|P_s| · k)`. Each shard
     /// (one below the scan-work threshold) folds a contiguous chunk of the
     /// members into its own min/max rows, and the rows merge in shard
     /// order with strict comparisons, which keep the first attainer — the
     /// member-order scan's values and extremum witnesses, bit for bit.
-    /// Sparse storage folds only the stored entries per member and closes
-    /// the merged rows with one `fold_zero_tail` pass: any column some
-    /// member misses folds a 0.0 with the `NO_ARG` witness. The min/max
-    /// *values* equal the dense scan's exactly; only zero-extremum
-    /// attainers differ (NO_ARG instead of the first zero-valued member),
-    /// which is unobservable — attainers gate rescans, never values, and
-    /// NO_ARG forces the conservative rescan.
-    fn recompute_color_axis(&mut self, p: &Partition, s: usize) {
-        let k = self.k;
-        let cap = self.cap;
+    /// Tiered rows fold only their stored entries per member and close the
+    /// merged rows with one zero-tail pass: any column some member misses
+    /// folds a 0.0 with the `NO_ARG` witness. The min/max *values* equal
+    /// the dense scan's exactly; only zero-extremum attainers differ
+    /// (NO_ARG instead of the first zero-valued member), which is
+    /// unobservable — attainers gate rescans, never values, and NO_ARG
+    /// forces the conservative rescan.
+    fn rebuild_axis(&mut self, side: &mut Side, p: &Partition, s: usize) {
+        let (k, cap) = (self.k, self.cap);
         let members = p.members(s as u32);
         let shards = if members.len() >= 2 && members.len() * k >= self.par_min_scan_work {
-            self.pool.slots()
+            self.pool.0.slots()
         } else {
             1
         };
-        let symmetric = self.symmetric;
         for sc in &mut self.shard_scratch[..shards] {
             sc.size_axis(cap);
         }
         {
-            let dout = &self.dout;
-            let din = &self.din;
-            let sparse_out = &self.sparse_out;
-            let sparse_in = &self.sparse_in;
-            let sparse_accum = self.sparse_accum;
+            let acc = &side.acc;
             let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            run_shards(&self.pool, shards, |shard| {
+            run_shards(&self.pool.0, shards, |shard| {
                 let (lo, hi) = chunk_range(members.len(), shards, shard);
                 // SAFETY: each shard touches only its own scratch entry.
                 let sc = unsafe { scratch.get_mut(shard) };
-                let (omin, rest) = sc.axis.split_at_mut(cap);
-                let (omax, rest) = rest.split_at_mut(cap);
-                let (imin, imax) = rest.split_at_mut(cap);
-                let (aomin, arest) = sc.axis_arg.split_at_mut(cap);
-                let (aomax, arest) = arest.split_at_mut(cap);
-                let (aimin, aimax) = arest.split_at_mut(cap);
-                let (onz, inz) = sc.axis_nz.split_at_mut(cap);
-                omin[..k].fill(f64::INFINITY);
-                omax[..k].fill(f64::NEG_INFINITY);
-                aomin[..k].fill(NO_ARG);
-                aomax[..k].fill(NO_ARG);
-                onz[..k].fill(0);
-                if !symmetric {
-                    imin[..k].fill(f64::INFINITY);
-                    imax[..k].fill(f64::NEG_INFINITY);
-                    aimin[..k].fill(NO_ARG);
-                    aimax[..k].fill(NO_ARG);
-                    inz[..k].fill(0);
-                }
-                // The dense out scan and (directed only) the in scan route
-                // through the vectorized row kernel — exactly the scalar
-                // member-order scan, bit for bit (see
-                // `kernels::fold_minmax_row`).
-                let chunk = &members[lo..hi];
-                if sparse_accum {
-                    for &u in chunk {
-                        let row = &sparse_out[u as usize];
-                        kernels::fold_minmax_sparse_row(u, row, k, omin, omax, aomin, aomax, onz);
-                        if !symmetric {
-                            let row = &sparse_in[u as usize];
-                            kernels::fold_minmax_sparse_row(
-                                u, row, k, imin, imax, aimin, aimax, inz,
-                            );
-                        }
-                    }
-                } else {
-                    for &u in chunk {
-                        let base = u as usize * cap;
-                        let row = &dout[base..base + k];
-                        kernels::fold_minmax_row(u, row, omin, omax, aomin, aomax, onz);
-                        if !symmetric {
-                            let row = &din[base..base + k];
-                            kernels::fold_minmax_row(u, row, imin, imax, aimin, aimax, inz);
-                        }
-                    }
-                }
+                let (mn, mx, amn, amx, nz) = sc.axis_rows(cap);
+                mn[..k].fill(f64::INFINITY);
+                mx[..k].fill(f64::NEG_INFINITY);
+                amn[..k].fill(NO_ARG);
+                amx[..k].fill(NO_ARG);
+                nz[..k].fill(0);
+                acc.fold_rows(&members[lo..hi], k, mn, mx, amn, amx, nz);
             });
         }
         // Merge the shard rows into the first shard's, in shard order.
         let (head, rest) = self.shard_scratch.split_at_mut(1);
         let head = &mut head[0];
-        let halves: &[usize] = if symmetric { &[0] } else { &[0, 1] };
         for sc in &rest[..shards - 1] {
-            for &h in halves {
-                let (lo, hi) = (2 * h * cap, (2 * h + 1) * cap);
-                for j in 0..k {
-                    if sc.axis[lo + j] < head.axis[lo + j] {
-                        head.axis[lo + j] = sc.axis[lo + j];
-                        head.axis_arg[lo + j] = sc.axis_arg[lo + j];
-                    }
-                    if sc.axis[hi + j] > head.axis[hi + j] {
-                        head.axis[hi + j] = sc.axis[hi + j];
-                        head.axis_arg[hi + j] = sc.axis_arg[hi + j];
-                    }
-                    head.axis_nz[h * cap + j] += sc.axis_nz[h * cap + j];
-                }
-            }
-        }
-        let (omin, rest) = head.axis.split_at_mut(cap);
-        let (omax, rest) = rest.split_at_mut(cap);
-        let (imin, imax) = rest.split_at_mut(cap);
-        let (aomin, arest) = head.axis_arg.split_at_mut(cap);
-        let (aomax, arest) = arest.split_at_mut(cap);
-        let (aimin, aimax) = arest.split_at_mut(cap);
-        let (onz, inz) = head.axis_nz.split_at_mut(cap);
-        if self.sparse_accum {
-            let count = members.len() as u32;
-            kernels::fold_zero_tail(count, k, omin, omax, aomin, aomax, onz);
-            if !symmetric {
-                kernels::fold_zero_tail(count, k, imin, imax, aimin, aimax, inz);
-            }
-        }
-        for j in 0..k {
-            self.out_min[s * cap + j] = omin[j];
-            self.out_max[s * cap + j] = omax[j];
-            self.out_min_arg[s * cap + j] = aomin[j];
-            self.out_max_arg[s * cap + j] = aomax[j];
-            self.out_nz[s * cap + j] = onz[j];
-        }
-        if !symmetric {
             for j in 0..k {
-                self.in_min[j * cap + s] = imin[j];
-                self.in_max[j * cap + s] = imax[j];
-                self.in_min_arg[j * cap + s] = aimin[j];
-                self.in_max_arg[j * cap + s] = aimax[j];
-                self.in_nz[j * cap + s] = inz[j];
+                if sc.axis[j] < head.axis[j] {
+                    head.axis[j] = sc.axis[j];
+                    head.axis_arg[j] = sc.axis_arg[j];
+                }
+                if sc.axis[cap + j] > head.axis[cap + j] {
+                    head.axis[cap + j] = sc.axis[cap + j];
+                    head.axis_arg[cap + j] = sc.axis_arg[cap + j];
+                }
+                head.axis_nz[j] += sc.axis_nz[j];
             }
         }
-        self.row_err_dirty[s] = true;
-        self.row_best_dirty[s] = true;
+        let (mn, mx, amn, amx, nz) = head.axis_rows(cap);
+        side.acc
+            .close_fold(members.len() as u32, k, mn, mx, amn, amx, nz);
+        let pr = &mut side.pairs;
+        for j in 0..k {
+            let idx = pr.at(s, j);
+            pr.min[idx] = mn[j];
+            pr.max[idx] = mx[j];
+            pr.min_arg[idx] = amn[j];
+            pr.max_arg[idx] = amx[j];
+            pr.nz[idx] = nz[j];
+        }
     }
 
     /// Collect the distinct neighbors of `moved` (sources of their in-edges
@@ -4352,7 +3358,7 @@ impl IncrementalDegrees {
             return;
         }
         let chunks = moved.len().div_ceil(chunk_size);
-        let shards = self.pool.slots();
+        let shards = self.pool.0.slots();
         let mut lists = std::mem::take(&mut self.chunk_out);
         if lists.len() < chunks {
             lists.resize_with(chunks, Default::default);
@@ -4366,7 +3372,7 @@ impl IncrementalDegrees {
         {
             let scratch = SyncSliceMut::new(&mut self.shard_scratch);
             let out = SyncSliceMut::new(&mut lists);
-            run_shards(&self.pool, shards, |shard| {
+            run_shards(&self.pool.0, shards, |shard| {
                 // SAFETY: each shard touches only its own scratch entry.
                 let sc = unsafe { scratch.get_mut(shard) };
                 for c in (shard..chunks).step_by(shards) {
@@ -4409,203 +3415,104 @@ impl IncrementalDegrees {
         self.chunk_out = lists;
     }
 
-    /// Recompute a batch of pair-summary entries from their member axes:
-    /// out-entry `(i, j)` scans `P_i`'s members, in-entry `(i, j)` scans
-    /// `P_j`'s (values, first attainers in member order, nonzero counts).
+    /// Recompute the side's queued rescans from their member axes: entry
+    /// `(a, b)` scans `P_a`'s members at column `b` (values, first
+    /// attainers in member order, nonzero counts), then clears the queue.
     /// Each shard (one below the scan-work threshold) takes a contiguous
     /// chunk of whole entries and writes only those, so results do not
     /// depend on the shard count. A chunk whose entries share one member
     /// axis — the parent-axis repair after a split always does — folds all
-    /// its columns in a single member pass
-    /// ([`kernels::scan_gather_columns`]), loading each accumulator row
+    /// its columns in a single member pass, loading each accumulator row
     /// once; per column that is the same member-order fold, bit for bit.
-    fn rescan_entries(&mut self, p: &Partition, entries: &[(u32, u32)], outgoing: bool) {
-        if entries.is_empty() {
-            return;
-        }
-        // (member color, column) of an entry.
-        let axis = |&(i, j): &(u32, u32)| if outgoing { (i, j) } else { (j, i) };
-        let work: usize = entries.iter().map(|e| p.size(axis(e).0)).sum();
-        let shards = if entries.len() >= 2 && work >= self.par_min_scan_work {
-            self.pool.slots()
-        } else {
-            1
-        };
-        let cap = self.cap;
-        for sc in &mut self.shard_scratch[..shards] {
-            sc.size_axis(cap);
-        }
-        let sparse = self.sparse_accum;
-        let (dense, rows, emin, emax, amin, amax, enz) = if outgoing || self.symmetric {
-            (
-                &self.dout,
-                &self.sparse_out,
-                &mut self.out_min,
-                &mut self.out_max,
-                &mut self.out_min_arg,
-                &mut self.out_max_arg,
-                &mut self.out_nz,
-            )
-        } else {
-            (
-                &self.din,
-                &self.sparse_in,
-                &mut self.in_min,
-                &mut self.in_max,
-                &mut self.in_min_arg,
-                &mut self.in_max_arg,
-                &mut self.in_nz,
-            )
-        };
-        let (emin, emax) = (SyncSliceMut::new(emin), SyncSliceMut::new(emax));
-        let (amin, amax) = (SyncSliceMut::new(amin), SyncSliceMut::new(amax));
-        let enz = SyncSliceMut::new(enz);
-        let write = |&(i, j): &(u32, u32), (mn, mx, an, ax, nz): (f64, f64, u32, u32, u32)| {
-            let idx = i as usize * cap + j as usize;
-            // SAFETY: the entry list is duplicate-free and chunks are
-            // disjoint, so each entry is written by one shard.
-            unsafe {
-                *emin.get_mut(idx) = mn;
-                *emax.get_mut(idx) = mx;
-                *amin.get_mut(idx) = an;
-                *amax.get_mut(idx) = ax;
-                *enz.get_mut(idx) = nz;
-            }
-        };
-        let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-        run_shards(&self.pool, shards, |shard| {
-            let (lo, hi) = chunk_range(entries.len(), shards, shard);
-            let chunk = &entries[lo..hi];
-            let Some(first) = chunk.first() else {
-                return;
+    fn rescan_queued(&mut self, side: &mut Side, p: &Partition) {
+        let entries = std::mem::take(&mut side.rescans);
+        if !entries.is_empty() {
+            let work: usize = entries.iter().map(|&(a, _)| p.size(a)).sum();
+            let shards = if entries.len() >= 2 && work >= self.par_min_scan_work {
+                self.pool.0.slots()
+            } else {
+                1
             };
-            let members = p.members(axis(first).0);
-            if chunk.len() < 2 || chunk.iter().any(|e| axis(e).0 != axis(first).0) {
-                for e in chunk {
-                    let (color, col) = axis(e);
-                    let members = p.members(color);
-                    write(
-                        e,
-                        if sparse {
-                            kernels::scan_gather_column_sparse(members, rows, col)
-                        } else {
-                            kernels::scan_gather_column(members, dense, cap, col as usize)
-                        },
-                    );
+            let cap = self.cap;
+            for sc in &mut self.shard_scratch[..shards] {
+                sc.size_axis(cap);
+            }
+            let acc = &side.acc;
+            let pr = &mut side.pairs;
+            let (ms, os) = (pr.ms, pr.os);
+            let (emin, emax) = (
+                SyncSliceMut::new(&mut pr.min),
+                SyncSliceMut::new(&mut pr.max),
+            );
+            let amin = SyncSliceMut::new(&mut pr.min_arg);
+            let amax = SyncSliceMut::new(&mut pr.max_arg);
+            let enz = SyncSliceMut::new(&mut pr.nz);
+            let write = |&(a, b): &(u32, u32), (mn, mx, an, ax, nz): (f64, f64, u32, u32, u32)| {
+                let idx = a as usize * ms + b as usize * os;
+                // SAFETY: the entry list is duplicate-free and chunks are
+                // disjoint, so each entry is written by one shard.
+                unsafe {
+                    *emin.get_mut(idx) = mn;
+                    *emax.get_mut(idx) = mx;
+                    *amin.get_mut(idx) = an;
+                    *amax.get_mut(idx) = ax;
+                    *enz.get_mut(idx) = nz;
                 }
-                return;
-            }
-            debug_assert!(chunk.len() <= cap);
-            let cols: Vec<u32> = chunk.iter().map(|e| axis(e).1).collect();
-            // SAFETY: each shard touches only its own scratch entry.
-            let sc = unsafe { scratch.get_mut(shard) };
-            {
-                // Results land at mins [s], maxs [cap + s] (witnesses
-                // likewise) and counts [s].
-                let (mn, mx) = sc.axis.split_at_mut(cap);
-                let (amn, amx) = sc.axis_arg.split_at_mut(cap);
-                let (mx, amx, nz) = (&mut mx[..cap], &mut amx[..cap], &mut sc.axis_nz[..cap]);
-                if sparse {
-                    kernels::scan_gather_columns_sparse(members, rows, &cols, mn, mx, amn, amx, nz);
-                } else {
-                    kernels::scan_gather_columns(members, dense, cap, &cols, mn, mx, amn, amx, nz);
+            };
+            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
+            run_shards(&self.pool.0, shards, |shard| {
+                let (lo, hi) = chunk_range(entries.len(), shards, shard);
+                let chunk = &entries[lo..hi];
+                let Some(&(axis, _)) = chunk.first() else {
+                    return;
+                };
+                if chunk.len() < 2 || chunk.iter().any(|e| e.0 != axis) {
+                    for e in chunk {
+                        write(e, acc.scan_column(p.members(e.0), e.1));
+                    }
+                    return;
                 }
-            }
-            for (s, e) in chunk.iter().enumerate() {
-                let (a, b) = (&sc.axis, &sc.axis_arg);
-                write(e, (a[s], a[cap + s], b[s], b[cap + s], sc.axis_nz[s]));
-            }
-        });
+                debug_assert!(chunk.len() <= cap);
+                let cols: Vec<u32> = chunk.iter().map(|e| e.1).collect();
+                // SAFETY: each shard touches only its own scratch entry.
+                let sc = unsafe { scratch.get_mut(shard) };
+                let (mn, mx, amn, amx, nz) = sc.axis_rows(cap);
+                acc.scan_columns(p.members(axis), &cols, mn, mx, amn, amx, nz);
+                for (s, e) in chunk.iter().enumerate() {
+                    write(e, (mn[s], mx[s], amn[s], amx[s], nz[s]));
+                }
+            });
+        }
+        side.rescans = entries;
+        side.rescans.clear();
     }
 
     /// Grow the column capacity to hold `needed` colors. Capacity doubles
     /// (`next_power_of_two`), so a long split sequence pays `O(log k)`
-    /// regrowths — amortized `O(1)` copies per new color, not `O(k²)` copy
-    /// traffic per shortfall — and each matrix regrows straight to its
-    /// final `new_rows × new_cap` footprint in one allocation + one prefix
-    /// copy (see [`regrow`]; square summary matrices used to restride to
-    /// `old × new` and then resize again). Engines with tiered sparse rows
-    /// (degrees-only *and* sparse-storage summary engines) skip the
-    /// accumulator restride entirely: colors are entry keys there, so the
-    /// rows never depend on `cap`.
+    /// regrowths — amortized `O(1)` copies per new color — and each matrix
+    /// regrows straight to its final footprint in one allocation + one
+    /// prefix copy. Degrees-only engines keep only tiered rows, which never
+    /// depend on the capacity.
     fn ensure_capacity(&mut self, needed: usize) {
         if needed <= self.cap {
             return;
         }
         let new_cap = needed.next_power_of_two();
-        let old_cap = self.cap;
         if self.track_summaries {
-            if !self.sparse_accum {
-                regrow(&mut self.dout, self.n, self.n, old_cap, new_cap, 0.0);
-                if !self.symmetric {
-                    regrow(&mut self.din, self.n, self.n, old_cap, new_cap, 0.0);
-                }
+            let (old_cap, kept) = (self.cap, self.directions().len());
+            for side in &mut self.sides[..kept] {
+                side.acc.grow_cap(new_cap);
+                side.pairs.grow(old_cap, new_cap);
             }
-            regrow(&mut self.out_min, old_cap, new_cap, old_cap, new_cap, 0.0);
-            regrow(&mut self.out_max, old_cap, new_cap, old_cap, new_cap, 0.0);
-            regrow(
-                &mut self.out_min_arg,
-                old_cap,
-                new_cap,
-                old_cap,
-                new_cap,
-                NO_ARG,
-            );
-            regrow(
-                &mut self.out_max_arg,
-                old_cap,
-                new_cap,
-                old_cap,
-                new_cap,
-                NO_ARG,
-            );
-            regrow(&mut self.out_nz, old_cap, new_cap, old_cap, new_cap, 0);
-            if !self.symmetric {
-                regrow(&mut self.in_min, old_cap, new_cap, old_cap, new_cap, 0.0);
-                regrow(&mut self.in_max, old_cap, new_cap, old_cap, new_cap, 0.0);
-                regrow(
-                    &mut self.in_min_arg,
-                    old_cap,
-                    new_cap,
-                    old_cap,
-                    new_cap,
-                    NO_ARG,
-                );
-                regrow(
-                    &mut self.in_max_arg,
-                    old_cap,
-                    new_cap,
-                    old_cap,
-                    new_cap,
-                    NO_ARG,
-                );
-                regrow(&mut self.in_nz, old_cap, new_cap, old_cap, new_cap, 0);
-            }
-            self.row_max_err.resize(new_cap, 0.0);
-            self.row_best.resize(new_cap, None);
-            self.row_err_dirty.resize(new_cap, true);
-            self.row_best_dirty.resize(new_cap, true);
+            let rows = &mut self.rows;
+            rows.max_err.resize(new_cap, 0.0);
+            rows.best.resize(new_cap, None);
+            rows.err_dirty.resize(new_cap, true);
+            rows.best_dirty.resize(new_cap, true);
             self.color_slot.resize(new_cap, u32::MAX);
         }
         self.cap = new_cap;
     }
-}
-
-/// Witness selection over from-scratch [`DegreeMatrices`], mirroring the
-/// engine's row-ordered scan — including its floating-point operation order
-/// and first-strictly-greater tie-breaking — exactly. This is what the
-/// non-incremental reference stepper ([`crate::rothko::Rothko::run_reference`])
-/// uses, so the incremental and from-scratch paths pick identical witnesses
-/// whenever the underlying matrices are numerically identical.
-pub fn pick_witness_scratch(
-    m: &DegreeMatrices,
-    p: &Partition,
-    alpha: f64,
-    beta: f64,
-) -> Option<WitnessCandidate> {
-    pick_witnesses_scratch(m, p, alpha, beta, 1)
-        .into_iter()
-        .next()
 }
 
 /// The top-`max_count` witnesses over from-scratch [`DegreeMatrices`], at
@@ -4671,87 +3578,6 @@ pub fn pick_witnesses_scratch(
             error: row.error,
         })
         .collect()
-}
-
-/// Compact a row-major node-axis matrix through a node remap: survivor
-/// rows slide down in order (in place), removed rows are dropped, and the
-/// vector is truncated to the new node count.
-fn compact_rows(data: &mut Vec<f64>, n_old: usize, cap: usize, remap: &NodeRemap) {
-    if cap == 0 {
-        return;
-    }
-    for v in 0..n_old as NodeId {
-        if let Some(nv) = remap.map(v) {
-            if nv != v {
-                let src = v as usize * cap;
-                let dst = nv as usize * cap;
-                data.copy_within(src..src + cap, dst);
-            }
-        }
-    }
-    data.truncate(remap.new_len() * cap);
-}
-
-/// Compact per-node tiered rows through a node remap (survivors keep their
-/// relative order).
-fn compact_sparse_rows(rows: &mut Vec<RowRep>, remap: &NodeRemap) {
-    let old = std::mem::take(rows);
-    *rows = old
-        .into_iter()
-        .enumerate()
-        .filter(|&(v, _)| !remap.is_removed(v as NodeId))
-        .map(|(_, r)| r)
-        .collect();
-}
-
-/// Regrow a row-major matrix from `rows × old_cap` to `new_rows × new_cap`
-/// columns, filling fresh cells with `fill`. One geometric allocation to
-/// the final footprint (both axes at once — no intermediate copy through
-/// an `old_rows × new_cap` shape), then only the old `rows × old_cap`
-/// prefix of each row is copied. The fresh allocation is deliberate:
-/// zero-filled matrices come from `alloc_zeroed` (lazy kernel zero pages —
-/// the dominant regrowth, a 10k-row accumulator growing its column axis,
-/// never writes the ~95% of the target that starts as fill), where an
-/// in-place `resize` + restride would stream the whole footprint through
-/// the store buffers twice.
-fn regrow<T: Copy>(
-    data: &mut Vec<T>,
-    rows: usize,
-    new_rows: usize,
-    old_cap: usize,
-    new_cap: usize,
-    fill: T,
-) {
-    debug_assert!(new_cap >= old_cap && new_rows >= rows);
-    debug_assert_eq!(data.len(), rows * old_cap);
-    let mut grown = vec![fill; new_rows * new_cap];
-    for r in 0..rows {
-        grown[r * new_cap..r * new_cap + old_cap]
-            .copy_from_slice(&data[r * old_cap..(r + 1) * old_cap]);
-    }
-    *data = grown;
-}
-
-/// Build one sparse accumulator row from a node's arc slices: per-color
-/// weight sums in arc order (stable sort keeps same-color weights in arc
-/// order, so each sum matches the dense accumulation bit-for-bit), zeros
-/// dropped, sorted by color.
-fn sparse_row_from_arcs((nbrs, wts): (&[NodeId], &[f64]), p: &Partition) -> Vec<(u32, f64)> {
-    let mut pairs: Vec<(u32, f64)> = nbrs
-        .iter()
-        .zip(wts.iter())
-        .map(|(&u, &w)| (p.color_of(u), w))
-        .collect();
-    pairs.sort_by_key(|&(c, _)| c);
-    let mut row: Vec<(u32, f64)> = Vec::new();
-    for (c, w) in pairs {
-        match row.last_mut() {
-            Some((lc, lw)) if *lc == c => *lw += w,
-            _ => row.push((c, w)),
-        }
-    }
-    row.retain(|&(_, w)| w != 0.0);
-    row
 }
 
 /// Run one data-parallel phase: `f(shard)` for every shard of `0..shards`,
@@ -4830,25 +3656,6 @@ fn scan_chunk(
     }
 }
 
-/// Fold one arc-accumulator delta of an edge batch into the per-(node,
-/// column) combined list (first-touch order, so batch processing is
-/// deterministic).
-fn accumulate_edge(
-    list: &mut Vec<(NodeId, u32, f64)>,
-    slots: &mut HashMap<(NodeId, u32), usize>,
-    u: NodeId,
-    col: u32,
-    delta: f64,
-) {
-    match slots.entry((u, col)) {
-        std::collections::hash_map::Entry::Occupied(e) => list[*e.get()].2 += delta,
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(list.len());
-            list.push((u, col, delta));
-        }
-    }
-}
-
 /// `size^exponent` with the paper's convention that an exponent of zero
 /// disables the weighting entirely (including for empty products).
 #[inline]
@@ -4866,6 +3673,27 @@ mod tests {
     use crate::similarity::{Absolute, Exact};
     use qsc_graph::generators;
     use qsc_graph::GraphBuilder;
+
+    #[test]
+    fn resident_bytes_counts_edge_batch_scratch() {
+        // One batch over 2,000 distinct (node, column) pairs: the batch's
+        // combine list alone keeps 2,000 × 16 bytes resident afterwards.
+        let n = 2_001;
+        let g = GraphBuilder::new_directed(n).build();
+        let p = Partition::unit(n);
+        let mut engine = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Dense, 1);
+        let before = engine.resident_bytes();
+        let mut delta = qsc_graph::GraphDelta::new(g);
+        for u in 0..2_000 {
+            delta.insert_edge(u, u + 1, 1.0).unwrap();
+        }
+        engine.apply_edge_batch(&p, &delta.drain_events());
+        let after = engine.resident_bytes();
+        assert!(
+            after >= before + 2_000 * 16,
+            "resident bytes {before} -> {after} miss the edge-batch scratch"
+        );
+    }
 
     #[test]
     fn discrete_partition_has_zero_error() {

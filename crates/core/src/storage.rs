@@ -1,45 +1,54 @@
-//! Tiered accumulator storage for the incremental engine.
+//! Accumulator storage for the incremental engine.
 //!
-//! The summary-tracking [`crate::q_error::IncrementalDegrees`] engine
-//! historically kept dense `n × k` accumulator matrices (`dout`/`din`):
-//! 8 bytes per (node, color) slot whether or not the node has any weight
-//! toward that color. On sparse graphs a node touches at most `deg(v)`
-//! colors, so at `k = 200` colors and average degree 20 over 90% of those
-//! bytes are zeros — and the dense layout is what decides how large a
-//! resident graph can get (see the ROADMAP persistence item).
+//! The summary-tracking [`crate::q_error::IncrementalDegrees`] engine keeps,
+//! per direction, the weight `w(v, P_j)` of every node toward every color.
+//! `Accum` holds one direction's accumulators in one of two tiers, and is
+//! the only place that knows which:
 //!
-//! This module provides the alternative: per-node **tiered rows**.
+//! * **Dense plane** — a row-major `n × cap` matrix, 8 bytes per (node,
+//!   color) slot whether or not the node has weight toward that color.
+//!   Fastest per probe while the plane is cache-resident: a member scan is
+//!   one strided load per row.
+//! * **Tiered rows** — one [`RowRep`] per node. On sparse graphs a node
+//!   touches at most `deg(v)` colors, so at `k = 200` colors and average
+//!   degree 20 over 90% of a dense plane is zeros:
+//!   * [`RowRep::Sparse`] — a sorted `(color, weight)` vector holding only
+//!     the nonzero entries. Reads probe; writes insert/remove to keep the
+//!     vector sorted and exact-zero-free. 16 bytes per *nonzero* entry.
+//!   * [`RowRep::Dense`] — a plain slot array for **hot rows**: once a
+//!     row's nonzero count reaches half the live color count (and the
+//!     color count is large enough for the trade to matter,
+//!     [`PROMOTE_MIN_K`]), the sparse form would cost more bytes *and*
+//!     more work per access than dense slots, so the row is promoted in
+//!     place. Promotion is a pure function of the row's mutation history
+//!     and the engine's color count — never of the thread count — so
+//!     tiering cannot perturb the determinism contract. Rows are not
+//!     demoted: a row that was hot stays dense (demotion would add churn
+//!     on the exact rows that are mutated most, for a bounded and
+//!     already-paid memory cost).
 //!
-//! * [`RowRep::Sparse`] — a sorted `(color, weight)` vector holding only
-//!   the nonzero entries, generalizing the degrees-only sparse rows from
-//!   PR 3. Reads binary-search; writes insert/remove to keep the vector
-//!   sorted and exact-zero-free. 16 bytes per *nonzero* entry.
-//! * [`RowRep::Dense`] — a plain slot array for **hot rows**: once a
-//!   row's nonzero count reaches half the live color count (and the color
-//!   count is large enough for the trade to matter, [`PROMOTE_MIN_K`]),
-//!   the sparse form would cost more bytes *and* more work per access
-//!   than dense slots, so the row is promoted in place. Promotion is a
-//!   pure function of the row's mutation history and the engine's color
-//!   count — never of the thread count — so tiering cannot perturb the
-//!   determinism contract. Rows are not demoted: a row that was hot
-//!   stays dense (demotion would add churn on the exact rows that are
-//!   mutated most, for a bounded and already-paid memory cost).
-//!
-//! Which tier a fresh engine starts every row in is selected by
-//! [`StorageMode`], the `RothkoConfig::storage` knob. Values stored in
-//! either representation are bit-identical: both apply the same scalar
-//! `old + delta` update, and a missing sparse entry reads as exactly
-//! `+0.0` — the same value a dense engine stores explicitly. (A dense
-//! slot can in principle hold `-0.0` where the sparse row dropped the
-//! entry; `-0.0 == 0.0` in every compare and subtraction the engine
-//! performs, so no observable output distinguishes them.)
+//! Which tier an engine uses is selected by [`StorageMode`], the
+//! `RothkoConfig::storage` knob. Values stored in either tier are
+//! bit-identical: both apply the same scalar `old + delta` update, and a
+//! missing sparse entry reads as exactly `+0.0` — the same value a dense
+//! plane stores explicitly. (A dense slot can in principle hold `-0.0`
+//! where the sparse row dropped the entry; `-0.0 == 0.0` in every compare
+//! and subtraction the engine performs, so no observable output
+//! distinguishes them.) Every `Accum` operation that walks many nodes
+//! matches on the tier once, outside its node loop.
+
+use crate::kernels;
+use crate::parallel::SyncSliceMut;
+use crate::q_error::RowsSnapshot;
+use qsc_graph::delta::NodeRemap;
+use qsc_graph::{ColumnAdvice, ColumnBuf, NodeId};
 
 /// Accumulator storage policy for the summary-tracking engine
 /// (`RothkoConfig::storage`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageMode {
-    /// Dense `n × k` matrices — the PR 1 layout. Fastest per access at
-    /// small `n · k`; memory grows as `n · k · 8` bytes per direction.
+    /// Dense `n × k` planes. Fastest per access at small `n · k`; memory
+    /// grows as `n · k · 8` bytes per direction.
     Dense,
     /// Tiered per-node rows (sorted sparse vectors + a dense tier for
     /// hot rows). Memory grows with the number of *nonzero* (node,
@@ -235,7 +244,7 @@ impl RowRep {
     /// afterwards the row is promoted to the dense tier when its nonzero
     /// count reaches `promote_k / 2` (and `promote_k ≥`
     /// [`PROMOTE_MIN_K`]). Pass `promote_k = 0` to disable promotion —
-    /// the degrees-only engine does, preserving its PR 3 behavior.
+    /// the degrees-only engine does, keeping its rows `O(deg(v))`.
     #[inline]
     pub fn add(&mut self, color: u32, delta: f64, promote_k: usize) -> (f64, f64) {
         let result = match self {
@@ -391,6 +400,629 @@ impl RowRep {
         grown[..slots.len()].copy_from_slice(slots);
         *slots = grown.into_boxed_slice();
     }
+}
+
+/// One direction's accumulators: every node's weight toward every live
+/// color, as a dense plane or as tiered rows (see the module docs). A
+/// direction the engine does not track holds zero rows.
+#[derive(Clone, Debug)]
+pub(crate) enum Accum {
+    /// Row-major plane: node `v`'s weight toward color `j` at
+    /// `plane[v * cap + j]`.
+    Dense { plane: Vec<f64>, cap: usize },
+    /// One tiered row per node.
+    Rows(Vec<RowRep>),
+}
+
+impl Default for Accum {
+    fn default() -> Self {
+        Accum::Rows(Vec::new())
+    }
+}
+
+impl Accum {
+    /// Accumulators of nodes `0..rows` in `tier`, each node summing its
+    /// arc weights (`arcs(v)`) by color in arc order, so both tiers hold
+    /// bit-identical sums. Tiered rows that already meet the density bar
+    /// promote (`promote_k` as in [`RowRep::add`]).
+    pub(crate) fn build<'g>(
+        tier: ResolvedStorage,
+        rows: usize,
+        cap: usize,
+        promote_k: usize,
+        colors: &[u32],
+        arcs: impl Fn(NodeId) -> (&'g [NodeId], &'g [f64]),
+    ) -> Self {
+        match tier {
+            ResolvedStorage::Dense => {
+                let mut plane = vec![0.0; rows * cap];
+                for v in 0..rows {
+                    let (nbrs, wts) = arcs(v as NodeId);
+                    let row = &mut plane[v * cap..(v + 1) * cap];
+                    for (&u, &w) in nbrs.iter().zip(wts) {
+                        row[colors[u as usize] as usize] += w;
+                    }
+                }
+                Accum::Dense { plane, cap }
+            }
+            ResolvedStorage::Sparse => Accum::Rows(
+                (0..rows as NodeId)
+                    .map(|v| RowRep::from_sorted(row_from_arcs(arcs(v), colors), promote_k))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Rebuild nodes `0..rows` in `tier` from snapshot columns: a tight
+    /// `rows × k` plane (re-padded to stride `cap`) or columnar tiered
+    /// rows; the column of the other tier must be empty.
+    ///
+    /// # Panics
+    /// On columns inconsistent with `rows` and `k`.
+    pub(crate) fn restore(
+        tier: ResolvedStorage,
+        plane: &ColumnBuf<f64>,
+        tiered: &RowsSnapshot,
+        rows: usize,
+        k: usize,
+        cap: usize,
+        promote_k: usize,
+    ) -> Self {
+        let dense = tier == ResolvedStorage::Dense;
+        // Mapped-restore path: the plane is read exactly once, front to
+        // back — let the pages stream in ahead of the copy.
+        plane.advise(ColumnAdvice::Sequential);
+        let plane_rows = if dense { rows } else { 0 };
+        let mut padded = vec![0.0; plane_rows * cap];
+        pad_into(&mut padded, plane, plane_rows, k, cap);
+        let tiered = rows_restore(tiered, if dense { 0 } else { rows }, promote_k);
+        if dense {
+            Accum::Dense { plane: padded, cap }
+        } else {
+            Accum::Rows(tiered)
+        }
+    }
+
+    /// The storage tier.
+    pub(crate) fn tier(&self) -> ResolvedStorage {
+        match self {
+            Accum::Dense { .. } => ResolvedStorage::Dense,
+            Accum::Rows(_) => ResolvedStorage::Sparse,
+        }
+    }
+
+    /// Tight snapshot columns over the live `k` colors: the plane (dense
+    /// tier) or the columnar rows (tiered); the other column is empty.
+    pub(crate) fn snapshot(&self, k: usize) -> (ColumnBuf<f64>, RowsSnapshot) {
+        match self {
+            Accum::Dense { plane, cap } => (
+                tight(plane, plane.len() / cap, k, *cap).into(),
+                RowsSnapshot::default(),
+            ),
+            Accum::Rows(rows) => (Vec::new().into(), rows_snapshot(rows)),
+        }
+    }
+
+    /// Node `v`'s weight toward `col`.
+    #[inline]
+    pub(crate) fn get(&self, v: NodeId, col: u32) -> f64 {
+        match self {
+            Accum::Dense { plane, cap } => plane[v as usize * cap + col as usize],
+            Accum::Rows(rows) => rows[v as usize].get(col),
+        }
+    }
+
+    /// Add `delta` to node `v`'s weight toward `col`, returning `(old,
+    /// new)` — the same scalar `old + delta` in both tiers.
+    #[inline]
+    pub(crate) fn add(&mut self, v: NodeId, col: u32, delta: f64, promote_k: usize) -> (f64, f64) {
+        match self {
+            Accum::Dense { plane, cap } => {
+                let slot = &mut plane[v as usize * *cap + col as usize];
+                let old = *slot;
+                let new = old + delta;
+                *slot = new;
+                (old, new)
+            }
+            Accum::Rows(rows) => rows[v as usize].add(col, delta, promote_k),
+        }
+    }
+
+    /// Move `deltas[i]` of node `nodes[i]`'s weight from column `from` to
+    /// column `to`, on the calling thread.
+    pub(crate) fn shift(
+        &mut self,
+        nodes: &[NodeId],
+        deltas: &[f64],
+        from: u32,
+        to: u32,
+        promote_k: usize,
+    ) {
+        match self {
+            Accum::Dense { plane, cap } => {
+                for (&u, &d) in nodes.iter().zip(deltas) {
+                    let row = &mut plane[u as usize * *cap..];
+                    row[from as usize] -= d;
+                    row[to as usize] += d;
+                }
+            }
+            Accum::Rows(rows) => {
+                for (&u, &d) in nodes.iter().zip(deltas) {
+                    rows[u as usize].add(from, -d, promote_k);
+                    rows[u as usize].add(to, d, promote_k);
+                }
+            }
+        }
+    }
+
+    /// The merge fold: move each node's weight at column `from` into
+    /// column `into`, replacing `capture` with `(node, old, new)` of the
+    /// `into` column for every node that held weight at `from`.
+    pub(crate) fn fold_column(
+        &mut self,
+        nodes: &[NodeId],
+        from: u32,
+        into: u32,
+        promote_k: usize,
+        capture: &mut Vec<(NodeId, f64, f64)>,
+    ) {
+        capture.clear();
+        match self {
+            Accum::Dense { plane, cap } => {
+                let (from, into) = (from as usize, into as usize);
+                for &u in nodes {
+                    let row = &mut plane[u as usize * *cap..];
+                    let lost = row[from];
+                    if lost == 0.0 {
+                        continue;
+                    }
+                    let old = row[into];
+                    let new = old + lost;
+                    row[into] = new;
+                    row[from] = 0.0;
+                    capture.push((u, old, new));
+                }
+            }
+            Accum::Rows(rows) => {
+                for &u in nodes {
+                    let row = &mut rows[u as usize];
+                    let lost = row.get(from);
+                    if lost == 0.0 {
+                        continue;
+                    }
+                    row.add(from, -lost, promote_k);
+                    let (old, new) = row.add(into, lost, promote_k);
+                    capture.push((u, old, new));
+                }
+            }
+        }
+    }
+
+    /// Move each node's weight at column `from` to column `to`, which the
+    /// caller guarantees holds none (the relabel after a merge).
+    pub(crate) fn relabel(&mut self, nodes: &[NodeId], from: u32, to: u32) {
+        match self {
+            Accum::Dense { plane, cap } => {
+                for &u in nodes {
+                    let row = &mut plane[u as usize * *cap..];
+                    row[to as usize] = row[from as usize];
+                    row[from as usize] = 0.0;
+                }
+            }
+            Accum::Rows(rows) => {
+                for &u in nodes {
+                    rows[u as usize].relabel(from, to);
+                }
+            }
+        }
+    }
+
+    /// Grow the node axis to `n` nodes with all-zero rows.
+    pub(crate) fn append(&mut self, n: usize) {
+        match self {
+            Accum::Dense { plane, cap } => plane.resize(n * *cap, 0.0),
+            Accum::Rows(rows) => rows.resize(n, RowRep::new()),
+        }
+    }
+
+    /// Compact the node axis through a node remap: survivors keep their
+    /// relative order, removed rows are dropped.
+    pub(crate) fn compact(&mut self, remap: &NodeRemap) {
+        match self {
+            Accum::Dense { plane, cap } => {
+                let cap = *cap;
+                for v in 0..remap.old_len() as NodeId {
+                    if let Some(nv) = remap.map(v) {
+                        if nv != v {
+                            let src = v as usize * cap;
+                            plane.copy_within(src..src + cap, nv as usize * cap);
+                        }
+                    }
+                }
+                plane.truncate(remap.new_len() * cap);
+            }
+            Accum::Rows(rows) => {
+                let old = std::mem::take(rows);
+                *rows = old
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(v, _)| !remap.is_removed(v as NodeId))
+                    .map(|(_, r)| r)
+                    .collect();
+            }
+        }
+    }
+
+    /// Whether node `v` has no weight toward any of the first `k` colors.
+    #[cfg(debug_assertions)]
+    pub(crate) fn row_is_zero(&self, v: NodeId, k: usize) -> bool {
+        match self {
+            Accum::Dense { plane, cap } => {
+                let base = v as usize * cap;
+                plane[base..base + k].iter().all(|&w| w == 0.0)
+            }
+            Accum::Rows(rows) => rows[v as usize].is_all_zero(),
+        }
+    }
+
+    /// Grow the column capacity to `new_cap` (a restride of the dense
+    /// plane; tiered rows key their entries by color and never depend on
+    /// the capacity).
+    pub(crate) fn grow_cap(&mut self, new_cap: usize) {
+        if let Accum::Dense { plane, cap } = self {
+            let n = plane.len() / *cap;
+            regrow(plane, n, n, *cap, new_cap, 0.0);
+            *cap = new_cap;
+        }
+    }
+
+    /// Heap bytes owned by the accumulators.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Accum::Dense { plane, .. } => plane.capacity() * std::mem::size_of::<f64>(),
+            Accum::Rows(rows) => {
+                rows.capacity() * std::mem::size_of::<RowRep>()
+                    + rows.iter().map(RowRep::heap_bytes).sum::<usize>()
+            }
+        }
+    }
+
+    /// Fold the rows of `members` over the first `k` columns into
+    /// per-column min/max (first attainers in member order) and nonzero
+    /// counts — one shard's share of a member-axis rebuild
+    /// ([`kernels::fold_minmax_row`] / [`kernels::fold_minmax_sparse_row`]).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fold_rows(
+        &self,
+        members: &[NodeId],
+        k: usize,
+        mins: &mut [f64],
+        maxs: &mut [f64],
+        arg_mins: &mut [u32],
+        arg_maxs: &mut [u32],
+        nzs: &mut [u32],
+    ) {
+        match self {
+            Accum::Dense { plane, cap } => {
+                for &u in members {
+                    let base = u as usize * cap;
+                    let row = &plane[base..base + k];
+                    kernels::fold_minmax_row(u, row, mins, maxs, arg_mins, arg_maxs, nzs);
+                }
+            }
+            Accum::Rows(rows) => {
+                for &u in members {
+                    let row = &rows[u as usize];
+                    kernels::fold_minmax_sparse_row(u, row, k, mins, maxs, arg_mins, arg_maxs, nzs);
+                }
+            }
+        }
+    }
+
+    /// Close a member-axis fold of `count` members: tiered rows fold the
+    /// implicit `0.0` of every column some member holds no entry for
+    /// ([`kernels::fold_zero_tail`]); a dense plane folded its explicit
+    /// zeros already.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn close_fold(
+        &self,
+        count: u32,
+        k: usize,
+        mins: &mut [f64],
+        maxs: &mut [f64],
+        arg_mins: &mut [u32],
+        arg_maxs: &mut [u32],
+        nzs: &[u32],
+    ) {
+        if let Accum::Rows(_) = self {
+            kernels::fold_zero_tail(count, k, mins, maxs, arg_mins, arg_maxs, nzs);
+        }
+    }
+
+    /// Min/max (first attainers), and nonzero count of column `col` over
+    /// `members`, in member order ([`kernels::scan_gather_column`] and its
+    /// tiered twin).
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn scan_column(&self, members: &[NodeId], col: u32) -> (f64, f64, u32, u32, u32) {
+        match self {
+            Accum::Dense { plane, cap } => {
+                kernels::scan_gather_column(members, plane, *cap, col as usize)
+            }
+            Accum::Rows(rows) => kernels::scan_gather_column_sparse(members, rows, col),
+        }
+    }
+
+    /// [`Self::scan_column`] for several columns of one member axis in a
+    /// single member pass; column `cols[s]` lands at position `s` of the
+    /// outputs ([`kernels::scan_gather_columns`] and its tiered twin).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scan_columns(
+        &self,
+        members: &[NodeId],
+        cols: &[u32],
+        mins: &mut [f64],
+        maxs: &mut [f64],
+        arg_mins: &mut [u32],
+        arg_maxs: &mut [u32],
+        nzs: &mut [u32],
+    ) {
+        match self {
+            Accum::Dense { plane, cap } => kernels::scan_gather_columns(
+                members, plane, *cap, cols, mins, maxs, arg_mins, arg_maxs, nzs,
+            ),
+            Accum::Rows(rows) => kernels::scan_gather_columns_sparse(
+                members, rows, cols, mins, maxs, arg_mins, arg_maxs, nzs,
+            ),
+        }
+    }
+
+    /// A handle the shards of a data-parallel phase can share, each
+    /// writing its own nodes' rows.
+    pub(crate) fn shared(&mut self) -> SharedAccum<'_> {
+        match self {
+            Accum::Dense { plane, cap } => SharedAccum::Dense(SyncSliceMut::new(plane), *cap),
+            Accum::Rows(rows) => SharedAccum::Rows(SyncSliceMut::new(rows)),
+        }
+    }
+}
+
+/// [`Accum`] shared across the shards of one data-parallel phase.
+pub(crate) enum SharedAccum<'a> {
+    /// The dense plane and its stride.
+    Dense(SyncSliceMut<'a, f64>, usize),
+    /// The tiered rows.
+    Rows(SyncSliceMut<'a, RowRep>),
+}
+
+impl SharedAccum<'_> {
+    /// The split shift over one chunk of touched nodes: move `deltas[i]` of
+    /// node `nodes[i]`'s weight from column `from` to the brand-new column
+    /// `to` ([`RowRep::split_shift`]), then call `f(i, node, old_from,
+    /// new_from, to_value)`.
+    ///
+    /// The rows land all over a multi-megabyte accumulator in an order the
+    /// hardware prefetcher cannot predict, so the loop prefetches its own
+    /// future rows: dense slots directly, tiered rows in two stages (the
+    /// row struct well ahead, its heap payload closer in). The distance
+    /// covers the latency of one row's patch work; the hints never change
+    /// results.
+    ///
+    /// # Safety
+    /// No row of a node in `nodes` may be accessed concurrently (each
+    /// touched node belongs to exactly one shard's chunk).
+    // SAFETY: soundness is delegated to the caller's disjointness promise
+    // (the contract above), which the row accesses below rely on.
+    pub(crate) unsafe fn split_shift_each(
+        &self,
+        nodes: &[NodeId],
+        deltas: &[f64],
+        from: u32,
+        to: u32,
+        promote_k: usize,
+        mut f: impl FnMut(usize, NodeId, f64, f64, f64),
+    ) {
+        const PREFETCH_AHEAD: usize = 16;
+        match self {
+            SharedAccum::Dense(plane, cap) => {
+                let (cap, from, to) = (*cap, from as usize, to as usize);
+                for (pos, (&u, &d)) in nodes.iter().zip(deltas).enumerate() {
+                    // SAFETY: the caller owns every row of `nodes`, and the
+                    // look-ahead node is one of them.
+                    let row = unsafe {
+                        if let Some(&w) = nodes.get(pos + PREFETCH_AHEAD) {
+                            let w = w as usize;
+                            let ahead = plane.slice_mut(w * cap, w * cap + cap);
+                            kernels::prefetch_read(ahead, from);
+                            kernels::prefetch_read(ahead, to);
+                        }
+                        plane.slice_mut(u as usize * cap, u as usize * cap + cap)
+                    };
+                    let old = row[from];
+                    let new = old - d;
+                    row[from] = new;
+                    row[to] += d;
+                    f(pos, u, old, new, row[to]);
+                }
+            }
+            SharedAccum::Rows(rows) => {
+                for (pos, (&u, &d)) in nodes.iter().zip(deltas).enumerate() {
+                    // SAFETY: as above — every row reached here, look-ahead
+                    // rows included, belongs to the caller; within the chunk
+                    // rows change in list order, so promotion decisions do
+                    // not depend on the shard count either.
+                    let (old, new, to_val) = unsafe {
+                        if let Some(&w) = nodes.get(pos + PREFETCH_AHEAD) {
+                            kernels::prefetch_read(rows.slice_mut(w as usize, w as usize + 1), 0);
+                        }
+                        if let Some(&w) = nodes.get(pos + PREFETCH_AHEAD / 2) {
+                            kernels::prefetch_row_payload(rows.get_mut(w as usize), from);
+                        }
+                        rows.get_mut(u as usize).split_shift(from, to, d, promote_k)
+                    };
+                    f(pos, u, old, new, to_val);
+                }
+            }
+        }
+    }
+}
+
+/// One node's tiered row from its arc slices: per-color weight sums in arc
+/// order (a stable sort keeps same-color weights in arc order, so each sum
+/// matches the dense accumulation bit for bit), zeros dropped, sorted by
+/// color.
+fn row_from_arcs((nbrs, wts): (&[NodeId], &[f64]), colors: &[u32]) -> Vec<(u32, f64)> {
+    let mut pairs: Vec<(u32, f64)> = nbrs
+        .iter()
+        .zip(wts)
+        .map(|(&u, &w)| (colors[u as usize], w))
+        .collect();
+    pairs.sort_by_key(|&(c, _)| c);
+    let mut row: Vec<(u32, f64)> = Vec::new();
+    for (c, w) in pairs {
+        match row.last_mut() {
+            Some((lc, lw)) if *lc == c => *lw += w,
+            _ => row.push((c, w)),
+        }
+    }
+    row.retain(|&(_, w)| w != 0.0);
+    row
+}
+
+/// Columnar snapshot of tiered rows (absent when there are none).
+fn rows_snapshot(rows: &[RowRep]) -> RowsSnapshot {
+    if rows.is_empty() {
+        return RowsSnapshot::default();
+    }
+    let mut snap = RowsSnapshot {
+        offsets: Vec::with_capacity(rows.len() + 1),
+        colors: Vec::new(),
+        weights: Vec::new(),
+        dense: Vec::with_capacity(rows.len()),
+    };
+    snap.offsets.push(0);
+    let mut buf = Vec::new();
+    for row in rows {
+        buf.clear();
+        row.push_nonzero_entries(&mut buf);
+        for &(c, w) in &buf {
+            snap.colors.push(c);
+            snap.weights.push(w);
+        }
+        snap.offsets.push(snap.colors.len());
+        snap.dense.push(row.is_dense());
+    }
+    snap
+}
+
+/// Tiered rows of nodes `0..n` from their columnar snapshot, each in the
+/// tier the writer recorded.
+fn rows_restore(snap: &RowsSnapshot, n: usize, promote_k: usize) -> Vec<RowRep> {
+    if !snap.is_present() {
+        assert_eq!(
+            n, 0,
+            "row snapshot absent for a direction that needs {n} rows"
+        );
+        return Vec::new();
+    }
+    assert_eq!(
+        snap.offsets.len(),
+        n + 1,
+        "row snapshot offsets length mismatch"
+    );
+    assert_eq!(
+        snap.dense.len(),
+        n,
+        "row snapshot tier-flag length mismatch"
+    );
+    assert_eq!(
+        *snap.offsets.last().unwrap(),
+        snap.colors.len(),
+        "row snapshot entry count mismatch"
+    );
+    assert_eq!(
+        snap.colors.len(),
+        snap.weights.len(),
+        "row snapshot column mismatch"
+    );
+    (0..n)
+        .map(|v| {
+            let (lo, hi) = (snap.offsets[v], snap.offsets[v + 1]);
+            let entries: Vec<(u32, f64)> = snap.colors[lo..hi]
+                .iter()
+                .copied()
+                .zip(snap.weights[lo..hi].iter().copied())
+                .collect();
+            if snap.dense[v] {
+                RowRep::dense_from_sorted(&entries, promote_k)
+            } else {
+                RowRep::Sparse(entries)
+            }
+        })
+        .collect()
+}
+
+/// The leading `rows × cols` block of a row-major matrix with row stride
+/// `stride`, packed tight.
+pub(crate) fn tight<T: Copy>(padded: &[T], rows: usize, cols: usize, stride: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        out.extend_from_slice(&padded[r * stride..r * stride + cols]);
+    }
+    out
+}
+
+/// Copy a tight `rows × cols` matrix into the leading block of `dst`
+/// (row stride `stride`). An empty `dst` is an absent matrix, whose tight
+/// column must be empty too.
+///
+/// # Panics
+/// On a column length that does not match.
+pub(crate) fn pad_into<T: Copy>(
+    dst: &mut [T],
+    tight: &[T],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+) {
+    if dst.is_empty() {
+        assert!(
+            tight.is_empty(),
+            "snapshot column for absent matrix is non-empty"
+        );
+        return;
+    }
+    assert_eq!(tight.len(), rows * cols, "snapshot column length mismatch");
+    for r in 0..rows {
+        dst[r * stride..r * stride + cols].copy_from_slice(&tight[r * cols..(r + 1) * cols]);
+    }
+}
+
+/// Regrow a row-major matrix from `rows × old_cap` to `new_rows × new_cap`
+/// columns, filling fresh cells with `fill`. One geometric allocation to
+/// the final footprint (both axes at once — no intermediate copy through
+/// an `old_rows × new_cap` shape), then only the old `rows × old_cap`
+/// prefix of each row is copied. The fresh allocation is deliberate:
+/// zero-filled matrices come from `alloc_zeroed` (lazy kernel zero pages —
+/// the dominant regrowth, a large accumulator plane growing its column
+/// axis, never writes most of the target), where an in-place `resize` +
+/// restride would stream the whole footprint through the store buffers
+/// twice.
+pub(crate) fn regrow<T: Copy>(
+    data: &mut Vec<T>,
+    rows: usize,
+    new_rows: usize,
+    old_cap: usize,
+    new_cap: usize,
+    fill: T,
+) {
+    debug_assert!(new_cap >= old_cap && new_rows >= rows);
+    debug_assert_eq!(data.len(), rows * old_cap);
+    let mut grown = vec![fill; new_rows * new_cap];
+    for r in 0..rows {
+        grown[r * new_cap..r * new_cap + old_cap]
+            .copy_from_slice(&data[r * old_cap..(r + 1) * old_cap]);
+    }
+    *data = grown;
 }
 
 #[cfg(test)]

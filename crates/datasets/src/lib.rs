@@ -6,8 +6,9 @@
 //! the Mittelmann LP benchmark); this crate reproduces their *structure* —
 //! degree distributions, community/grid regularity, block-structured
 //! constraint matrices — with deterministic, seeded generators so that every
-//! experiment in `qsc-bench` runs out of the box. See `DESIGN.md`
-//! ("Substitutions") for the per-dataset rationale.
+//! experiment in `qsc-bench` runs out of the box. Each dataset's
+//! descriptor in [`registry`] records the paper's sizes and the generator
+//! family of its stand-in.
 //!
 //! Every dataset is available at two scales:
 //! * [`Scale::Small`] — used by tests and quick runs (seconds),

@@ -3,8 +3,8 @@
 //! The paper's max-flow benchmarks (Tsukuba, Venus, Sawtooth, Cells) are
 //! computer-vision instances: grid graphs whose per-pixel terminal
 //! capacities vary smoothly with superimposed noise. [`grid_flow_network`]
-//! reproduces that structure at configurable scale; see `DESIGN.md`
-//! ("Substitutions").
+//! reproduces that structure at configurable scale (`qsc-datasets` maps
+//! each benchmark to its grid size).
 
 use crate::network::FlowNetwork;
 use qsc_graph::{GraphBuilder, NodeId};

@@ -2,7 +2,8 @@
 //!
 //! Every generator takes an explicit seed so the benchmark harness is fully
 //! deterministic. These generators serve as laptop-scale stand-ins for the
-//! evaluation datasets of the paper (see `DESIGN.md`, "Substitutions"):
+//! evaluation datasets of the paper (`qsc-datasets` maps each dataset to
+//! its generator):
 //!
 //! * [`barabasi_albert`] / [`powerlaw_cluster`] — scale-free social networks
 //!   (DBLP, Astrophysics, Facebook, Deezer, Enron, Epinions stand-ins).

@@ -4,8 +4,8 @@
 //! `nug08-3rd`, `supportcase10`, `ex10`; Table 3). Those files are external
 //! downloads, so this module provides seeded generators producing LPs with
 //! the same *structural* property that makes them compressible: constraint
-//! matrices containing blocks of near-identical rows and columns. See
-//! `DESIGN.md` ("Substitutions") for the mapping.
+//! matrices containing blocks of near-identical rows and columns
+//! (`qsc-datasets` maps each benchmark LP to its generator).
 //!
 //! All generated problems are feasible (the origin is feasible: `b > 0`) and
 //! bounded (every variable has a positive coefficient in some constraint).

@@ -10,8 +10,12 @@
 //! sequences, q-error bits, q-reports and reduced emissions all compared
 //! across every storage mode × thread count combination. Within a storage
 //! mode, whole engine snapshots — extremum attainers included — must
-//! also match across shard counts. Weights are multiples of 0.5 so all
-//! sums are exact and equalities can be required bit-for-bit.
+//! also match across shard counts, and a digest of those snapshots taken
+//! after every operation is pinned to a recorded constant per
+//! (directedness, storage mode), so a change that moves attainers or
+//! nonzero counts in every mode alike still fails. Weights are multiples
+//! of 0.5 so all sums are exact and equalities can be required
+//! bit-for-bit.
 
 use qsc_core::q_error::{EngineSnapshot, IncrementalDegrees, RowsSnapshot};
 use qsc_core::reduced::quotient_matrix;
@@ -155,12 +159,53 @@ fn snapshot_bits(s: &EngineSnapshot) -> Vec<Vec<u64>> {
     out
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Fold a snapshot into a running FNV-1a digest: every column's length,
+/// then its values, each as 8 little-endian bytes.
+fn fold_digest(mut h: u64, s: &EngineSnapshot) -> u64 {
+    for col in snapshot_bits(s) {
+        for x in std::iter::once(col.len() as u64).chain(col) {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+    }
+    h
+}
+
+/// Fold every engine's current snapshot into its digest.
+fn fold_all(engines: &[(String, IncrementalDegrees)], digests: &mut [u64]) {
+    for ((_, e), h) in engines.iter().zip(digests.iter_mut()) {
+        *h = fold_digest(*h, &e.snapshot());
+    }
+}
+
+/// Digest of the whole operation trace of
+/// `engine_storage_modes_bit_identical_under_mixed_churn`, per
+/// (directed, storage mode). `Auto` resolves dense on these 60-node
+/// graphs, so it shares the dense constant.
+fn pinned_digest(directed: bool, name: &str) -> u64 {
+    let sparse = name.starts_with("Sparse");
+    match (directed, sparse) {
+        (false, false) => 0xcad2_f02c_e647_d873,
+        (false, true) => 0x4fda_de93_3b43_aaa8,
+        (true, false) => 0xcae6_f3eb_63e4_ab7d,
+        (true, true) => 0xb62b_1637_15c1_a2f9,
+    }
+}
+
 #[test]
 fn engine_storage_modes_bit_identical_under_mixed_churn() {
     for (directed, seed) in [(false, 9u64), (true, 29)] {
         let g = random_graph(60, 260, directed, seed);
         let mut p = Partition::unit(60);
         let mut engines = engine_variants(&g, &p);
+        let mut digests = vec![FNV_OFFSET; engines.len()];
+        fold_all(&engines, &mut digests);
+        let mut node_rng = StdRng::seed_from_u64(seed ^ 0x0DE5);
         let mut delta = GraphDelta::new(g);
         let mut edges: Vec<(u32, u32)> = delta
             .base()
@@ -177,6 +222,7 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                     for (_, e) in engines.iter_mut() {
                         e.apply_split(&current, &p, &ev);
                     }
+                    fold_all(&engines, &mut digests);
                 }
             }
             // ...an occasional merge (the relabel-last path) once enough
@@ -189,13 +235,49 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                 for (_, e) in engines.iter_mut() {
                     e.apply_merge(&current, &p, &ev);
                 }
+                fold_all(&engines, &mut digests);
             }
-            // ...and an edge batch.
+            // ...an edge batch...
             let events = churn_batch(&mut delta, &mut edges, &mut rng, 14);
             for (_, e) in engines.iter_mut() {
                 e.apply_edge_batch(&p, &events);
             }
+            fold_all(&engines, &mut digests);
             current = delta.compact();
+            // ...and every other round node churn, driven through the
+            // engine calls `RothkoRun::apply_node_batch` makes.
+            if round % 2 == 0 {
+                let (batch, compacted) =
+                    qsc_bench::random_node_churn(&mut delta, &p, &mut node_rng, 3, 2, 3, |rng| {
+                        (rng.random_range(1u32..9) as f64) * 0.5
+                    });
+                let first = p.num_nodes() as u32;
+                for &c in &batch.inserted_colors {
+                    p.insert_node(c);
+                }
+                for (_, e) in engines.iter_mut() {
+                    e.apply_node_inserts(&p, first, &batch.inserted_colors);
+                }
+                fold_all(&engines, &mut digests);
+                for (_, e) in engines.iter_mut() {
+                    e.apply_edge_batch(&p, &batch.edge_events);
+                }
+                fold_all(&engines, &mut digests);
+                let removed_colors: Vec<u32> =
+                    batch.removed.iter().map(|&v| p.color_of(v)).collect();
+                p.apply_node_remap(&batch.remap);
+                for (_, e) in engines.iter_mut() {
+                    e.apply_node_removals(&p, &batch.remap, &removed_colors);
+                }
+                fold_all(&engines, &mut digests);
+                edges = delta
+                    .base()
+                    .edges()
+                    .iter()
+                    .map(|&(u, v, _)| (u, v))
+                    .collect();
+                current = compacted;
+            }
             // Every variant verifies against a fresh recomputation...
             for (name, e) in engines.iter() {
                 assert_eq!(
@@ -248,6 +330,13 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                     "round {round}: merge pick {name} vs {ref_name}"
                 );
             }
+        }
+        for ((name, _), &h) in engines.iter().zip(&digests) {
+            assert_eq!(
+                h,
+                pinned_digest(directed, name),
+                "state digest of {name} (directed={directed}): {h:#018x}"
+            );
         }
     }
 }
