@@ -3,9 +3,8 @@
 //! Pits [`qsc_core::rothko::Rothko`] (which maintains an
 //! `IncrementalDegrees` engine across splits) against the from-scratch
 //! reference stepper (which rebuilds the degree matrices each step, the
-//! seed's original behaviour) on Barabási–Albert graphs. The recorded
-//! speedups live in `BENCH_rothko.json` (produced by the
-//! `bench_rothko_incremental` binary).
+//! seed's original behaviour) on Barabási–Albert graphs. The
+//! `incremental_engine` suite asserts that both produce the same coloring.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsc_core::rothko::{Rothko, RothkoConfig};

@@ -6,6 +6,7 @@
 
 use qsc_bench::{render_table, timed};
 use qsc_datasets::Scale;
+use qsc_flow::reduce::relative_error;
 use qsc_lp::interior_point::{self, InteriorPointConfig};
 use qsc_lp::reduce::{reduce_with_rothko, LpColoringConfig, LpReductionVariant};
 use qsc_lp::simplex;
@@ -49,13 +50,6 @@ fn main() {
     );
     println!("paper shape: the coloring reduction reaches each target orders of magnitude");
     println!("faster than early-stopping the interior-point solver.");
-}
-
-fn relative_error(exact: f64, approx: f64) -> f64 {
-    if exact <= 0.0 || approx <= 0.0 {
-        return f64::INFINITY;
-    }
-    (exact / approx).max(approx / exact)
 }
 
 fn ours_time_to_target(lp: &qsc_lp::LpProblem, exact: f64, target: f64) -> String {

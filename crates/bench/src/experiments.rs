@@ -11,11 +11,11 @@
 //! and `qsc-lp`): one monotone coloring refinement is checkpointed at every
 //! budget, the reduced instance is patched per split instead of rebuilt,
 //! and the reduced solver resumes from the previous budget's solution. The
-//! per-budget results equal the old per-budget cold path (fresh coloring +
-//! rebuild + cold solve at each budget); the reported `approx_seconds` is
-//! *cumulative* — the warm pipeline's end-to-end cost of reaching that
-//! budget from the start of the sweep — which is the honest cost model for
-//! a sweep and is what `bench_sweep` compares against the cold path.
+//! per-budget results equal the per-budget cold path (fresh coloring +
+//! rebuild + cold solve at each budget), as the `sweep_equivalence` suite
+//! asserts; the reported `approx_seconds` is *cumulative* — the warm
+//! pipeline's end-to-end cost of reaching that budget from the start of
+//! the sweep — which is the honest cost model for a sweep.
 
 use crate::report::TradeoffPoint;
 use crate::timed;

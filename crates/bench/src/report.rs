@@ -1,7 +1,7 @@
 //! Serializable experiment records (written as JSON lines next to the text
 //! tables so results can be post-processed or plotted externally).
 //!
-//! The JSON-lines writer below is hand-rolled so the harness does not need a
+//! The JSON renderers below are hand-rolled so the harness does not need a
 //! JSON dependency (the build environment is offline).
 
 /// One point of a speed/accuracy trade-off curve (Fig. 7) or a
@@ -71,30 +71,9 @@ impl CompressionRow {
     }
 }
 
-/// Serialize a slice of records to JSON lines using the provided renderer.
-pub fn to_json_lines<T>(records: &[T], render: impl Fn(&T) -> String) -> String {
-    records.iter().map(render).collect::<Vec<_>>().join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_lines_round_trip_shape() {
-        let rows = vec![CompressionRow {
-            dataset: "openflights".into(),
-            setting: "q=16".into(),
-            max_q: 2.2,
-            mean_q: 0.4,
-            colors: 39,
-            compression: 87.0,
-            seconds: 0.06,
-        }];
-        let text = to_json_lines(&rows, CompressionRow::to_json);
-        assert!(text.contains("\"dataset\":\"openflights\""));
-        assert_eq!(text.lines().count(), 1);
-    }
 
     #[test]
     fn tradeoff_point_json_contains_fields() {

@@ -101,17 +101,15 @@
 //! `(color, weight)` vectors at 16 bytes per nonzero, hot rows promoted
 //! to plain slot arrays). Both run the same fold contract through
 //! [`kernels`]' sparse gather variants, so modes are bit-identical under
-//! the full event algebra; only footprint and wall time differ. Measured
-//! on the `bench_memory` BA ladder (m = 10, k = 200): an average row
-//! holds ~20 nonzeros, ≈ 330 bytes per node sparse against 2 KiB dense —
-//! 4.2× less engine memory at 10k nodes, 7.4× at 100k, 11× at the
-//! 1M-node / 10⁷-edge headline where the dense 1.93 GiB accumulator is
-//! the memory wall this tier removes. Dense stays ahead on wall time
-//! while the matrix is cache-resident (~1.6× faster at 10k); sparse wins
-//! both memory *and* time from ~100k up (0.4× dense wall). The default
-//! `Auto` picks per engine along exactly that crossover (projected dense
-//! footprint vs density), so existing small-scale callers keep dense
-//! behavior bit for bit.
+//! the full event algebra; only footprint and wall time differ. On a
+//! Barabási–Albert graph with m = 10 at k = 200 an average row holds ~20
+//! nonzeros, ≈ 330 bytes per node sparse against 2 KiB dense, so at
+//! 1M nodes / 10⁷ edges the dense accumulator alone is ~1.9 GiB. Dense
+//! probes stay cheaper while the matrix is cache-resident. The default
+//! `Auto` picks per engine from the projected dense footprint and the
+//! density: pipebench's 200k-node `stream-edges` workload resolves to
+//! sparse rows and its 20k-node `stream-nodes` workload to dense, so
+//! small-scale callers keep dense behavior bit for bit.
 //!
 //! **Persistence layer.** Everything the pipeline maintains is also
 //! *checkpointable*: [`IncrementalDegrees::snapshot`],

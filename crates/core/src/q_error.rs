@@ -2063,7 +2063,7 @@ impl IncrementalDegrees {
     /// summaries and their per-event scratch), the witness cache, the
     /// per-node and per-shard scratch and every other reusable per-event
     /// buffer — all of it is part of what the process keeps resident.
-    /// This is the number `bench_memory` reports per storage mode.
+    /// Pipebench's traced ledger reports it as `core.resident_mb`.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -2087,25 +2087,6 @@ impl IncrementalDegrees {
                 .sum::<usize>()
             + self.dirty_scratch.capacity() * 4
             + chunk_lists
-    }
-
-    /// What [`Self::resident_bytes`] would report with a *dense*
-    /// accumulator tier at the current `n × cap` shape: the measured
-    /// resident bytes with the accumulators swapped for `n · cap` `f64`
-    /// slots per kept direction. For a dense engine this is the
-    /// measurement itself (within allocator slack); for a sparse engine it
-    /// is the analytic dense projection `bench_memory` compares against at
-    /// scales where a dense engine is deliberately never built.
-    #[must_use]
-    pub fn projected_dense_resident_bytes(&self) -> usize {
-        let accum_now: usize = self.sides.iter().map(|s| s.acc.heap_bytes()).sum();
-        let dense_accum = if self.track_summaries {
-            self.n * self.cap * 8 * self.directions().len()
-        } else {
-            // Degrees-only engines never hold dense accumulators.
-            accum_now
-        };
-        self.resident_bytes() - accum_now + dense_accum
     }
 
     /// Number of colors currently tracked.

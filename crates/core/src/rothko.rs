@@ -93,10 +93,11 @@
 //! patched engine state equals a freshly built engine on the compacted
 //! graph (exactly so for exactly-representable weights), the maintenance
 //! splits *and merges* are bit-identical to what a fresh run *started
-//! from the same coloring* would do; `bench_dynamic` records the
-//! resulting maintain-vs-recompute speedups under sustained edge and
-//! node churn. [`RothkoRun::maintain_with`] delivers every operation as
-//! a [`PartitionEvent`] in lockstep for downstream incremental consumers.
+//! from the same coloring* would do; pipebench's `stream-edges` and
+//! `stream-nodes` workloads time that maintenance under sustained edge
+//! and node churn. [`RothkoRun::maintain_with`] delivers every operation
+//! as a [`PartitionEvent`] in lockstep for downstream incremental
+//! consumers.
 
 use crate::kernels;
 use crate::parallel::default_threads;
@@ -510,7 +511,7 @@ impl<'g> RothkoRun<'g> {
     }
 
     /// The run's incremental engine (`None` in from-scratch reference
-    /// mode) — read-only access for instrumentation like `bench_memory`'s
+    /// mode) — read-only access for instrumentation such as the
     /// [`IncrementalDegrees::resident_bytes`] accounting.
     pub fn engine(&self) -> Option<&IncrementalDegrees> {
         self.engine.as_ref()

@@ -167,6 +167,12 @@ pub fn read_dimacs_max_flow<R: Read>(reader: R) -> Result<DimacsMaxFlow> {
                 let count: usize = parts[2]
                     .parse()
                     .map_err(|_| parse_err(lineno, "bad node count"))?;
+                if count > u32::MAX as usize {
+                    return Err(parse_err(
+                        lineno,
+                        &format!("node count {count} exceeds u32::MAX"),
+                    ));
+                }
                 parts[3]
                     .parse::<usize>()
                     .map_err(|_| parse_err(lineno, "bad arc count"))?;
@@ -371,6 +377,26 @@ mod tests {
                 read_dimacs_max_flow(text.as_bytes()).is_err(),
                 "accepted malformed input {text:?}"
             );
+        }
+    }
+
+    #[test]
+    fn dimacs_node_count_past_u32_is_rejected_at_the_problem_line() {
+        // Id 2^32 + 1 would wrap to node 0 if the count were accepted.
+        let text = "p max 4294967297 0\nn 4294967297 s\n";
+        match read_dimacs_max_flow(text.as_bytes()) {
+            Err(GraphError::Parse { line, message }) => {
+                assert_eq!(line, 1);
+                assert!(message.contains("node count"), "{message}");
+            }
+            other => panic!("expected a node-count parse error, got {other:?}"),
+        }
+        // u32::MAX itself is a valid count: parsing goes on to the next
+        // missing piece.
+        let text = "p max 4294967295 0\nn 4294967295 s\n";
+        match read_dimacs_max_flow(text.as_bytes()) {
+            Err(GraphError::Parse { message, .. }) => assert_eq!(message, "missing sink"),
+            other => panic!("expected a missing-sink parse error, got {other:?}"),
         }
     }
 

@@ -99,6 +99,7 @@ enum RowKind {
 pub fn read_mps<R: Read>(reader: R) -> Result<MpsProblem, MpsError> {
     let reader = BufReader::new(reader);
     let mut name = String::from("mps");
+    let mut sense = Sense::Minimize;
     let mut section = String::new();
     let mut row_kinds: Vec<RowKind> = Vec::new();
     let mut row_names: HashMap<String, usize> = HashMap::new();
@@ -232,10 +233,8 @@ pub fn read_mps<R: Read>(reader: R) -> Result<MpsProblem, MpsError> {
                 });
             }
             "OBJSENSE" => {
-                // handled below via keyword on its own data line
                 if fields[0].to_uppercase().contains("MAX") {
-                    // flagged via name hack below
-                    name.push_str("|MAXIMIZE");
+                    sense = Sense::Maximize;
                 }
             }
             _ => {
@@ -299,12 +298,6 @@ pub fn read_mps<R: Read>(reader: R) -> Result<MpsProblem, MpsError> {
             triplets.push((i as u32, j, v));
         }
     }
-    let sense = if name.ends_with("|MAXIMIZE") {
-        name.truncate(name.len() - "|MAXIMIZE".len());
-        Sense::Maximize
-    } else {
-        Sense::Minimize
-    };
     Ok(MpsProblem {
         name: name.clone(),
         sense,
@@ -378,6 +371,15 @@ ENDATA
         let max_form = mps.into_max_problem();
         let sol = simplex::solve(&max_form);
         assert!((sol.objective + 1.0).abs() < 1e-6, "got {}", sol.objective);
+    }
+
+    #[test]
+    fn sense_comes_from_objsense_not_the_name() {
+        let text = SAMPLE.replace("NAME          SAMPLE", "NAME p|MAXIMIZE");
+        let mps = read_mps(text.as_bytes()).unwrap();
+        assert_eq!(mps.sense, Sense::Minimize);
+        assert_eq!(mps.name, "p|MAXIMIZE");
+        assert_eq!(mps.problem.name, "p|MAXIMIZE");
     }
 
     #[test]

@@ -152,8 +152,8 @@ pub struct CheckpointData {
     pub wal_seq: u64,
 }
 
-/// Size accounting for one encoded checkpoint — the numbers
-/// `BENCH_persist.json` reports.
+/// Size accounting for one encoded checkpoint — pipebench reports
+/// `file_bytes` as `persist.checkpoint_bytes`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CheckpointStats {
     /// Total file bytes (header + block headers + payloads).

@@ -102,7 +102,8 @@ fn engine_matches_scratch_on_sparse_and_dense_extremes() {
 /// The refactor must not change Rothko's output: the incremental run and
 /// the from-scratch reference run share witness selection and split logic,
 /// so for exactly representable weights the partitions are identical.
-fn assert_runs_identical(g: &Graph, config: RothkoConfig, label: &str) {
+/// Returns the number of colors both runs reached.
+fn assert_runs_identical(g: &Graph, config: RothkoConfig, label: &str) -> usize {
     let incremental = Rothko::new(config.clone()).run(g);
     let reference = Rothko::new(config).run_reference(g);
     assert_eq!(
@@ -112,6 +113,7 @@ fn assert_runs_identical(g: &Graph, config: RothkoConfig, label: &str) {
     );
     assert_eq!(incremental.iterations, reference.iterations, "{label}");
     assert_eq!(incremental.max_q_error, reference.max_q_error, "{label}");
+    incremental.partition.num_colors()
 }
 
 #[test]
@@ -133,6 +135,11 @@ fn rothko_identical_before_and_after_refactor_fixed_seeds() {
             "alpha=beta=1 geometric",
         );
     }
+    // A 2,000-node scale-free graph (unit weights) refined to its full
+    // 64-color budget.
+    let g = qsc_graph::generators::barabasi_albert(2_000, 4, 7);
+    let colors = assert_runs_identical(&g, RothkoConfig::with_max_colors(64), "BA(2000, 4)");
+    assert_eq!(colors, 64);
 }
 
 #[test]

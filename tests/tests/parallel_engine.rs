@@ -2,9 +2,11 @@
 //! batched witness rounds: colorings, witness sequences and error values
 //! must be **bit-identical** across thread counts {1, 2, 8} and stable
 //! under batch sizes {1, 4} on seeded random directed and undirected
-//! graphs. `threads = 1, batch = 1` must equal the default serial engine
-//! exactly, and the sharded code paths are additionally exercised with
-//! forced-low dispatch thresholds at the engine level.
+//! graphs, and across thread counts {1, 2, 4, 8} at batch 8 on a
+//! 2,000-node Barabási–Albert graph. `threads = 1, batch = 1` must equal
+//! the default serial engine exactly, and the sharded code paths are
+//! additionally exercised with forced-low dispatch thresholds at the
+//! engine level.
 
 use qsc_core::q_error::IncrementalDegrees;
 use qsc_core::rothko::{Rothko, RothkoConfig};
@@ -31,6 +33,12 @@ fn random_graph(n: usize, edges: usize, directed: bool, seed: u64) -> Graph {
         }
     }
     b.build()
+}
+
+/// Barabási–Albert graph with 2,000 nodes and 4 edges per arrival (unit
+/// weights).
+fn ba_2000() -> Graph {
+    qsc_graph::generators::barabasi_albert(2_000, 4, 7)
 }
 
 /// Drive a full run, collecting the coloring, the witness sequence, and the
@@ -63,6 +71,15 @@ fn colorings_and_witnesses_identical_across_thread_counts() {
             }
         }
     }
+    // A 2,000-node scale-free graph at batch 8 with the default dispatch
+    // thresholds: large enough that the sharded phases split real work.
+    let g = ba_2000();
+    let base = RothkoConfig::with_max_colors(64).batch(8);
+    let reference = run_trace(&g, base.clone().threads(1));
+    for threads in [2usize, 4, 8] {
+        let parallel = run_trace(&g, base.clone().threads(threads));
+        assert_eq!(parallel, reference, "BA(2000, 4) threads={threads} batch=8");
+    }
 }
 
 #[test]
@@ -73,6 +90,10 @@ fn serial_batch_one_equals_default_engine() {
         let pinned = run_trace(&g, RothkoConfig::with_max_colors(30).threads(1).batch(1));
         assert_eq!(pinned, default_run, "directed={directed} seed={seed}");
     }
+    let g = ba_2000();
+    let default_run = run_trace(&g, RothkoConfig::with_max_colors(64));
+    let pinned = run_trace(&g, RothkoConfig::with_max_colors(64).threads(1).batch(1));
+    assert_eq!(pinned, default_run, "BA(2000, 4)");
 }
 
 #[test]
