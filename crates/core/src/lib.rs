@@ -146,12 +146,14 @@
 //! exceeds RAM still open in O(1). Owned and mapped stacks run the same
 //! code paths (`Deref<Target = [T]>`) and are bit-identical at every
 //! thread count; the engine hints paging (`advise`) ahead of whole-axis
-//! sweeps and touched-list scans. Every compaction is copy-on-write at
-//! the `GraphStore` swap boundary: it writes fresh owned columns once
-//! (after a mapped restart, the first one leaves the mapping behind),
-//! and every graph handle taken from it — the engine's, a checkpoint's,
-//! a recovery delta's — is an O(1) clone sharing those columns, leaving
-//! the mutation path untouched.
+//! sweeps and touched-list scans. No compaction writes into a graph
+//! another handle holds: an edge-only compaction returns a new graph
+//! whose row patch holds the changed rows over the previous graph's
+//! base columns (after a mapped restart the mapping stays the base), and
+//! only a renumbering compaction or a patch past its fixed size limit
+//! flattens into fresh owned columns. Every graph handle — the
+//! engine's, a checkpoint's, a recovery delta's — is an O(1) clone
+//! sharing that storage, leaving the mutation path untouched.
 //!
 //! **Determinism contract.** Every event consumer must uphold what the
 //! engine guarantees: applying an event sequence leaves state *bit

@@ -19,9 +19,10 @@
 //! (the engine's kernels, the persist encoder) sees only `&[T]` via
 //! `Deref`, so owned and mapped stacks run byte-identical code paths.
 //!
-//! Mutation never happens through a `ColumnBuf`: `Graph` is immutable and
-//! all write paths (delta compaction, builders) construct fresh owned
-//! vectors, so sharing one column between clones is always safe.
+//! Mutation never happens through a `ColumnBuf`: `Graph` is immutable,
+//! builders and flattening compactions construct fresh owned vectors, and
+//! a patching compaction keeps the previous graph's columns as they are,
+//! so sharing one column between clones is always safe.
 
 use std::ops::Deref;
 use std::sync::Arc;

@@ -7,6 +7,9 @@
 //! records which convention was used so that edge counts and generators can
 //! report logical edge counts.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use crate::builder::GraphBuilder;
 use crate::column::{ColumnAdvice, ColumnBuf};
 use crate::GraphError;
@@ -14,19 +17,34 @@ use crate::GraphError;
 /// Dense node identifier. All nodes of a graph with `n` nodes are `0..n`.
 pub type NodeId = u32;
 
+/// The CSR arrays `(offsets, targets, weights)` of one direction:
+/// borrowed from a flat graph, gathered afresh from a patched one.
+pub type CsrArrays<'a> = (Cow<'a, [usize]>, Cow<'a, [NodeId]>, Cow<'a, [f64]>);
+
 /// An immutable weighted directed graph in CSR form.
 ///
 /// Construct via [`GraphBuilder`] or one of the [`crate::generators`].
 /// Columns are [`ColumnBuf`]s: owned vectors for every built graph, or
 /// shared views into a memory-mapped checkpoint when constructed through
 /// [`Graph::from_mapped_columns`] — the read paths are identical either
-/// way, and mutation always goes through delta compaction into fresh
-/// owned columns (copy-on-write at the compaction boundary).
+/// way. Columns are never written after construction; mutation goes
+/// through [`crate::GraphDelta`].
 ///
 /// Both kinds of column are `Arc`-shared, so `clone` is O(1) and copies
 /// no arcs. An undirected graph's in-columns *are* its out-columns (the
 /// symmetric rows make the two directions bit-identical), so it stores
 /// its arcs once.
+///
+/// **Row patch.** An edge-only delta compaction returns a graph that
+/// keeps the previous graph's columns as its *base* and carries a row
+/// patch: the rows changed since the base was built, as sorted
+/// `(neighbor, weight)` runs in immutable shared chunks, plus a per-node
+/// locator. [`Self::out_arcs`] and [`Self::in_arcs`] return the patched
+/// row where one exists and the base row otherwise, and every other read
+/// is built on those two, so a patched graph answers exactly like the
+/// flat graph with the same rows. Mapped base columns stay mapped under
+/// a patch. Graphs from builders, readers, checkpoints and renumbering
+/// compactions are flat; [`Self::is_patched`] tells the two apart.
 #[derive(Clone, Debug)]
 pub struct Graph {
     n: usize,
@@ -40,6 +58,9 @@ pub struct Graph {
     in_offsets: ColumnBuf<usize>,
     in_sources: ColumnBuf<NodeId>,
     in_weights: ColumnBuf<f64>,
+    /// Rows replaced since the base columns were built; `None` for a flat
+    /// graph.
+    patch: Option<Arc<RowPatch>>,
 }
 
 impl Graph {
@@ -268,7 +289,79 @@ impl Graph {
             in_offsets,
             in_sources,
             in_weights,
+            patch: None,
         }
+    }
+
+    /// This graph with the out-rows named in `out` replaced by its rows
+    /// and — for a directed graph — the in-rows named in `inn` likewise;
+    /// `m` and `arcs` are the new logical edge and stored arc counts. The
+    /// base columns and every earlier chunk are shared, not copied: `O(n)`
+    /// for the locator copy plus `O(rows)`. Undirected graphs pass
+    /// `inn = None` (their in-rows are their out-rows).
+    pub(crate) fn with_patched_rows(
+        &self,
+        m: usize,
+        arcs: usize,
+        out: RowChunk,
+        inn: Option<RowChunk>,
+    ) -> Graph {
+        debug_assert_eq!(self.directed, inn.is_some());
+        let prev = self.patch.as_deref();
+        let patch = RowPatch {
+            arcs,
+            out: PatchSide::extended(prev.map(|p| &p.out), self.n, out),
+            inn: inn.map(|chunk| PatchSide::extended(prev.map(RowPatch::in_side), self.n, chunk)),
+        };
+        Graph {
+            m,
+            patch: Some(Arc::new(patch)),
+            ..self.clone()
+        }
+    }
+
+    /// Whether the patch can take one more compaction's chunk of `rows`
+    /// rows in each direction (its locator encoding bounds both).
+    pub(crate) fn patch_has_room(&self, rows: usize) -> bool {
+        let p = self.patch.as_deref();
+        PatchSide::has_room(p.map(|p| &p.out), rows)
+            && PatchSide::has_room(p.map(RowPatch::in_side), rows)
+    }
+
+    /// Arcs held in the out-direction patch, superseded row copies
+    /// included (`0` for a flat graph): the compaction policy's measure
+    /// of patch size.
+    pub(crate) fn patch_arcs(&self) -> usize {
+        self.patch.as_ref().map_or(0, |p| p.out.stored)
+    }
+
+    /// Ascending ids of the nodes whose out-row lives in the patch.
+    pub(crate) fn patched_out_rows(&self) -> Vec<NodeId> {
+        let Some(p) = &self.patch else {
+            return Vec::new();
+        };
+        (0..self.n as NodeId)
+            .filter(|&v| p.out.loc[v as usize] != 0)
+            .collect()
+    }
+
+    /// The base out-columns `(offsets, targets, weights)`. For a patched
+    /// graph the patched rows' entries here are stale; only rows outside
+    /// [`Self::patched_out_rows`] may be read from them.
+    pub(crate) fn base_out_columns(&self) -> (&[usize], &[NodeId], &[f64]) {
+        (
+            self.out_offsets.as_slice(),
+            self.out_targets.as_slice(),
+            self.out_weights.as_slice(),
+        )
+    }
+
+    /// Whether this graph carries a row patch over its base columns (see
+    /// the type docs). Patched and flat graphs with the same rows answer
+    /// every query identically.
+    #[inline]
+    pub fn is_patched(&self) -> bool {
+        self.patch.is_some()
     }
 
     /// Create an empty graph with `n` isolated nodes.
@@ -283,6 +376,7 @@ impl Graph {
             in_offsets: vec![0; n + 1].into(),
             in_sources: ColumnBuf::default(),
             in_weights: ColumnBuf::default(),
+            patch: None,
         }
     }
 
@@ -314,11 +408,12 @@ impl Graph {
     }
 
     /// Hint that the out- and in-arcs of `nodes` will be read soon: one
-    /// [`ColumnAdvice::WillNeed`] per direction over the arc span
-    /// `min..max` of the listed nodes. Cheap (two `madvise` calls over a
-    /// contiguous range, `O(|nodes|)` to find the span) and a no-op for
-    /// owned graphs, so callers can hint unconditionally ahead of batched
-    /// touched-list scans.
+    /// [`ColumnAdvice::WillNeed`] per direction over the base-column arc
+    /// span `min..max` of the listed nodes (patched rows are owned, so
+    /// their base entries are merely over-hinted). Cheap (two `madvise`
+    /// calls over a contiguous range, `O(|nodes|)` to find the span) and
+    /// a no-op for owned graphs, so callers can hint unconditionally ahead
+    /// of batched touched-list scans.
     pub fn advise_arcs_will_need(&self, nodes: &[NodeId]) {
         if nodes.is_empty() || !self.has_shared_columns() {
             return;
@@ -362,7 +457,10 @@ impl Graph {
     /// Number of stored arcs (twice `num_edges` for undirected graphs).
     #[inline]
     pub fn num_arcs(&self) -> usize {
-        self.out_targets.len()
+        match &self.patch {
+            None => self.out_targets.len(),
+            Some(p) => p.arcs,
+        }
     }
 
     /// Whether this graph was built as a directed graph.
@@ -374,6 +472,9 @@ impl Graph {
     /// Outgoing arcs of `v` as parallel slices `(targets, weights)`.
     #[inline]
     pub fn out_arcs(&self, v: NodeId) -> (&[NodeId], &[f64]) {
+        if let Some(p) = &self.patch {
+            return self.patched_out_arcs(p, v);
+        }
         let lo = self.out_offsets[v as usize];
         let hi = self.out_offsets[v as usize + 1];
         (&self.out_targets[lo..hi], &self.out_weights[lo..hi])
@@ -382,34 +483,78 @@ impl Graph {
     /// Incoming arcs of `v` as parallel slices `(sources, weights)`.
     #[inline]
     pub fn in_arcs(&self, v: NodeId) -> (&[NodeId], &[f64]) {
+        if let Some(p) = &self.patch {
+            return self.patched_in_arcs(p, v);
+        }
         let lo = self.in_offsets[v as usize];
         let hi = self.in_offsets[v as usize + 1];
         (&self.in_sources[lo..hi], &self.in_weights[lo..hi])
     }
 
-    /// The raw out-CSR arrays `(offsets, targets, weights)`: the arcs of `v`
-    /// occupy `offsets[v]..offsets[v+1]` in the parallel `targets`/`weights`
-    /// slices. Used by batch passes (e.g. the incremental refinement
-    /// engine's O(m) initialization) that want to sweep all arcs without
-    /// per-node accessor calls.
-    #[inline]
-    pub fn out_adjacency(&self) -> (&[usize], &[NodeId], &[f64]) {
-        (
-            self.out_offsets.as_slice(),
-            self.out_targets.as_slice(),
-            self.out_weights.as_slice(),
-        )
+    /// [`Self::out_arcs`] of a patched graph, kept out of line so the
+    /// flat graphs' inlined path stays as small as it was.
+    #[inline(never)]
+    fn patched_out_arcs<'a>(&'a self, p: &'a RowPatch, v: NodeId) -> (&'a [NodeId], &'a [f64]) {
+        p.out.row(v).unwrap_or_else(|| {
+            let (lo, hi) = (
+                self.out_offsets[v as usize],
+                self.out_offsets[v as usize + 1],
+            );
+            (&self.out_targets[lo..hi], &self.out_weights[lo..hi])
+        })
     }
 
-    /// The raw in-CSR arrays `(offsets, sources, weights)`; see
+    /// [`Self::in_arcs`] of a patched graph; see [`Self::patched_out_arcs`].
+    #[inline(never)]
+    fn patched_in_arcs<'a>(&'a self, p: &'a RowPatch, v: NodeId) -> (&'a [NodeId], &'a [f64]) {
+        p.in_side().row(v).unwrap_or_else(|| {
+            let (lo, hi) = (self.in_offsets[v as usize], self.in_offsets[v as usize + 1]);
+            (&self.in_sources[lo..hi], &self.in_weights[lo..hi])
+        })
+    }
+
+    /// The out-CSR arrays `(offsets, targets, weights)`: the arcs of `v`
+    /// occupy `offsets[v]..offsets[v+1]` in the parallel `targets`/`weights`
+    /// slices. Borrowed from a flat graph; a patched graph's rows are
+    /// gathered into fresh arrays (`O(n + arcs)`), so the result is always
+    /// the graph's current adjacency. The checkpoint encoder's path.
+    pub fn out_adjacency(&self) -> CsrArrays<'_> {
+        match self.patch {
+            None => (
+                Cow::Borrowed(self.out_offsets.as_slice()),
+                Cow::Borrowed(self.out_targets.as_slice()),
+                Cow::Borrowed(self.out_weights.as_slice()),
+            ),
+            Some(_) => self.gather(|v| self.out_arcs(v)),
+        }
+    }
+
+    /// The in-CSR arrays `(offsets, sources, weights)`; see
     /// [`Self::out_adjacency`].
-    #[inline]
-    pub fn in_adjacency(&self) -> (&[usize], &[NodeId], &[f64]) {
-        (
-            self.in_offsets.as_slice(),
-            self.in_sources.as_slice(),
-            self.in_weights.as_slice(),
-        )
+    pub fn in_adjacency(&self) -> CsrArrays<'_> {
+        match self.patch {
+            None => (
+                Cow::Borrowed(self.in_offsets.as_slice()),
+                Cow::Borrowed(self.in_sources.as_slice()),
+                Cow::Borrowed(self.in_weights.as_slice()),
+            ),
+            Some(_) => self.gather(|v| self.in_arcs(v)),
+        }
+    }
+
+    /// Concatenate every node's `row` into fresh CSR arrays.
+    fn gather<'a>(&'a self, row: impl Fn(NodeId) -> (&'a [NodeId], &'a [f64])) -> CsrArrays<'a> {
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        offsets.push(0usize);
+        let mut targets = Vec::with_capacity(self.num_arcs());
+        let mut weights = Vec::with_capacity(self.num_arcs());
+        for v in self.nodes() {
+            let (t, w) = row(v);
+            targets.extend_from_slice(t);
+            weights.extend_from_slice(w);
+            offsets.push(targets.len());
+        }
+        (offsets.into(), targets.into(), weights.into())
     }
 
     /// Iterate the outgoing arcs `(target, weight)` of `v`.
@@ -429,13 +574,19 @@ impl Graph {
     /// Out-degree (number of outgoing arcs) of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_offsets[v as usize + 1] - self.out_offsets[v as usize]
+        match self.patch {
+            None => self.out_offsets[v as usize + 1] - self.out_offsets[v as usize],
+            Some(_) => self.out_arcs(v).0.len(),
+        }
     }
 
     /// In-degree (number of incoming arcs) of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_offsets[v as usize + 1] - self.in_offsets[v as usize]
+        match self.patch {
+            None => self.in_offsets[v as usize + 1] - self.in_offsets[v as usize],
+            Some(_) => self.in_arcs(v).0.len(),
+        }
     }
 
     /// Total outgoing weight `w(v, X)` of `v`.
@@ -514,9 +665,12 @@ impl Graph {
         self.weight_between_masked(us, &mask)
     }
 
-    /// Sum of all edge weights (over stored arcs).
+    /// Sum of all edge weights (over stored arcs), in arc order.
     pub fn total_weight(&self) -> f64 {
-        self.out_weights.iter().sum()
+        match self.patch {
+            None => self.out_weights.iter().sum(),
+            Some(_) => self.nodes().flat_map(|v| self.out_arcs(v).1).sum(),
+        }
     }
 
     /// Return the transpose graph (all arcs reversed). The transpose of an
@@ -566,8 +720,130 @@ impl Graph {
         }
         let mut g = self.clone();
         g.directed = true;
-        g.m = g.out_targets.len();
+        g.m = g.num_arcs();
         g
+    }
+}
+
+/// The rows a graph has replaced since its base columns were built.
+#[derive(Debug)]
+struct RowPatch {
+    /// Stored arcs of the patched graph.
+    arcs: usize,
+    out: PatchSide,
+    /// A directed graph's patched in-rows; `None` when the in-rows are
+    /// the out-rows (undirected graphs, and their
+    /// [`Graph::to_directed`] copies).
+    inn: Option<PatchSide>,
+}
+
+impl RowPatch {
+    #[inline]
+    fn in_side(&self) -> &PatchSide {
+        self.inn.as_ref().unwrap_or(&self.out)
+    }
+}
+
+/// The patched rows of one direction.
+#[derive(Clone, Debug)]
+struct PatchSide {
+    /// Per node: `0` when its row is the base row, else `1 + (chunk <<
+    /// ROW_BITS | row)` — row `row` of `chunks[chunk]`.
+    loc: Vec<u32>,
+    /// One chunk per patching compaction since the base was built. A
+    /// chunk is never written again, so graphs share them by `Arc`.
+    chunks: Vec<Arc<RowChunk>>,
+    /// Arcs held across `chunks`, superseded row copies included.
+    stored: usize,
+}
+
+/// Bits of a locator entry that number the row within its chunk.
+const ROW_BITS: u32 = 24;
+
+impl PatchSide {
+    /// Most chunks a side can hold (the locator reserves `0`).
+    const MAX_CHUNKS: usize = (u32::MAX >> ROW_BITS) as usize;
+    /// Most rows one chunk can hold.
+    const MAX_CHUNK_ROWS: usize = 1 << ROW_BITS;
+
+    /// Whether one more chunk of `rows` rows fits the locator encoding.
+    fn has_room(side: Option<&PatchSide>, rows: usize) -> bool {
+        side.map_or(0, |s| s.chunks.len()) < Self::MAX_CHUNKS && rows <= Self::MAX_CHUNK_ROWS
+    }
+
+    /// `prev` (or an empty side over `n` nodes) with the rows `chunk`
+    /// holds pointed at it: an `O(n)` locator copy and `O(chunks)` `Arc`
+    /// clones; no row is copied.
+    fn extended(prev: Option<&PatchSide>, n: usize, mut chunk: RowChunk) -> Self {
+        let nodes = std::mem::take(&mut chunk.nodes);
+        debug_assert_eq!(chunk.offsets.len(), nodes.len() + 1);
+        debug_assert!(Self::has_room(prev, nodes.len()));
+        let mut side = prev.cloned().unwrap_or_else(|| PatchSide {
+            loc: vec![0; n],
+            chunks: Vec::new(),
+            stored: 0,
+        });
+        let first = 1 + ((side.chunks.len() as u32) << ROW_BITS);
+        for (row, &v) in nodes.iter().enumerate() {
+            side.loc[v as usize] = first + row as u32;
+        }
+        side.stored += chunk.targets.len();
+        side.chunks.push(Arc::new(chunk));
+        side
+    }
+
+    /// The patched row of `v`, or `None` when it is the base row.
+    #[inline]
+    fn row(&self, v: NodeId) -> Option<(&[NodeId], &[f64])> {
+        let loc = self.loc[v as usize].checked_sub(1)?;
+        let c = &self.chunks[(loc >> ROW_BITS) as usize];
+        let row = (loc & ((1 << ROW_BITS) - 1)) as usize;
+        let (lo, hi) = (c.offsets[row], c.offsets[row + 1]);
+        Some((&c.targets[lo..hi], &c.weights[lo..hi]))
+    }
+}
+
+/// Replacement rows built by one compaction, as one CSR block: the row
+/// of `nodes[i]` occupies `offsets[i]..offsets[i + 1]`.
+#[derive(Debug)]
+pub(crate) struct RowChunk {
+    /// The node of each row; emptied once the locator points at the rows.
+    nodes: Vec<NodeId>,
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+    weights: Vec<f64>,
+}
+
+impl RowChunk {
+    /// An empty chunk with room for `rows` rows of `arcs` arcs in total.
+    pub(crate) fn with_capacity(rows: usize, arcs: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        RowChunk {
+            nodes: Vec::with_capacity(rows),
+            offsets,
+            targets: Vec::with_capacity(arcs),
+            weights: Vec::with_capacity(arcs),
+        }
+    }
+
+    /// The arc columns, to append the row being built to.
+    #[inline]
+    pub(crate) fn columns_mut(&mut self) -> (&mut Vec<NodeId>, &mut Vec<f64>) {
+        (&mut self.targets, &mut self.weights)
+    }
+
+    /// Close the row being built as node `v`'s.
+    #[inline]
+    pub(crate) fn end_row(&mut self, v: NodeId) {
+        self.nodes.push(v);
+        self.offsets.push(self.targets.len());
+    }
+
+    /// Arcs held.
+    #[inline]
+    pub(crate) fn arcs(&self) -> usize {
+        self.targets.len()
     }
 }
 
@@ -747,9 +1023,9 @@ mod tests {
         let r = Graph::from_mapped_columns(
             g.num_nodes(),
             g.is_directed(),
-            shared(offs),
-            shared(tgts),
-            shared(wts),
+            shared(&offs),
+            shared(&tgts),
+            shared(&wts),
         )
         .unwrap();
         assert!(r.has_shared_columns());
@@ -764,8 +1040,8 @@ mod tests {
             3,
             false,
             shared(&[0usize, 1]), // wrong offsets length
-            shared(tgts),
-            shared(wts),
+            shared(&tgts),
+            shared(&wts),
         )
         .is_err());
         assert!(Graph::from_mapped_columns(

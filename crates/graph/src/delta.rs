@@ -21,14 +21,22 @@
 //!   patch their accumulators with (`IncrementalDegrees::apply_edge_batch`,
 //!   `ReducedDelta::apply_edge_batch`).
 //! * **Periodic compaction.** [`GraphDelta::compact`] folds the overlay
-//!   back into a fresh CSR [`Graph`] and resets the overlay. The delta
-//!   tracks the rows that gained overlay entries, so compaction is one bulk
-//!   copy of the clean rows' arcs, `O(n)` offset writes and `O(overlay)`
-//!   merges of the dirty rows (no sort — the overlay is kept in neighbor
-//!   order); the returned graph is an O(1) clone of the new base. Callers
-//!   compact when they need raw adjacency again (the refinement engine's
-//!   split path scans CSR arrays) or when the overlay grows past a
-//!   fraction of the arc count ([`GraphDelta::overlay_arcs`]).
+//!   into a new [`Graph`] and resets the overlay. The delta tracks the
+//!   rows that gained overlay entries (the *dirty* rows), and the overlay
+//!   is kept in neighbor order, so no step sorts arcs. Below a fixed patch
+//!   size, an edge-only compaction merges the dirty rows into one new
+//!   chunk of the graph's row patch over the *same* base columns
+//!   (directed graphs also patch the in-rows of the changed arcs'
+//!   targets): `O(n)` for the row locator plus the arcs of the dirty
+//!   rows, and no base arc is copied. Once the patch would pass a fixed
+//!   share of the base arcs (`PATCH_LIMIT_DIVISOR`), and on every
+//!   renumbering compaction, [`GraphDelta::compact_renumber`]'s builder
+//!   flattens instead: one bulk copy per span of clean base rows plus the
+//!   merged dirty and patched rows, into fresh owned columns. Either way
+//!   the returned graph is an O(1) clone of the new base. Callers compact
+//!   when the engine needs the new graph (it reads rows through
+//!   [`Graph::out_arcs`]/[`Graph::in_arcs`]) or when the overlay grows
+//!   past a fraction of the arc count ([`GraphDelta::overlay_arcs`]).
 //!
 //! # Edge policy
 //!
@@ -59,7 +67,7 @@
 //!   Dead ids stay allocated (queries treat them as isolated and further
 //!   mutations on them error with [`DeltaError::NodeRemoved`]) until the
 //!   next compaction.
-//! * [`GraphDelta::compact_renumber`] folds the overlay into a fresh CSR
+//! * [`GraphDelta::compact_renumber`] folds the overlay into a flat CSR
 //!   *and* renumbers: dead ids are dropped, survivors keep their relative
 //!   order, and the returned [`NodeRemap`] maps old ids to new ones so
 //!   consumers (partitions, accumulator engines) can compact their own
@@ -73,7 +81,17 @@
 //! removals land last (by then their incident edges are already deleted,
 //! so only isolated nodes are ever removed).
 
-use crate::csr::{Graph, NodeId};
+use crate::csr::{Graph, NodeId, RowChunk};
+
+/// An edge-only compaction patches rows while the out-direction patch,
+/// superseded row copies included, stays within `1 / PATCH_LIMIT_DIVISOR`
+/// of the base arcs, and flattens once it could pass that. A flatten
+/// costs about one copy of the base, so a larger share flattens less
+/// often but holds more arcs twice at its peak. Measured on pipebench
+/// `stream-edges` (seed 7, 200k nodes, 1.6M arcs, about 75k arcs in the
+/// changed rows per round): 66 flattens in 734 compactions, one every 11
+/// rounds (9%).
+const PATCH_LIMIT_DIVISOR: usize = 2;
 
 /// One logical node change, the node-axis companion of [`EdgeEvent`].
 /// Removals are always preceded (in the edge-event stream) by deletes of
@@ -494,12 +512,16 @@ impl GraphDelta {
         self.node_events.len()
     }
 
-    /// Fold the overlay into a fresh CSR graph, reset the overlay, and
-    /// return the new base (an O(1) clone: the delta and the caller share
-    /// its columns, and the delta stays usable for further batches). One
-    /// bulk copy of the arcs, `O(n)` offset writes and `O(overlay)` merges
-    /// of the dirty rows; no sorting — both the base arcs and the overlay
-    /// rows are in neighbor order.
+    /// Fold the overlay into a new graph, reset the overlay, and return
+    /// the new base (an O(1) clone: the delta and the caller share its
+    /// storage, and the delta stays usable for further batches). Below
+    /// the patch limit this is `O(n)` plus the arcs of the dirty rows (and,
+    /// for directed graphs, of their targets' in-rows): the merged rows
+    /// become a new chunk of the row patch over the previous graph's base
+    /// columns, which the previous graph keeps reading unchanged. Past the
+    /// limit it flattens like [`Self::compact_renumber`] with no node
+    /// churn. No sorting — both the base arcs and the overlay rows are in
+    /// neighbor order.
     ///
     /// Pending events are *not* drained: compaction changes the
     /// representation, not the mutation history. Panics if node churn is
@@ -510,19 +532,24 @@ impl GraphDelta {
             !self.node_churn_pending(),
             "node insertions/removals pending; use compact_renumber"
         );
-        self.compact_renumber().0
+        self.fold(None);
+        self.base.clone()
     }
 
-    /// Fold the overlay into a fresh CSR graph *renumbering the node ids*:
-    /// dead ids are dropped, survivors keep their relative order (and new
-    /// nodes their appended positions). Returns the compacted graph and the
+    /// Fold the overlay into a new graph *renumbering the node ids*: dead
+    /// ids are dropped, survivors keep their relative order (and new nodes
+    /// their appended positions). Returns the compacted graph and the
     /// [`NodeRemap`] consumers need to compact their own node-indexed
-    /// state. The delta continues from the new id space. Same cost as
-    /// [`Self::compact`] — one bulk arc copy (targets mapped through the
-    /// remap when ids were removed), `O(n)` offsets, `O(overlay)` merges
-    /// and an O(1) returned clone; with no node churn pending it equals
-    /// [`Self::compact`] plus an identity remap.
+    /// state. The delta continues from the new id space. With node churn
+    /// pending the result is flat, in fresh owned columns: one bulk copy
+    /// per span of clean base rows (targets mapped through the remap when
+    /// ids were removed), `O(n)` offsets, and merges of the dirty and
+    /// patched rows. With none pending it equals [`Self::compact`] plus an
+    /// identity remap.
     pub fn compact_renumber(&mut self) -> (Graph, NodeRemap) {
+        if !self.node_churn_pending() {
+            return (self.compact(), NodeRemap::identity(self.num_nodes()));
+        }
         let total = self.num_nodes();
         let mut old_to_new = vec![NodeId::MAX; total];
         let mut next = 0u32;
@@ -532,21 +559,35 @@ impl GraphDelta {
                 next += 1;
             }
         }
-        let new_n = next as usize;
         let remap = NodeRemap {
             old_to_new,
-            new_len: new_n,
+            new_len: next as usize,
         };
+        self.fold(Some(&remap));
+        (self.base.clone(), remap)
+    }
+
+    // ---- internals ----
+
+    /// Fold the overlay into a new base and reset it: patched (or
+    /// flattened past the patch limit) when `remap` is `None`, which
+    /// requires that no node churn is pending; flattened and renumbered
+    /// through `remap` otherwise.
+    fn fold(&mut self, remap: Option<&NodeRemap>) {
         let mut dirty = std::mem::take(&mut self.dirty);
-        if self.node_churn_pending() || self.overlay_arcs > 0 {
+        if remap.is_some() || self.overlay_arcs > 0 {
             dirty.sort_unstable();
             dirty.dedup();
-            self.base = self.rebuild(&dirty, &remap);
+            self.base = match remap {
+                Some(remap) => self.rebuild(&dirty, Some(remap)),
+                None => self.patch(&dirty),
+            };
         }
         for &u in &dirty {
             self.overlay[u as usize].clear();
         }
-        if self.node_churn_pending() {
+        if let Some(remap) = remap {
+            let new_n = remap.new_len();
             self.overlay.truncate(new_n);
             self.dead.clear();
             self.dead.resize(new_n, false);
@@ -557,36 +598,102 @@ impl GraphDelta {
         dirty.clear();
         self.dirty = dirty;
         debug_assert_eq!(self.base.num_edges(), self.num_edges);
-        (self.base.clone(), remap)
     }
 
-    // ---- internals ----
+    /// The edge-only compaction: the merged dirty rows (ascending,
+    /// deduplicated) as one new patch chunk over the base's columns, or
+    /// [`Self::rebuild`] once the patch could pass its limit.
+    fn patch(&self, dirty: &[NodeId]) -> Graph {
+        if !self.base.patch_has_room(dirty.len().max(self.overlay_arcs)) {
+            return self.rebuild(dirty, None);
+        }
+        let rows = self.live_rows(dirty);
+        let replaced: usize = rows.iter().map(|r| r.0.len()).sum();
+        // At most the replaced rows plus one arc per overlay entry.
+        let most = replaced + self.overlay_arcs;
+        let base_arcs = self.base.base_out_columns().1.len();
+        if self.base.patch_arcs() + most > base_arcs / PATCH_LIMIT_DIVISOR {
+            return self.rebuild(dirty, None);
+        }
+        let mut out = RowChunk::with_capacity(dirty.len(), most);
+        for (&u, &(targets, weights, over)) in dirty.iter().zip(&rows) {
+            let (to_targets, to_weights) = out.columns_mut();
+            merge_row(targets, weights, over, to_targets, to_weights);
+            out.end_row(u);
+        }
+        let arcs = self.base.num_arcs() - replaced + out.arcs();
+        let inn = self.is_directed().then(|| self.in_rows(dirty));
+        self.base.with_patched_rows(self.num_edges, arcs, out, inn)
+    }
 
-    /// The compaction builder: the merged out-CSR over the live ids,
-    /// renumbered through `remap`. `dirty` (ascending, deduplicated) lists
-    /// every row that may differ from the base; each span of clean rows
-    /// between two dirty ones is one bulk copy of its arcs plus shifted
-    /// offsets — verbatim when no id was removed, targets mapped through
-    /// `remap` otherwise (clean rows never target a removed node: removal
-    /// deletes every incident edge, dirtying both endpoints' rows).
-    fn rebuild(&self, dirty: &[NodeId], remap: &NodeRemap) -> Graph {
-        let (base_offsets, base_targets, base_weights) = self.base.out_adjacency();
+    /// A directed compaction's in-row chunk: the in-row of every target of
+    /// an overlay arc out of the `dirty` rows, merged with the overlay's
+    /// changes to it. Sources stay ascending, as the flat in-columns hold
+    /// them.
+    fn in_rows(&self, dirty: &[NodeId]) -> RowChunk {
+        let mut changes: Vec<(NodeId, NodeId, ArcState)> = Vec::with_capacity(self.overlay_arcs);
+        for &u in dirty {
+            for &(v, state) in &self.overlay[u as usize] {
+                changes.push((v, u, state));
+            }
+        }
+        changes.sort_unstable_by_key(|&(v, u, _)| (v, u));
+        let over: Vec<(NodeId, ArcState)> = changes.iter().map(|&(_, u, s)| (u, s)).collect();
+        let mut chunk = RowChunk::with_capacity(changes.len(), 0);
+        let mut i = 0;
+        while i < changes.len() {
+            let v = changes[i].0;
+            let end = i + changes[i..].partition_point(|c| c.0 == v);
+            let (sources, weights) = self.base.in_arcs(v);
+            let (to_sources, to_weights) = chunk.columns_mut();
+            merge_row(sources, weights, &over[i..end], to_sources, to_weights);
+            chunk.end_row(v);
+            i = end;
+        }
+        chunk
+    }
+
+    /// The flattening builder: the merged out-CSR over the live ids,
+    /// renumbered through `remap` (`None`: ids unchanged), in fresh owned
+    /// columns. `dirty` (ascending, deduplicated) lists every row that may
+    /// differ from the base; it and the base's patched rows are merged row
+    /// by row, and each span of other rows between two of them is one bulk
+    /// copy of its base arcs plus shifted offsets — verbatim when no id was
+    /// removed, targets mapped through `remap` otherwise (clean rows never
+    /// target a removed node: removal deletes every incident edge,
+    /// dirtying both endpoints' rows).
+    fn rebuild(&self, dirty: &[NodeId], remap: Option<&NodeRemap>) -> Graph {
+        let patched = self.base.patched_out_rows();
+        let merged;
+        let dirty = if patched.is_empty() {
+            dirty
+        } else {
+            let mut rows = [dirty, &patched].concat();
+            rows.sort_unstable();
+            rows.dedup();
+            merged = rows;
+            &merged
+        };
+        let (base_offsets, base_targets, base_weights) = self.base.base_out_columns();
+        let (base_n, total) = (self.base.num_nodes(), self.num_nodes());
+        let new_n = remap.map_or(total, NodeRemap::new_len);
+        let renumber = remap
+            .filter(|r| !r.is_identity())
+            .map(|r| &r.old_to_new[..]);
         let arc_cap = self.base.num_arcs() + self.overlay_arcs;
-        let mut offsets = Vec::with_capacity(remap.new_len() + 1);
+        let mut offsets = Vec::with_capacity(new_n + 1);
         offsets.push(0usize);
         let mut targets: Vec<NodeId> = Vec::with_capacity(arc_cap);
         let mut weights: Vec<f64> = Vec::with_capacity(arc_cap);
-        let renumber = self.removed_nodes > 0;
-        let (base_n, total) = (self.base.num_nodes(), self.num_nodes());
+        let rows = self.live_rows(dirty);
         let mut clean_from = 0usize;
-        for &d in dirty.iter().chain(&[total as NodeId]) {
+        for (i, &d) in dirty.iter().chain(&[total as NodeId]).enumerate() {
             // Rows `clean_from..d` are clean, hence base rows: one span.
             let d = d as usize;
             let (from, to) = (clean_from.min(base_n), d.min(base_n));
             let (lo, hi) = (base_offsets[from], base_offsets[to]);
             let shift = targets.len();
-            if renumber {
-                let old_to_new = &remap.old_to_new;
+            if let Some(old_to_new) = renumber {
                 targets.extend(base_targets[lo..hi].iter().map(|&t| old_to_new[t as usize]));
             } else {
                 targets.extend_from_slice(&base_targets[lo..hi]);
@@ -597,17 +704,21 @@ impl GraphDelta {
                 break;
             }
             if !self.dead[d] {
-                self.for_each_live_arc(d as NodeId, |v, w| {
-                    targets.push(remap.old_to_new[v as usize]);
-                    weights.push(w);
-                });
+                let start = targets.len();
+                let (row_targets, row_weights, over) = rows[i];
+                merge_row(row_targets, row_weights, over, &mut targets, &mut weights);
+                if let Some(old_to_new) = renumber {
+                    for t in &mut targets[start..] {
+                        *t = old_to_new[*t as usize];
+                    }
+                }
                 offsets.push(targets.len());
             }
             clean_from = d + 1;
         }
-        debug_assert_eq!(offsets.len(), remap.new_len() + 1);
+        debug_assert_eq!(offsets.len(), new_n + 1);
         Graph::from_out_columns(
-            remap.new_len(),
+            new_n,
             self.num_edges,
             self.is_directed(),
             offsets.into(),
@@ -635,37 +746,29 @@ impl GraphDelta {
         (u as usize) < n && (v as usize) < n && self.base.has_edge(u, v)
     }
 
-    /// Call `emit(target, weight)` for every arc of the merged (base +
-    /// overlay) out-row of `u`, in neighbor order.
-    fn for_each_live_arc(&self, u: NodeId, mut emit: impl FnMut(NodeId, f64)) {
-        let (targets, weights) = if (u as usize) < self.base.num_nodes() {
-            self.base.out_arcs(u)
-        } else {
-            (&[][..], &[][..])
-        };
-        let over = &self.overlay[u as usize];
-        let (mut bi, mut oi) = (0usize, 0usize);
-        while bi < targets.len() || oi < over.len() {
-            if oi == over.len() || (bi < targets.len() && targets[bi] < over[oi].0) {
-                emit(targets[bi], weights[bi]);
-                bi += 1;
-            } else {
-                let (v, state) = over[oi];
-                if bi < targets.len() && targets[bi] == v {
-                    bi += 1; // the overlay entry overrides this base arc
-                }
-                if let ArcState::Present(w) = state {
-                    emit(v, w);
-                }
-                oi += 1;
-            }
-        }
+    /// The parts of the merged out-row of each of `rows`: its base row
+    /// (empty for nodes appended since the last compaction) and the
+    /// overlay entries over it. Gathered in one pass ahead of the merge,
+    /// so the rows' scattered cache misses overlap instead of queueing
+    /// behind each row's copy.
+    fn live_rows(&self, rows: &[NodeId]) -> Vec<RowParts<'_>> {
+        rows.iter()
+            .map(|&u| {
+                let (targets, weights) = if (u as usize) < self.base.num_nodes() {
+                    self.base.out_arcs(u)
+                } else {
+                    (&[][..], &[][..])
+                };
+                (targets, weights, &self.overlay[u as usize][..])
+            })
+            .collect()
     }
 
     /// Live out-neighbors of `v` (merged view), in neighbor order.
     fn live_out_neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.for_each_live_arc(v, |t, _| out.push(t));
+        let (mut out, mut weights) = (Vec::new(), Vec::new());
+        let (targets, base_weights, over) = self.live_rows(&[v])[0];
+        merge_row(targets, base_weights, over, &mut out, &mut weights);
         out
     }
 
@@ -743,6 +846,40 @@ impl GraphDelta {
     }
 }
 
+/// A merged row's parts: a base row's targets and weights, and the
+/// overlay entries over it.
+type RowParts<'a> = (&'a [NodeId], &'a [f64], &'a [(NodeId, ArcState)]);
+
+/// Append the arcs of a base row (`targets`/`weights`, neighbor order)
+/// overridden by `over` (neighbor order) to `to_targets`/`to_weights`, in
+/// neighbor order. The base arcs between two overrides are copied as one
+/// slice, found by binary search, so long rows with few overrides cost
+/// little more than a copy.
+fn merge_row(
+    targets: &[NodeId],
+    weights: &[f64],
+    over: &[(NodeId, ArcState)],
+    to_targets: &mut Vec<NodeId>,
+    to_weights: &mut Vec<f64>,
+) {
+    let mut bi = 0usize;
+    for &(v, state) in over {
+        let end = bi + targets[bi..].partition_point(|&t| t < v);
+        to_targets.extend_from_slice(&targets[bi..end]);
+        to_weights.extend_from_slice(&weights[bi..end]);
+        bi = end;
+        if targets.get(bi) == Some(&v) {
+            bi += 1; // the overlay entry overrides this base arc
+        }
+        if let ArcState::Present(w) = state {
+            to_targets.push(v);
+            to_weights.push(w);
+        }
+    }
+    to_targets.extend_from_slice(&targets[bi..]);
+    to_weights.extend_from_slice(&weights[bi..]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,19 +908,54 @@ mod tests {
         b.build()
     }
 
-    /// All six CSR arrays of `g` equal `r`'s, weights bit for bit.
-    fn assert_same_csr(g: &Graph, r: &Graph, ctx: &str) {
+    /// `g` answers every query exactly as `r` does, f64 values bit for
+    /// bit: both directions' rows and CSR arrays, point lookups over all
+    /// pairs, degrees, counts, `edges()` and `total_weight()`.
+    fn assert_same_graph(g: &Graph, r: &Graph, ctx: &str) {
         assert_eq!(g.num_nodes(), r.num_nodes(), "{ctx}: nodes");
         assert_eq!(g.num_edges(), r.num_edges(), "{ctx}: edges");
+        assert_eq!(g.num_arcs(), r.num_arcs(), "{ctx}: arcs");
+        assert_eq!(g.is_directed(), r.is_directed(), "{ctx}: directed");
         let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for v in r.nodes() {
+            for (dir, (gt, gw), (rt, rw)) in [
+                ("out", g.out_arcs(v), r.out_arcs(v)),
+                ("in", g.in_arcs(v), r.in_arcs(v)),
+            ] {
+                assert_eq!(gt, rt, "{ctx}: {dir}-row {v}");
+                assert_eq!(bits(gw), bits(rw), "{ctx}: {dir}-row {v} weights");
+            }
+            assert_eq!(g.out_degree(v), r.out_degree(v), "{ctx}: out-degree {v}");
+            assert_eq!(g.in_degree(v), r.in_degree(v), "{ctx}: in-degree {v}");
+            for u in r.nodes() {
+                assert_eq!(g.has_edge(v, u), r.has_edge(v, u), "{ctx}: has ({v}, {u})");
+                assert_eq!(
+                    g.weight(v, u).to_bits(),
+                    r.weight(v, u).to_bits(),
+                    "{ctx}: weight ({v}, {u})"
+                );
+            }
+        }
         for (dir, (go, gt, gw), (ro, rt, rw)) in [
             ("out", g.out_adjacency(), r.out_adjacency()),
             ("in", g.in_adjacency(), r.in_adjacency()),
         ] {
             assert_eq!(go, ro, "{ctx}: {dir} offsets");
             assert_eq!(gt, rt, "{ctx}: {dir} targets");
-            assert_eq!(bits(gw), bits(rw), "{ctx}: {dir} weights");
+            assert_eq!(bits(&gw), bits(&rw), "{ctx}: {dir} weights");
         }
+        let edge_bits = |g: &Graph| -> Vec<(NodeId, NodeId, u64)> {
+            g.edges()
+                .into_iter()
+                .map(|(u, v, w)| (u, v, w.to_bits()))
+                .collect()
+        };
+        assert_eq!(edge_bits(g), edge_bits(r), "{ctx}: edges()");
+        assert_eq!(
+            g.total_weight().to_bits(),
+            r.total_weight().to_bits(),
+            "{ctx}: total weight"
+        );
     }
 
     fn triangle() -> Graph {
@@ -1183,16 +1355,19 @@ mod tests {
                     d.compact()
                 };
                 assert_eq!(d.overlay_arcs(), 0, "{ctx}");
-                assert_same_csr(&g, &reference, &ctx);
-                assert_same_csr(d.base(), &reference, &ctx);
+                assert_same_graph(&g, &reference, &ctx);
+                assert_same_graph(d.base(), &reference, &ctx);
                 // Compaction shares storage instead of copying it.
                 let c = g.clone();
-                assert_eq!(c.out_adjacency().1.as_ptr(), g.out_adjacency().1.as_ptr());
                 assert_eq!(
-                    g.out_adjacency().2.as_ptr(),
-                    d.base().out_adjacency().2.as_ptr()
+                    c.base_out_columns().1.as_ptr(),
+                    g.base_out_columns().1.as_ptr()
                 );
-                if !directed {
+                assert_eq!(
+                    g.base_out_columns().2.as_ptr(),
+                    d.base().base_out_columns().2.as_ptr()
+                );
+                if !directed && !g.is_patched() {
                     let ((o, t, w), (io, is, iw)) = (g.out_adjacency(), g.in_adjacency());
                     assert_eq!(
                         (o.as_ptr(), t.as_ptr(), w.as_ptr()),
@@ -1202,6 +1377,110 @@ mod tests {
                 d.drain_events();
                 d.drain_node_events();
             }
+        }
+    }
+
+    /// A `SharedColumn` over an owned vector: stands in for a column of a
+    /// memory-mapped checkpoint.
+    struct Col<T>(Vec<T>);
+    impl<T: Send + Sync> crate::column::SharedColumn<T> for Col<T> {
+        fn as_slice(&self) -> &[T] {
+            &self.0
+        }
+    }
+
+    /// `g` rebuilt over shared columns, as a mapped restore builds it.
+    fn over_shared_columns(g: &Graph) -> Graph {
+        fn col<T: Send + Sync + Clone>(v: &[T]) -> crate::ColumnBuf<T> {
+            crate::ColumnBuf::Shared(std::sync::Arc::new(Col(v.to_vec())))
+        }
+        let (o, t, w) = g.out_adjacency();
+        Graph::from_mapped_columns(g.num_nodes(), g.is_directed(), col(&o), col(&t), col(&w))
+            .unwrap()
+    }
+
+    #[test]
+    fn long_horizon_compaction_matches_reference() {
+        // Enough edge-only compactions to flatten the row patch several
+        // times, node-churn rounds renumbering patched graphs, and bases
+        // over shared columns; every graph checked against the reference.
+        use rand::{Rng, SeedableRng};
+        for seed in 0..8u64 {
+            let directed = seed % 2 == 1;
+            let mapped = seed % 4 >= 2;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(100 + seed);
+            let n = 40;
+            let mut b = if directed {
+                GraphBuilder::new_directed(n)
+            } else {
+                GraphBuilder::new_undirected(n)
+            };
+            for _ in 0..4 * n {
+                let (u, v) = (rng.random_range(0..n as u32), rng.random_range(0..n as u32));
+                if !b.contains_edge(u, v) {
+                    b.add_edge(u, v, rng.random_range(1..16u32) as f64 * 0.5);
+                }
+            }
+            let built = b.build();
+            let base = if mapped {
+                over_shared_columns(&built)
+            } else {
+                built
+            };
+            let mut d = GraphDelta::new(base);
+            let (mut patched, mut flattened, mut mapped_patched) = (0, 0, 0);
+            let mut prev: Option<(Graph, Graph)> = None;
+            for round in 0..48 {
+                let ctx = format!("seed {seed} round {round} directed {directed}");
+                let ids = d.num_nodes() as u32;
+                if round % 8 == 7 {
+                    let v = d.insert_node();
+                    let peer = rng.random_range(0..ids);
+                    toggle(&mut d, &mut rng, v, peer);
+                    d.remove_node(rng.random_range(0..ids)).unwrap();
+                } else {
+                    for _ in 0..rng.random_range(2..6u32) {
+                        let (u, v) = (rng.random_range(0..ids), rng.random_range(0..ids));
+                        toggle(&mut d, &mut rng, u, v);
+                    }
+                }
+                let reference = rebuild_reference(&d);
+                let renumber = d.node_churn_pending();
+                let before = d.base().clone();
+                let g = if renumber {
+                    d.compact_renumber().0
+                } else {
+                    d.compact()
+                };
+                assert_same_graph(&g, &reference, &ctx);
+                if !directed {
+                    let ctx = format!("{ctx} (to_directed)");
+                    assert_same_graph(&g.to_directed(), &reference.to_directed(), &ctx);
+                }
+                // The previous graph still reads its own state.
+                if let Some((pg, pr)) = &prev {
+                    assert_same_graph(pg, pr, &format!("{ctx} (previous graph)"));
+                }
+                if g.is_patched() {
+                    assert!(!renumber, "{ctx}: renumbering compactions flatten");
+                    patched += 1;
+                    // No base arc copied: the columns are the previous
+                    // graph's, and mapped ones stay mapped.
+                    let (new, old) = (g.base_out_columns(), before.base_out_columns());
+                    assert_eq!(new.1.as_ptr(), old.1.as_ptr(), "{ctx}");
+                    assert_eq!(new.2.as_ptr(), old.2.as_ptr(), "{ctx}");
+                    assert_eq!(g.has_shared_columns(), before.has_shared_columns());
+                    mapped_patched += usize::from(g.has_shared_columns());
+                } else if !renumber && before.is_patched() {
+                    flattened += 1;
+                }
+                prev = Some((g, reference));
+                d.drain_events();
+                d.drain_node_events();
+            }
+            assert!(patched >= 8, "seed {seed}: {patched} patched compactions");
+            assert!(flattened >= 2, "seed {seed}: {flattened} patch flattens");
+            assert_eq!(mapped_patched > 0, mapped, "seed {seed}");
         }
     }
 }

@@ -11,8 +11,10 @@
 //!   duplicate-edge merging.
 //! * [`delta::GraphDelta`]: a mutable batched delta layer over the CSR for
 //!   dynamic graphs — edge insert/delete/reweight with [`delta::EdgeEvent`]
-//!   batches for incremental consumers, and periodic compaction back into
-//!   CSR.
+//!   batches for incremental consumers, and periodic compaction into a new
+//!   graph: a row patch of the changed rows over the shared CSR columns,
+//!   flattened back into plain CSR past a fixed patch size or when node
+//!   ids are renumbered.
 //! * [`bipartite::Bipartite`]: explicit weighted bipartite graphs, used by
 //!   the maximum-uniform-flow computation and by LP constraint matrices.
 //! * [`generators`]: seeded synthetic graph generators (Erdős–Rényi,

@@ -460,11 +460,13 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
     sink.push_block(BLK_SCALARS, ENC_RAW, s.buf.len(), &s.buf, s.buf.len());
 
     // Graph CSR (out direction only — symmetric in-arrays are its clone,
-    // directed in-arrays a counting sort; both recomputed on load).
+    // directed in-arrays a counting sort; both recomputed on load). A
+    // patched graph's rows are gathered into flat arrays here, so the
+    // bytes do not depend on how the graph was compacted.
     let (offs, tgts, wts) = g.out_adjacency();
-    sink.usizes(BLK_GRAPH_OFFSETS, offs);
-    sink.u32s(BLK_GRAPH_TARGETS, tgts);
-    sink.f64s(BLK_GRAPH_WEIGHTS, wts);
+    sink.usizes(BLK_GRAPH_OFFSETS, &offs);
+    sink.u32s(BLK_GRAPH_TARGETS, &tgts);
+    sink.f64s(BLK_GRAPH_WEIGHTS, &wts);
 
     // Partition member lists, columnar: class offsets + concatenated
     // members in stored (semantic) order.

@@ -276,8 +276,10 @@ fn apply_events_to_delta(delta: &mut GraphDelta, events: &[EdgeEvent]) -> Result
         if e.source >= n || e.target >= n {
             return Err(corrupt("WAL edge event endpoint out of range"));
         }
+        // Presence, not weight, picks the branch: a zero-weight edge (an
+        // edge list may hold one) is deleted or reweighted, not inserted.
         let old = delta.weight(e.source, e.target);
-        let result = if old == 0.0 {
+        let result = if !delta.has_edge(e.source, e.target) {
             delta.insert_edge(e.source, e.target, e.delta)
         } else if old + e.delta == 0.0 {
             delta.delete_edge(e.source, e.target)
@@ -289,12 +291,14 @@ fn apply_events_to_delta(delta: &mut GraphDelta, events: &[EdgeEvent]) -> Result
     Ok(())
 }
 
-/// Fold any buffered edge batches into the run: one CSR compaction for
-/// the whole run of batches, then the engine applies each batch
-/// separately (via [`RothkoRun::apply_edge_batches`]) so the f64
-/// accumulator arithmetic is bit-identical to the writer's one-call-per-
-/// batch history. Called at every point that reads the graph — node
-/// batches, maintenance, end of WAL.
+/// Fold any buffered edge batches into the run: one compaction for the
+/// whole run of batches (it may patch where the writer flattened or the
+/// reverse — only the rows reach the engine and the checkpoint bytes),
+/// then the engine applies each batch separately (via
+/// [`RothkoRun::apply_edge_batches`]) so the f64 accumulator arithmetic is
+/// bit-identical to the writer's one-call-per-batch history. Called at
+/// every point that reads the graph — node batches, maintenance, end of
+/// WAL.
 fn flush_edge_batches(
     run: &mut RothkoRun<'static>,
     pending: &mut Vec<Vec<EdgeEvent>>,

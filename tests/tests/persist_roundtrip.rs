@@ -26,7 +26,9 @@ use qsc_core::rothko::{Rothko, RothkoConfig, RothkoRun};
 use qsc_core::StorageMode;
 use qsc_graph::delta::EdgeEvent;
 use qsc_graph::{Graph, GraphBuilder, GraphDelta};
-use qsc_persist::{encode_checkpoint, CheckpointData, Layout, Store, StoreOptions};
+use qsc_persist::{
+    encode_checkpoint, encode_checkpoint_with, CheckpointData, Layout, Store, StoreOptions,
+};
 use rand::prelude::*;
 
 /// Fresh scratch directory under the system temp dir.
@@ -517,6 +519,111 @@ fn thread_override_on_recovery_preserves_results() {
         rec_run.exact_max_error().to_bits()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Checkpoint a stack over a graph holding the zero-weight edge `{0, 1}`
+/// (an edge list may hold one), log `mutate` of that edge, and recover:
+/// the recovered stack must equal the live one byte for byte.
+fn zero_weight_edge_recovers(tag: &str, mutate: impl FnOnce(&mut GraphDelta)) {
+    let dir = temp_store_dir(tag);
+    let mut b = GraphBuilder::new_undirected(8);
+    b.add_edge(0, 1, 0.0);
+    for (u, v) in [
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (5, 6),
+        (6, 7),
+        (7, 0),
+        (2, 6),
+    ] {
+        b.add_edge(u, v, 1.0);
+    }
+    let g = b.build();
+    assert!(g.has_edge(0, 1));
+    let config = RothkoConfig {
+        max_colors: 4,
+        threads: Some(1),
+        ..Default::default()
+    };
+    let mut run = Rothko::new(config).start(&g);
+    run.maintain();
+    let mut reduced = ReducedDelta::new(&g, run.partition());
+    let mut store = Store::create(&dir, StoreOptions::default()).unwrap();
+    store.checkpoint(&run, Some(&reduced)).unwrap();
+    let mut delta = GraphDelta::new(g.clone());
+    mutate(&mut delta);
+    let events = delta.drain_events();
+    store.log_edge_batch(&events).unwrap();
+    run.apply_edge_batch(delta.compact(), &events);
+    reduced.apply_edge_batch(run.partition(), &events);
+    store.sync().unwrap();
+    let rec = Store::recover(&dir, None).unwrap();
+    assert_eq!(
+        state_bytes(&run, Some(&reduced)),
+        state_bytes(&rec.run, rec.reduced.as_ref())
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_replays_delete_of_zero_weight_edge() {
+    zero_weight_edge_recovers("zero-delete", |d| d.delete_edge(0, 1).unwrap());
+}
+
+#[test]
+fn recovery_replays_reweight_of_zero_weight_edge() {
+    zero_weight_edge_recovers("zero-reweight", |d| d.reweight_edge(1, 0, 2.5).unwrap());
+}
+
+#[test]
+fn patched_graph_checkpoints_like_its_flat_copy() {
+    // An edge-only compaction below the patch limit returns a patched
+    // graph; its checkpoint bytes equal those of the same stack over the
+    // flat graph with the same rows, in both layouts.
+    for directed in [false, true] {
+        let g = random_graph(80, 400, directed, 11);
+        let config = RothkoConfig {
+            max_colors: 24,
+            target_error: 3.0,
+            threads: Some(1),
+            ..Default::default()
+        };
+        let mut run = Rothko::new(config).start(&g);
+        run.maintain();
+        let mut reduced = ReducedDelta::new(&g, run.partition());
+        let mut delta = GraphDelta::new(g.clone());
+        let mut rng = StdRng::seed_from_u64(23);
+        let events = edge_churn(&mut delta, &mut rng, 6);
+        let patched = delta.compact();
+        assert!(patched.is_patched(), "directed {directed}");
+        run.apply_edge_batch(patched.clone(), &events);
+        reduced.apply_edge_batch(run.partition(), &events);
+        let (offsets, targets, weights) = patched.out_adjacency();
+        let flat = Graph::from_out_csr(
+            patched.num_nodes(),
+            directed,
+            offsets.to_vec(),
+            targets.to_vec(),
+            weights.to_vec(),
+        );
+        assert!(!flat.is_patched());
+        let data = |graph: &Graph| CheckpointData {
+            graph: graph.clone(),
+            config: run.config().clone(),
+            run: run.snapshot(),
+            reduced: Some(reduced.snapshot()),
+            wal_seq: 0,
+        };
+        for layout in [Layout::Packed, Layout::MappedRaw] {
+            assert_eq!(
+                encode_checkpoint_with(&data(&patched), layout).0,
+                encode_checkpoint_with(&data(&flat), layout).0,
+                "directed {directed}, {layout:?}"
+            );
+        }
+    }
 }
 
 proptest! {
