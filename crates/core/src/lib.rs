@@ -46,7 +46,9 @@
 //!   the three applications, plus [`ReducedDelta`]: the quotient matrix
 //!   maintained across splits and edge batches in `O(touched)` instead of
 //!   rebuilt per use, and [`reduced::PatchedReducedGraph`]: the emitted
-//!   reduced instance patched in place from the delta's dirty colors.
+//!   reduced instance patched in place from the delta's changed cells
+//!   (edge batches) and wholesale-dirty colors (splits, merges, node
+//!   events).
 //! * [`sweep`] — warm-started budget sweeps: one monotone refinement
 //!   checkpointed at every color budget, with split events handed to
 //!   incremental consumers in lockstep (the coloring layer of the sweep
@@ -73,7 +75,8 @@
 //!     ▼
 //!   ReducedDelta / qsc_lp::ReducedLpDelta      (quotient matrix, LP aggregates)
 //!     │  dirty colors             every changed entry is indexed by one;
-//!     │                           ids ≥ k mark colors removed by merges
+//!     │                           ids ≥ k mark colors removed by merges;
+//!     │  + changed cells          what edge batches touched, patched alone
 //!     ▼
 //!   PatchedReducedGraph / PatchedReducedLp     (the *emitted* reduced instance,
 //!     │                                         patched rows in place)

@@ -25,9 +25,12 @@
 //! one coloring through many color counts pays the `O(m)` scan once
 //! instead of once per sweep point, and survives graph updates without a
 //! rebuild. [`PatchedReducedGraph`] completes the chain: the *emitted*
-//! reduced instance is itself patched in place from the delta's dirty
-//! colors (`O(dirty · k)` per checkpoint) instead of re-derived with a
-//! dense `O(k²)` sweep.
+//! reduced instance is itself patched in place from what the delta
+//! recorded instead of re-derived with a dense `O(k²)` sweep. An edge
+//! batch records the cells it changed, so re-emitting after one costs
+//! `O(changed cells)`; a split, merge or node insert/removal changes a
+//! color wholesale (its size, or every entry of its row and column), and
+//! re-emitting after one costs `O(dirty · k)`.
 
 use crate::kernels::fold_add;
 use crate::partition::{MergeEvent, Partition, SplitEvent};
@@ -136,12 +139,23 @@ pub struct ReducedDelta {
     /// both stored arc directions, mirroring the CSR's symmetric storage).
     symmetric: bool,
     /// Colors whose row or column entries (or size) changed since the last
-    /// [`Self::take_dirty_colors`] — every entry a split or edge batch
-    /// touches has one of these as an index, which is what lets
-    /// [`PatchedReducedGraph`] re-emit in `O(dirty · k)` instead of
-    /// `O(k²)`.
+    /// [`Self::take_dirty_colors`], in first-dirtied order — every entry a
+    /// split, merge, node event or edge batch touches has one of these as
+    /// an index. This is the persisted dirty set ([`ReducedSnapshot`]).
     dirty: Vec<u32>,
     dirty_flag: Vec<bool>,
+    /// Which dirty colors changed *wholesale* (a split, merge, node
+    /// insert/removal, or a fresh or restored delta): their whole row and
+    /// column must be re-emitted. A color dirtied only by edge batches
+    /// changed just at the recorded `cells`.
+    wholesale: Vec<bool>,
+    /// Cells `(i, j)` edge batches changed since the last take, both
+    /// orientations on undirected graphs. May hold duplicates; they are
+    /// folded away whenever the list doubles past `max(k, its length
+    /// after the last fold)`, so it stays within twice the distinct cells
+    /// (or `2k`) plus one batch.
+    cells: Vec<(u32, u32)>,
+    cells_folded: usize,
 }
 
 /// A [`ReducedDelta`]'s complete logical state, captured by
@@ -163,7 +177,8 @@ pub struct ReducedSnapshot {
     pub sizes: Vec<usize>,
     /// Whether the source graph was undirected.
     pub symmetric: bool,
-    /// Pending dirty colors, in accumulation order.
+    /// Pending dirty colors, in accumulation order. Ids at or past `k`
+    /// are colors removed by merges since the last drain.
     pub dirty: Vec<u32>,
 }
 
@@ -181,6 +196,8 @@ impl ReducedDelta {
         for (u, v, w) in g.arcs() {
             sum[p.color_of(u) as usize * cap + p.color_of(v) as usize] += w;
         }
+        let mut flags = vec![false; cap];
+        flags[..k].fill(true);
         ReducedDelta {
             k,
             cap,
@@ -188,11 +205,10 @@ impl ReducedDelta {
             sizes: p.sizes(),
             symmetric: !g.is_directed(),
             dirty: (0..k as u32).collect(),
-            dirty_flag: {
-                let mut flags = vec![false; cap];
-                flags[..k].fill(true);
-                flags
-            },
+            dirty_flag: flags.clone(),
+            wholesale: flags,
+            cells: Vec::new(),
+            cells_folded: 0,
         }
     }
 
@@ -215,7 +231,15 @@ impl ReducedDelta {
     }
 
     /// Rebuild from a snapshot, bit-identical to the instance that
-    /// produced it (same pair weights, same pending dirty set).
+    /// produced it (same pair weights, same pending dirty set). The
+    /// snapshot does not say which cells an edge batch changed, so every
+    /// pending dirty color is treated as changed wholesale: re-emission
+    /// does more work than on the writer, and emits the same values.
+    ///
+    /// A pending dirty id at or past `k` is a color a merge removed (see
+    /// [`Self::apply_merge`]). Each merge removes the then-last id, so the
+    /// removed ids pending at any time are the run `k..=max` and every one
+    /// is below `k + dirty.len()`; ids past that bound are rejected.
     ///
     /// # Panics
     /// On snapshots with inconsistent column lengths or out-of-range
@@ -239,10 +263,10 @@ impl ReducedDelta {
         for i in 0..k {
             sum[i * cap..i * cap + k].copy_from_slice(&snap.sum[i * k..(i + 1) * k]);
         }
-        let mut dirty_flag = vec![false; cap];
+        let mut dirty_flag = vec![false; cap.max(k + snap.dirty.len())];
         for &c in &snap.dirty {
             assert!(
-                (c as usize) < k,
+                (c as usize) < k + snap.dirty.len(),
                 "reduced snapshot dirty color out of range"
             );
             dirty_flag[c as usize] = true;
@@ -254,7 +278,10 @@ impl ReducedDelta {
             sizes: snap.sizes.clone(),
             symmetric: snap.symmetric,
             dirty: snap.dirty.clone(),
+            wholesale: dirty_flag.clone(),
             dirty_flag,
+            cells: Vec::new(),
+            cells_folded: 0,
         }
     }
 
@@ -319,27 +346,36 @@ impl ReducedDelta {
         self.sizes.push(event.moved_nodes.len());
         // Every entry this split touched has the parent or the child as an
         // index (rows/columns c and child), and only their sizes changed.
-        self.mark_dirty(event.parent);
-        self.mark_dirty(event.child);
+        self.mark_wholesale(event.parent);
+        self.mark_wholesale(event.child);
     }
 
     /// Patch the matrix for a batch of edge events (the dynamic-graph
     /// counterpart of [`Self::apply_split`]): each event's signed weight
     /// delta lands on `sum[color(u)][color(v)]` — and the mirrored entry
     /// for undirected graphs, matching how [`Self::new`] counts both
-    /// stored arc directions. `p` is the unchanged partition. `O(events)`.
+    /// stored arc directions. `p` is the unchanged partition. Amortized
+    /// `O(events)`; each changed cell is recorded, so the next
+    /// [`PatchedReducedGraph::sync`] patches just those cells.
     pub fn apply_edge_batch(&mut self, p: &Partition, events: &[EdgeEvent]) {
         assert_eq!(p.num_colors(), self.k, "partition out of sync with delta");
         let cap = self.cap;
         for ev in events {
-            let cu = p.color_of(ev.source) as usize;
-            let cv = p.color_of(ev.target) as usize;
-            self.sum[cu * cap + cv] += ev.delta;
+            let cu = p.color_of(ev.source);
+            let cv = p.color_of(ev.target);
+            self.sum[cu as usize * cap + cv as usize] += ev.delta;
+            self.cells.push((cu, cv));
             if self.symmetric && ev.source != ev.target {
-                self.sum[cv * cap + cu] += ev.delta;
+                self.sum[cv as usize * cap + cu as usize] += ev.delta;
+                self.cells.push((cv, cu));
             }
-            self.mark_dirty(cu as u32);
-            self.mark_dirty(cv as u32);
+            self.mark_dirty(cu);
+            self.mark_dirty(cv);
+        }
+        if self.cells.len() > 2 * self.cells_folded.max(self.k) {
+            self.cells.sort_unstable();
+            self.cells.dedup();
+            self.cells_folded = self.cells.len();
         }
     }
 
@@ -414,18 +450,18 @@ impl ReducedDelta {
         }
         self.sizes.pop();
         self.k -= 1;
-        self.mark_dirty(event.winner);
+        self.mark_wholesale(event.winner);
         if loser != last {
-            self.mark_dirty(event.loser);
+            self.mark_wholesale(event.loser);
         }
-        self.mark_dirty(last as u32);
+        self.mark_wholesale(last as u32);
     }
 
     /// Record a node inserted into color `color` (isolated — the matrix is
     /// untouched, only the size and the size-dependent weightings change).
     pub fn apply_node_insert(&mut self, color: u32) {
         self.sizes[color as usize] += 1;
-        self.mark_dirty(color);
+        self.mark_wholesale(color);
     }
 
     /// Record the removal of an isolated node from color `color` (the dual
@@ -434,7 +470,7 @@ impl ReducedDelta {
     pub fn apply_node_removal(&mut self, color: u32) {
         assert!(self.sizes[color as usize] > 1, "removal would empty color");
         self.sizes[color as usize] -= 1;
-        self.mark_dirty(color);
+        self.mark_wholesale(color);
     }
 
     /// Take the colors whose row/column entries or size changed since the
@@ -444,8 +480,32 @@ impl ReducedDelta {
     pub fn take_dirty_colors(&mut self) -> Vec<u32> {
         for &c in &self.dirty {
             self.dirty_flag[c as usize] = false;
+            self.wholesale[c as usize] = false;
         }
+        self.cells.clear();
+        self.cells_folded = 0;
         std::mem::take(&mut self.dirty)
+    }
+
+    /// Take the pending changes at the granularity they happened, clearing
+    /// the dirty state like [`Self::take_dirty_colors`]: the colors
+    /// changed wholesale (in first-dirtied order; an id at or past the
+    /// color count is a color a merge removed) and the sorted, distinct
+    /// cells edge batches changed. A cell may have an index among the
+    /// wholesale colors or past the color count; those are covered by the
+    /// wholesale re-emission.
+    fn take_changes(&mut self) -> (Vec<u32>, Vec<(u32, u32)>) {
+        let wholesale = self
+            .dirty
+            .iter()
+            .copied()
+            .filter(|&c| self.wholesale[c as usize])
+            .collect();
+        let mut cells = std::mem::take(&mut self.cells);
+        cells.sort_unstable();
+        cells.dedup();
+        self.take_dirty_colors();
+        (wholesale, cells)
     }
 
     fn mark_dirty(&mut self, c: u32) {
@@ -453,6 +513,12 @@ impl ReducedDelta {
             self.dirty_flag[c as usize] = true;
             self.dirty.push(c);
         }
+    }
+
+    /// Mark `c` dirty with its whole row and column (and size) changed.
+    fn mark_wholesale(&mut self, c: u32) {
+        self.mark_dirty(c);
+        self.wholesale[c as usize] = true;
     }
 
     /// The compact `k × k` row-major quotient matrix (same layout as
@@ -542,7 +608,10 @@ impl ReducedDelta {
         }
         self.sum = grown;
         self.cap = new_cap;
-        self.dirty_flag.resize(new_cap, false);
+        // A restored delta may flag removed ids past its stride already.
+        let flags = new_cap.max(self.dirty_flag.len());
+        self.dirty_flag.resize(flags, false);
+        self.wholesale.resize(flags, false);
     }
 }
 
@@ -552,11 +621,13 @@ impl ReducedDelta {
 ///
 /// [`ReducedDelta::reduced_graph_with`] loops over all `k²` entries every
 /// time it is called, which the warm sweep pipeline pays at *every* budget
-/// checkpoint. Between two checkpoints, though, only entries indexed by a
-/// *dirty* color (a split's parent/child, an edge event's endpoint colors —
-/// values or sizes) can have changed, so this emitter keeps the weighted
-/// rows and, on [`PatchedReducedGraph::sync`], rebuilds just the dirty
-/// rows and patches the dirty columns of the rest: `O(dirty · k)` work.
+/// checkpoint. Between two checkpoints, though, only what the delta
+/// recorded can have changed, so this emitter keeps the weighted rows and,
+/// on [`PatchedReducedGraph::sync`], re-emits just that: the rows and
+/// columns of colors changed wholesale (a split's parent and child, a
+/// merge's colors, a node event's color: `O(dirty · k)`) and the single
+/// cells edge batches changed (a binary search each, plus a row shift
+/// when an entry appears or vanishes).
 /// [`PatchedReducedGraph::to_graph`] then builds the CSR straight from the
 /// sorted rows in `O(k + arcs)` — no dense sweep, no sort, and
 /// bit-identical to what `reduced_graph_with` with the same weighting
@@ -599,27 +670,30 @@ impl<F: Fn(usize, usize, f64, usize, usize) -> f64> PatchedReducedGraph<F> {
         &self.rows
     }
 
-    /// Re-synchronize with the delta: rebuild the rows of colors dirtied
-    /// since the last sync (including rows of freshly created colors) and
-    /// patch their columns in every clean row. A dirty id at or past the
-    /// current color count marks a color removed by a merge: its row is
-    /// dropped by the resize and its column is deleted from every clean
-    /// row. `O(dirty · k)` — the dense `O(k²)` sweep only ever happens in
-    /// [`Self::new`].
+    /// Re-synchronize with the delta. Colors changed wholesale since the
+    /// last sync get their rows rebuilt (including rows of freshly created
+    /// colors) and their columns patched in every other row; a wholesale
+    /// id at or past the current color count marks a color removed by a
+    /// merge: its row is dropped by the resize and its column is deleted
+    /// from every other row. Then each cell an edge batch changed, outside
+    /// those rows and columns, is patched alone. `O(wholesale · k)` plus
+    /// one [`patch_sorted_row`] per cell — the dense `O(k²)` sweep only
+    /// ever happens in [`Self::new`]. Afterwards the rows equal a fresh
+    /// [`Self::new`] of the same delta, bit for bit.
     pub fn sync(&mut self, delta: &mut ReducedDelta) {
         let k = delta.num_colors();
-        let dirty = delta.take_dirty_colors();
-        if dirty.is_empty() && self.rows.len() == k {
+        let (wholesale, cells) = delta.take_changes();
+        if wholesale.is_empty() && cells.is_empty() && self.rows.len() == k {
             return;
         }
         self.rows.resize_with(k, Vec::new);
-        let mut is_dirty = vec![false; k];
-        for &d in &dirty {
+        let mut is_wholesale = vec![false; k];
+        for &d in &wholesale {
             if (d as usize) < k {
-                is_dirty[d as usize] = true;
+                is_wholesale[d as usize] = true;
             }
         }
-        for &d in &dirty {
+        for &d in &wholesale {
             if (d as usize) >= k {
                 continue; // removed color: no row to build
             }
@@ -627,22 +701,24 @@ impl<F: Fn(usize, usize, f64, usize, usize) -> f64> PatchedReducedGraph<F> {
             self.rows[d as usize] = row;
         }
         for (i, row) in self.rows.iter_mut().enumerate() {
-            if is_dirty[i] {
+            if is_wholesale[i] {
                 continue;
             }
-            for &d in &dirty {
+            for &d in &wholesale {
                 let j = d as usize;
                 let w = if j >= k {
                     0.0 // removed color: delete its column
                 } else {
-                    let sum = delta.pair_weight(i, j);
-                    if sum == 0.0 {
-                        0.0
-                    } else {
-                        (self.weight)(i, j, sum, delta.size(i), delta.size(j))
-                    }
+                    Self::entry(&self.weight, delta, i, j)
                 };
                 patch_sorted_row(row, d, w);
+            }
+        }
+        for (i, j) in cells {
+            let (i, j) = (i as usize, j as usize);
+            if i < k && j < k && !is_wholesale[i] && !is_wholesale[j] {
+                let w = Self::entry(&self.weight, delta, i, j);
+                patch_sorted_row(&mut self.rows[i], j as u32, w);
             }
         }
     }
@@ -656,16 +732,22 @@ impl<F: Fn(usize, usize, f64, usize, usize) -> f64> PatchedReducedGraph<F> {
         let k = delta.num_colors();
         let mut row = Vec::new();
         for j in 0..k {
-            let sum = delta.pair_weight(i, j);
-            if sum == 0.0 {
-                continue;
-            }
-            let w = (self.weight)(i, j, sum, delta.size(i), delta.size(j));
+            let w = Self::entry(&self.weight, delta, i, j);
             if w != 0.0 {
                 row.push((j as u32, w));
             }
         }
         row
+    }
+
+    /// The emitted weight of cell `(i, j)`; `0.0` means no entry.
+    fn entry(weight: &F, delta: &ReducedDelta, i: usize, j: usize) -> f64 {
+        let sum = delta.pair_weight(i, j);
+        if sum == 0.0 {
+            0.0
+        } else {
+            weight(i, j, sum, delta.size(i), delta.size(j))
+        }
     }
 }
 

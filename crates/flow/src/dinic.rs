@@ -1,9 +1,7 @@
 //! Dinic's algorithm (level graph + blocking flows).
 
-use crate::network::{FlowNetwork, FlowResult, ResidualGraph};
+use crate::network::{FlowNetwork, FlowResult, ResidualGraph, SATURATION_EPS as EPS};
 use std::collections::VecDeque;
-
-const EPS: f64 = 1e-12;
 
 /// Compute a maximum flow with Dinic's algorithm.
 pub fn max_flow(network: &FlowNetwork) -> FlowResult {
@@ -24,6 +22,7 @@ pub fn run(rg: &mut ResidualGraph, source: u32, sink: u32) -> (f64, usize) {
     let mut total = 0.0f64;
     let mut phases = 0usize;
     let mut level = vec![-1i32; n];
+    // Per-node CSR position of the next edge to try in this phase.
     let mut iter = vec![0usize; n];
     loop {
         // BFS to build the level graph.
@@ -34,9 +33,9 @@ pub fn run(rg: &mut ResidualGraph, source: u32, sink: u32) -> (f64, usize) {
         let mut queue = VecDeque::new();
         queue.push_back(source);
         while let Some(u) = queue.pop_front() {
-            for &e in rg.edges_of(u) {
-                let v = rg.target(e);
-                if rg.capacity(e) > EPS && level[v as usize] < 0 {
+            for pos in rg.edge_positions(u) {
+                let v = rg.target_at(pos);
+                if level[v as usize] < 0 && rg.capacity(rg.edge_at(pos)) > EPS {
                     level[v as usize] = level[u as usize] + 1;
                     queue.push_back(v);
                 }
@@ -46,8 +45,8 @@ pub fn run(rg: &mut ResidualGraph, source: u32, sink: u32) -> (f64, usize) {
             break;
         }
         phases += 1;
-        for it in iter.iter_mut() {
-            *it = 0;
+        for (u, it) in iter.iter_mut().enumerate() {
+            *it = rg.edge_positions(u as u32).start;
         }
         // Blocking flow via iterative DFS augmentations.
         loop {
@@ -72,9 +71,11 @@ fn dfs(
     if u == sink {
         return limit;
     }
-    while iter[u as usize] < rg.edges_of(u).len() {
-        let e = rg.edges_of(u)[iter[u as usize]];
-        let v = rg.target(e);
+    let end = rg.edge_positions(u).end;
+    while iter[u as usize] < end {
+        let pos = iter[u as usize];
+        let v = rg.target_at(pos);
+        let e = rg.edge_at(pos);
         let cap = rg.capacity(e);
         if cap > EPS && level[v as usize] == level[u as usize] + 1 {
             let pushed = dfs(rg, v, sink, limit.min(cap), level, iter);

@@ -1,10 +1,8 @@
 //! Edmonds–Karp (BFS augmenting paths). Simple reference implementation used
 //! to cross-check the faster solvers in tests.
 
-use crate::network::{FlowNetwork, FlowResult, ResidualGraph};
+use crate::network::{FlowNetwork, FlowResult, ResidualGraph, SATURATION_EPS as EPS};
 use std::collections::VecDeque;
-
-const EPS: f64 = 1e-12;
 
 /// Compute a maximum flow with the Edmonds–Karp algorithm.
 pub fn max_flow(network: &FlowNetwork) -> FlowResult {
@@ -16,18 +14,21 @@ pub fn max_flow(network: &FlowNetwork) -> FlowResult {
     let mut augmentations = 0usize;
     loop {
         // BFS for the shortest augmenting path, remembering the edge used to
-        // reach each node.
+        // reach each node and the node it was reached from.
         let mut pred_edge = vec![u32::MAX; n];
+        let mut pred_node = vec![u32::MAX; n];
         let mut visited = vec![false; n];
         visited[source as usize] = true;
         let mut queue = VecDeque::new();
         queue.push_back(source);
         'bfs: while let Some(u) = queue.pop_front() {
-            for &e in rg.edges_of(u) {
-                let v = rg.target(e);
+            for pos in rg.edge_positions(u) {
+                let v = rg.target_at(pos);
+                let e = rg.edge_at(pos);
                 if !visited[v as usize] && rg.capacity(e) > EPS {
                     visited[v as usize] = true;
                     pred_edge[v as usize] = e;
+                    pred_node[v as usize] = u;
                     if v == sink {
                         break 'bfs;
                     }
@@ -44,14 +45,14 @@ pub fn max_flow(network: &FlowNetwork) -> FlowResult {
         while v != source {
             let e = pred_edge[v as usize];
             bottleneck = bottleneck.min(rg.capacity(e));
-            v = rg.target(e ^ 1);
+            v = pred_node[v as usize];
         }
         // Augment.
         let mut v = sink;
         while v != source {
             let e = pred_edge[v as usize];
             rg.push(e, bottleneck);
-            v = rg.target(e ^ 1);
+            v = pred_node[v as usize];
         }
         total += bottleneck;
         augmentations += 1;

@@ -3,9 +3,12 @@
 //! Max-flow substrate and the max-flow application of quasi-stable coloring
 //! (Sec. 4.2 of the paper).
 //!
-//! * [`network::FlowNetwork`] — max-flow problem instances.
+//! * [`network::FlowNetwork`] — max-flow problem instances, and
+//!   [`network::ResidualGraph`], the one CSR residual graph every solver
+//!   below runs on.
 //! * [`push_relabel`] — the exact baseline solver (FIFO push-relabel with
-//!   gap heuristic and global relabeling), standing in for `GraphsFlows`.
+//!   current arcs, gap heuristic and global relabeling), standing in for
+//!   `GraphsFlows`.
 //! * [`dinic`] / [`edmonds_karp`] — additional exact solvers used for
 //!   cross-checking and for the reduced problems.
 //! * [`mincut`] — minimum s-t cut extraction.

@@ -15,11 +15,13 @@ pub struct MinCut {
     pub edges: Vec<(u32, u32, f64)>,
 }
 
-/// Compute a minimum s-t cut (runs Dinic internally).
+/// Compute a minimum s-t cut (runs Dinic internally). The source side is
+/// read off with the solver's own saturation tolerance, so the cut edges
+/// are exactly the arcs Dinic saturated across it.
 pub fn min_cut(network: &FlowNetwork) -> MinCut {
     let mut rg = ResidualGraph::from_graph(&network.graph);
     let (value, _) = dinic::run(&mut rg, network.source, network.sink);
-    let source_side = rg.residual_reachable(network.source, 1e-9);
+    let source_side = rg.residual_reachable(network.source);
     let mut edges = Vec::new();
     for (u, v, c) in network.graph.arcs() {
         if source_side[u as usize] && !source_side[v as usize] && c > 0.0 {
@@ -55,6 +57,28 @@ mod tests {
         assert!((cut_sum - flow).abs() < 1e-9);
         assert!(cut.source_side[0]);
         assert!(!cut.source_side[3]);
+    }
+
+    #[test]
+    fn cut_uses_the_solver_saturation_tolerance() {
+        // 100 paths s -> a_i -> t whose first arcs carry 9e-10 more than
+        // the second: the second arcs are the minimum cut. A residual of
+        // 9e-10 on the first arcs is not saturation, so every a_i is on
+        // the source side and the cut edges sum to exactly the flow.
+        let paths = 100u32;
+        let (s, t) = (0, 1);
+        let mut b = GraphBuilder::new_directed(2 + paths as usize);
+        for i in 0..paths {
+            b.add_edge(s, 2 + i, 1.0 + 9e-10);
+            b.add_edge(2 + i, t, 1.0);
+        }
+        let net = FlowNetwork::new(b.build(), s, t);
+        let cut = min_cut(&net);
+        assert_eq!(cut.capacity, 100.0);
+        assert_eq!(cut.edges.len(), paths as usize);
+        assert!(cut.edges.iter().all(|&(_, v, _)| v == t));
+        let cut_sum: f64 = cut.edges.iter().map(|&(_, _, c)| c).sum();
+        assert_eq!(cut_sum, cut.capacity);
     }
 
     #[test]

@@ -61,90 +61,150 @@ pub struct FlowResult {
     pub iterations: usize,
 }
 
+/// Residual capacities at or below this are treated as saturated by every
+/// solver and by the min-cut reachability pass, so a cut is read off with
+/// exactly the tolerance the flow was computed with.
+pub const SATURATION_EPS: f64 = 1e-12;
+
 /// A residual graph with paired forward/backward edges, shared by all the
 /// max-flow algorithms.
+///
+/// # Edge ids
+///
+/// Arc `a` of the input (its position in the arc list, or in
+/// `Graph::arcs()` order) becomes the edge pair `2a` (forward, `u → v`,
+/// starting at the arc's capacity) and `2a + 1` (backward, `v → u`,
+/// starting at zero), so `e ^ 1` reverses an edge and
+/// [`Self::arc_flows`] lines up with the input arcs. Capacities and flows
+/// are indexed by edge id.
+///
+/// # Layout
+///
+/// The adjacency is one CSR over *positions*: `u`'s incident edges
+/// (forward edges of the arcs leaving `u`, backward edges of the arcs
+/// entering it, in arc order) occupy positions `first[u]..first[u + 1]`
+/// ([`Self::edge_positions`]). Two parallel arrays describe each
+/// position: its edge id ([`Self::edge_at`]) and its target node
+/// ([`Self::target_at`]). A scan reads targets in order and touches a
+/// capacity only for the edges whose target passes its height or level
+/// test, and a loop that pushes flow while it scans, or keeps a
+/// current-arc pointer, holds a position rather than a borrowed slice.
 #[derive(Clone, Debug)]
 pub struct ResidualGraph {
-    n: usize,
-    /// `head[e]` is the target of edge `e`; edges `2k` and `2k+1` are a
-    /// forward/backward pair.
-    head: Vec<u32>,
-    /// Remaining capacity of each edge.
+    /// `n + 1` offsets into the position arrays.
+    first: Vec<u32>,
+    /// Edge id at each position.
+    edges: Vec<u32>,
+    /// Target node of the edge at each position.
+    targets: Vec<u32>,
+    /// Remaining capacity of each edge, by id.
     cap: Vec<f64>,
-    /// Original capacity of each edge (for flow extraction).
-    orig_cap: Vec<f64>,
-    /// Adjacency lists of edge ids.
-    adj: Vec<Vec<u32>>,
-    /// Number of original arcs (= number of forward edges).
-    num_arcs: usize,
+    /// Original capacity of each arc (for flow extraction).
+    arc_cap: Vec<f64>,
 }
 
 impl ResidualGraph {
-    /// Build the residual graph of a capacity graph.
+    /// Build the residual graph of a capacity graph in `O(n + arcs)`: the
+    /// CSR offsets come from the graph's own out- and in-degrees.
     pub fn from_graph(g: &Graph) -> Self {
         let n = g.num_nodes();
-        let mut rg = ResidualGraph {
-            n,
-            head: Vec::new(),
-            cap: Vec::new(),
-            orig_cap: Vec::new(),
-            adj: vec![Vec::new(); n],
-            num_arcs: 0,
-        };
-        for (u, v, c) in g.arcs() {
-            rg.add_edge(u, v, c.max(0.0));
-        }
-        rg
+        let degree = |u: u32| (g.out_degree(u) + g.in_degree(u)) as u32;
+        Self::build(n, g.num_arcs(), (0..n as u32).map(degree), g.arcs())
     }
 
-    /// Build an empty residual graph on `n` nodes (for hand-built networks).
-    pub fn with_nodes(n: usize) -> Self {
+    /// Build the residual graph of `n` nodes and the directed capacity
+    /// arcs `(u, v, capacity)`, kept in the given order. Parallel arcs
+    /// stay separate edge pairs; negative capacities count as zero, as in
+    /// [`Self::from_graph`].
+    pub fn from_arcs(n: usize, arcs: &[(u32, u32, f64)]) -> Self {
+        let mut degree = vec![0u32; n];
+        for &(u, v, _) in arcs {
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
+        }
+        Self::build(n, arcs.len(), degree.into_iter(), arcs.iter().copied())
+    }
+
+    /// Counting-sort the edge pairs of `arcs` into CSR order, given every
+    /// node's degree (out plus in) in node order.
+    fn build(
+        n: usize,
+        num_arcs: usize,
+        degrees: impl Iterator<Item = u32>,
+        arcs: impl Iterator<Item = (u32, u32, f64)>,
+    ) -> Self {
+        assert!(
+            2 * num_arcs <= u32::MAX as usize,
+            "too many arcs for u32 edge ids"
+        );
+        let mut first = Vec::with_capacity(n + 1);
+        first.push(0u32);
+        let mut total = 0u32;
+        for d in degrees {
+            total += d;
+            first.push(total);
+        }
+        debug_assert_eq!(first.len(), n + 1);
+        debug_assert_eq!(total as usize, 2 * num_arcs);
+        let mut next = first[..n].to_vec();
+        let mut edges = vec![0u32; 2 * num_arcs];
+        let mut targets = vec![0u32; 2 * num_arcs];
+        let mut cap = vec![0.0f64; 2 * num_arcs];
+        let mut arc_cap = vec![0.0f64; num_arcs];
+        let mut a = 0usize;
+        for (u, v, c) in arcs {
+            let c = c.max(0.0);
+            cap[2 * a] = c;
+            arc_cap[a] = c;
+            let e = (2 * a) as u32;
+            let pos = next[u as usize] as usize;
+            edges[pos] = e;
+            targets[pos] = v;
+            next[u as usize] += 1;
+            let pos = next[v as usize] as usize;
+            edges[pos] = e + 1;
+            targets[pos] = u;
+            next[v as usize] += 1;
+            a += 1;
+        }
+        assert_eq!(a, num_arcs, "arc count mismatch");
         ResidualGraph {
-            n,
-            head: Vec::new(),
-            cap: Vec::new(),
-            orig_cap: Vec::new(),
-            adj: vec![Vec::new(); n],
-            num_arcs: 0,
+            first,
+            edges,
+            targets,
+            cap,
+            arc_cap,
         }
-    }
-
-    /// Add a directed capacity edge.
-    pub fn add_edge(&mut self, u: u32, v: u32, cap: f64) {
-        let e = self.head.len() as u32;
-        self.head.push(v);
-        self.cap.push(cap);
-        self.orig_cap.push(cap);
-        self.adj[u as usize].push(e);
-        self.head.push(u);
-        self.cap.push(0.0);
-        self.orig_cap.push(0.0);
-        self.adj[v as usize].push(e + 1);
-        self.num_arcs += 1;
     }
 
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.first.len() - 1
     }
 
     /// Number of original (forward) arcs.
     #[inline]
     pub fn num_arcs(&self) -> usize {
-        self.num_arcs
+        self.arc_cap.len()
     }
 
-    /// Edge ids incident to `u` (forward and backward).
+    /// The CSR positions of `u`'s incident edges (forward and backward).
     #[inline]
-    pub fn edges_of(&self, u: u32) -> &[u32] {
-        &self.adj[u as usize]
+    pub fn edge_positions(&self, u: u32) -> std::ops::Range<usize> {
+        self.first[u as usize] as usize..self.first[u as usize + 1] as usize
     }
 
-    /// Target node of edge `e`.
+    /// The id of the edge at CSR position `pos`.
     #[inline]
-    pub fn target(&self, e: u32) -> u32 {
-        self.head[e as usize]
+    pub fn edge_at(&self, pos: usize) -> u32 {
+        self.edges[pos]
+    }
+
+    /// The target node of the edge at CSR position `pos`.
+    #[inline]
+    pub fn target_at(&self, pos: usize) -> u32 {
+        self.targets[pos]
     }
 
     /// Remaining capacity of edge `e`.
@@ -159,7 +219,12 @@ impl ResidualGraph {
     /// must filter to forward (even-id) edges.
     #[inline]
     pub fn flow_on(&self, e: u32) -> f64 {
-        self.orig_cap[e as usize] - self.cap[e as usize]
+        let orig = if e & 1 == 0 {
+            self.arc_cap[e as usize / 2]
+        } else {
+            0.0
+        };
+        orig - self.cap[e as usize]
     }
 
     /// Push `amount` of flow along edge `e` (decreasing its capacity and
@@ -172,25 +237,26 @@ impl ResidualGraph {
 
     /// Flow currently routed through each original arc.
     pub fn arc_flows(&self) -> Vec<f64> {
-        (0..self.num_arcs)
-            .map(|k| (self.orig_cap[2 * k] - self.cap[2 * k]).max(0.0))
+        self.arc_cap
+            .iter()
+            .enumerate()
+            .map(|(a, &c)| (c - self.cap[2 * a]).max(0.0))
             .collect()
     }
 
-    /// Nodes reachable from `source` in the residual graph (used to extract
-    /// a minimum cut after a max-flow computation).
-    pub fn residual_reachable(&self, source: u32, tol: f64) -> Vec<bool> {
-        let mut seen = vec![false; self.n];
+    /// Nodes reachable from `source` over edges with residual capacity
+    /// above [`SATURATION_EPS`] (the source side of a minimum cut after a
+    /// max-flow computation).
+    pub fn residual_reachable(&self, source: u32) -> Vec<bool> {
+        let mut seen = vec![false; self.num_nodes()];
         let mut stack = vec![source];
         seen[source as usize] = true;
         while let Some(u) = stack.pop() {
-            for &e in self.edges_of(u) {
-                if self.cap[e as usize] > tol {
-                    let v = self.head[e as usize];
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
-                        stack.push(v);
-                    }
+            for pos in self.edge_positions(u) {
+                let v = self.targets[pos];
+                if !seen[v as usize] && self.cap[self.edges[pos] as usize] > SATURATION_EPS {
+                    seen[v as usize] = true;
+                    stack.push(v);
                 }
             }
         }
@@ -223,9 +289,7 @@ mod tests {
 
     #[test]
     fn residual_push_and_flows() {
-        let mut rg = ResidualGraph::with_nodes(3);
-        rg.add_edge(0, 1, 5.0);
-        rg.add_edge(1, 2, 4.0);
+        let mut rg = ResidualGraph::from_arcs(3, &[(0, 1, 5.0), (1, 2, 4.0)]);
         assert_eq!(rg.num_arcs(), 2);
         rg.push(0, 3.0);
         assert_eq!(rg.capacity(0), 2.0);
@@ -235,11 +299,9 @@ mod tests {
 
     #[test]
     fn reachability_respects_capacity() {
-        let mut rg = ResidualGraph::with_nodes(3);
-        rg.add_edge(0, 1, 1.0);
-        rg.add_edge(1, 2, 1.0);
+        let mut rg = ResidualGraph::from_arcs(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
         rg.push(0, 1.0); // saturate 0 -> 1
-        let reach = rg.residual_reachable(0, 1e-12);
+        let reach = rg.residual_reachable(0);
         assert!(reach[0]);
         assert!(!reach[1]);
         assert!(!reach[2]);

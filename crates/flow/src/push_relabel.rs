@@ -1,6 +1,17 @@
 //! Push–relabel maximum flow (FIFO active-node selection with the gap
 //! heuristic and periodic global relabeling), cold or warm-started.
 //!
+//! The loops follow the implementation heuristics of Cherkassky and
+//! Goldberg (*Algorithmica* 1997). Each node keeps a *current arc*: a
+//! position in its CSR edge range ([`ResidualGraph`]) before which every
+//! edge is known to be inadmissible. Discharging a node resumes at its
+//! current arc instead of rescanning the node's edges, and a relabel sets
+//! the current arc to the first edge into the new lowest neighbour. Any
+//! other height change (a gap lift, a global relabel) resets the current
+//! arc to the start of the range, and every height change goes through
+//! one helper that keeps the per-height node counts of the gap heuristic
+//! exact. No loop copies a node's adjacency.
+//!
 //! This is the stand-in for the `GraphsFlows` push-relabel baseline used by
 //! the paper's max-flow experiments; the paper notes that push-relabel
 //! cannot be stopped early because its pre-flows are not valid flows, which
@@ -22,185 +33,205 @@
 //! (bit-identically when capacities are exactly representable, e.g.
 //! integers or quarter-integers).
 
-use crate::network::{FlowNetwork, FlowResult, ResidualGraph};
+use crate::network::{FlowNetwork, FlowResult, ResidualGraph, SATURATION_EPS as EPS};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-const EPS: f64 = 1e-12;
-
 /// Compute a maximum flow with the push–relabel algorithm.
 pub fn max_flow(network: &FlowNetwork) -> FlowResult {
-    let mut rg = ResidualGraph::from_graph(&network.graph);
-    let n = rg.num_nodes();
-    let source = network.source as usize;
-    let sink = network.sink as usize;
-
-    let mut height = vec![0usize; n];
-    let mut excess = vec![0.0f64; n];
-    let mut active: VecDeque<u32> = VecDeque::new();
-    let mut in_queue = vec![false; n];
-
+    let mut pf = Preflow::new(network);
     // Initial global relabel: heights = BFS distance to the sink.
-    global_relabel(&rg, sink, source, &mut height, n);
-    saturate_source(
-        &mut rg,
-        source,
-        sink,
-        &mut excess,
-        &mut active,
-        &mut in_queue,
-    );
-    let relabels = discharge(
-        &mut rg,
-        source,
-        sink,
-        &mut height,
-        &mut excess,
-        &mut active,
-        &mut in_queue,
-    );
-
-    FlowResult {
-        value: excess[sink],
-        flows: rg.arc_flows(),
-        iterations: relabels,
-    }
+    pf.global_relabel();
+    pf.saturate_source();
+    let relabels = pf.discharge();
+    pf.into_result(relabels)
 }
 
-/// Saturate every forward arc leaving the source, queueing the targets that
-/// become active.
-fn saturate_source(
-    rg: &mut ResidualGraph,
+/// A preflow on a residual graph with its labeling and FIFO queue: the
+/// state the cold and warm entry points share.
+struct Preflow {
+    rg: ResidualGraph,
     source: usize,
     sink: usize,
-    excess: &mut [f64],
-    active: &mut VecDeque<u32>,
-    in_queue: &mut [bool],
-) {
-    for &e in rg.edges_of(source as u32).to_vec().iter() {
-        if e % 2 != 0 {
-            continue; // backward edge of an arc into the source
-        }
-        let cap = rg.capacity(e);
-        if cap > EPS {
-            let v = rg.target(e) as usize;
-            rg.push(e, cap);
-            excess[v] += cap;
-            excess[source] -= cap;
-            if v != sink && v != source && !in_queue[v] {
-                active.push_back(v as u32);
-                in_queue[v] = true;
-            }
-        }
-    }
+    /// Height labels, `0..=2n`.
+    height: Vec<usize>,
+    /// Nodes per height (gap heuristic); exact because every height
+    /// change goes through [`Self::set_height`].
+    count: Vec<usize>,
+    /// Current-arc CSR position of each node: the edges of `u` before
+    /// `current[u]` are known inadmissible until `u` is relabeled.
+    current: Vec<usize>,
+    excess: Vec<f64>,
+    active: VecDeque<u32>,
+    in_queue: Vec<bool>,
 }
 
-/// The FIFO discharge loop (gap heuristic + periodic global relabeling),
-/// shared by the cold and warm entry points. `height` must be a valid
-/// labeling for the preflow described by `rg`/`excess`, and `active` must
-/// hold every node (other than source/sink) with positive excess. Returns
-/// the number of relabel operations.
-fn discharge(
-    rg: &mut ResidualGraph,
-    source: usize,
-    sink: usize,
-    height: &mut [usize],
-    excess: &mut [f64],
-    active: &mut VecDeque<u32>,
-    in_queue: &mut [bool],
-) -> usize {
-    let n = rg.num_nodes();
-    let mut count = vec![0usize; 2 * n + 1]; // nodes per height (gap heuristic)
-    for h in height.iter() {
-        count[*h] += 1;
-    }
-    let mut relabels = 0usize;
-    let mut work = 0usize;
-    let relabel_period = 6 * n + rg.num_arcs();
-
-    while let Some(u) = active.pop_front() {
-        let u = u as usize;
-        in_queue[u] = false;
-        if u == source || u == sink {
-            continue;
+impl Preflow {
+    /// The zero preflow on `network`, every node at height 0.
+    fn new(network: &FlowNetwork) -> Self {
+        let rg = ResidualGraph::from_graph(&network.graph);
+        let n = rg.num_nodes();
+        let mut count = vec![0usize; 2 * n + 1];
+        count[0] = n;
+        Preflow {
+            current: (0..n as u32).map(|u| rg.edge_positions(u).start).collect(),
+            rg,
+            source: network.source as usize,
+            sink: network.sink as usize,
+            height: vec![0; n],
+            count,
+            excess: vec![0.0; n],
+            active: VecDeque::new(),
+            in_queue: vec![false; n],
         }
-        // Discharge u.
-        while excess[u] > EPS {
-            let mut pushed_any = false;
-            for &e in rg.edges_of(u as u32).to_vec().iter() {
-                if excess[u] <= EPS {
-                    break;
-                }
-                let v = rg.target(e) as usize;
-                if rg.capacity(e) > EPS && height[u] == height[v] + 1 {
-                    let amount = excess[u].min(rg.capacity(e));
-                    rg.push(e, amount);
-                    excess[u] -= amount;
-                    excess[v] += amount;
-                    pushed_any = true;
-                    if v != source && v != sink && !in_queue[v] {
-                        active.push_back(v as u32);
-                        in_queue[v] = true;
-                    }
+    }
+
+    /// Move `v` to height `h`, keeping the per-height counts exact and
+    /// resetting `v`'s current arc (a new height can make any of its
+    /// edges admissible again).
+    fn set_height(&mut self, v: usize, h: usize) {
+        self.count[self.height[v]] -= 1;
+        self.count[h] += 1;
+        self.height[v] = h;
+        self.current[v] = self.rg.edge_positions(v as u32).start;
+    }
+
+    /// Queue `v` for discharge unless it is a terminal or already queued.
+    fn activate(&mut self, v: usize) {
+        if v != self.source && v != self.sink && !self.in_queue[v] {
+            self.active.push_back(v as u32);
+            self.in_queue[v] = true;
+        }
+    }
+
+    /// Saturate every forward arc leaving the source, queueing the
+    /// targets that become active.
+    fn saturate_source(&mut self) {
+        for pos in self.rg.edge_positions(self.source as u32) {
+            let e = self.rg.edge_at(pos);
+            if e & 1 == 1 {
+                continue; // backward edge of an arc into the source
+            }
+            let cap = self.rg.capacity(e);
+            if cap > EPS {
+                let v = self.rg.target_at(pos) as usize;
+                self.rg.push(e, cap);
+                self.excess[v] += cap;
+                self.excess[self.source] -= cap;
+                self.activate(v);
+            }
+        }
+    }
+
+    /// Heights from a reverse BFS from the sink; unreachable nodes (and
+    /// the source) get height `n`.
+    fn global_relabel(&mut self) {
+        let n = self.rg.num_nodes();
+        for v in 0..n {
+            self.set_height(v, n);
+        }
+        self.set_height(self.sink, 0);
+        let mut queue = VecDeque::new();
+        queue.push_back(self.sink as u32);
+        while let Some(u) = queue.pop_front() {
+            let next = self.height[u as usize] + 1;
+            for pos in self.rg.edge_positions(u) {
+                // The edge at pos goes u -> v in the residual graph; v
+                // reaches the sink through u if the reverse edge v -> u
+                // has capacity.
+                let v = self.rg.target_at(pos) as usize;
+                if self.height[v] == n
+                    && v != self.source
+                    && self.rg.capacity(self.rg.edge_at(pos) ^ 1) > EPS
+                {
+                    self.set_height(v, next);
+                    queue.push_back(v as u32);
                 }
             }
-            if excess[u] <= EPS {
-                break;
-            }
-            if !pushed_any {
-                // Relabel u to one more than the lowest admissible neighbour.
-                let old_height = height[u];
-                let mut min_h = usize::MAX;
-                for &e in rg.edges_of(u as u32) {
-                    if rg.capacity(e) > EPS {
-                        min_h = min_h.min(height[rg.target(e) as usize]);
+        }
+    }
+
+    /// The FIFO discharge loop (current arcs, gap heuristic, periodic
+    /// global relabeling). `height` must be a valid labeling for the
+    /// preflow, and `active` must hold every node other than the
+    /// terminals with positive excess. Returns the number of relabel
+    /// operations.
+    fn discharge(&mut self) -> usize {
+        let n = self.rg.num_nodes();
+        let mut relabels = 0usize;
+        let global_relabel_period = 6 * n + self.rg.num_arcs();
+
+        while let Some(u) = self.active.pop_front() {
+            let u = u as usize;
+            self.in_queue[u] = false;
+            let end = self.rg.edge_positions(u as u32).end;
+            while self.excess[u] > EPS {
+                let pos = self.current[u];
+                if pos < end {
+                    let v = self.rg.target_at(pos) as usize;
+                    let e = self.rg.edge_at(pos);
+                    if self.height[u] == self.height[v] + 1 && self.rg.capacity(e) > EPS {
+                        let amount = self.excess[u].min(self.rg.capacity(e));
+                        self.rg.push(e, amount);
+                        self.excess[u] -= amount;
+                        self.excess[v] += amount;
+                        self.activate(v);
+                    } else {
+                        self.current[u] = pos + 1;
+                    }
+                    continue;
+                }
+                // Every edge is inadmissible: relabel u to one more than
+                // its lowest residual neighbour, and make the first edge to
+                // that neighbour current (every edge before it is
+                // inadmissible at the new height).
+                let old_height = self.height[u];
+                let mut lowest: Option<(usize, usize)> = None;
+                for pos in self.rg.edge_positions(u as u32) {
+                    let h = self.height[self.rg.target_at(pos) as usize];
+                    if lowest.is_none_or(|(min_h, _)| h < min_h)
+                        && self.rg.capacity(self.rg.edge_at(pos)) > EPS
+                    {
+                        lowest = Some((h, pos));
                     }
                 }
-                if min_h == usize::MAX {
+                let Some((min_h, min_pos)) = lowest else {
                     // No outgoing residual capacity at all; park the node.
-                    height[u] = 2 * n;
+                    self.set_height(u, 2 * n);
                     break;
-                }
-                count[old_height] -= 1;
-                height[u] = min_h + 1;
-                if height[u] > 2 * n {
-                    height[u] = 2 * n;
-                }
-                count[height[u]] += 1;
+                };
+                self.set_height(u, (min_h + 1).min(2 * n));
+                self.current[u] = min_pos;
                 relabels += 1;
-                work += 1;
-                // Gap heuristic: if no node remains at old_height, lift every
-                // node above it (except the source) to n+1 so they stop
-                // trying to reach the sink.
-                if count[old_height] == 0 && old_height < n {
+                // Gap heuristic: if no node remains at old_height, lift
+                // every node above it (except the source) to n+1 so they
+                // stop trying to reach the sink.
+                if self.count[old_height] == 0 && old_height < n {
                     for w in 0..n {
-                        if w != source && height[w] > old_height && height[w] <= n {
-                            count[height[w]] -= 1;
-                            height[w] = n + 1;
-                            count[height[w]] += 1;
+                        if w != self.source && self.height[w] > old_height && self.height[w] <= n {
+                            self.set_height(w, n + 1);
                         }
                     }
                 }
-            }
-            work += 1;
-            if work >= relabel_period {
-                work = 0;
-                for h in count.iter_mut() {
-                    *h = 0;
-                }
-                global_relabel(rg, sink, source, height, n);
-                for h in height.iter() {
-                    count[*h] += 1;
+                if relabels.is_multiple_of(global_relabel_period) {
+                    self.global_relabel();
                 }
             }
+            if self.excess[u] > EPS && self.height[u] < 2 * n {
+                self.activate(u);
+            }
         }
-        if excess[u] > EPS && height[u] < 2 * n && !in_queue[u] {
-            active.push_back(u as u32);
-            in_queue[u] = true;
-        }
+
+        relabels
     }
 
-    relabels
+    fn into_result(self, relabels: usize) -> FlowResult {
+        FlowResult {
+            value: self.excess[self.sink],
+            flows: self.rg.arc_flows(),
+            iterations: relabels,
+        }
+    }
 }
 
 /// A push-relabel solver that warm-starts from its previous solution.
@@ -231,58 +262,29 @@ impl WarmFlowSolver {
     /// Solve `network`, warm-starting from the previous call's solution
     /// when one is remembered.
     pub fn solve(&mut self, network: &FlowNetwork) -> FlowResult {
-        let mut rg = ResidualGraph::from_graph(&network.graph);
-        let n = rg.num_nodes();
-        let source = network.source as usize;
-        let sink = network.sink as usize;
-        let mut height = vec![0usize; n];
-        let mut excess = vec![0.0f64; n];
-        let mut active: VecDeque<u32> = VecDeque::new();
-        let mut in_queue = vec![false; n];
-
+        let mut pf = Preflow::new(network);
         if let Some(prev) = self.prev_flows.take() {
-            seed_previous_flows(&mut rg, network, prev, &mut excess);
+            seed_previous_flows(&mut pf.rg, network, prev, &mut pf.excess);
         }
-        saturate_source(
-            &mut rg,
-            source,
-            sink,
-            &mut excess,
-            &mut active,
-            &mut in_queue,
-        );
-        drain_deficits(&mut rg, source, &mut excess);
-        global_relabel(&rg, sink, source, &mut height, n);
-        for v in 0..n {
-            if v != source && v != sink && excess[v] > EPS && !in_queue[v] {
-                active.push_back(v as u32);
-                in_queue[v] = true;
+        pf.saturate_source();
+        drain_deficits(&mut pf.rg, pf.source, &mut pf.excess);
+        pf.global_relabel();
+        for v in 0..pf.rg.num_nodes() {
+            if pf.excess[v] > EPS {
+                pf.activate(v);
             }
         }
-        let relabels = discharge(
-            &mut rg,
-            source,
-            sink,
-            &mut height,
-            &mut excess,
-            &mut active,
-            &mut in_queue,
-        );
+        let relabels = pf.discharge();
 
-        let flows = rg.arc_flows();
+        let result = pf.into_result(relabels);
         let mut remembered: HashMap<(u32, u32), f64> = HashMap::new();
-        for ((u, v, _), &f) in network.graph.arcs().zip(flows.iter()) {
+        for ((u, v, _), &f) in network.graph.arcs().zip(result.flows.iter()) {
             if f > EPS {
                 *remembered.entry((u, v)).or_insert(0.0) += f;
             }
         }
         self.prev_flows = Some(remembered);
-
-        FlowResult {
-            value: excess[sink],
-            flows,
-            iterations: relabels,
-        }
+        result
     }
 }
 
@@ -333,18 +335,19 @@ fn drain_deficits(rg: &mut ResidualGraph, source: usize, excess: &mut [f64]) {
         if excess[v] >= -EPS {
             continue;
         }
-        for &e in rg.edges_of(v as u32).to_vec().iter() {
+        for pos in rg.edge_positions(v as u32) {
+            let e = rg.edge_at(pos);
             if excess[v] >= -EPS {
                 break;
             }
-            if e % 2 != 0 {
+            if e & 1 == 1 {
                 continue; // only forward arcs leaving v carry its outflow
             }
             let flow = rg.flow_on(e);
             if flow <= EPS {
                 continue;
             }
-            let w = rg.target(e) as usize;
+            let w = rg.target_at(pos) as usize;
             let amount = flow.min(-excess[v]);
             rg.push(e ^ 1, amount); // return `amount` from w back to v
             excess[v] += amount;
@@ -358,30 +361,6 @@ fn drain_deficits(rg: &mut ResidualGraph, source: usize, excess: &mut [f64]) {
             "deficit at node {v} could not be drained (outflow < shortfall)"
         );
     }
-}
-
-/// Heights from a reverse BFS from the sink; unreachable nodes (and the
-/// source) get height `n`.
-fn global_relabel(rg: &ResidualGraph, sink: usize, source: usize, height: &mut [usize], n: usize) {
-    for h in height.iter_mut() {
-        *h = n;
-    }
-    height[sink] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(sink as u32);
-    while let Some(u) = queue.pop_front() {
-        for &e in rg.edges_of(u) {
-            // Edge e goes u -> v in the residual graph; we need residual
-            // capacity on the reverse edge v -> u for v to reach the sink
-            // through u.
-            let v = rg.target(e);
-            if rg.capacity(e ^ 1) > EPS && height[v as usize] == n && (v as usize) != source {
-                height[v as usize] = height[u as usize] + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    height[source] = n;
 }
 
 #[cfg(test)]

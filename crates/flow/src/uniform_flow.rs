@@ -64,18 +64,17 @@ fn feasible(bipartite: &Bipartite, f: f64, tolerance: f64) -> bool {
     // Nodes: 0..nx left, nx..nx+ny right, source = nx+ny, sink = nx+ny+1.
     let source = (nx + ny) as u32;
     let sink = (nx + ny + 1) as u32;
-    let mut rg = ResidualGraph::with_nodes(nx + ny + 2);
     let per_left = f / nx as f64;
     let per_right = f / ny as f64;
-    for x in 0..nx as u32 {
-        rg.add_edge(source, x, per_left);
-    }
-    for y in 0..ny as u32 {
-        rg.add_edge((nx + y as usize) as u32, sink, per_right);
-    }
-    for (x, y, c) in bipartite.edges() {
-        rg.add_edge(x, (nx + y as usize) as u32, c);
-    }
+    let mut arcs = Vec::with_capacity(nx + ny + bipartite.num_edges());
+    arcs.extend((0..nx as u32).map(|x| (source, x, per_left)));
+    arcs.extend((0..ny as u32).map(|y| ((nx + y as usize) as u32, sink, per_right)));
+    arcs.extend(
+        bipartite
+            .edges()
+            .map(|(x, y, c)| (x, (nx + y as usize) as u32, c)),
+    );
+    let mut rg = ResidualGraph::from_arcs(nx + ny + 2, &arcs);
     let (value, _) = dinic::run(&mut rg, source, sink);
     value >= f - tolerance.max(1e-9) * (1.0 + f)
 }

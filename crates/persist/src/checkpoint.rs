@@ -1232,12 +1232,17 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
                 context: "reduced matrix length mismatch",
             });
         }
-        if dirty.iter().any(|&c| c as usize >= rk) {
+        // Ids at or past `rk` are colors merges removed since the last
+        // drain; they form the run `rk..=max` (see
+        // `ReducedDelta::from_snapshot`), so each is below
+        // `rk + dirty.len()`.
+        let id_bound = rk + dirty.len();
+        if dirty.iter().any(|&c| c as usize >= id_bound) {
             return Err(PersistError::Corrupt {
                 context: "reduced dirty color out of range",
             });
         }
-        let mut flagged = vec![false; rk];
+        let mut flagged = vec![false; id_bound];
         for &c in &dirty {
             if flagged[c as usize] {
                 return Err(PersistError::Corrupt {

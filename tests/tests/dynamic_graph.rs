@@ -13,7 +13,7 @@
 //! counts 1 and 4.
 
 use qsc_core::q_error::IncrementalDegrees;
-use qsc_core::reduced::{quotient_matrix, PatchedReducedGraph, ReducedDelta};
+use qsc_core::reduced::{quotient_matrix, PatchedReducedGraph, ReducedDelta, ReducedSnapshot};
 use qsc_core::rothko::{NodeChurnBatch, Rothko, RothkoConfig};
 use qsc_core::sweep::ColoringSweep;
 use qsc_core::Partition;
@@ -402,6 +402,203 @@ fn reduced_delta_mirrors_node_churn() {
             assert_eq!(a, b, "round {round}");
         }
     }
+}
+
+/// The per-color dirty marking every `ReducedDelta` event has always
+/// persisted: first-dirtied order, an edge event marking its endpoint
+/// colors, a split its parent and child, a merge its winner, its relabeled
+/// loser slot and the old last id, a node event its color.
+#[derive(Default)]
+struct DirtyModel {
+    order: Vec<u32>,
+}
+
+impl DirtyModel {
+    fn mark(&mut self, c: u32) {
+        if !self.order.contains(&c) {
+            self.order.push(c);
+        }
+    }
+}
+
+/// Emitted rows with their weights as bits, for bitwise comparison.
+fn row_bits<F>(emitter: &PatchedReducedGraph<F>) -> Vec<Vec<(u32, u64)>>
+where
+    F: Fn(usize, usize, f64, usize, usize) -> f64,
+{
+    emitter
+        .rows()
+        .iter()
+        .map(|row| row.iter().map(|&(j, w)| (j, w.to_bits())).collect())
+        .collect()
+}
+
+#[test]
+fn pair_granular_emission_equals_fresh_emission() {
+    let weighting = |i: usize, j: usize, sum: f64, si: usize, sj: usize| {
+        if i == j {
+            0.0
+        } else {
+            sum / ((si * sj) as f64).sqrt()
+        }
+    };
+    let mut cancelled = 0;
+    let mut relabeling_merges = 0;
+    let mut last_merges = 0;
+    let mut restores = 0;
+    for (directed, seed) in [(false, 41u64), (true, 43), (false, 47), (true, 53)] {
+        let g = random_graph(60, 240, directed, seed);
+        let mut p = Partition::unit(60);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xCE11);
+        for _ in 0..5 {
+            random_split(&mut p, &mut rng);
+        }
+        let mut delta = ReducedDelta::new(&g, &p);
+        let mut emitter = PatchedReducedGraph::new(&mut delta, weighting);
+        let mut model = DirtyModel::default();
+        let mut churner = Churner::new(g, seed ^ 0xF00D);
+        let mut current = churner.delta.compact();
+        // An edge inserted into an empty color pair, deleted by the next
+        // edge batch: the cell cancels back to exactly 0.0.
+        let mut to_cancel: Option<(u32, u32)> = None;
+        for step in 0..60 {
+            let k = p.num_colors() as u32;
+            match rng.random_range(0..7u32) {
+                0..=2 => {
+                    if let Some((u, v)) = to_cancel.take() {
+                        churner.delta.delete_edge(u, v).unwrap();
+                        churner.edges.retain(|&e| e != (u, v));
+                    }
+                    let mut events = churner.batch(rng.random_range(1..6usize));
+                    if rng.random_range(0..2u32) == 0 {
+                        let u = rng.random_range(0..60u32);
+                        let v = rng.random_range(0..60u32);
+                        let (cu, cv) = (p.color_of(u) as usize, p.color_of(v) as usize);
+                        if u != v
+                            && !churner.delta.has_edge(u, v)
+                            && delta.pair_weight(cu, cv) == 0.0
+                            && delta.pair_weight(cv, cu) == 0.0
+                        {
+                            churner.delta.insert_edge(u, v, 1.5).unwrap();
+                            churner.edges.push((u, v));
+                            events.extend(churner.delta.drain_events());
+                            to_cancel = Some((u, v));
+                        }
+                    }
+                    for ev in &events {
+                        model.mark(p.color_of(ev.source));
+                        model.mark(p.color_of(ev.target));
+                    }
+                    current = churner.delta.compact();
+                    delta.apply_edge_batch(&p, &events);
+                    cancelled += events
+                        .iter()
+                        .filter(|ev| ev.delta < 0.0)
+                        .filter(|ev| {
+                            let (cu, cv) = (p.color_of(ev.source), p.color_of(ev.target));
+                            delta.pair_weight(cu as usize, cv as usize) == 0.0
+                        })
+                        .count();
+                }
+                3 => {
+                    if let Some(ev) = random_split(&mut p, &mut rng) {
+                        delta.apply_split(&current, &p, &ev);
+                        model.mark(ev.parent);
+                        model.mark(ev.child);
+                    }
+                }
+                4 if k > 3 => {
+                    // Alternate the relabel-last case (loser < last) with
+                    // merging the last color itself.
+                    let loser = if step % 2 == 0 {
+                        k - 1
+                    } else {
+                        rng.random_range(1..k - 1)
+                    };
+                    let winner = rng.random_range(0..loser);
+                    let ev = p.merge_colors(winner, loser);
+                    delta.apply_merge(&ev);
+                    model.mark(ev.winner);
+                    if ev.loser != k - 1 {
+                        model.mark(ev.loser);
+                        relabeling_merges += 1;
+                    } else {
+                        last_merges += 1;
+                    }
+                    model.mark(k - 1);
+                }
+                _ => {
+                    let (batch, compacted) =
+                        node_churn_round(&mut churner.delta, &p, &mut rng, 2, 2, 2);
+                    for &c in &batch.inserted_colors {
+                        p.insert_node(c);
+                        delta.apply_node_insert(c);
+                        model.mark(c);
+                    }
+                    delta.apply_edge_batch(&p, &batch.edge_events);
+                    for ev in &batch.edge_events {
+                        model.mark(p.color_of(ev.source));
+                        model.mark(p.color_of(ev.target));
+                    }
+                    for &v in &batch.removed {
+                        let c = p.color_of(v);
+                        delta.apply_node_removal(c);
+                        model.mark(c);
+                    }
+                    p.apply_node_remap(&batch.remap);
+                    churner.edges = compacted.edges().iter().map(|&(u, v, _)| (u, v)).collect();
+                    current = compacted;
+                    // Renumbering invalidates the pending cancellation.
+                    to_cancel = None;
+                }
+            }
+            assert_eq!(delta.verify_against(&current, &p), Ok(()), "step {step}");
+            // Mid-stream snapshot with changes pending: the persisted state
+            // is what the per-color marking always wrote, and an emitter on
+            // the restored delta emits what the live one does.
+            let restored = (rng.random_range(0..4u32) == 0).then(|| {
+                let snap = delta.snapshot();
+                let k = p.num_colors();
+                assert_eq!(
+                    snap,
+                    ReducedSnapshot {
+                        k,
+                        sum: delta.quotient_matrix(),
+                        sizes: p.sizes(),
+                        symmetric: !directed,
+                        dirty: model.order.clone(),
+                    },
+                    "step {step}"
+                );
+                let mut restored = ReducedDelta::from_snapshot(&snap);
+                assert_eq!(restored.snapshot(), snap, "step {step}");
+                row_bits(&PatchedReducedGraph::new(&mut restored, weighting))
+            });
+            if restored.is_some() || rng.random_range(0..2u32) == 0 {
+                emitter.sync(&mut delta);
+                model.order.clear();
+                let fresh = PatchedReducedGraph::new(&mut delta.clone(), weighting);
+                assert_eq!(row_bits(&emitter), row_bits(&fresh), "step {step}");
+                let (a, b) = (emitter.to_graph(), fresh.to_graph());
+                assert!(
+                    a.arcs()
+                        .map(|(u, v, w)| (u, v, w.to_bits()))
+                        .eq(b.arcs().map(|(u, v, w)| (u, v, w.to_bits()))),
+                    "step {step}"
+                );
+                if let Some(rows) = restored {
+                    assert_eq!(row_bits(&emitter), rows, "step {step}: restored");
+                    restores += 1;
+                }
+            }
+        }
+    }
+    assert!(cancelled > 0, "no pair cancelled to exactly 0.0");
+    assert!(
+        relabeling_merges > 0 && last_merges > 0,
+        "merge cases missed"
+    );
+    assert!(restores > 0, "no mid-stream restore");
 }
 
 #[test]

@@ -8,8 +8,12 @@ use qsc_flow::reduce::{
     approximate_max_flow, approximate_with_partition, color_network, reduced_network_lower,
     reduced_network_upper, relative_error, FlowApproxConfig,
 };
-use qsc_flow::{dinic, edmonds_karp, min_cut, push_relabel, FlowNetwork};
+use qsc_flow::{
+    dinic, edmonds_karp, min_cut, push_relabel, FlowNetwork, FlowResult, ResidualGraph,
+    WarmFlowSolver,
+};
 use qsc_graph::{generators, GraphBuilder};
+use rand::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -66,6 +70,176 @@ proptest! {
             lower <= exact + 1e-4,
             "lower bound {} exceeds exact {}", lower, exact
         );
+    }
+}
+
+/// Capacity classes of [`edge_case_arcs`]. Integer and quarter-integer
+/// capacities make every flow sum exact in f64, so the solvers must agree
+/// bit for bit; general floats agree within 1e-9 relative.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Capacities {
+    Integer,
+    Quarter,
+    Float,
+}
+
+impl Capacities {
+    fn draw(self, rng: &mut StdRng) -> f64 {
+        match self {
+            Capacities::Integer => rng.random_range(1u32..6) as f64,
+            Capacities::Quarter => rng.random_range(1u32..24) as f64 / 4.0,
+            Capacities::Float => rng.random_range(0.01f64..5.0),
+        }
+    }
+
+    /// Whether `a` and `b` agree as this class requires: equal on the
+    /// exact classes, within 1e-9 relative (1e-9 absolute near zero) on
+    /// floats.
+    fn agree(self, a: f64, b: f64) -> bool {
+        match self {
+            Capacities::Float => (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+            _ => a == b,
+        }
+    }
+}
+
+/// A small random arc list over `n` nodes (source 0, sink 1) holding the
+/// residual graph's edge cases: self-loops, arcs into the source and out
+/// of the sink, zero-capacity arcs, parallel arcs, two isolated nodes
+/// (the last two ids), and on every fourth seed no arc into the sink.
+fn edge_case_arcs(seed: u64, caps: Capacities) -> (usize, Vec<(u32, u32, f64)>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let wired = rng.random_range(2usize..9);
+    let n = wired + 2;
+    let mut arcs = Vec::new();
+    for _ in 0..rng.random_range(0..4 * wired) {
+        let u = rng.random_range(0..wired) as u32;
+        let v = rng.random_range(0..wired) as u32;
+        arcs.push((u, v, caps.draw(&mut rng)));
+    }
+    let mid = rng.random_range(0..wired) as u32;
+    arcs.push((mid, mid, caps.draw(&mut rng))); // self-loop
+    arcs.push((mid, 0, caps.draw(&mut rng))); // into the source
+    arcs.push((1, mid, caps.draw(&mut rng))); // out of the sink
+    arcs.push((0, mid, 0.0)); // zero capacity
+    if let Some(&parallel) = arcs.first() {
+        arcs.push(parallel);
+    }
+    if seed.is_multiple_of(4) {
+        arcs.retain(|&(_, v, _)| v != 1); // unreachable sink
+    }
+    arcs.shuffle(&mut rng);
+    (n, arcs)
+}
+
+/// Check a solver's per-arc flows against its arcs: aligned, within
+/// capacity, conserved at every non-terminal node, and delivering `value`
+/// into the sink (net) and out of the source (net).
+fn assert_valid_flow(
+    label: &str,
+    n: usize,
+    arcs: &[(u32, u32, f64)],
+    flows: &[f64],
+    value: f64,
+    caps: Capacities,
+) {
+    assert_eq!(flows.len(), arcs.len(), "{label}: flows misaligned");
+    let mut net = vec![0.0f64; n];
+    for (&(u, v, c), &f) in arcs.iter().zip(flows) {
+        assert!(
+            (0.0..=c).contains(&f),
+            "{label}: flow {f} on ({u},{v}) cap {c}"
+        );
+        net[u as usize] -= f;
+        net[v as usize] += f;
+    }
+    for (v, &imbalance) in net.iter().enumerate().skip(2) {
+        assert!(
+            caps.agree(imbalance, 0.0),
+            "{label}: node {v} imbalance {imbalance}"
+        );
+    }
+    assert!(
+        caps.agree(net[1], value),
+        "{label}: sink receives {}",
+        net[1]
+    );
+    assert!(
+        caps.agree(-net[0], value),
+        "{label}: source sends {}",
+        -net[0]
+    );
+}
+
+#[test]
+fn solvers_agree_on_residual_edge_cases() {
+    for caps in [Capacities::Integer, Capacities::Quarter, Capacities::Float] {
+        // One warm solver across the class: every solve after the first
+        // starts from the previous network's flow.
+        let mut warm = WarmFlowSolver::new();
+        for seed in 0..150u64 {
+            let (n, arcs) = edge_case_arcs(seed, caps);
+            let label = format!("{caps:?} seed {seed}");
+            let mut b = GraphBuilder::new_directed(n);
+            for &(u, v, c) in &arcs {
+                b.add_edge(u, v, c);
+            }
+            let net = FlowNetwork::new(b.build(), 0, 1);
+            let merged: Vec<_> = net.graph.arcs().collect();
+            let results: [(&str, FlowResult); 4] = [
+                ("push-relabel", push_relabel::max_flow(&net)),
+                ("warm push-relabel", warm.solve(&net)),
+                ("dinic", dinic::max_flow(&net)),
+                ("edmonds-karp", edmonds_karp::max_flow(&net)),
+            ];
+            let value = results[2].1.value;
+            for (name, r) in &results {
+                assert!(
+                    caps.agree(r.value, value),
+                    "{label}: {name} {} vs dinic {value}",
+                    r.value
+                );
+                if caps != Capacities::Float {
+                    assert_eq!(r.value.to_bits(), value.to_bits(), "{label}: {name}");
+                }
+                assert_valid_flow(
+                    &format!("{label} {name}"),
+                    n,
+                    &merged,
+                    &r.flows,
+                    r.value,
+                    caps,
+                );
+            }
+            if seed.is_multiple_of(4) {
+                assert_eq!(value, 0.0, "{label}: sink has no arc in");
+            }
+            let cut = min_cut(&net);
+            let cut_sum: f64 = cut.edges.iter().map(|&(_, _, c)| c).sum();
+            assert!(caps.agree(cut.capacity, value), "{label}: cut value");
+            assert!(
+                caps.agree(cut_sum, value),
+                "{label}: cut edges sum {cut_sum}"
+            );
+            // The arc-list constructor keeps parallel arcs as separate
+            // edge pairs; Dinic on it finds the merged network's value.
+            let mut rg = ResidualGraph::from_arcs(n, &arcs);
+            assert_eq!(rg.num_arcs(), arcs.len());
+            let (parallel_value, _) = dinic::run(&mut rg, 0, 1);
+            assert!(
+                caps.agree(parallel_value, value),
+                "{label}: parallel arcs {parallel_value} vs merged {value}"
+            );
+            assert_valid_flow(
+                &format!("{label} parallel"),
+                n,
+                &arcs,
+                &rg.arc_flows(),
+                parallel_value,
+                caps,
+            );
+            assert!(!rg.residual_reachable(0)[1], "{label}: sink reachable");
+        }
     }
 }
 

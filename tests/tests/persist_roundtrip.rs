@@ -578,6 +578,63 @@ fn recovery_replays_reweight_of_zero_weight_edge() {
 }
 
 #[test]
+fn checkpoint_with_pending_merge_removals_decodes() {
+    // Merges leave the reduced delta's dirty queue holding the removed
+    // color ids (at or past k) until the next emission drains it. A
+    // checkpoint written in that window decodes, in both layouts, to the
+    // snapshot that was written, and the snapshot restores.
+    let g = random_graph(80, 340, false, 33);
+    let config = RothkoConfig {
+        max_colors: 40,
+        target_error: 4.0,
+        coarsen: true,
+        threads: Some(1),
+        ..Default::default()
+    };
+    let mut run = Rothko::new(config).start(&g);
+    let mut reduced = ReducedDelta::new(&g, run.partition());
+    run.maintain_with(|p, ev| match ev {
+        PartitionEvent::Split(s) => reduced.apply_split(&g, p, s),
+        PartitionEvent::Merge(m) => reduced.apply_merge(m),
+        _ => unreachable!("no node churn in this pass"),
+    });
+    reduced.take_dirty_colors();
+    // Dropping every edge zeroes every error bound, so coarsening merges.
+    let mut delta = GraphDelta::new(g.clone());
+    for &(u, v, _) in &g.edges() {
+        delta.delete_edge(u, v).unwrap();
+    }
+    let events = delta.drain_events();
+    let empty = delta.compact();
+    run.apply_edge_batch(empty.clone(), &events);
+    reduced.apply_edge_batch(run.partition(), &events);
+    run.maintain_with(|p, ev| match ev {
+        PartitionEvent::Split(s) => reduced.apply_split(&empty, p, s),
+        PartitionEvent::Merge(m) => reduced.apply_merge(m),
+        _ => unreachable!("no node churn in this pass"),
+    });
+    assert!(run.merges() > 0);
+    let snap = reduced.snapshot();
+    assert!(
+        snap.dirty.iter().any(|&c| c as usize >= snap.k),
+        "no removed color pending"
+    );
+    for layout in [Layout::Packed, Layout::MappedRaw] {
+        let data = CheckpointData {
+            graph: run.graph().clone(),
+            config: run.config().clone(),
+            run: run.snapshot(),
+            reduced: Some(snap.clone()),
+            wal_seq: 0,
+        };
+        let bytes = encode_checkpoint_with(&data, layout).0;
+        let decoded = qsc_persist::decode_checkpoint(&bytes).unwrap();
+        assert_eq!(decoded.reduced.as_ref(), Some(&snap), "{layout:?}");
+    }
+    assert_eq!(ReducedDelta::from_snapshot(&snap).snapshot(), snap);
+}
+
+#[test]
 fn patched_graph_checkpoints_like_its_flat_copy() {
     // An edge-only compaction below the patch limit returns a patched
     // graph; its checkpoint bytes equal those of the same stack over the
