@@ -7,34 +7,40 @@
 //! solvers and the engine reduce through literally the same code. This
 //! module adds the engine-specific shapes on top:
 //!
-//! * [`fold_minmax_row`] — fold one member's accumulator row into per-color
-//!   min/max/attainer/nonzero aggregates. This is *the* member-axis rescan
-//!   kernel: the dense serial scan, the sparse degrees-only rebuild and the
-//!   sharded workers (symmetric and directed modes) all route through it,
-//!   which both deduplicates the scan logic and hands LLVM a branch-free
-//!   column loop it can vectorize (compare + blend per lane).
+//! * [`fold_minmax_columns`] — fold the first `k` columns of a color-major
+//!   dense plane over a member list into per-color
+//!   min/max/attainer/nonzero aggregates. This is the dense member-axis
+//!   rebuild kernel: it walks the columns in blocks of [`LANES`], reading
+//!   each member's slot in every column of the block (with software
+//!   prefetch a few members ahead), so the block's columns stay
+//!   cache-resident while the member list streams past.
+//! * [`fold_minmax_row`] — fold one member's contiguous accumulator row
+//!   into the same aggregates, a branch-free column loop LLVM vectorizes
+//!   (compare + blend per lane). Promoted tiered rows ([`RowRep::Dense`])
+//!   fold through it.
 //! * [`fold_minmax_sparse_row`] — the same member-axis fold over a tiered
 //!   [`RowRep`] accumulator row (sparse engines): nonzero entries fold with
 //!   real attainers, and [`fold_zero_tail`] closes the scan by folding one
 //!   `0.0` (attainer [`NO_ARG`]) into every column that some member left
 //!   implicit — values bit-identical to the dense fold.
 //! * [`scan_gather_column`] — min/max (with first-attainer witnesses and a
-//!   nonzero count) of a strided accumulator column over a member list; the
-//!   shared kernel of every entry rescan. [`scan_gather_column_sparse`] is
-//!   the tiered-row form, bit-identical including attainers (every member
-//!   contributes a value, absent entries read `0.0`).
-//! * [`scan_gather_columns`] — the grouped form: several queued columns of
-//!   one member axis folded in a single member pass (each accumulator row
-//!   is loaded once), bit-identical per column to the one-column scan. The
-//!   parent-axis repair batch after a split runs through this.
-//!   [`scan_gather_columns_sparse`] is the tiered-row form: a merge-join of
-//!   each member's sorted entries against the sorted queued columns,
+//!   nonzero count) of one contiguous accumulator column over a member
+//!   list; the shared kernel of every dense entry rescan.
+//!   [`scan_gather_column_sparse`] is the tiered-row form, bit-identical
+//!   including attainers (every member contributes a value, absent entries
+//!   read `0.0`).
+//! * [`scan_gather_columns_sparse`] — several queued columns of one member
+//!   axis folded in a single pass over tiered rows: a merge-join of each
+//!   member's sorted entries against the sorted queued columns,
 //!   `O(nnz + t)` per member instead of `O(t)` random row probes —
-//!   bit-identical per column (including attainers) to the dense gather.
+//!   bit-identical per column (including attainers) to the one-column
+//!   gather. The parent-axis repair batch after a split runs through it;
+//!   a dense plane runs one contiguous [`scan_gather_column`] per column.
 //! * [`row_err_argmax`] — max spread `max − min` over a summary row with
 //!   the sequential first-attainer index; the β = 0 witness-row scan.
 //! * [`prefetch_read`] — best-effort L1 prefetch hint for pointer-chasing
-//!   loops (the split apply phase); never changes results.
+//!   loops (the split apply phase, the blocked column fold); never changes
+//!   results.
 //! * [`gather_stats`] — sum + min/max of gathered per-node values (the
 //!   witness-split degree scan), summing through the canonical blocked
 //!   tree.
@@ -153,38 +159,100 @@ pub fn fold_minmax_row(
     }
 }
 
-/// Min/max (with first-attainer witnesses and a nonzero count) of
-/// `acc[u as usize * cap + col]` over the given members, in member order.
+/// Fold the first `k` columns of a color-major plane over `members`, in
+/// member order: column `j` is `plane[j * stride..]`, member `u`'s value in
+/// it is `plane[j * stride + u]`. For each column, counts nonzeros and
+/// keeps the strict min/max with the member recorded as attainer when the
+/// strict compare fires (first attainer in member order wins ties) — per
+/// column exactly what [`fold_minmax_row`] computes over the members'
+/// rows, bit for bit. Folds into the aggregates already in the five
+/// output slices, which must hold at least `k` entries each.
 ///
-/// The gather is strided, so this stays scalar-width, but the branch-free
-/// select form removes the unpredictable extremum branches and lets the
-/// loads pipeline — and because each member's slot sits a full row stride
-/// (`cap · 8` bytes, its own cache line) from the previous one in an order
-/// the hardware prefetcher cannot track, the loop prefetches its own
-/// future slots. The distance covers one slot's load-to-use latency; the
-/// hint never changes results. Semantics are exactly the sequential
-/// scalar scan: strict compares, first attainer wins ties. Returns
-/// `(INFINITY, NEG_INFINITY, NO_ARG, NO_ARG, 0)` on an empty member list.
+/// The columns go in blocks of [`LANES`]: for each member the block's
+/// slots are read, then folded with branch-free selects. Each read sits in
+/// its own cache line (a member's slots are a column stride apart), so the
+/// loop prefetches every column's slot `PREFETCH_AHEAD` members ahead; the
+/// hints never change results.
+#[allow(clippy::too_many_arguments)]
+pub fn fold_minmax_columns(
+    members: &[u32],
+    plane: &[f64],
+    stride: usize,
+    k: usize,
+    mins: &mut [f64],
+    maxs: &mut [f64],
+    arg_mins: &mut [u32],
+    arg_maxs: &mut [u32],
+    nzs: &mut [u32],
+) {
+    const PREFETCH_AHEAD: usize = 8;
+    debug_assert!(
+        mins.len() >= k
+            && maxs.len() >= k
+            && arg_mins.len() >= k
+            && arg_maxs.len() >= k
+            && nzs.len() >= k
+    );
+    let mut j0 = 0;
+    while j0 < k {
+        let w = (k - j0).min(LANES);
+        let mut mn = [0.0f64; LANES];
+        let mut mx = [0.0f64; LANES];
+        let mut amn = [0u32; LANES];
+        let mut amx = [0u32; LANES];
+        let mut nz = [0u32; LANES];
+        mn[..w].copy_from_slice(&mins[j0..j0 + w]);
+        mx[..w].copy_from_slice(&maxs[j0..j0 + w]);
+        amn[..w].copy_from_slice(&arg_mins[j0..j0 + w]);
+        amx[..w].copy_from_slice(&arg_maxs[j0..j0 + w]);
+        nz[..w].copy_from_slice(&nzs[j0..j0 + w]);
+        let block = &plane[j0 * stride..];
+        for (pos, &u) in members.iter().enumerate() {
+            if let Some(&ahead) = members.get(pos + PREFETCH_AHEAD) {
+                for l in 0..w {
+                    prefetch_read(block, l * stride + ahead as usize);
+                }
+            }
+            for l in 0..w {
+                let o = block[l * stride + u as usize];
+                nz[l] += u32::from(o != 0.0);
+                let lt = o < mn[l];
+                mn[l] = if lt { o } else { mn[l] };
+                amn[l] = if lt { u } else { amn[l] };
+                let gt = o > mx[l];
+                mx[l] = if gt { o } else { mx[l] };
+                amx[l] = if gt { u } else { amx[l] };
+            }
+        }
+        mins[j0..j0 + w].copy_from_slice(&mn[..w]);
+        maxs[j0..j0 + w].copy_from_slice(&mx[..w]);
+        arg_mins[j0..j0 + w].copy_from_slice(&amn[..w]);
+        arg_maxs[j0..j0 + w].copy_from_slice(&amx[..w]);
+        nzs[j0..j0 + w].copy_from_slice(&nz[..w]);
+        j0 += w;
+    }
+}
+
+/// Min/max (with first-attainer witnesses and a nonzero count) of
+/// `column[u]` over the given members, in member order — one contiguous
+/// column of a color-major accumulator plane.
+///
+/// The branch-free select form removes the unpredictable extremum
+/// branches and lets the loads pipeline; the column itself (8 bytes per
+/// node) stays cache-resident across the rescans that read it. Semantics
+/// are exactly the sequential scalar scan: strict compares, first
+/// attainer wins ties. Returns `(INFINITY, NEG_INFINITY, NO_ARG, NO_ARG,
+/// 0)` on an empty member list.
 #[must_use]
 #[allow(clippy::type_complexity)]
-pub fn scan_gather_column(
-    members: &[u32],
-    acc: &[f64],
-    cap: usize,
-    col: usize,
-) -> (f64, f64, u32, u32, u32) {
-    debug_assert!(col < cap);
-    const PREFETCH_AHEAD: usize = 16;
+pub fn scan_gather_column(members: &[u32], column: &[f64]) -> (f64, f64, u32, u32, u32) {
     let mut mn = f64::INFINITY;
     let mut mx = f64::NEG_INFINITY;
     let mut amn = NO_ARG;
     let mut amx = NO_ARG;
     let mut nz = 0u32;
-    for (pos, &u) in members.iter().enumerate() {
-        if let Some(&w) = members.get(pos + PREFETCH_AHEAD) {
-            prefetch_read(acc, w as usize * cap + col);
-        }
-        let x = acc[u as usize * cap + col];
+    for &u in members {
+        let x = column[u as usize];
         nz += u32::from(x != 0.0);
         let lt = x < mn;
         mn = if lt { x } else { mn };
@@ -194,55 +262,6 @@ pub fn scan_gather_column(
         amx = if gt { u } else { amx };
     }
     (mn, mx, amn, amx, nz)
-}
-
-/// Gather-scan several columns of one member axis in a single member
-/// pass: for each queued column `cols[s]`, computes exactly what
-/// [`scan_gather_column`] would (min/max, first-attainer witnesses,
-/// nonzero count, folded in member order — bit-identical per column),
-/// writing position `s` of each output slice. The win is memory traffic:
-/// each member's accumulator row is brought into cache once and serves
-/// every queued column, instead of one strided pass per column.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_gather_columns(
-    members: &[u32],
-    acc: &[f64],
-    cap: usize,
-    cols: &[u32],
-    mins: &mut [f64],
-    maxs: &mut [f64],
-    arg_mins: &mut [u32],
-    arg_maxs: &mut [u32],
-    nzs: &mut [u32],
-) {
-    let t = cols.len();
-    debug_assert!(
-        mins.len() >= t
-            && maxs.len() >= t
-            && arg_mins.len() >= t
-            && arg_maxs.len() >= t
-            && nzs.len() >= t
-    );
-    debug_assert!(cols.iter().all(|&j| (j as usize) < cap));
-    mins[..t].fill(f64::INFINITY);
-    maxs[..t].fill(f64::NEG_INFINITY);
-    arg_mins[..t].fill(NO_ARG);
-    arg_maxs[..t].fill(NO_ARG);
-    nzs[..t].fill(0);
-    for &u in members {
-        let base = u as usize * cap;
-        let row = &acc[base..base + cap];
-        for (s, &j) in cols.iter().enumerate() {
-            let x = row[j as usize];
-            nzs[s] += u32::from(x != 0.0);
-            let lt = x < mins[s];
-            mins[s] = if lt { x } else { mins[s] };
-            arg_mins[s] = if lt { u } else { arg_mins[s] };
-            let gt = x > maxs[s];
-            maxs[s] = if gt { x } else { maxs[s] };
-            arg_maxs[s] = if gt { u } else { arg_maxs[s] };
-        }
-    }
 }
 
 /// Fold one member's *tiered* accumulator row ([`RowRep`]) into per-color
@@ -355,7 +374,7 @@ pub fn prefetch_row_payload(row: &RowRep, col: u32) {
 /// witnesses, nonzero count) of `rows[u].get(col)` over the members, in
 /// member order. Every member contributes a value (absent sparse entries
 /// read `0.0`), so values *and* attainers are bit-identical to the dense
-/// strided gather.
+/// column gather.
 ///
 /// Each probe chases two dependent pointers the hardware prefetcher
 /// cannot see coming (the `RowRep` enum, then its heap buffer), so the
@@ -396,8 +415,9 @@ pub fn scan_gather_column_sparse(
     (mn, mx, amn, amx, nz)
 }
 
-/// [`scan_gather_columns`] over tiered rows: several queued columns of one
-/// member axis folded in a single member pass. Sparse rows merge-join
+/// Several queued columns of one member axis folded in a single pass over
+/// tiered rows: for each column `cols[s]`, what [`scan_gather_column_sparse`]
+/// computes lands at position `s` of the outputs. Sparse rows merge-join
 /// their sorted entries against the column list (sorted once up front),
 /// `O(nnz + t)` per member; promoted rows probe their slots directly.
 /// Bit-identical per column (values and attainers) to the one-column scan.

@@ -98,9 +98,10 @@
 //!
 //! **Storage tiers.** The engine at the pipeline's center keeps its
 //! per-node accumulator rows in one of two layouts, chosen by
-//! [`RothkoConfig::storage`] ([`StorageMode`]) at construction: dense
-//! `n × cap` matrices (8 bytes per slot, one strided load per member
-//! probe) or tiered sparse rows ([`storage::RowRep`] — sorted nonzero
+//! [`RothkoConfig::storage`] ([`StorageMode`]) at construction: a dense
+//! color-major plane (8 bytes per slot, one contiguous column per color,
+//! so a member rescan reads one cache-resident column) or tiered sparse
+//! rows ([`storage::RowRep`] — sorted nonzero
 //! `(color, weight)` vectors at 16 bytes per nonzero, hot rows promoted
 //! to plain slot arrays). Both run the same fold contract through
 //! [`kernels`]' sparse gather variants, so modes are bit-identical under
@@ -144,9 +145,11 @@
 //! implements [`qsc_graph::SharedColumn`], carrying the map's lifetime
 //! in an `Arc`). `qsc-persist`'s raw-layout checkpoints pin aligned
 //! uncompressed encodings for exactly these columns, so a warm restart
-//! borrows the CSR and `dout`/`din` planes in place and the OS page
-//! cache — not the heap — bounds the working set: graphs whose CSR
-//! exceeds RAM still open in O(1). Owned and mapped stacks run the same
+//! borrows the CSR in place and the OS page cache — not the heap —
+//! bounds the graph's working set: graphs whose CSR exceeds RAM still
+//! open in O(1). The `dout`/`din` planes are the exception on the engine
+//! side: the restore reads each mapped plane once, front to back, and
+//! transposes it into the engine's own color-major plane. Owned and mapped stacks run the same
 //! code paths (`Deref<Target = [T]>`) and are bit-identical at every
 //! thread count; the engine hints paging (`advise`) ahead of whole-axis
 //! sweeps and touched-list scans. No compaction writes into a graph

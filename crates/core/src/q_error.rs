@@ -41,8 +41,9 @@
 //!
 //! 1. **Accumulators** ([`crate::storage`]). For every node `v` and color
 //!    `j < k`, the weight of `v` toward `P_j` in the side's direction —
-//!    `w(v, P_j)` out, `w(P_j, v)` in — held as a dense `n × cap` plane or
-//!    as tiered per-node rows, chosen per engine by
+//!    `w(v, P_j)` out, `w(P_j, v)` in — held as a dense color-major plane
+//!    (one contiguous column per color) or as tiered per-node rows, chosen
+//!    per engine by
 //!    [`crate::storage::StorageMode`]. Missing tiered entries read as an
 //!    exact `0.0`, so min/max over a color's members needs no implicit
 //!    zero bookkeeping. Every maintained value is bit-identical across the
@@ -180,7 +181,8 @@
 //!   shard folding a full `k`-column min/max row.
 //! * **Entry rescans** — queued lost-extremum columns are distributed
 //!   whole-entry-per-shard; a shard whose entries share one member axis
-//!   folds them in a single member pass.
+//!   hands them over together (tiered rows fold them in a single member
+//!   pass).
 //! * **Witness refresh** — stale rows are independent `O(k)` scans writing
 //!   disjoint cache slots.
 //!
@@ -207,8 +209,11 @@
 //! autovectorization-friendly f64 lane work with *exact sequential scan
 //! semantics* — see the module's determinism notes):
 //!
-//! * **Member-axis rescans** fold whole accumulator rows through
-//!   [`crate::kernels::fold_minmax_row`].
+//! * **Member-axis rebuilds** fold the dense plane's columns in blocks
+//!   over the member list ([`crate::kernels::fold_minmax_columns`]);
+//!   tiered rows fold member by member
+//!   ([`crate::kernels::fold_minmax_sparse_row`], which hands promoted
+//!   rows to [`crate::kernels::fold_minmax_row`]).
 //! * **Witness-row scans** at β = 0 collapse to one contiguous max-spread
 //!   pass ([`crate::kernels::row_err_argmax`]) instead of the per-column
 //!   weighted compare.
@@ -216,18 +221,22 @@
 //!   [`IncrementalDegrees::q_report`] off the live summaries (`O(k²)`)
 //!   instead of recomputing [`DegreeMatrices`] from the graph
 //!   (`O(n·k + m)`).
-//! * **Parent-axis repair** batches the queued one-column rescans of one
-//!   member axis into a single member pass
-//!   ([`crate::kernels::scan_gather_columns`]), loading each accumulator
-//!   row once instead of once per column.
+//! * **Entry rescans** on the dense plane gather one contiguous column
+//!   each ([`crate::kernels::scan_gather_column`]). The parent-axis repair
+//!   after a split reads the same few columns for every queued entry, so
+//!   they stay cache-resident across the batch. Tiered rows batch that
+//!   repair into a single member pass
+//!   ([`crate::kernels::scan_gather_columns_sparse`]), probing each row
+//!   once instead of once per column.
 //! * **Split apply** walks the touched list with explicit prefetch
 //!   ([`crate::kernels::prefetch_read`]) and reads the per-node deltas
 //!   positionally from the touched list instead of re-gathering a
 //!   per-node array.
 //!
-//! The strided entry *gather* itself is memory bound and gains nothing
-//! from lane form; the wins come from removing passes or folding them
-//! wider.
+//! The entry *gather* itself is one dependent load per member and gains
+//! nothing from lane form; the wins come from the layout (a rescan reads
+//! one cache-resident column, not one row per member) and from removing
+//! passes.
 
 use crate::kernels;
 use crate::parallel::{chunk_range, default_threads, SyncSliceMut, ThreadPool};
@@ -1376,7 +1385,8 @@ pub struct EngineSnapshot {
     /// Dense out-accumulators, tight `n × k` row-major (empty when
     /// `sparse_accum`). A [`ColumnBuf`] so a mapped-layout checkpoint
     /// restore can hand the plane in as a borrowed view of the file;
-    /// [`IncrementalDegrees::from_snapshot`] reads it exactly once.
+    /// [`IncrementalDegrees::from_snapshot`] reads it exactly once,
+    /// transposing it into the engine's color-major plane.
     pub dout: ColumnBuf<f64>,
     /// Dense in-accumulators (empty when `sparse_accum` or `symmetric`).
     pub din: ColumnBuf<f64>,
@@ -2403,18 +2413,20 @@ impl IncrementalDegrees {
     }
 
     /// The post-merge q-error bound of one specific pair (see
-    /// [`Self::pick_merge`]); `O(k)`. Maintenance uses this to *re-validate*
-    /// stale candidates against the current state before applying them, so
-    /// a coarsening round pays one full `O(k³)` scan plus `O(k)` per
-    /// applied merge instead of `O(k³)` per merge.
-    pub fn merge_bound_pair(&self, a: u32, b: u32) -> f64 {
+    /// [`Self::pick_merge`]), or `f64::INFINITY` as soon as it is known to
+    /// exceed `cap` (pass `f64::INFINITY` for the exact bound); `O(k)`.
+    /// Maintenance uses this to *re-validate* stale candidates against the
+    /// current state before applying them, so a coarsening round pays one
+    /// full `O(k³)` scan plus `O(k)` per applied merge instead of `O(k³)`
+    /// per merge. The early exit never changes a `> cap` decision.
+    pub fn merge_bound_pair(&self, a: u32, b: u32, cap: f64) -> f64 {
         assert!(
             self.track_summaries,
             "merge bounds require a summary-tracking engine"
         );
         assert!((a as usize) < self.k && (b as usize) < self.k && a < b);
         let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
-        merge_bound(&view, self.k, a as usize, b as usize, f64::INFINITY)
+        merge_bound(&view, self.k, a as usize, b as usize, cap)
     }
 
     /// Every color pair whose post-merge bound stays at or below
@@ -2631,7 +2643,7 @@ impl IncrementalDegrees {
         let n_new = self.n + colors.len();
         let (k, kept) = (self.k, self.directions().len());
         for side in &mut self.sides[..kept] {
-            side.acc.append(n_new);
+            side.acc.append(n_new, k);
         }
         self.node_mark.resize(n_new, 0);
         self.n = n_new;
@@ -2694,7 +2706,7 @@ impl IncrementalDegrees {
                     "removed node {v} still has weight"
                 );
             }
-            side.acc.compact(remap);
+            side.acc.compact(remap, k);
         }
         self.node_mark.clear();
         self.node_mark.resize(remap.new_len(), 0);
@@ -3402,9 +3414,10 @@ impl IncrementalDegrees {
     /// Each shard (one below the scan-work threshold) takes a contiguous
     /// chunk of whole entries and writes only those, so results do not
     /// depend on the shard count. A chunk whose entries share one member
-    /// axis — the parent-axis repair after a split always does — folds all
-    /// its columns in a single member pass, loading each accumulator row
-    /// once; per column that is the same member-order fold, bit for bit.
+    /// axis — the parent-axis repair after a split always does — hands all
+    /// its columns over at once (tiered rows fold them in a single member
+    /// pass, the dense plane gathers each contiguous column in turn); per
+    /// column that is the same member-order fold, bit for bit.
     fn rescan_queued(&mut self, side: &mut Side, p: &Partition) {
         let entries = std::mem::take(&mut side.rescans);
         if !entries.is_empty() {
@@ -3480,9 +3493,9 @@ impl IncrementalDegrees {
         }
         let new_cap = needed.next_power_of_two();
         if self.track_summaries {
-            let (old_cap, kept) = (self.cap, self.directions().len());
+            let (old_cap, k, kept) = (self.cap, self.k, self.directions().len());
             for side in &mut self.sides[..kept] {
-                side.acc.grow_cap(new_cap);
+                side.acc.grow_cap(new_cap, k);
                 side.pairs.grow(old_cap, new_cap);
             }
             let rows = &mut self.rows;

@@ -931,7 +931,7 @@ impl<'g> RothkoRun<'g> {
                 }
                 let (w, l) = (ca.min(cb), ca.max(cb));
                 let engine = self.engine.as_ref().expect("engine mode");
-                if engine.merge_bound_pair(w, l) > band {
+                if engine.merge_bound_pair(w, l, band) > band {
                     continue; // stale candidate; the next round re-scans
                 }
                 let last = (self.partition.num_colors() - 1) as u32;

@@ -5,10 +5,16 @@
 //! `Accum` holds one direction's accumulators in one of two tiers, and is
 //! the only place that knows which:
 //!
-//! * **Dense plane** — a row-major `n × cap` matrix, 8 bytes per (node,
-//!   color) slot whether or not the node has weight toward that color.
-//!   Fastest per probe while the plane is cache-resident: a member scan is
-//!   one strided load per row.
+//! * **Dense plane** — a color-major `ncap × cap` matrix, 8 bytes per
+//!   (node, color) slot whether or not the node has weight toward that
+//!   color. Color `j`'s column is the contiguous run
+//!   `plane[j * ncap .. j * ncap + n]`, so the engine's hot reads — a
+//!   one-column member rescan, the split shift between a parent and its
+//!   child, the merge fold, the relabel — each touch one or two columns
+//!   (160 KiB at 20k nodes, L2-resident) instead of one row per node. The
+//!   node axis keeps geometric slack (`n ≤ ncap`) so appends rarely
+//!   restride; the color axis grows by appending columns. Slack slots and
+//!   columns at or above the live color count always read `0.0`.
 //! * **Tiered rows** — one [`RowRep`] per node. On sparse graphs a node
 //!   touches at most `deg(v)` colors, so at `k = 200` colors and average
 //!   degree 20 over 90% of a dense plane is zeros:
@@ -407,9 +413,16 @@ impl RowRep {
 /// direction the engine does not track holds zero rows.
 #[derive(Clone, Debug)]
 pub(crate) enum Accum {
-    /// Row-major plane: node `v`'s weight toward color `j` at
-    /// `plane[v * cap + j]`.
-    Dense { plane: Vec<f64>, cap: usize },
+    /// Color-major plane: node `v`'s weight toward color `j` at
+    /// `plane[j * ncap + v]`, for `cap` columns of stride `ncap` over the
+    /// `n` live nodes. The slots `n..ncap` of every column, and every
+    /// column at or above the engine's live color count, read `0.0`.
+    Dense {
+        plane: Vec<f64>,
+        n: usize,
+        ncap: usize,
+        cap: usize,
+    },
     /// One tiered row per node.
     Rows(Vec<RowRep>),
 }
@@ -435,15 +448,21 @@ impl Accum {
     ) -> Self {
         match tier {
             ResolvedStorage::Dense => {
+                // Columns no color uses are never written, so their pages
+                // stay lazily zeroed.
                 let mut plane = vec![0.0; rows * cap];
                 for v in 0..rows {
                     let (nbrs, wts) = arcs(v as NodeId);
-                    let row = &mut plane[v * cap..(v + 1) * cap];
                     for (&u, &w) in nbrs.iter().zip(wts) {
-                        row[colors[u as usize] as usize] += w;
+                        plane[colors[u as usize] as usize * rows + v] += w;
                     }
                 }
-                Accum::Dense { plane, cap }
+                Accum::Dense {
+                    plane,
+                    n: rows,
+                    ncap: rows,
+                    cap,
+                }
             }
             ResolvedStorage::Sparse => Accum::Rows(
                 (0..rows as NodeId)
@@ -454,8 +473,8 @@ impl Accum {
     }
 
     /// Rebuild nodes `0..rows` in `tier` from snapshot columns: a tight
-    /// `rows × k` plane (re-padded to stride `cap`) or columnar tiered
-    /// rows; the column of the other tier must be empty.
+    /// row-major `rows × k` plane (transposed into color-major columns) or
+    /// columnar tiered rows; the column of the other tier must be empty.
     ///
     /// # Panics
     /// On columns inconsistent with `rows` and `k`.
@@ -469,17 +488,23 @@ impl Accum {
         promote_k: usize,
     ) -> Self {
         let dense = tier == ResolvedStorage::Dense;
-        // Mapped-restore path: the plane is read exactly once, front to
-        // back — let the pages stream in ahead of the copy.
-        plane.advise(ColumnAdvice::Sequential);
-        let plane_rows = if dense { rows } else { 0 };
-        let mut padded = vec![0.0; plane_rows * cap];
-        pad_into(&mut padded, plane, plane_rows, k, cap);
         let tiered = rows_restore(tiered, if dense { 0 } else { rows }, promote_k);
-        if dense {
-            Accum::Dense { plane: padded, cap }
-        } else {
-            Accum::Rows(tiered)
+        if !dense {
+            assert!(
+                plane.is_empty(),
+                "snapshot column for absent matrix is non-empty"
+            );
+            return Accum::Rows(tiered);
+        }
+        // Mapped-restore path: the transpose reads the plane exactly
+        // once, front to back — let the pages stream in ahead of it.
+        plane.advise(ColumnAdvice::Sequential);
+        assert_eq!(plane.len(), rows * k, "snapshot column length mismatch");
+        Accum::Dense {
+            plane: rows_to_columns(plane, rows, k, cap),
+            n: rows,
+            ncap: rows,
+            cap,
         }
     }
 
@@ -491,12 +516,13 @@ impl Accum {
         }
     }
 
-    /// Tight snapshot columns over the live `k` colors: the plane (dense
-    /// tier) or the columnar rows (tiered); the other column is empty.
+    /// Tight snapshot columns over the live `k` colors: the row-major
+    /// `n × k` plane (dense tier) or the columnar rows (tiered); the other
+    /// column is empty.
     pub(crate) fn snapshot(&self, k: usize) -> (ColumnBuf<f64>, RowsSnapshot) {
         match self {
-            Accum::Dense { plane, cap } => (
-                tight(plane, plane.len() / cap, k, *cap).into(),
+            Accum::Dense { plane, n, ncap, .. } => (
+                columns_to_rows(plane, *ncap, *n, k).into(),
                 RowsSnapshot::default(),
             ),
             Accum::Rows(rows) => (Vec::new().into(), rows_snapshot(rows)),
@@ -507,7 +533,10 @@ impl Accum {
     #[inline]
     pub(crate) fn get(&self, v: NodeId, col: u32) -> f64 {
         match self {
-            Accum::Dense { plane, cap } => plane[v as usize * cap + col as usize],
+            Accum::Dense { plane, n, ncap, .. } => {
+                debug_assert!((v as usize) < *n);
+                plane[col as usize * ncap + v as usize]
+            }
             Accum::Rows(rows) => rows[v as usize].get(col),
         }
     }
@@ -517,8 +546,9 @@ impl Accum {
     #[inline]
     pub(crate) fn add(&mut self, v: NodeId, col: u32, delta: f64, promote_k: usize) -> (f64, f64) {
         match self {
-            Accum::Dense { plane, cap } => {
-                let slot = &mut plane[v as usize * *cap + col as usize];
+            Accum::Dense { plane, n, ncap, .. } => {
+                debug_assert!((v as usize) < *n);
+                let slot = &mut plane[col as usize * *ncap + v as usize];
                 let old = *slot;
                 let new = old + delta;
                 *slot = new;
@@ -539,11 +569,11 @@ impl Accum {
         promote_k: usize,
     ) {
         match self {
-            Accum::Dense { plane, cap } => {
+            Accum::Dense { plane, ncap, .. } => {
+                let (from, to) = (from as usize * *ncap, to as usize * *ncap);
                 for (&u, &d) in nodes.iter().zip(deltas) {
-                    let row = &mut plane[u as usize * *cap..];
-                    row[from as usize] -= d;
-                    row[to as usize] += d;
+                    plane[from + u as usize] -= d;
+                    plane[to + u as usize] += d;
                 }
             }
             Accum::Rows(rows) => {
@@ -568,18 +598,18 @@ impl Accum {
     ) {
         capture.clear();
         match self {
-            Accum::Dense { plane, cap } => {
-                let (from, into) = (from as usize, into as usize);
+            Accum::Dense { plane, ncap, .. } => {
+                let (from, into) = (from as usize * *ncap, into as usize * *ncap);
                 for &u in nodes {
-                    let row = &mut plane[u as usize * *cap..];
-                    let lost = row[from];
+                    let lost = plane[from + u as usize];
                     if lost == 0.0 {
                         continue;
                     }
-                    let old = row[into];
+                    let slot = &mut plane[into + u as usize];
+                    let old = *slot;
                     let new = old + lost;
-                    row[into] = new;
-                    row[from] = 0.0;
+                    *slot = new;
+                    plane[from + u as usize] = 0.0;
                     capture.push((u, old, new));
                 }
             }
@@ -602,11 +632,11 @@ impl Accum {
     /// caller guarantees holds none (the relabel after a merge).
     pub(crate) fn relabel(&mut self, nodes: &[NodeId], from: u32, to: u32) {
         match self {
-            Accum::Dense { plane, cap } => {
+            Accum::Dense { plane, ncap, .. } => {
+                let (from, to) = (from as usize * *ncap, to as usize * *ncap);
                 for &u in nodes {
-                    let row = &mut plane[u as usize * *cap..];
-                    row[to as usize] = row[from as usize];
-                    row[from as usize] = 0.0;
+                    plane[to + u as usize] = plane[from + u as usize];
+                    plane[from + u as usize] = 0.0;
                 }
             }
             Accum::Rows(rows) => {
@@ -617,29 +647,63 @@ impl Accum {
         }
     }
 
-    /// Grow the node axis to `n` nodes with all-zero rows.
-    pub(crate) fn append(&mut self, n: usize) {
+    /// Grow the node axis to `n_new` nodes with all-zero rows. `k` is the
+    /// live color count: a dense plane that outgrows its node capacity
+    /// regrows it geometrically and copies only the live columns.
+    pub(crate) fn append(&mut self, n_new: usize, k: usize) {
         match self {
-            Accum::Dense { plane, cap } => plane.resize(n * *cap, 0.0),
-            Accum::Rows(rows) => rows.resize(n, RowRep::new()),
+            Accum::Dense {
+                plane,
+                n,
+                ncap,
+                cap,
+            } => {
+                if n_new > *ncap {
+                    let grown_ncap = n_new.max(*ncap + *ncap / 4);
+                    let mut grown = vec![0.0; grown_ncap * *cap];
+                    for j in 0..k {
+                        grown[j * grown_ncap..j * grown_ncap + *n]
+                            .copy_from_slice(&plane[j * *ncap..j * *ncap + *n]);
+                    }
+                    *plane = grown;
+                    *ncap = grown_ncap;
+                }
+                *n = n_new;
+            }
+            Accum::Rows(rows) => rows.resize(n_new, RowRep::new()),
         }
     }
 
     /// Compact the node axis through a node remap: survivors keep their
-    /// relative order, removed rows are dropped.
-    pub(crate) fn compact(&mut self, remap: &NodeRemap) {
+    /// relative order, removed rows are dropped. `k` is the live color
+    /// count; a dense plane moves each survivor run once per live column
+    /// and zeroes the vacated tail, so the slack keeps reading `0.0`.
+    pub(crate) fn compact(&mut self, remap: &NodeRemap, k: usize) {
         match self {
-            Accum::Dense { plane, cap } => {
-                let cap = *cap;
-                for v in 0..remap.old_len() as NodeId {
-                    if let Some(nv) = remap.map(v) {
-                        if nv != v {
-                            let src = v as usize * cap;
-                            plane.copy_within(src..src + cap, nv as usize * cap);
-                        }
+            Accum::Dense { plane, n, ncap, .. } => {
+                debug_assert_eq!(remap.old_len(), *n);
+                // Maximal runs of survivors that move: (source, target, len).
+                let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+                for v in 0..*n as NodeId {
+                    let Some(nv) = remap.map(v) else { continue };
+                    let (v, nv) = (v as usize, nv as usize);
+                    if nv == v {
+                        continue;
+                    }
+                    match runs.last_mut() {
+                        Some((src, _, len)) if *src + *len == v => *len += 1,
+                        _ => runs.push((v, nv, 1)),
                     }
                 }
-                plane.truncate(remap.new_len() * cap);
+                let new_n = remap.new_len();
+                for j in 0..k {
+                    let col = &mut plane[j * *ncap..j * *ncap + *n];
+                    for &(src, dst, len) in &runs {
+                        col.copy_within(src..src + len, dst);
+                    }
+                    col[new_n..].fill(0.0);
+                }
+                *n = new_n;
             }
             Accum::Rows(rows) => {
                 let old = std::mem::take(rows);
@@ -657,21 +721,27 @@ impl Accum {
     #[cfg(debug_assertions)]
     pub(crate) fn row_is_zero(&self, v: NodeId, k: usize) -> bool {
         match self {
-            Accum::Dense { plane, cap } => {
-                let base = v as usize * cap;
-                plane[base..base + k].iter().all(|&w| w == 0.0)
-            }
+            Accum::Dense { plane, ncap, .. } => (0..k).all(|j| plane[j * ncap + v as usize] == 0.0),
             Accum::Rows(rows) => rows[v as usize].is_all_zero(),
         }
     }
 
-    /// Grow the column capacity to `new_cap` (a restride of the dense
-    /// plane; tiered rows key their entries by color and never depend on
-    /// the capacity).
-    pub(crate) fn grow_cap(&mut self, new_cap: usize) {
-        if let Accum::Dense { plane, cap } = self {
-            let n = plane.len() / *cap;
-            regrow(plane, n, n, *cap, new_cap, 0.0);
+    /// Grow the column capacity to `new_cap`, `k` of the current columns
+    /// live. A dense plane appends zeroed columns (the live prefix is one
+    /// contiguous copy; no restride); tiered rows key their entries by
+    /// color and never depend on the capacity.
+    pub(crate) fn grow_cap(&mut self, new_cap: usize, k: usize) {
+        if let Accum::Dense {
+            plane, ncap, cap, ..
+        } = self
+        {
+            debug_assert!(k <= *cap && *cap <= new_cap);
+            // A fresh zeroed allocation rather than `resize`: the new
+            // columns stay lazily zeroed pages until a color uses them.
+            let mut grown = vec![0.0; *ncap * new_cap];
+            let live = k * *ncap;
+            grown[..live].copy_from_slice(&plane[..live]);
+            *plane = grown;
             *cap = new_cap;
         }
     }
@@ -690,7 +760,7 @@ impl Accum {
     /// Fold the rows of `members` over the first `k` columns into
     /// per-column min/max (first attainers in member order) and nonzero
     /// counts — one shard's share of a member-axis rebuild
-    /// ([`kernels::fold_minmax_row`] / [`kernels::fold_minmax_sparse_row`]).
+    /// ([`kernels::fold_minmax_columns`] / [`kernels::fold_minmax_sparse_row`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fold_rows(
         &self,
@@ -703,13 +773,9 @@ impl Accum {
         nzs: &mut [u32],
     ) {
         match self {
-            Accum::Dense { plane, cap } => {
-                for &u in members {
-                    let base = u as usize * cap;
-                    let row = &plane[base..base + k];
-                    kernels::fold_minmax_row(u, row, mins, maxs, arg_mins, arg_maxs, nzs);
-                }
-            }
+            Accum::Dense { plane, ncap, .. } => kernels::fold_minmax_columns(
+                members, plane, *ncap, k, mins, maxs, arg_mins, arg_maxs, nzs,
+            ),
             Accum::Rows(rows) => {
                 for &u in members {
                     let row = &rows[u as usize];
@@ -740,21 +806,24 @@ impl Accum {
     }
 
     /// Min/max (first attainers), and nonzero count of column `col` over
-    /// `members`, in member order ([`kernels::scan_gather_column`] and its
-    /// tiered twin).
+    /// `members`, in member order ([`kernels::scan_gather_column`] over
+    /// the contiguous column, or its tiered twin).
     #[allow(clippy::type_complexity)]
     pub(crate) fn scan_column(&self, members: &[NodeId], col: u32) -> (f64, f64, u32, u32, u32) {
         match self {
-            Accum::Dense { plane, cap } => {
-                kernels::scan_gather_column(members, plane, *cap, col as usize)
+            Accum::Dense { plane, n, ncap, .. } => {
+                let base = col as usize * ncap;
+                kernels::scan_gather_column(members, &plane[base..base + n])
             }
             Accum::Rows(rows) => kernels::scan_gather_column_sparse(members, rows, col),
         }
     }
 
-    /// [`Self::scan_column`] for several columns of one member axis in a
-    /// single member pass; column `cols[s]` lands at position `s` of the
-    /// outputs ([`kernels::scan_gather_columns`] and its tiered twin).
+    /// [`Self::scan_column`] for several columns of one member axis;
+    /// column `cols[s]` lands at position `s` of the outputs. A dense
+    /// plane gathers each contiguous column in turn; tiered rows fold all
+    /// columns in a single member pass
+    /// ([`kernels::scan_gather_columns_sparse`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_columns(
         &self,
@@ -767,9 +836,12 @@ impl Accum {
         nzs: &mut [u32],
     ) {
         match self {
-            Accum::Dense { plane, cap } => kernels::scan_gather_columns(
-                members, plane, *cap, cols, mins, maxs, arg_mins, arg_maxs, nzs,
-            ),
+            Accum::Dense { .. } => {
+                for (s, &col) in cols.iter().enumerate() {
+                    (mins[s], maxs[s], arg_mins[s], arg_maxs[s], nzs[s]) =
+                        self.scan_column(members, col);
+                }
+            }
             Accum::Rows(rows) => kernels::scan_gather_columns_sparse(
                 members, rows, cols, mins, maxs, arg_mins, arg_maxs, nzs,
             ),
@@ -777,10 +849,10 @@ impl Accum {
     }
 
     /// A handle the shards of a data-parallel phase can share, each
-    /// writing its own nodes' rows.
+    /// writing its own nodes' slots.
     pub(crate) fn shared(&mut self) -> SharedAccum<'_> {
         match self {
-            Accum::Dense { plane, cap } => SharedAccum::Dense(SyncSliceMut::new(plane), *cap),
+            Accum::Dense { plane, ncap, .. } => SharedAccum::Dense(SyncSliceMut::new(plane), *ncap),
             Accum::Rows(rows) => SharedAccum::Rows(SyncSliceMut::new(rows)),
         }
     }
@@ -788,7 +860,7 @@ impl Accum {
 
 /// [`Accum`] shared across the shards of one data-parallel phase.
 pub(crate) enum SharedAccum<'a> {
-    /// The dense plane and its stride.
+    /// The color-major plane and its column stride.
     Dense(SyncSliceMut<'a, f64>, usize),
     /// The tiered rows.
     Rows(SyncSliceMut<'a, RowRep>),
@@ -800,16 +872,16 @@ impl SharedAccum<'_> {
     /// `to` ([`RowRep::split_shift`]), then call `f(i, node, old_from,
     /// new_from, to_value)`.
     ///
-    /// The rows land all over a multi-megabyte accumulator in an order the
-    /// hardware prefetcher cannot predict, so the loop prefetches its own
-    /// future rows: dense slots directly, tiered rows in two stages (the
-    /// row struct well ahead, its heap payload closer in). The distance
-    /// covers the latency of one row's patch work; the hints never change
-    /// results.
+    /// A dense plane writes two slots per node, both in cache-resident
+    /// columns. Tiered rows land all over a multi-megabyte accumulator in
+    /// an order the hardware prefetcher cannot predict, so that loop
+    /// prefetches its own future rows in two stages (the row struct well
+    /// ahead, its heap payload closer in). The distance covers the latency
+    /// of one row's patch work; the hints never change results.
     ///
     /// # Safety
-    /// No row of a node in `nodes` may be accessed concurrently (each
-    /// touched node belongs to exactly one shard's chunk).
+    /// No slot or row of a node in `nodes` may be accessed concurrently
+    /// (each touched node belongs to exactly one shard's chunk).
     // SAFETY: soundness is delegated to the caller's disjointness promise
     // (the contract above), which the row accesses below rely on.
     pub(crate) unsafe fn split_shift_each(
@@ -821,32 +893,29 @@ impl SharedAccum<'_> {
         promote_k: usize,
         mut f: impl FnMut(usize, NodeId, f64, f64, f64),
     ) {
-        const PREFETCH_AHEAD: usize = 16;
         match self {
-            SharedAccum::Dense(plane, cap) => {
-                let (cap, from, to) = (*cap, from as usize, to as usize);
+            SharedAccum::Dense(plane, ncap) => {
+                let (from, to) = (from as usize * ncap, to as usize * ncap);
                 for (pos, (&u, &d)) in nodes.iter().zip(deltas).enumerate() {
-                    // SAFETY: the caller owns every row of `nodes`, and the
-                    // look-ahead node is one of them.
-                    let row = unsafe {
-                        if let Some(&w) = nodes.get(pos + PREFETCH_AHEAD) {
-                            let w = w as usize;
-                            let ahead = plane.slice_mut(w * cap, w * cap + cap);
-                            kernels::prefetch_read(ahead, from);
-                            kernels::prefetch_read(ahead, to);
-                        }
-                        plane.slice_mut(u as usize * cap, u as usize * cap + cap)
+                    // SAFETY: the caller owns node `u`'s slot in every
+                    // column, and `from != to`, so the two borrows are
+                    // distinct slots.
+                    let (old, new, to_val) = unsafe {
+                        let from_slot = plane.get_mut(from + u as usize);
+                        let old = *from_slot;
+                        let new = old - d;
+                        *from_slot = new;
+                        let to_slot = plane.get_mut(to + u as usize);
+                        *to_slot += d;
+                        (old, new, *to_slot)
                     };
-                    let old = row[from];
-                    let new = old - d;
-                    row[from] = new;
-                    row[to] += d;
-                    f(pos, u, old, new, row[to]);
+                    f(pos, u, old, new, to_val);
                 }
             }
             SharedAccum::Rows(rows) => {
+                const PREFETCH_AHEAD: usize = 16;
                 for (pos, (&u, &d)) in nodes.iter().zip(deltas).enumerate() {
-                    // SAFETY: as above — every row reached here, look-ahead
+                    // SAFETY: every row reached here, look-ahead
                     // rows included, belongs to the caller; within the chunk
                     // rows change in list order, so promotion decisions do
                     // not depend on the shard count either.
@@ -961,6 +1030,41 @@ fn rows_restore(snap: &RowsSnapshot, n: usize, promote_k: usize) -> Vec<RowRep> 
         .collect()
 }
 
+/// Nodes per block of the plane ↔ snapshot transposes: a block's `k`
+/// row-major rows stay cache-resident while each column contributes one
+/// contiguous run, so both directions stream at copy speed.
+const TRANSPOSE_BLOCK: usize = 32;
+
+/// The tight row-major `n × k` matrix of a color-major plane's first `k`
+/// columns (column `j` at `plane[j * stride..]`).
+fn columns_to_rows(plane: &[f64], stride: usize, n: usize, k: usize) -> Vec<f64> {
+    let mut tight = vec![0.0; n * k];
+    for v0 in (0..n).step_by(TRANSPOSE_BLOCK) {
+        let v1 = (v0 + TRANSPOSE_BLOCK).min(n);
+        for j in 0..k {
+            for (i, &x) in plane[j * stride + v0..j * stride + v1].iter().enumerate() {
+                tight[(v0 + i) * k + j] = x;
+            }
+        }
+    }
+    tight
+}
+
+/// A color-major plane of `cap` columns with stride `n` holding a tight
+/// row-major `n × k` matrix in its first `k` columns.
+fn rows_to_columns(tight: &[f64], n: usize, k: usize, cap: usize) -> Vec<f64> {
+    let mut plane = vec![0.0; n * cap];
+    for v0 in (0..n).step_by(TRANSPOSE_BLOCK) {
+        let v1 = (v0 + TRANSPOSE_BLOCK).min(n);
+        for j in 0..k {
+            for (i, x) in plane[j * n + v0..j * n + v1].iter_mut().enumerate() {
+                *x = tight[(v0 + i) * k + j];
+            }
+        }
+    }
+    plane
+}
+
 /// The leading `rows × cols` block of a row-major matrix with row stride
 /// `stride`, packed tight.
 pub(crate) fn tight<T: Copy>(padded: &[T], rows: usize, cols: usize, stride: usize) -> Vec<T> {
@@ -1002,11 +1106,9 @@ pub(crate) fn pad_into<T: Copy>(
 /// the final footprint (both axes at once — no intermediate copy through
 /// an `old_rows × new_cap` shape), then only the old `rows × old_cap`
 /// prefix of each row is copied. The fresh allocation is deliberate:
-/// zero-filled matrices come from `alloc_zeroed` (lazy kernel zero pages —
-/// the dominant regrowth, a large accumulator plane growing its column
-/// axis, never writes most of the target), where an in-place `resize` +
-/// restride would stream the whole footprint through the store buffers
-/// twice.
+/// zero-filled matrices come from `alloc_zeroed` (lazy kernel zero pages
+/// the copy never writes), where an in-place `resize` + restride would
+/// stream the whole footprint through the store buffers twice.
 pub(crate) fn regrow<T: Copy>(
     data: &mut Vec<T>,
     rows: usize,

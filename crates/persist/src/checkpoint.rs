@@ -584,7 +584,12 @@ pub(crate) trait ColumnSource {
     fn scalar_payload(&self) -> Result<&[u8], PersistError>;
     fn u64s(&self, id: u16) -> Result<Vec<u64>, PersistError>;
     fn u32s(&self, id: u16) -> Result<Vec<u32>, PersistError>;
-    fn f64s(&self, id: u16) -> Result<Vec<f64>, PersistError>;
+    /// An `f64` column that must hold exactly `expect` elements: the count
+    /// already-decoded, byte-bounded columns imply. One RLE run token
+    /// expands to any length, so a shuffled payload cannot bound its own
+    /// header count; a count that disagrees fails typed before the decoder
+    /// allocates anything.
+    fn f64s(&self, id: u16, expect: usize) -> Result<Vec<f64>, PersistError>;
     fn bools(&self, id: u16) -> Result<Vec<bool>, PersistError>;
     fn usizes(&self, id: u16) -> Result<Vec<usize>, PersistError> {
         self.u64s(id)?
@@ -602,9 +607,27 @@ pub(crate) trait ColumnSource {
     fn u32_col(&self, id: u16) -> Result<ColumnBuf<NodeId>, PersistError> {
         Ok(self.u32s(id)?.into())
     }
-    fn f64_col(&self, id: u16) -> Result<ColumnBuf<f64>, PersistError> {
-        Ok(self.f64s(id)?.into())
+    fn f64_col(&self, id: u16, expect: usize) -> Result<ColumnBuf<f64>, PersistError> {
+        Ok(self.f64s(id, expect)?.into())
     }
+}
+
+/// The [`ColumnSource::f64s`] count check: a block header's element count
+/// against the count its sibling columns imply.
+pub(crate) fn check_f64_count(count: usize, expect: usize) -> Result<(), PersistError> {
+    if count != expect {
+        return Err(PersistError::Corrupt {
+            context: "f64 block element count disagrees with the columns it belongs to",
+        });
+    }
+    Ok(())
+}
+
+/// `a · b` as an expected element count, typed on overflow.
+fn count_product(a: usize, b: usize) -> Result<usize, PersistError> {
+    a.checked_mul(b).ok_or(PersistError::Corrupt {
+        context: "matrix element count overflows usize",
+    })
 }
 
 impl ColumnSource for BlockMap<'_> {
@@ -628,8 +651,9 @@ impl ColumnSource for BlockMap<'_> {
         let b = self.get(id)?;
         decode_u32s(b.enc, b.payload, b.count)
     }
-    fn f64s(&self, id: u16) -> Result<Vec<f64>, PersistError> {
+    fn f64s(&self, id: u16, expect: usize) -> Result<Vec<f64>, PersistError> {
         let b = self.get(id)?;
+        check_f64_count(b.count, expect)?;
         decode_f64s(b.enc, b.payload, b.count)
     }
     fn bools(&self, id: u16) -> Result<Vec<bool>, PersistError> {
@@ -809,7 +833,7 @@ fn decode_rows<S: ColumnSource>(
 ) -> Result<RowsSnapshot, PersistError> {
     let offsets = src.usizes(ids[0])?;
     let colors = src.u32s(ids[1])?;
-    let weights = src.f64s(ids[2])?;
+    let weights = src.f64s(ids[2], colors.len())?;
     let dense = src.bools(ids[3])?;
     match expect_rows {
         None => {
@@ -831,11 +855,6 @@ fn decode_rows<S: ColumnSource>(
                 colors.len(),
                 "accumulator row offsets are not monotone",
             )?;
-            if colors.len() != weights.len() {
-                return Err(PersistError::Corrupt {
-                    context: "accumulator row colors/weights lengths differ",
-                });
-            }
             // Entries must be sorted ascending (strictly) per row — the
             // tier contract — and index live colors only.
             for v in 0..n {
@@ -1015,16 +1034,15 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
     // row order before any panicking code can see them. A mapped
     // source hands borrowed columns here, so the CSR sits on the page
     // cache instead of being copied out.
-    let graph = Graph::from_mapped_columns(
-        n,
-        sc.directed,
-        src.usize_col(BLK_GRAPH_OFFSETS)?,
-        src.u32_col(BLK_GRAPH_TARGETS)?,
-        src.f64_col(BLK_GRAPH_WEIGHTS)?,
-    )
-    .map_err(|_| PersistError::Corrupt {
-        context: "graph CSR columns failed validation",
-    })?;
+    let offsets = src.usize_col(BLK_GRAPH_OFFSETS)?;
+    let targets = src.u32_col(BLK_GRAPH_TARGETS)?;
+    let weights = src.f64_col(BLK_GRAPH_WEIGHTS, targets.len())?;
+    let graph =
+        Graph::from_mapped_columns(n, sc.directed, offsets, targets, weights).map_err(|_| {
+            PersistError::Corrupt {
+                context: "graph CSR columns failed validation",
+            }
+        })?;
     if let Some(m) = sc.num_edges {
         if graph.num_edges() as u64 != m {
             return Err(PersistError::Corrupt {
@@ -1096,22 +1114,11 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
         }
         // Accumulator planes: whole-axis columns a mapped source can
         // serve zero-copy (restore advises them sequential).
-        let dout = src.f64_col(BLK_ENG_DOUT)?;
-        let din = src.f64_col(BLK_ENG_DIN)?;
-        let dense_expect = if sparse_accum { None } else { Some(n * k) };
-        check_matrix(
-            dout.len(),
-            dense_expect,
-            "dense accumulator length mismatch",
-        )?;
-        check_matrix(
-            din.len(),
-            if sparse_accum || symmetric {
-                None
-            } else {
-                Some(n * k)
-            },
-            "dense in-accumulator length mismatch",
+        let plane = count_product(n, k)?;
+        let dout = src.f64_col(BLK_ENG_DOUT, if sparse_accum { 0 } else { plane })?;
+        let din = src.f64_col(
+            BLK_ENG_DIN,
+            if sparse_accum || symmetric { 0 } else { plane },
         )?;
         let rows_out = decode_rows(
             src,
@@ -1147,16 +1154,17 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
                 });
             }
         }
-        let mat_expect = if track_summaries { Some(k * k) } else { None };
+        let square = count_product(k, k)?;
+        let mat_expect = if track_summaries { Some(square) } else { None };
         let in_mat_expect = if track_summaries && !symmetric {
-            Some(k * k)
+            Some(square)
         } else {
             None
         };
-        let out_min = src.f64s(BLK_OUT_MIN)?;
-        let out_max = src.f64s(BLK_OUT_MAX)?;
-        let in_min = src.f64s(BLK_IN_MIN)?;
-        let in_max = src.f64s(BLK_IN_MAX)?;
+        let out_min = src.f64s(BLK_OUT_MIN, mat_expect.unwrap_or(0))?;
+        let out_max = src.f64s(BLK_OUT_MAX, mat_expect.unwrap_or(0))?;
+        let in_min = src.f64s(BLK_IN_MIN, in_mat_expect.unwrap_or(0))?;
+        let in_max = src.f64s(BLK_IN_MAX, in_mat_expect.unwrap_or(0))?;
         let out_min_arg = src.u32s(BLK_OUT_MIN_ARG)?;
         let out_max_arg = src.u32s(BLK_OUT_MAX_ARG)?;
         let in_min_arg = src.u32s(BLK_IN_MIN_ARG)?;
@@ -1164,10 +1172,6 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
         let out_nz = src.u32s(BLK_OUT_NZ)?;
         let in_nz = src.u32s(BLK_IN_NZ)?;
         for (vals, expect) in [
-            (out_min.len(), mat_expect),
-            (out_max.len(), mat_expect),
-            (in_min.len(), in_mat_expect),
-            (in_max.len(), in_mat_expect),
             (out_min_arg.len(), mat_expect),
             (out_max_arg.len(), mat_expect),
             (in_min_arg.len(), in_mat_expect),
@@ -1224,10 +1228,10 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
                 context: "reduced color count disagrees with partition",
             });
         }
-        let sum = src.f64s(BLK_RED_SUM)?;
+        let sum = src.f64s(BLK_RED_SUM, count_product(rk, rk)?)?;
         let sizes = src.usizes(BLK_RED_SIZES)?;
         let dirty = src.u32s(BLK_RED_DIRTY)?;
-        if sum.len() != rk * rk || sizes.len() != rk {
+        if sizes.len() != rk {
             return Err(PersistError::Corrupt {
                 context: "reduced matrix length mismatch",
             });

@@ -27,10 +27,10 @@ use qsc_core::mmap::{MapError, MappedFile, MappedSlice, Pod};
 use qsc_graph::{ColumnBuf, NodeId, SharedColumn};
 
 use crate::checkpoint::{
-    assemble_checkpoint, block_payload, bounded_block_count, mappable_width, parse_scalars,
-    CheckpointData, ColumnSource, ScalarState, BLK_PAD, BLK_PART_MEMBERS, BLK_PART_OFFSETS,
-    BLK_RED_SUM, BLK_SCALARS, BLOCK_HEADER_V2, CHECKPOINT_MAGIC, CHECKPOINT_VERSION_MAPPED,
-    FILE_HEADER, MAP_ALIGN,
+    assemble_checkpoint, block_payload, bounded_block_count, check_f64_count, mappable_width,
+    parse_scalars, CheckpointData, ColumnSource, ScalarState, BLK_PAD, BLK_PART_MEMBERS,
+    BLK_PART_OFFSETS, BLK_RED_SUM, BLK_SCALARS, BLOCK_HEADER_V2, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION_MAPPED, FILE_HEADER, MAP_ALIGN,
 };
 use crate::codec::{crc32, decode_bools, decode_f64s, decode_u32s, decode_u64s, ENC_RAW};
 use crate::error::PersistError;
@@ -385,8 +385,9 @@ impl ColumnSource for MappedStore {
         let e = self.entry(id)?;
         decode_u32s(e.enc, self.payload(id)?, e.count)
     }
-    fn f64s(&self, id: u16) -> Result<Vec<f64>, PersistError> {
+    fn f64s(&self, id: u16, expect: usize) -> Result<Vec<f64>, PersistError> {
         let e = self.entry(id)?;
+        check_f64_count(e.count, expect)?;
         decode_f64s(e.enc, self.payload(id)?, e.count)
     }
     fn bools(&self, id: u16) -> Result<Vec<bool>, PersistError> {
@@ -411,12 +412,13 @@ impl ColumnSource for MappedStore {
             Ok(self.u32s(id)?.into())
         }
     }
-    fn f64_col(&self, id: u16) -> Result<ColumnBuf<f64>, PersistError> {
+    fn f64_col(&self, id: u16, expect: usize) -> Result<ColumnBuf<f64>, PersistError> {
         if mappable_width(id).is_some() {
+            check_f64_count(self.entry(id)?.count, expect)?;
             let col: Arc<dyn SharedColumn<f64>> = Arc::new(self.view::<f64>(id)?);
             Ok(ColumnBuf::from(col))
         } else {
-            Ok(self.f64s(id)?.into())
+            Ok(self.f64s(id, expect)?.into())
         }
     }
 }

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use qsc_core::kernels;
 use qsc_core::rothko::{Rothko, RothkoConfig, SplitMean};
+use qsc_core::storage::RowRep;
 use qsc_graph::generators;
 use qsc_linalg::lanes;
 
@@ -158,18 +159,19 @@ proptest! {
         codes in proptest::collection::vec(0u8..12, 64),
         member_picks in proptest::collection::vec(0u32..8, 0..8),
     ) {
-        let cap = 8usize;
-        let acc = decode(&codes); // 8 nodes × cap 8
-        for col in 0..cap {
+        // A color-major plane: 8 columns of 8 nodes each.
+        let n = 8usize;
+        let acc = decode(&codes);
+        for col in 0..8 {
             let (mn, mx, amn, amx, nz) =
-                kernels::scan_gather_column(&member_picks, &acc, cap, col);
+                kernels::scan_gather_column(&member_picks, &acc[col * n..(col + 1) * n]);
             let mut smn = f64::INFINITY;
             let mut smx = f64::NEG_INFINITY;
             let mut samn = kernels::NO_ARG;
             let mut samx = kernels::NO_ARG;
             let mut snz = 0u32;
             for &u in &member_picks {
-                let x = acc[u as usize * cap + col];
+                let x = acc[col * n + u as usize];
                 snz += u32::from(x != 0.0);
                 if x < smn {
                     smn = x;
@@ -183,6 +185,63 @@ proptest! {
             prop_assert_eq!(mn.to_bits(), smn.to_bits());
             prop_assert_eq!(mx.to_bits(), smx.to_bits());
             prop_assert_eq!((amn, amx, nz), (samn, samx, snz));
+        }
+    }
+
+    #[test]
+    fn fold_minmax_columns_matches_scalar_member_loop(
+        codes in proptest::collection::vec(0u8..12, 17 * 12),
+        member_picks in proptest::collection::vec(0u32..12, 0..24),
+        split in 0usize..24,
+    ) {
+        // A color-major plane of 17 columns over 12 nodes with a stride of
+        // 15 (slack slots read 0.0). Widths around LANES exercise whole
+        // blocks and partial tails; members repeat, and the duplicated
+        // codes put equal values at the extremum, where the FIRST attainer
+        // in member order must win. Folding the members in two calls (a
+        // shard boundary at `split`) must equal one pass over all of them.
+        let (n, stride) = (12usize, 15usize);
+        let vals = decode(&codes);
+        let mut plane = vec![0.0f64; 17 * stride];
+        for j in 0..17 {
+            plane[j * stride..j * stride + n].copy_from_slice(&vals[j * n..(j + 1) * n]);
+        }
+        let cut = split.min(member_picks.len());
+        for k in [0usize, 1, 5, 7, 8, 9, 13, 16, 17] {
+            let mut mins = vec![f64::INFINITY; k];
+            let mut maxs = vec![f64::NEG_INFINITY; k];
+            let mut amn = vec![kernels::NO_ARG; k];
+            let mut amx = vec![kernels::NO_ARG; k];
+            let mut nz = vec![0u32; k];
+            let mut smins = mins.clone();
+            let mut smaxs = maxs.clone();
+            let mut samn = amn.clone();
+            let mut samx = amx.clone();
+            let mut snz = nz.clone();
+            for part in [&member_picks[..cut], &member_picks[cut..]] {
+                kernels::fold_minmax_columns(
+                    part, &plane, stride, k, &mut mins, &mut maxs, &mut amn, &mut amx, &mut nz,
+                );
+            }
+            for &u in &member_picks {
+                for j in 0..k {
+                    let o = plane[j * stride + u as usize];
+                    snz[j] += u32::from(o != 0.0);
+                    if o < smins[j] {
+                        smins[j] = o;
+                        samn[j] = u;
+                    }
+                    if o > smaxs[j] {
+                        smaxs[j] = o;
+                        samx[j] = u;
+                    }
+                }
+            }
+            prop_assert_eq!(bits(&mins), bits(&smins));
+            prop_assert_eq!(bits(&maxs), bits(&smaxs));
+            prop_assert_eq!(&amn, &samn);
+            prop_assert_eq!(&amx, &samx);
+            prop_assert_eq!(&nz, &snz);
         }
     }
 
@@ -221,23 +280,38 @@ proptest! {
         member_picks in proptest::collection::vec(0u32..8, 0..8),
         col_picks in proptest::collection::vec(0u32..8, 0..8),
     ) {
-        // The grouped multi-column pass must equal one scan_gather_column
-        // call per queued column (duplicated columns included).
-        let cap = 8usize;
-        let acc = decode(&codes);
+        // The grouped multi-column pass over tiered rows must equal one
+        // scan_gather_column call per queued column (duplicated columns
+        // included) over the column the rows read. Even nodes hold sparse
+        // rows, odd nodes promoted slot arrays.
+        let vals = decode(&codes);
+        let rows: Vec<RowRep> = (0..8)
+            .map(|v| {
+                let row = &vals[v * 8..(v + 1) * 8];
+                if v % 2 == 0 {
+                    let entries = (0..8u32)
+                        .zip(row.iter().copied())
+                        .filter(|&(_, w)| w != 0.0)
+                        .collect();
+                    RowRep::Sparse(entries)
+                } else {
+                    RowRep::Dense(row.into())
+                }
+            })
+            .collect();
         let t = col_picks.len();
         let mut mn = vec![0.0f64; t];
         let mut mx = vec![0.0f64; t];
         let mut amn = vec![0u32; t];
         let mut amx = vec![0u32; t];
         let mut nz = vec![0u32; t];
-        kernels::scan_gather_columns(
-            &member_picks, &acc, cap, &col_picks,
+        kernels::scan_gather_columns_sparse(
+            &member_picks, &rows, &col_picks,
             &mut mn, &mut mx, &mut amn, &mut amx, &mut nz,
         );
         for (s, &col) in col_picks.iter().enumerate() {
-            let (smn, smx, samn, samx, snz) =
-                kernels::scan_gather_column(&member_picks, &acc, cap, col as usize);
+            let column: Vec<f64> = rows.iter().map(|r| r.get(col)).collect();
+            let (smn, smx, samn, samx, snz) = kernels::scan_gather_column(&member_picks, &column);
             prop_assert_eq!(mn[s].to_bits(), smn.to_bits());
             prop_assert_eq!(mx[s].to_bits(), smx.to_bits());
             prop_assert_eq!((amn[s], amx[s], nz[s]), (samn, samx, snz));

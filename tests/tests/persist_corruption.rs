@@ -875,3 +875,91 @@ fn crafted_payload_length_fails_typed_in_both_layouts() {
         }
     }
 }
+
+/// Replace block `id`'s payload with an RLE bomb behind valid CRCs: an
+/// `ENC_SHUFFLE` column claiming `2^34` elements whose eight byte planes
+/// are each one zero run of that length (56 bytes). Zero bytes pad the
+/// payload so its length changes by a multiple of 64, keeping every later
+/// v2 payload on its alignment boundary.
+fn with_f64_bomb(bytes: &[u8], id: u16, v2: bool) -> Vec<u8> {
+    const FILE_HEADER: usize = 20;
+    const COUNT: u64 = 1 << 34;
+    let header = if v2 { 28 } else { 24 };
+    let mut bomb = Vec::new();
+    for _ in 0..8 {
+        qsc_persist::codec::put_varint(&mut bomb, (COUNT << 1) | 1);
+        bomb.push(0);
+    }
+    let mut out = bytes[..FILE_HEADER].to_vec();
+    let mut at = FILE_HEADER;
+    let mut found = false;
+    while at < bytes.len() {
+        let len = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap()) as usize;
+        let block_id = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
+        let (hdr, payload) = (
+            &bytes[at..at + header],
+            &bytes[at + header..at + header + len],
+        );
+        if block_id == id {
+            found = true;
+            let mut payload = bomb.clone();
+            payload.resize(bomb.len() + (len + 64 - bomb.len() % 64) % 64, 0);
+            let mut hdr = hdr.to_vec();
+            hdr[2] = qsc_persist::codec::ENC_SHUFFLE;
+            hdr[4..12].copy_from_slice(&COUNT.to_le_bytes());
+            hdr[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+            let pcrc = qsc_persist::codec::crc32(&payload);
+            hdr[20..24].copy_from_slice(&pcrc.to_le_bytes());
+            if v2 {
+                let hcrc = qsc_persist::codec::crc32(&hdr[..24]);
+                hdr[24..28].copy_from_slice(&hcrc.to_le_bytes());
+            }
+            out.extend_from_slice(&hdr);
+            out.extend_from_slice(&payload);
+        } else {
+            out.extend_from_slice(hdr);
+            out.extend_from_slice(payload);
+        }
+        at += header + len;
+    }
+    assert!(found, "block {id} not in the checkpoint");
+    out
+}
+
+#[test]
+fn rle_bomb_in_any_f64_block_fails_typed_before_allocating() {
+    // Every f64 block: graph weights, the dense planes, tiered-row
+    // weights, pair-summary min/max and the reduced sum. The count the
+    // sibling columns imply is known before the payload is decoded, so a
+    // header claiming 2^34 elements (128 GiB of f64) fails typed instead
+    // of aborting on the allocation.
+    const F64_BLOCKS: [u16; 10] = [3, 6, 7, 10, 14, 16, 17, 18, 19, 26];
+    for (bytes, v2) in [
+        (checkpoint_bytes(10), false),
+        (mapped_checkpoint_bytes(10), true),
+    ] {
+        for id in F64_BLOCKS {
+            let crafted = with_f64_bomb(&bytes, id, v2);
+            assert!(
+                matches!(
+                    decode_checkpoint(&crafted),
+                    Err(PersistError::Corrupt { .. })
+                ),
+                "block {id} (v2 = {v2})"
+            );
+            // The mapped reader's owned-decode fallback serves the same
+            // non-mappable blocks.
+            if v2 && zero_copy_available() {
+                let (dir, path) = mapped_file_with("f64-bomb", &crafted);
+                match MappedStore::open(&path) {
+                    Ok(store) => assert!(
+                        matches!(store.checkpoint_data(), Err(PersistError::Corrupt { .. })),
+                        "mapped block {id}"
+                    ),
+                    Err(e) => assert!(matches!(e, PersistError::Corrupt { .. }), "{e:?}"),
+                }
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}

@@ -450,3 +450,164 @@ fn sparse_engine_capacity_growth_matches_dense() {
     assert_eq!(dense.verify_against(&g, &p), Ok(()));
     assert_eq!(sparse.verify_against(&g, &p), Ok(()));
 }
+
+/// One node-churn batch against both engines, in the order
+/// `RothkoRun::apply_node_batch` uses: `inserts` fresh nodes (each wired to
+/// two random live nodes and colored like the first), then `victims`
+/// removed. Returns the renumbered graph. The dense engine's inserted rows
+/// must read exactly `0.0` before the wiring edge batch lands, in every
+/// live column and direction: they are the plane's slack, possibly
+/// vacated by an earlier compaction.
+fn node_round(
+    delta: &mut GraphDelta,
+    p: &mut Partition,
+    engines: &mut [&mut IncrementalDegrees; 2],
+    rng: &mut StdRng,
+    inserts: usize,
+    victims: &[u32],
+) -> Graph {
+    let n0 = delta.num_nodes();
+    let mut colors = Vec::new();
+    for _ in 0..inserts {
+        let v = delta.insert_node();
+        let (mut color, mut wired) = (None, 0);
+        while wired < 2 {
+            let t = rng.random_range(0..n0) as u32;
+            if delta.is_live(t) && !delta.has_edge(v, t) {
+                delta.insert_edge(v, t, 1.5).unwrap();
+                color.get_or_insert(p.color_of(t));
+                wired += 1;
+            }
+        }
+        colors.push(color.unwrap());
+    }
+    for &v in victims {
+        delta.remove_node(v).unwrap();
+    }
+    let events = delta.drain_events();
+    delta.drain_node_events();
+    let (compacted, remap) = delta.compact_renumber();
+    let first = p.num_nodes() as u32;
+    for &c in &colors {
+        p.insert_node(c);
+    }
+    for e in engines.iter_mut() {
+        e.apply_node_inserts(p, first, &colors);
+    }
+    let dense = &engines[0];
+    for v in first..p.num_nodes() as u32 {
+        for j in 0..p.num_colors() as u32 {
+            assert_eq!(dense.out_degree_of(v, j).to_bits(), 0, "slack ({v}, {j})");
+            assert_eq!(dense.in_degree_of(v, j).to_bits(), 0, "slack ({v}, {j})");
+        }
+    }
+    for e in engines.iter_mut() {
+        e.apply_edge_batch(p, &events);
+    }
+    let removed_colors: Vec<u32> = victims.iter().map(|&v| p.color_of(v)).collect();
+    p.apply_node_remap(&remap);
+    for e in engines.iter_mut() {
+        e.apply_node_removals(p, &remap, &removed_colors);
+    }
+    compacted
+}
+
+/// The dense engine equals the sparse one: both verify against a fresh
+/// recomputation, the dense planes equal the sparse rows expanded, the
+/// pair-summary values and nonzero counts are bit-identical, and the
+/// dense snapshot (transposed out of the color-major plane) restores to
+/// an engine with the same snapshot.
+fn assert_dense_matches_sparse(
+    dense: &IncrementalDegrees,
+    sparse: &IncrementalDegrees,
+    g: &Graph,
+    p: &Partition,
+    step: &str,
+) {
+    assert_eq!(dense.verify_against(g, p), Ok(()), "{step}: dense");
+    assert_eq!(sparse.verify_against(g, p), Ok(()), "{step}: sparse");
+    let (d, s) = (dense.snapshot(), sparse.snapshot());
+    assert_eq!((d.n, d.k), (s.n, s.k), "{step}");
+    assert!(!d.sparse_accum && s.sparse_accum);
+    let expand = |rows: &RowsSnapshot| {
+        if !rows.is_present() {
+            return Vec::new();
+        }
+        let mut plane = vec![0.0f64; s.n * s.k];
+        for v in 0..s.n {
+            for e in rows.offsets[v]..rows.offsets[v + 1] {
+                plane[v * s.k + rows.colors[e] as usize] = rows.weights[e];
+            }
+        }
+        plane
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&d.dout), bits(&expand(&s.rows_out)), "{step}: dout");
+    assert_eq!(bits(&d.din), bits(&expand(&s.rows_in)), "{step}: din");
+    for (a, b) in [
+        (&d.out_min, &s.out_min),
+        (&d.out_max, &s.out_max),
+        (&d.in_min, &s.in_min),
+        (&d.in_max, &s.in_max),
+    ] {
+        assert_eq!(bits(a), bits(b), "{step}: summaries");
+    }
+    assert_eq!((&d.out_nz, &d.in_nz), (&s.out_nz, &s.in_nz), "{step}: nz");
+    let restored = IncrementalDegrees::from_snapshot(&d, 1);
+    assert_eq!(
+        snapshot_bits(&restored.snapshot()),
+        snapshot_bits(&d),
+        "{step}: snapshot round trip"
+    );
+}
+
+#[test]
+fn dense_plane_node_and_color_growth_match_sparse() {
+    // The dense plane is color-major with node slack (`n ≤ ncap`): appends
+    // past the slack regrow it (40 → 43 → 55 → 66 nodes crosses the
+    // node capacity three times: 40, 50, 62), compactions move survivors
+    // down each column and zero the vacated tail, a re-append lands on
+    // that tail, and a color-capacity growth appends columns while
+    // `n < ncap`. Every step must match a sparse engine bit for bit.
+    for (directed, seed) in [(false, 41u64), (true, 43)] {
+        let g = random_graph(40, 170, directed, seed);
+        let mut p = Partition::unit(40);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xC01);
+        let mut dense = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Dense, 1);
+        let mut sparse = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Sparse, 1);
+        let mut delta = GraphDelta::new(g);
+        let mut current = delta.compact();
+        for _ in 0..4 {
+            let ev = random_split(&mut p, &mut rng).expect("splittable color");
+            dense.apply_split(&current, &p, &ev);
+            sparse.apply_split(&current, &p, &ev);
+        }
+        assert_dense_matches_sparse(&dense, &sparse, &current, &p, "splits");
+        let steps: [(usize, &[u32], &str); 6] = [
+            (3, &[], "first append past the node capacity"),
+            (12, &[], "second append past it"),
+            (11, &[], "third append past it"),
+            (0, &[7, 8, 30], "removals in the middle"),
+            (0, &[62], "removal at the tail"),
+            (2, &[], "re-append onto the vacated tail"),
+        ];
+        for (inserts, victims, step) in steps {
+            let mut engines = [&mut dense, &mut sparse];
+            current = node_round(&mut delta, &mut p, &mut engines, &mut rng, inserts, victims);
+            assert_dense_matches_sparse(&dense, &sparse, &current, &p, step);
+        }
+        assert_eq!(p.num_nodes(), 64);
+        // Color capacity 8 → 64 while the plane holds node slack, then
+        // splits that use the appended columns.
+        dense.reserve_colors(40);
+        sparse.reserve_colors(40);
+        assert_dense_matches_sparse(&dense, &sparse, &current, &p, "color capacity");
+        for _ in 0..12 {
+            let ev = random_split(&mut p, &mut rng).expect("splittable color");
+            dense.apply_split(&current, &p, &ev);
+            sparse.apply_split(&current, &p, &ev);
+        }
+        assert!(p.num_colors() > 8);
+        assert_dense_matches_sparse(&dense, &sparse, &current, &p, "splits past capacity");
+    }
+}
