@@ -18,8 +18,8 @@
 //!   (splits emit [`SplitEvent`]s for incremental consumers).
 //! * [`IncrementalDegrees`] — the incremental refinement engine: degree
 //!   matrices and witness candidates maintained in `O(touched)` per split
-//!   instead of recomputed from the graph; both Rothko and the stable
-//!   coloring drive their refinement through it. Multi-threaded engines
+//!   instead of recomputed from the graph; Rothko drives its refinement
+//!   through it. Multi-threaded engines
 //!   shard the update phases across a fork-join pool with bit-identical
 //!   results (see [`q_error`]'s "Parallel sharded refinement"). The same
 //!   engine absorbs *graph* deltas: `apply_edge_batch` patches its state
@@ -36,7 +36,9 @@
 //!   sharded engine (`QSC_THREADS` sets the default worker count).
 //! * [`similarity`] — the `∼` relations of Definition 1 (exact, absolute `q`,
 //!   relative `ε`, bisimulation, clamped congruence).
-//! * [`stable::stable_coloring`] — classical color refinement (1-WL).
+//! * [`stable::stable_coloring`] — classical color refinement (1-WL),
+//!   which sums each node's per-color weights straight from its arcs
+//!   every round and needs no engine.
 //! * [`rothko`] — the paper's heuristic Algorithm 1 (anytime, witness-driven
 //!   splitting), producing q-stable colorings with a target number of colors
 //!   or target maximum error; supports batched witness rounds (`B` splits

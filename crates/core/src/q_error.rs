@@ -142,13 +142,6 @@
 //! `DegreeMatrices::compute` after every split and merge
 //! ([`IncrementalDegrees::verify_against`]).
 //!
-//! **Degrees-only mode** ([`IncrementalDegrees::new_degrees_only`]).
-//! Signature-based refiners (the stable coloring) read accumulator values
-//! and never ask for pair errors; this mode maintains only the
-//! accumulators, as tiered rows that never promote, making `apply_split`
-//! pure `O(deg(moved) · log deg)` and the whole engine `O(m)` memory,
-//! which keeps near-discrete colorings (`k → n`) affordable.
-//!
 //! # Sharded refinement: one path, any shard count
 //!
 //! Each data-parallel phase of the engine is one function that runs over
@@ -848,10 +841,6 @@ pub struct IncrementalDegrees {
     /// Whether the graph is undirected (stored as symmetric arcs), so the
     /// in side mirrors the out side and is not kept.
     symmetric: bool,
-    /// Whether pair summaries and the witness cache are maintained. The
-    /// degrees-only mode (`new_degrees_only`) keeps just the accumulators,
-    /// which is all signature-based refiners like the stable coloring need.
-    track_summaries: bool,
     /// β exponent used by the last [`Self::refresh`]; negative values void
     /// the best-pointed-at-parent invalidation shortcut (shrinking a target
     /// color then *grows* candidate weights), so splits dirty every row's
@@ -1370,15 +1359,9 @@ pub struct EngineSnapshot {
     /// Whether the graph is undirected (in-direction state omitted — it
     /// mirrors the out direction exactly; see the module docs).
     pub symmetric: bool,
-    /// Whether pair summaries are maintained (false for degrees-only
-    /// engines).
-    pub track_summaries: bool,
     /// Whether the accumulators are tiered rows (true) or dense matrices
     /// (false).
     pub sparse_accum: bool,
-    /// Whether sparse rows may promote (always `track_summaries &&
-    /// sparse_accum`; recorded for validation).
-    pub promote: bool,
     /// β exponent of the last refresh (voids the best-pointed-at-parent
     /// shortcut when negative; see the field docs).
     pub last_beta: f64,
@@ -1394,8 +1377,8 @@ pub struct EngineSnapshot {
     pub rows_out: RowsSnapshot,
     /// Tiered in rows (empty when `!sparse_accum` or `symmetric`).
     pub rows_in: RowsSnapshot,
-    /// Pair-summary matrices, tight `k × k` row-major (empty when
-    /// `!track_summaries`; the `in_*` halves also when `symmetric`).
+    /// Pair-summary matrices, tight `k × k` row-major (the `in_*` halves
+    /// empty when `symmetric`).
     pub out_min: Vec<f64>,
     /// See [`Self::out_min`].
     pub out_max: Vec<f64>,
@@ -1786,7 +1769,7 @@ impl IncrementalDegrees {
     /// `QSC_THREADS` environment variable (1 when unset); see
     /// [`Self::new_with_threads`] for explicit control.
     pub fn new(g: &Graph, p: &Partition) -> Self {
-        Self::with_mode(g, p, true, default_threads(), ResolvedStorage::Dense)
+        Self::with_mode(g, p, default_threads(), ResolvedStorage::Dense)
     }
 
     /// Build the full engine with an explicit worker count for the
@@ -1795,7 +1778,7 @@ impl IncrementalDegrees {
     /// count — the shards reduce with exact min/max/or merges (see the
     /// module docs).
     pub fn new_with_threads(g: &Graph, p: &Partition, threads: usize) -> Self {
-        Self::with_mode(g, p, true, threads, ResolvedStorage::Dense)
+        Self::with_mode(g, p, threads, ResolvedStorage::Dense)
     }
 
     /// Build the full engine with an explicit accumulator [`StorageMode`]
@@ -1819,52 +1802,27 @@ impl IncrementalDegrees {
         let hint_cap = color_hint.clamp(k, n.max(1)).next_power_of_two().max(4);
         let dirs = if g.is_directed() { 2 } else { 1 };
         let resolved = storage.resolve(n, g.num_arcs(), hint_cap, dirs);
-        Self::with_mode(g, p, true, threads, resolved)
+        Self::with_mode(g, p, threads, resolved)
     }
 
-    /// Build a degrees-only engine: per-node *sparse* accumulator rows
-    /// maintained in `O(deg(moved))` per split, no `O(k²)` pair summaries
-    /// or witness cache, and `O(m)` memory instead of `O(n·k)`. This is
-    /// what signature-based refiners (the stable coloring) use — they read
-    /// accumulator values and never ask for errors, so near-discrete
-    /// colorings (`k → n`) stay affordable in both time and memory.
-    pub fn new_degrees_only(g: &Graph, p: &Partition) -> Self {
-        Self::with_mode(g, p, false, 1, ResolvedStorage::Sparse)
-    }
-
-    fn with_mode(
-        g: &Graph,
-        p: &Partition,
-        track_summaries: bool,
-        threads: usize,
-        storage: ResolvedStorage,
-    ) -> Self {
+    fn with_mode(g: &Graph, p: &Partition, threads: usize, tier: ResolvedStorage) -> Self {
         let n = g.num_nodes();
         assert_eq!(p.num_nodes(), n, "partition does not match graph");
         let symmetric = !g.is_directed();
         let k = p.num_colors();
         let cap = k.next_power_of_two().max(4);
-        // Degrees-only engines keep tiered rows that never promote.
-        let tier = if track_summaries {
-            storage
-        } else {
-            ResolvedStorage::Sparse
-        };
-        let promote_k = if track_summaries { k } else { 0 };
         // Whole-axis initialization sweeps every arc front to back; on a
         // mapped graph let the kernel stream the cold pages in ahead of
         // the scan instead of faulting them one miss at a time.
         g.advise(ColumnAdvice::Sequential);
         let colors = p.assignment();
-        let out = Accum::build(tier, n, cap, promote_k, colors, |v| g.out_arcs(v));
+        let out = Accum::build(tier, n, cap, k, colors, |v| g.out_arcs(v));
         let in_rows = if symmetric { 0 } else { n };
-        let inn = Accum::build(tier, in_rows, cap, promote_k, colors, |v| g.in_arcs(v));
-        let mut engine = Self::assemble(n, k, symmetric, track_summaries, threads, 0.0, [out, inn]);
-        if track_summaries {
-            // Pair summaries: scan each color's members once.
-            for s in 0..k {
-                engine.recompute_color_axis(p, s);
-            }
+        let inn = Accum::build(tier, in_rows, cap, k, colors, |v| g.in_arcs(v));
+        let mut engine = Self::assemble(n, k, symmetric, threads, 0.0, [out, inn]);
+        // Pair summaries: scan each color's members once.
+        for s in 0..k {
+            engine.recompute_color_axis(p, s);
         }
         engine
     }
@@ -1876,33 +1834,29 @@ impl IncrementalDegrees {
         n: usize,
         k: usize,
         symmetric: bool,
-        track_summaries: bool,
         threads: usize,
         last_beta: f64,
         [out, inn]: [Accum; 2],
     ) -> Self {
         let cap = k.next_power_of_two().max(4);
-        let mat_cap = if track_summaries { cap } else { 0 };
-        let in_mat_cap = if symmetric { 0 } else { mat_cap };
-        // Degrees-only engines have no phase worth a worker thread.
-        let pool = Pool(ThreadPool::new(if track_summaries { threads } else { 1 }));
+        let in_cap = if symmetric { 0 } else { cap };
+        let pool = Pool(ThreadPool::new(threads));
         IncrementalDegrees {
             n,
             k,
             cap,
             sides: [
-                Side::new(true, cap, mat_cap, out),
-                Side::new(false, cap, in_mat_cap, inn),
+                Side::new(true, cap, cap, out),
+                Side::new(false, cap, in_cap, inn),
             ],
             symmetric,
-            track_summaries,
             last_beta,
-            rows: WitnessRows::new(mat_cap),
+            rows: WitnessRows::new(cap),
             node_mark: vec![0; n],
             mark_gen: 0,
             touched_nodes: Vec::new(),
             touched_deltas: Vec::new(),
-            color_slot: vec![0; mat_cap],
+            color_slot: vec![0; cap],
             touched_colors: Vec::new(),
             shard_scratch: vec![ShardScratch::default(); pool.0.slots()],
             pool,
@@ -1931,9 +1885,7 @@ impl IncrementalDegrees {
             n: self.n,
             k: self.k,
             symmetric: self.symmetric,
-            track_summaries: self.track_summaries,
             sparse_accum,
-            promote: self.track_summaries && sparse_accum,
             last_beta: self.last_beta,
             dout: out.plane,
             din: inn.plane,
@@ -1972,35 +1924,19 @@ impl IncrementalDegrees {
             n,
             k,
             symmetric,
-            track_summaries,
             sparse_accum,
-            promote,
             ..
         } = *snap;
-        assert_eq!(
-            promote,
-            track_summaries && sparse_accum,
-            "snapshot promote flag inconsistent with its mode flags"
-        );
         let cap = k.next_power_of_two().max(4);
         let tier = if sparse_accum {
             ResolvedStorage::Sparse
         } else {
             ResolvedStorage::Dense
         };
-        let promote_k = if promote { k } else { 0 };
         let in_rows = if symmetric { 0 } else { n };
-        let out = Accum::restore(tier, &snap.dout, &snap.rows_out, n, k, cap, promote_k);
-        let inn = Accum::restore(tier, &snap.din, &snap.rows_in, in_rows, k, cap, promote_k);
-        let mut engine = Self::assemble(
-            n,
-            k,
-            symmetric,
-            track_summaries,
-            threads,
-            snap.last_beta,
-            [out, inn],
-        );
+        let out = Accum::restore(tier, &snap.dout, &snap.rows_out, n, k, cap, k);
+        let inn = Accum::restore(tier, &snap.din, &snap.rows_in, in_rows, k, cap, k);
+        let mut engine = Self::assemble(n, k, symmetric, threads, snap.last_beta, [out, inn]);
         let s = snap;
         engine.sides[0].load(
             k,
@@ -2021,18 +1957,6 @@ impl IncrementalDegrees {
             &s.in_nz,
         );
         engine
-    }
-
-    /// Promotion hint for tiered rows ([`crate::storage::RowRep::add`]):
-    /// the live color count for summary engines, `0` (never promote) for
-    /// degrees-only ones.
-    #[inline]
-    fn promote_k(&self) -> usize {
-        if self.track_summaries {
-            self.k
-        } else {
-            0
-        }
     }
 
     /// The one direction accessor: the index into `sides` of the side
@@ -2155,10 +2079,6 @@ impl IncrementalDegrees {
     /// [`DegreeMatrices::out_error`]).
     #[inline]
     pub fn out_error(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(
-            self.track_summaries,
-            "pair summaries not tracked by this engine"
-        );
         self.side(true).pairs.error(i, j)
     }
 
@@ -2166,10 +2086,6 @@ impl IncrementalDegrees {
     /// [`DegreeMatrices::in_error`]).
     #[inline]
     pub fn in_error(&self, i: usize, j: usize) -> f64 {
-        debug_assert!(
-            self.track_summaries,
-            "pair summaries not tracked by this engine"
-        );
         self.side(false).pairs.error(j, i)
     }
 
@@ -2179,10 +2095,6 @@ impl IncrementalDegrees {
     /// whenever the accumulator sums are exact, e.g. on integer weights)
     /// for `O(k²)` instead of the `O(n·k + m)` matrix recomputation.
     pub fn q_report(&self) -> QErrorReport {
-        assert!(
-            self.track_summaries,
-            "q_report requires a summary-tracking engine"
-        );
         let k = self.k;
         let out = &self.side(true).pairs;
         let mut max_q = 0.0f64;
@@ -2242,62 +2154,49 @@ impl IncrementalDegrees {
         self.ensure_capacity(self.k + 1);
         self.k += 1;
 
-        if !self.track_summaries {
-            // Degrees-only: shift each touched row's mass from the parent
-            // to the child column, `O(deg(moved) · log deg)`.
-            for &outgoing in self.directions() {
-                self.collect_touched(g, &event.moved_nodes, outgoing);
-                let d = self.dir(outgoing);
-                let (nodes, deltas) = (&self.touched_nodes, &self.touched_deltas);
-                self.sides[d]
-                    .acc
-                    .shift(nodes, deltas, c as u32, child as u32, 0);
-            }
+        // Fresh row/column for the child: "no edges" until proven
+        // otherwise.
+        for &outgoing in self.directions() {
+            let d = self.dir(outgoing);
+            self.sides[d].pairs.clear_color(child, self.k);
+        }
+        self.rows.max_err[child] = 0.0;
+        self.rows.best[child] = None;
+
+        // Per side, the nodes whose rows shift from column `parent` to
+        // column `child` are the moved nodes' neighbors against that
+        // direction (sources of their in-arcs for the out side).
+        for &outgoing in self.directions() {
+            self.collect_touched(g, &event.moved_nodes, outgoing);
+            self.with_side(outgoing, |e, side| e.apply_side(side, p, c, child));
+        }
+
+        // Member axes of child and parent. The child is rebuilt from
+        // its members' (now final) accumulator rows; the parent's
+        // entries over unchanged columns only shrank in membership, so
+        // they keep their value unless their tracked extremum attainer
+        // departed to the child.
+        self.recompute_color_axis(p, child);
+        for &outgoing in self.directions() {
+            self.with_side(outgoing, |e, side| e.repair_parent_axis(side, p, c, child));
+        }
+
+        // Witness-row invalidation: rows recomputed above changed
+        // entries (error and best both stale), and any cached best
+        // that pointed at the parent saw its target *size* change —
+        // its error is untouched, so only the β-weighted best goes
+        // stale. A negative β voids that shortcut: shrinking a target
+        // color *raises* candidate weights, so stale non-best
+        // candidates can overtake silently — dirty every row's best.
+        self.rows.dirty(c);
+        self.rows.dirty(child);
+        if self.last_beta < 0.0 {
+            self.rows.best_dirty[..self.k].fill(true);
         } else {
-            // Fresh row/column for the child: "no edges" until proven
-            // otherwise.
-            for &outgoing in self.directions() {
-                let d = self.dir(outgoing);
-                self.sides[d].pairs.clear_color(child, self.k);
-            }
-            self.rows.max_err[child] = 0.0;
-            self.rows.best[child] = None;
-
-            // Per side, the nodes whose rows shift from column `parent` to
-            // column `child` are the moved nodes' neighbors against that
-            // direction (sources of their in-arcs for the out side).
-            for &outgoing in self.directions() {
-                self.collect_touched(g, &event.moved_nodes, outgoing);
-                self.with_side(outgoing, |e, side| e.apply_side(side, p, c, child));
-            }
-
-            // Member axes of child and parent. The child is rebuilt from
-            // its members' (now final) accumulator rows; the parent's
-            // entries over unchanged columns only shrank in membership, so
-            // they keep their value unless their tracked extremum attainer
-            // departed to the child.
-            self.recompute_color_axis(p, child);
-            for &outgoing in self.directions() {
-                self.with_side(outgoing, |e, side| e.repair_parent_axis(side, p, c, child));
-            }
-
-            // Witness-row invalidation: rows recomputed above changed
-            // entries (error and best both stale), and any cached best
-            // that pointed at the parent saw its target *size* change —
-            // its error is untouched, so only the β-weighted best goes
-            // stale. A negative β voids that shortcut: shrinking a target
-            // color *raises* candidate weights, so stale non-best
-            // candidates can overtake silently — dirty every row's best.
-            self.rows.dirty(c);
-            self.rows.dirty(child);
-            if self.last_beta < 0.0 {
-                self.rows.best_dirty[..self.k].fill(true);
-            } else {
-                for s in 0..self.k {
-                    if let Some(best) = &self.rows.best[s] {
-                        if best.other as usize == c {
-                            self.rows.best_dirty[s] = true;
-                        }
+            for s in 0..self.k {
+                if let Some(best) = &self.rows.best[s] {
+                    if best.other as usize == c {
+                        self.rows.best_dirty[s] = true;
                     }
                 }
             }
@@ -2351,13 +2250,6 @@ impl IncrementalDegrees {
             let mirror = (symmetric && u != w).then_some((w, u, ev.delta));
             std::iter::once((u, w, ev.delta)).chain(mirror)
         });
-        if !self.track_summaries {
-            // Degrees-only mode: pure row updates, in event order.
-            for (u, w, delta) in arcs {
-                side.acc.add(u, p.color_of(w), delta, 0);
-            }
-            return;
-        }
         // Combine the events into one delta per (node, column) first: the
         // entry patch rules are sound only when each accumulator value
         // changes exactly once per batch, as on the split path.
@@ -2368,11 +2260,10 @@ impl IncrementalDegrees {
         }
         side.patches.clear();
         side.patch_slot.clear();
-        let promote_k = self.promote_k();
         for i in 0..side.combined.len() {
             let (u, col, d) = side.combined[i];
             if d != 0.0 {
-                side.patch_edge(u, p.color_of(u), col, d, promote_k);
+                side.patch_edge(u, p.color_of(u), col, d, self.k);
             }
         }
         let patches = std::mem::take(&mut side.patches);
@@ -2401,10 +2292,6 @@ impl IncrementalDegrees {
     /// pair on exact bound ties) and reads only the pair summaries, so
     /// maintained and freshly built engines pick identical pairs.
     pub fn pick_merge(&self, max_bound: f64) -> Option<MergeCandidate> {
-        assert!(
-            self.track_summaries,
-            "pick_merge requires a summary-tracking engine"
-        );
         if self.k < 2 {
             return None;
         }
@@ -2420,10 +2307,6 @@ impl IncrementalDegrees {
     /// full `O(k³)` scan plus `O(k)` per applied merge instead of `O(k³)`
     /// per merge. The early exit never changes a `> cap` decision.
     pub fn merge_bound_pair(&self, a: u32, b: u32, cap: f64) -> f64 {
-        assert!(
-            self.track_summaries,
-            "merge bounds require a summary-tracking engine"
-        );
         assert!((a as usize) < self.k && (b as usize) < self.k && a < b);
         let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
         merge_bound(&view, self.k, a as usize, b as usize, cap)
@@ -2442,10 +2325,6 @@ impl IncrementalDegrees {
     /// [`Self::refresh`] since the last mutation (the prefilter reads the
     /// cached row errors).
     pub fn merge_candidates(&self, max_bound: f64) -> Vec<MergeCandidate> {
-        assert!(
-            self.track_summaries,
-            "merge candidates require a summary-tracking engine"
-        );
         debug_assert!(
             self.rows.err_dirty[..self.k].iter().all(|d| !d),
             "merge_candidates with dirty rows; call refresh() first"
@@ -2509,19 +2388,13 @@ impl IncrementalDegrees {
         // loser. Each side captures (node, old, new) winner-column values
         // so its entry patches can run after the relabel, in the final id
         // space.
-        let promote_k = self.promote_k();
         for &outgoing in self.directions() {
             self.collect_touched(g, &event.moved_nodes, outgoing);
             let d = self.dir(outgoing);
             let side = &mut self.sides[d];
             let (from, into) = (loser as u32, winner as u32);
-            side.acc.fold_column(
-                &self.touched_nodes,
-                from,
-                into,
-                promote_k,
-                &mut side.capture,
-            );
+            side.acc
+                .fold_column(&self.touched_nodes, from, into, self.k, &mut side.capture);
         }
 
         // ---- Relabel the ex-last color into the freed loser slot (no-op
@@ -2532,38 +2405,36 @@ impl IncrementalDegrees {
         self.k -= 1;
         let k = self.k;
 
-        if self.track_summaries {
-            // ---- Patch entries over other colors' member axes from the
-            // captured folds, now with partition and engine ids aligned.
-            for &outgoing in self.directions() {
-                self.with_side(outgoing, |e, side| e.patch_merge_side(side, p, winner));
-            }
+        // ---- Patch entries over other colors' member axes from the
+        // captured folds, now with partition and engine ids aligned.
+        for &outgoing in self.directions() {
+            self.with_side(outgoing, |e, side| e.patch_merge_side(side, p, winner));
+        }
 
-            // ---- The winner's member axis is rebuilt from the merged
-            // member list.
-            self.recompute_color_axis(p, winner);
+        // ---- The winner's member axis is rebuilt from the merged
+        // member list.
+        self.recompute_color_axis(p, winner);
 
-            // ---- Witness bookkeeping: cached bests still name pre-merge
-            // colors — the merged-away loser invalidates and the relabeled
-            // ex-last renames. The winner's size *grew*, which is the
-            // reverse of the split path: with any non-zero β a non-best
-            // candidate targeting the winner can silently overtake an
-            // untouched row's cached best (β > 0: its weight rose; β < 0:
-            // the best's own weight fell), so every row's best goes stale.
-            // With β = 0 the weights are size-independent and the targeted
-            // invalidation suffices.
-            let beta_weighted = self.last_beta != 0.0;
-            if beta_weighted {
-                self.rows.best_dirty[..k].fill(true);
-            }
-            for s in 0..k {
-                if let Some(best) = &mut self.rows.best[s] {
-                    let other = best.other as usize;
-                    if !beta_weighted && (other == loser || other == winner) {
-                        self.rows.best_dirty[s] = true;
-                    } else if other == last {
-                        best.other = loser as u32;
-                    }
+        // ---- Witness bookkeeping: cached bests still name pre-merge
+        // colors — the merged-away loser invalidates and the relabeled
+        // ex-last renames. The winner's size *grew*, which is the
+        // reverse of the split path: with any non-zero β a non-best
+        // candidate targeting the winner can silently overtake an
+        // untouched row's cached best (β > 0: its weight rose; β < 0:
+        // the best's own weight fell), so every row's best goes stale.
+        // With β = 0 the weights are size-independent and the targeted
+        // invalidation suffices.
+        let beta_weighted = self.last_beta != 0.0;
+        if beta_weighted {
+            self.rows.best_dirty[..k].fill(true);
+        }
+        for s in 0..k {
+            if let Some(best) = &mut self.rows.best[s] {
+                let other = best.other as usize;
+                if !beta_weighted && (other == loser || other == winner) {
+                    self.rows.best_dirty[s] = true;
+                } else if other == last {
+                    best.other = loser as u32;
                 }
             }
         }
@@ -2611,18 +2482,14 @@ impl IncrementalDegrees {
             let side = &mut self.sides[d];
             side.acc
                 .relabel(&self.touched_nodes, last as u32, loser as u32);
-            if self.track_summaries {
-                side.pairs.relabel(self.k, last, loser);
-            }
+            side.pairs.relabel(self.k, last, loser);
         }
-        if self.track_summaries {
-            // The row's content is the same set of entries, just renamed.
-            let rows = &mut self.rows;
-            rows.max_err[loser] = rows.max_err[last];
-            rows.best[loser] = rows.best[last];
-            rows.err_dirty[loser] = rows.err_dirty[last];
-            rows.best_dirty[loser] = rows.best_dirty[last];
-        }
+        // The row's content is the same set of entries, just renamed.
+        let rows = &mut self.rows;
+        rows.max_err[loser] = rows.max_err[last];
+        rows.best[loser] = rows.best[last];
+        rows.err_dirty[loser] = rows.err_dirty[last];
+        rows.best_dirty[loser] = rows.best_dirty[last];
     }
 
     /// Grow the node axis for freshly inserted isolated nodes. `p` is the
@@ -2647,9 +2514,6 @@ impl IncrementalDegrees {
         }
         self.node_mark.resize(n_new, 0);
         self.n = n_new;
-        if !self.track_summaries {
-            return;
-        }
         for (i, &c) in colors.iter().enumerate() {
             let v = first + i as NodeId;
             debug_assert_eq!(p.color_of(v), c, "insert color mismatch");
@@ -2712,9 +2576,6 @@ impl IncrementalDegrees {
         self.node_mark.resize(remap.new_len(), 0);
         self.mark_gen = 0;
         self.n = remap.new_len();
-        if !self.track_summaries {
-            return;
-        }
         // Remap the extremum witnesses (attainers of unaffected colors are
         // survivors; a removed attainer becomes NO_ARG). Then only the
         // colors that lost members can see entry values change, and only
@@ -2786,7 +2647,7 @@ impl IncrementalDegrees {
         self.begin_shard_records(shards);
         {
             let colors = p.assignment();
-            let promote_k = self.promote_k();
+            let promote_k = self.k;
             let pr = &side.pairs;
             let acc = side.acc.shared();
             let scratch = SyncSliceMut::new(&mut self.shard_scratch);
@@ -2985,10 +2846,6 @@ impl IncrementalDegrees {
     /// `O(k)` scan writing only its own cache slots, so results do not
     /// depend on the shard count.
     pub fn refresh(&mut self, p: &Partition, beta: f64) {
-        assert!(
-            self.track_summaries,
-            "refresh requires a summary-tracking engine"
-        );
         if beta != self.last_beta {
             self.rows.best_dirty[..self.k].fill(true);
             self.last_beta = beta;
@@ -3140,68 +2997,66 @@ impl IncrementalDegrees {
             return Err(format!("color count {} != engine {k}", p.num_colors()));
         }
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
-        if self.track_summaries {
-            let scratch = DegreeMatrices::compute(g, p);
-            let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
-            for i in 0..k {
-                for j in 0..k {
-                    let sidx = i * k + j;
-                    let (out_min, out_max) = view.out_mm(i, j);
-                    let (in_min, in_max) = view.in_mm(i, j);
-                    for (name, ours, theirs) in [
-                        ("out_min", out_min, scratch.out_min[sidx]),
-                        ("out_max", out_max, scratch.out_max[sidx]),
-                        ("in_min", in_min, scratch.in_min[sidx]),
-                        ("in_max", in_max, scratch.in_max[sidx]),
-                    ] {
-                        if !close(ours, theirs) {
-                            return Err(format!(
-                                "{name}[{i}][{j}]: incremental {ours} vs scratch {theirs}"
-                            ));
-                        }
+        let scratch = DegreeMatrices::compute(g, p);
+        let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
+        for i in 0..k {
+            for j in 0..k {
+                let sidx = i * k + j;
+                let (out_min, out_max) = view.out_mm(i, j);
+                let (in_min, in_max) = view.in_mm(i, j);
+                for (name, ours, theirs) in [
+                    ("out_min", out_min, scratch.out_min[sidx]),
+                    ("out_max", out_max, scratch.out_max[sidx]),
+                    ("in_min", in_min, scratch.in_min[sidx]),
+                    ("in_max", in_max, scratch.in_max[sidx]),
+                ] {
+                    if !close(ours, theirs) {
+                        return Err(format!(
+                            "{name}[{i}][{j}]: incremental {ours} vs scratch {theirs}"
+                        ));
                     }
                 }
             }
-            // Per kept side, entry (a, b): tracked attainers, when known,
-            // must attain the entry's value and belong to the member axis,
-            // and the nonzero-member count must match a recount of the
-            // maintained values. The recount deliberately uses maintained
-            // *values*: with inexact weights an incremental subtraction
-            // can leave a tiny residue where a fresh sum gives an exact
-            // zero, and the zero-skip rule is sound for exactly this
-            // value-based count.
-            for &outgoing in self.directions() {
-                let (side, dir) = (self.side(outgoing), if outgoing { "out" } else { "in" });
-                for a in 0..k {
-                    for b in 0..k {
-                        let pr = &side.pairs;
-                        let idx = pr.at(a, b);
-                        for (name, arg, val) in [
-                            ("min", pr.min_arg[idx], pr.min[idx]),
-                            ("max", pr.max_arg[idx], pr.max[idx]),
-                        ] {
-                            if arg == NO_ARG {
-                                continue;
-                            }
-                            let attained = side.acc.get(arg, b as u32);
-                            if p.color_of(arg) as usize != a || attained != val {
-                                return Err(format!(
-                                    "{dir} {name} attainer of ({a}, {b}): node {arg} (color {}, value {attained}) does not attain {val}",
-                                    p.color_of(arg)
-                                ));
-                            }
+        }
+        // Per kept side, entry (a, b): tracked attainers, when known,
+        // must attain the entry's value and belong to the member axis,
+        // and the nonzero-member count must match a recount of the
+        // maintained values. The recount deliberately uses maintained
+        // *values*: with inexact weights an incremental subtraction
+        // can leave a tiny residue where a fresh sum gives an exact
+        // zero, and the zero-skip rule is sound for exactly this
+        // value-based count.
+        for &outgoing in self.directions() {
+            let (side, dir) = (self.side(outgoing), if outgoing { "out" } else { "in" });
+            for a in 0..k {
+                for b in 0..k {
+                    let pr = &side.pairs;
+                    let idx = pr.at(a, b);
+                    for (name, arg, val) in [
+                        ("min", pr.min_arg[idx], pr.min[idx]),
+                        ("max", pr.max_arg[idx], pr.max[idx]),
+                    ] {
+                        if arg == NO_ARG {
+                            continue;
                         }
-                        let count = p
-                            .members(a as u32)
-                            .iter()
-                            .filter(|&&u| side.acc.get(u, b as u32) != 0.0)
-                            .count();
-                        if pr.nz[idx] as usize != count {
+                        let attained = side.acc.get(arg, b as u32);
+                        if p.color_of(arg) as usize != a || attained != val {
                             return Err(format!(
-                                "{dir} nonzero count of ({a}, {b}): incremental {} vs recounted {count}",
-                                pr.nz[idx]
+                                "{dir} {name} attainer of ({a}, {b}): node {arg} (color {}, value {attained}) does not attain {val}",
+                                p.color_of(arg)
                             ));
                         }
+                    }
+                    let count = p
+                        .members(a as u32)
+                        .iter()
+                        .filter(|&&u| side.acc.get(u, b as u32) != 0.0)
+                        .count();
+                    if pr.nz[idx] as usize != count {
+                        return Err(format!(
+                            "{dir} nonzero count of ({a}, {b}): incremental {} vs recounted {count}",
+                            pr.nz[idx]
+                        ));
                     }
                 }
             }
@@ -3485,26 +3340,23 @@ impl IncrementalDegrees {
     /// (`next_power_of_two`), so a long split sequence pays `O(log k)`
     /// regrowths — amortized `O(1)` copies per new color — and each matrix
     /// regrows straight to its final footprint in one allocation + one
-    /// prefix copy. Degrees-only engines keep only tiered rows, which never
-    /// depend on the capacity.
+    /// prefix copy.
     fn ensure_capacity(&mut self, needed: usize) {
         if needed <= self.cap {
             return;
         }
         let new_cap = needed.next_power_of_two();
-        if self.track_summaries {
-            let (old_cap, k, kept) = (self.cap, self.k, self.directions().len());
-            for side in &mut self.sides[..kept] {
-                side.acc.grow_cap(new_cap, k);
-                side.pairs.grow(old_cap, new_cap);
-            }
-            let rows = &mut self.rows;
-            rows.max_err.resize(new_cap, 0.0);
-            rows.best.resize(new_cap, None);
-            rows.err_dirty.resize(new_cap, true);
-            rows.best_dirty.resize(new_cap, true);
-            self.color_slot.resize(new_cap, u32::MAX);
+        let (old_cap, k, kept) = (self.cap, self.k, self.directions().len());
+        for side in &mut self.sides[..kept] {
+            side.acc.grow_cap(new_cap, k);
+            side.pairs.grow(old_cap, new_cap);
         }
+        let rows = &mut self.rows;
+        rows.max_err.resize(new_cap, 0.0);
+        rows.best.resize(new_cap, None);
+        rows.err_dirty.resize(new_cap, true);
+        rows.best_dirty.resize(new_cap, true);
+        self.color_slot.resize(new_cap, u32::MAX);
         self.cap = new_cap;
     }
 }
@@ -3851,7 +3703,8 @@ mod tests {
             let g = half_weight_graph(40, 160, directed, seed);
             let mut p = Partition::unit(40);
             let mut dense = IncrementalDegrees::new(&g, &p);
-            let mut sparse = IncrementalDegrees::new_degrees_only(&g, &p);
+            let mut sparse =
+                IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Sparse, 0);
             let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
             // Refine to ~8 colors, then merge random pairs back down,
             // cross-checking the full state after every merge.
@@ -3987,7 +3840,8 @@ mod tests {
             let g = half_weight_graph(30, 120, directed, seed);
             let mut p = Partition::unit(30);
             let mut dense = IncrementalDegrees::new(&g, &p);
-            let mut sparse = IncrementalDegrees::new_degrees_only(&g, &p);
+            let mut sparse =
+                IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Sparse, 0);
             let ev = p.split_color(0, |v| v >= 15).unwrap();
             dense.apply_split(&g, &p, &ev);
             sparse.apply_split(&g, &p, &ev);
@@ -4075,8 +3929,9 @@ mod tests {
             assert_eq!(engine.max_error().to_bits(), fresh.max_error().to_bits());
             assert_eq!(engine.pick_witness(&p, 0.0), fresh.pick_witness(&p, 0.0));
 
-            // Degrees-only engines take the same events through sparse rows.
-            let mut sparse = IncrementalDegrees::new_degrees_only(&compacted, &p);
+            // Sparse engines take the same events through tiered rows.
+            let mut sparse =
+                IncrementalDegrees::new_with_storage(&compacted, &p, 1, StorageMode::Sparse, 0);
             let mut delta2 = GraphDelta::new(compacted);
             delta2.delete_edge(0, 3).unwrap();
             delta2.insert_edge(3, 6, 1.0).unwrap();

@@ -1,146 +1,121 @@
 //! Classical stable coloring (color refinement / 1-WL).
 //!
-//! Starting from an initial coloring (by default the single-color partition),
-//! repeatedly refine: two nodes keep the same color only if, for every color
-//! `P_j`, they have the same total outgoing weight into `P_j` and the same
-//! total incoming weight from `P_j`. The fixpoint is the coarsest stable
-//! coloring that refines the initial coloring.
+//! Starting from the single-color partition, repeatedly refine: two nodes
+//! keep the same color only if, for every color `P_j`, they have the same
+//! total outgoing weight into `P_j` and the same total incoming weight
+//! from `P_j`. The fixpoint is the coarsest stable coloring.
 //!
 //! In the paper's lattice view stable coloring is the `ε = 0` special case
-//! of quasi-stable coloring, and the implementation says so literally: it
-//! drives the same incremental refinement engine
-//! ([`crate::q_error::IncrementalDegrees`], in its degrees-only mode) as
-//! Rothko. Each round derives every node's sparse per-color weight
-//! signature — candidate colors from the node's edges, values from the
-//! engine's accumulators — and ejects the disagreeing groups via
-//! [`Partition::split_color`], feeding each
-//! [`crate::partition::SplitEvent`] back into the engine so the
-//! accumulators stay exact in `O(deg(moved))` per split. A round costs
-//! `O(m log Δ)` plus the split updates (even when `k → n`), and the number
-//! of rounds is at most `n`. This matches the behaviour (though not the
-//! `O((n + m) log n)` bound) of the optimized partition-refinement
-//! algorithms cited by the paper [Paige–Tarjan 1987, Berkholz et al. 2017];
-//! it is more than fast enough for the laptop-scale datasets used in this
-//! reproduction.
+//! of quasi-stable coloring. It needs none of the incremental engine's
+//! pair summaries, though — only each node's per-color weights, which one
+//! pass over the node's arcs yields. Each round therefore sums every
+//! node's sparse per-color weight signature straight from its arcs (in
+//! arc order, through a per-color sum and stamp scratch), groups the nodes
+//! of each color by signature, and ejects the disagreeing groups via
+//! [`Partition::split_color`]. A round costs `O(m log Δ)` (the sort of
+//! each node's distinct neighbor colors) with no upkeep per split, even
+//! when `k → n`, and the number of rounds is at most `n`. This matches the
+//! behaviour (though not the `O((n + m) log n)` bound) of the optimized
+//! partition-refinement algorithms cited by the paper [Paige–Tarjan 1987,
+//! Berkholz et al. 2017]; it is more than fast enough for the
+//! laptop-scale datasets used in this reproduction.
 
 use crate::partition::Partition;
-use crate::q_error::IncrementalDegrees;
-use qsc_graph::Graph;
-use std::collections::HashMap;
-
-/// Options for [`stable_coloring_with`].
-#[derive(Clone, Debug, Default)]
-pub struct StableOptions {
-    /// Initial coloring to refine; `None` means the single-color partition.
-    pub initial: Option<Partition>,
-    /// Stop after at most this many refinement rounds (`None` = until
-    /// fixpoint). Mainly useful to emulate a bounded number of WL rounds.
-    pub max_rounds: Option<usize>,
-}
+use qsc_graph::{Graph, NodeId};
+use std::collections::{HashMap, HashSet};
 
 /// Compute the (coarsest) stable coloring of `g`.
 pub fn stable_coloring(g: &Graph) -> Partition {
-    stable_coloring_with(g, &StableOptions::default())
-}
-
-/// Compute a stable coloring with explicit options.
-pub fn stable_coloring_with(g: &Graph, opts: &StableOptions) -> Partition {
     let n = g.num_nodes();
+    let mut partition = Partition::unit(n);
     if n == 0 {
-        return Partition::unit(0);
+        return partition;
     }
-    let mut partition = match &opts.initial {
-        Some(p) => {
-            assert_eq!(p.num_nodes(), n, "initial partition size mismatch");
-            p.clone()
-        }
-        None => Partition::unit(n),
-    };
-    // Degrees-only engine: stable refinement reads accumulator rows for
-    // signatures and never asks for pair errors, so the O(k²) summary
-    // machinery is skipped — splits cost O(deg(moved)) even as k → n.
-    let mut engine = IncrementalDegrees::new_degrees_only(g, &partition);
-    let mut round = 0usize;
-    loop {
-        if let Some(max) = opts.max_rounds {
-            if round >= max {
-                break;
-            }
-        }
-        round += 1;
-        if refine_round(g, &mut partition, &mut engine) == 0 {
-            break;
-        }
-        if partition.num_colors() == n {
-            break;
-        }
-    }
+    while refine_round(g, &mut partition) > 0 && partition.num_colors() < n {}
     partition
 }
 
 /// Sparse per-node weight signature: sorted `(color, weight-bits)` pairs for
 /// the colors the node has non-zero weight towards/from. Weights are keyed
-/// by their bit patterns (weights in the evaluation graphs are small
-/// integers, so summation order is not an issue in practice).
+/// by their bit patterns and summed in arc order: exact for the small
+/// integer weights of the evaluation graphs, and deterministic for any.
 type Signature = Vec<(u32, u64)>;
 
+/// Per-color weight sums of one node's arcs: `sum[c]` is valid while
+/// `stamp[c]` holds the current pass's marker, and `colors` lists the
+/// colors the pass reached.
+struct SignatureScratch {
+    sum: Vec<f64>,
+    stamp: Vec<u32>,
+    colors: Vec<u32>,
+}
+
+impl SignatureScratch {
+    fn new(k: usize) -> Self {
+        SignatureScratch {
+            sum: vec![0.0; k],
+            stamp: vec![0; k],
+            colors: Vec::new(),
+        }
+    }
+
+    /// The signature of one node's arcs `(neighbors, weights)`: each color
+    /// the arcs reach with its weights summed in arc order, zero sums
+    /// dropped. `marker` must be non-zero and distinct for every call
+    /// on the same scratch.
+    fn signature(
+        &mut self,
+        (nbrs, wts): (&[NodeId], &[f64]),
+        p: &Partition,
+        marker: u32,
+    ) -> Signature {
+        self.colors.clear();
+        for (&u, &w) in nbrs.iter().zip(wts) {
+            let c = p.color_of(u) as usize;
+            if self.stamp[c] == marker {
+                self.sum[c] += w;
+            } else {
+                self.stamp[c] = marker;
+                self.sum[c] = w;
+                self.colors.push(c as u32);
+            }
+        }
+        self.colors.sort_unstable();
+        self.colors
+            .iter()
+            .filter_map(|&c| {
+                let w = self.sum[c as usize];
+                (w != 0.0).then_some((c, w.to_bits()))
+            })
+            .collect()
+    }
+}
+
 /// One round of refinement w.r.t. the round-start partition: group each
-/// color's members by their engine accumulator rows and eject every
+/// color's members by their out- and in-signatures and eject every
 /// disagreeing group as a new color. Returns the number of splits performed.
-fn refine_round(g: &Graph, p: &mut Partition, engine: &mut IncrementalDegrees) -> usize {
+fn refine_round(g: &Graph, p: &mut Partition) -> usize {
     let n = p.num_nodes();
     let k = p.num_colors();
 
-    // Group nodes by (round-start color, out-signature, in-signature). The
-    // candidate colors come from each node's edges (so a node costs
-    // O(deg log deg), keeping a round O(m log) even when k → n) while the
-    // weight values are read from the engine's accumulators, which hold
-    // exactly the per-(node, color) sums a from-scratch pass over the edges
-    // would produce.
-    let symmetric = engine.is_symmetric();
+    // Group nodes by (round-start color, out-signature, in-signature). A
+    // node costs O(deg log deg), keeping a round O(m log Δ) even when
+    // k → n.
+    let directed = g.is_directed();
     let mut sig_to_group: HashMap<(u32, Signature, Signature), u32> = HashMap::new();
     let mut group_of = vec![0u32; n];
-    let mut stamp = vec![0u32; k];
-    let mut colors: Vec<u32> = Vec::new();
+    let mut scratch = SignatureScratch::new(k);
     for v in 0..n as u32 {
-        let sig_from = |incoming: bool, stamp: &mut [u32], colors: &mut Vec<u32>| {
-            // Distinct stamp markers for the out- and in-passes of the same
-            // node, so the second pass doesn't mistake the first pass's
-            // stamps for its own.
-            let marker = 2 * v + if incoming { 2 } else { 1 };
-            colors.clear();
-            let neighbors: Box<dyn Iterator<Item = (u32, f64)>> = if incoming {
-                Box::new(g.in_edges(v))
-            } else {
-                Box::new(g.out_edges(v))
-            };
-            for (u, _) in neighbors {
-                let c = p.color_of(u) as usize;
-                if stamp[c] != marker {
-                    stamp[c] = marker;
-                    colors.push(c as u32);
-                }
-            }
-            colors.sort_unstable();
-            colors
-                .iter()
-                .filter_map(|&c| {
-                    let w = if incoming {
-                        engine.in_degree_of(v, c)
-                    } else {
-                        engine.out_degree_of(v, c)
-                    };
-                    (w != 0.0).then_some((c, w.to_bits()))
-                })
-                .collect::<Signature>()
-        };
-        let out_sig = sig_from(false, &mut stamp, &mut colors);
+        // Distinct markers for the out- and in-passes of the same node, so
+        // the second pass doesn't mistake the first pass's stamps for its
+        // own.
+        let out_sig = scratch.signature(g.out_arcs(v), p, 2 * v + 1);
         // For undirected graphs the in-signature equals the out-signature
         // for every node, so a constant placeholder groups identically.
-        let in_sig = if symmetric {
-            Signature::new()
+        let in_sig = if directed {
+            scratch.signature(g.in_arcs(v), p, 2 * v + 2)
         } else {
-            sig_from(true, &mut stamp, &mut colors)
+            Signature::new()
         };
         let key = (p.color_of(v), out_sig, in_sig);
         let next = sig_to_group.len() as u32;
@@ -148,25 +123,22 @@ fn refine_round(g: &Graph, p: &mut Partition, engine: &mut IncrementalDegrees) -
     }
 
     // Apply the grouping color by color: the first-seen group keeps the
-    // color id, every other group is ejected as a fresh color and the split
-    // event is pushed into the engine.
+    // color id, every other group is ejected as a fresh color.
     let mut splits = 0usize;
     let mut groups: Vec<u32> = Vec::new();
-    let mut seen: HashMap<u32, ()> = HashMap::new();
+    let mut seen: HashSet<u32> = HashSet::new();
     for c in 0..k as u32 {
         groups.clear();
         seen.clear();
         for &v in p.members(c) {
             let gid = group_of[v as usize];
-            if seen.insert(gid, ()).is_none() {
+            if seen.insert(gid) {
                 groups.push(gid);
             }
         }
         for &gid in groups.iter().skip(1) {
-            let event = p
-                .split_color(c, |v| group_of[v as usize] == gid)
+            p.split_color(c, |v| group_of[v as usize] == gid)
                 .expect("signature groups are non-empty and proper");
-            engine.apply_split(g, p, &event);
             splits += 1;
         }
     }
@@ -248,40 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn initial_partition_is_refined() {
-        let g = generators::karate_club();
-        let init = Partition::from_assignment(
-            &(0..34)
-                .map(|v| if v < 17 { 0 } else { 1 })
-                .collect::<Vec<_>>(),
-        );
-        let opts = StableOptions {
-            initial: Some(init.clone()),
-            max_rounds: None,
-        };
-        let p = stable_coloring_with(&g, &opts);
-        assert!(p.is_refinement_of(&init));
-        assert!(is_stable(&g, &p));
-        // Refining a non-trivial initial partition can only produce at least
-        // as many colors as refining the unit partition.
-        assert!(p.num_colors() >= stable_coloring(&g).num_colors());
-    }
-
-    #[test]
-    fn max_rounds_limits_refinement() {
-        let g = generators::karate_club();
-        let opts = StableOptions {
-            initial: None,
-            max_rounds: Some(1),
-        };
-        let p1 = stable_coloring_with(&g, &opts);
-        // One round distinguishes only by degree.
-        let degrees: std::collections::HashSet<usize> =
-            g.nodes().map(|v| g.out_degree(v)).collect();
-        assert_eq!(p1.num_colors(), degrees.len());
-    }
-
-    #[test]
     fn directed_graph_uses_both_directions() {
         // 0 -> 1, 2 -> 1: nodes 0 and 2 both have out-degree 1 / in-degree 0,
         // and node 1 is distinguished.
@@ -314,7 +252,7 @@ mod tests {
 
     #[test]
     fn agrees_with_rothko_at_zero_error() {
-        // The ε = 0 special case through the shared engine must land on the
+        // The ε = 0 special case must land on the
         // same fixpoint cardinality the q = 0 Rothko run refines towards.
         use crate::rothko::{Rothko, RothkoConfig};
         let g = generators::barabasi_albert(150, 3, 5);

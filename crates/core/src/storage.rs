@@ -249,8 +249,7 @@ impl RowRep {
     /// removed (matching the "explicit zero = absent" read semantics);
     /// afterwards the row is promoted to the dense tier when its nonzero
     /// count reaches `promote_k / 2` (and `promote_k ≥`
-    /// [`PROMOTE_MIN_K`]). Pass `promote_k = 0` to disable promotion —
-    /// the degrees-only engine does, keeping its rows `O(deg(v))`.
+    /// [`PROMOTE_MIN_K`]).
     #[inline]
     pub fn add(&mut self, color: u32, delta: f64, promote_k: usize) -> (f64, f64) {
         let result = match self {
@@ -555,33 +554,6 @@ impl Accum {
                 (old, new)
             }
             Accum::Rows(rows) => rows[v as usize].add(col, delta, promote_k),
-        }
-    }
-
-    /// Move `deltas[i]` of node `nodes[i]`'s weight from column `from` to
-    /// column `to`, on the calling thread.
-    pub(crate) fn shift(
-        &mut self,
-        nodes: &[NodeId],
-        deltas: &[f64],
-        from: u32,
-        to: u32,
-        promote_k: usize,
-    ) {
-        match self {
-            Accum::Dense { plane, ncap, .. } => {
-                let (from, to) = (from as usize * *ncap, to as usize * *ncap);
-                for (&u, &d) in nodes.iter().zip(deltas) {
-                    plane[from + u as usize] -= d;
-                    plane[to + u as usize] += d;
-                }
-            }
-            Accum::Rows(rows) => {
-                for (&u, &d) in nodes.iter().zip(deltas) {
-                    rows[u as usize].add(from, -d, promote_k);
-                    rows[u as usize].add(to, d, promote_k);
-                }
-            }
         }
     }
 

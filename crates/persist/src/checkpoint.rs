@@ -435,9 +435,12 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
     if let Some(e) = eng {
         s.u64(e.k as u64);
         s.flag(e.symmetric);
-        s.flag(e.track_summaries);
+        // Retired engine-mode flags, kept so the bytes stay unchanged:
+        // pair summaries are always tracked (written as 1) and sparse rows
+        // promote exactly when the accumulators are sparse.
+        s.flag(true);
         s.flag(e.sparse_accum);
-        s.flag(e.promote);
+        s.flag(e.sparse_accum);
         s.f64(e.last_beta);
     }
     s.flag(data.reduced.is_some());
@@ -875,26 +878,12 @@ fn decode_rows<S: ColumnSource>(
     })
 }
 
-fn check_matrix(
-    vals_len: usize,
-    expect: Option<usize>,
-    context: &'static str,
-) -> Result<(), PersistError> {
-    let want = expect.unwrap_or(0);
-    if vals_len != want {
-        return Err(PersistError::Corrupt { context });
-    }
-    Ok(())
-}
-
 /// The engine presence scalars: enough to know which blocks must exist
 /// and how long their columns have to be.
 pub(crate) struct EngineScalars {
     pub k: usize,
     pub symmetric: bool,
-    pub track_summaries: bool,
     pub sparse_accum: bool,
-    pub promote: bool,
     pub last_beta: f64,
 }
 
@@ -976,12 +965,23 @@ pub(crate) fn parse_scalars(version: u32, payload: &[u8]) -> Result<ScalarState,
     let done = s.flag()?;
     let k = s.usize()?;
     let engine = if s.flag()? {
+        let k = s.usize()?;
+        let symmetric = s.flag()?;
+        if !s.flag()? {
+            return Err(PersistError::Corrupt {
+                context: "engine summary flag is clear",
+            });
+        }
+        let sparse_accum = s.flag()?;
+        if s.flag()? != sparse_accum {
+            return Err(PersistError::Corrupt {
+                context: "engine promote flag differs from its storage flag",
+            });
+        }
         Some(EngineScalars {
-            k: s.usize()?,
-            symmetric: s.flag()?,
-            track_summaries: s.flag()?,
-            sparse_accum: s.flag()?,
-            promote: s.flag()?,
+            k,
+            symmetric,
+            sparse_accum,
             last_beta: s.f64()?,
         })
     } else {
@@ -1092,9 +1092,7 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
         let EngineScalars {
             k: ek,
             symmetric,
-            track_summaries,
             sparse_accum,
-            promote,
             last_beta,
         } = *es;
         if ek != k {
@@ -1105,11 +1103,6 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
         if symmetric == sc.directed {
             return Err(PersistError::Corrupt {
                 context: "engine symmetry flag disagrees with graph direction",
-            });
-        }
-        if promote != (track_summaries && sparse_accum) {
-            return Err(PersistError::Corrupt {
-                context: "engine promote flag inconsistent with its mode flags",
             });
         }
         // Accumulator planes: whole-axis columns a mapped source can
@@ -1155,31 +1148,30 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
             }
         }
         let square = count_product(k, k)?;
-        let mat_expect = if track_summaries { Some(square) } else { None };
-        let in_mat_expect = if track_summaries && !symmetric {
-            Some(square)
-        } else {
-            None
-        };
-        let out_min = src.f64s(BLK_OUT_MIN, mat_expect.unwrap_or(0))?;
-        let out_max = src.f64s(BLK_OUT_MAX, mat_expect.unwrap_or(0))?;
-        let in_min = src.f64s(BLK_IN_MIN, in_mat_expect.unwrap_or(0))?;
-        let in_max = src.f64s(BLK_IN_MAX, in_mat_expect.unwrap_or(0))?;
+        let in_square = if symmetric { 0 } else { square };
+        let out_min = src.f64s(BLK_OUT_MIN, square)?;
+        let out_max = src.f64s(BLK_OUT_MAX, square)?;
+        let in_min = src.f64s(BLK_IN_MIN, in_square)?;
+        let in_max = src.f64s(BLK_IN_MAX, in_square)?;
         let out_min_arg = src.u32s(BLK_OUT_MIN_ARG)?;
         let out_max_arg = src.u32s(BLK_OUT_MAX_ARG)?;
         let in_min_arg = src.u32s(BLK_IN_MIN_ARG)?;
         let in_max_arg = src.u32s(BLK_IN_MAX_ARG)?;
         let out_nz = src.u32s(BLK_OUT_NZ)?;
         let in_nz = src.u32s(BLK_IN_NZ)?;
-        for (vals, expect) in [
-            (out_min_arg.len(), mat_expect),
-            (out_max_arg.len(), mat_expect),
-            (in_min_arg.len(), in_mat_expect),
-            (in_max_arg.len(), in_mat_expect),
-            (out_nz.len(), mat_expect),
-            (in_nz.len(), in_mat_expect),
+        for (len, expect) in [
+            (out_min_arg.len(), square),
+            (out_max_arg.len(), square),
+            (in_min_arg.len(), in_square),
+            (in_max_arg.len(), in_square),
+            (out_nz.len(), square),
+            (in_nz.len(), in_square),
         ] {
-            check_matrix(vals, expect, "pair-summary matrix length mismatch")?;
+            if len != expect {
+                return Err(PersistError::Corrupt {
+                    context: "pair-summary matrix length mismatch",
+                });
+            }
         }
         for &a in out_min_arg
             .iter()
@@ -1197,9 +1189,7 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
             n,
             k,
             symmetric,
-            track_summaries,
             sparse_accum,
-            promote,
             last_beta,
             dout,
             din,

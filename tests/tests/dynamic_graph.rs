@@ -9,14 +9,13 @@
 //! (`verify_against`), fresh `RothkoRun`s resumed from the same coloring,
 //! and the dense re-emitted reduced instance. Weights are multiples of 0.5
 //! so all sums are exact and equalities are required bit-for-bit, across
-//! dense / sparse (degrees-only) / symmetric engine modes and thread
-//! counts 1 and 4.
+//! dense / sparse / symmetric engine modes and thread counts 1 and 4.
 
 use qsc_core::q_error::IncrementalDegrees;
 use qsc_core::reduced::{quotient_matrix, PatchedReducedGraph, ReducedDelta, ReducedSnapshot};
 use qsc_core::rothko::{NodeChurnBatch, Rothko, RothkoConfig};
 use qsc_core::sweep::ColoringSweep;
-use qsc_core::Partition;
+use qsc_core::{Partition, StorageMode};
 use qsc_graph::delta::EdgeEvent;
 use qsc_graph::{Graph, GraphBuilder, GraphDelta};
 use rand::prelude::*;
@@ -123,7 +122,7 @@ fn engine_churn_matches_scratch_across_modes_and_threads() {
         let mut dense1 = IncrementalDegrees::new_with_threads(&g, &p, 1);
         let mut dense4 = IncrementalDegrees::new_with_threads(&g, &p, 4);
         dense4.set_parallel_thresholds(1, 1);
-        let mut sparse = IncrementalDegrees::new_degrees_only(&g, &p);
+        let mut sparse = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Sparse, 0);
         let mut churner = Churner::new(g, seed ^ 0xc0ffee);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
         let mut current = churner.delta.compact();
@@ -149,12 +148,13 @@ fn engine_churn_matches_scratch_across_modes_and_threads() {
             // freshly built engine on the compacted graph.
             dense1.refresh(&p, 1.0);
             dense4.refresh(&p, 1.0);
+            sparse.refresh(&p, 1.0);
             let mut fresh = IncrementalDegrees::new(&current, &p);
             fresh.refresh(&p, 1.0);
-            assert_eq!(dense1.max_error().to_bits(), fresh.max_error().to_bits());
-            assert_eq!(dense4.max_error().to_bits(), fresh.max_error().to_bits());
-            assert_eq!(dense1.pick_witness(&p, 1.0), fresh.pick_witness(&p, 1.0));
-            assert_eq!(dense4.pick_witness(&p, 1.0), fresh.pick_witness(&p, 1.0));
+            for engine in [&dense1, &dense4, &sparse] {
+                assert_eq!(engine.max_error().to_bits(), fresh.max_error().to_bits());
+                assert_eq!(engine.pick_witness(&p, 1.0), fresh.pick_witness(&p, 1.0));
+            }
         }
     }
 }
@@ -267,13 +267,14 @@ fn reduced_delta_and_patched_emission_survive_churn() {
 }
 
 #[test]
-fn degrees_only_churn_keeps_sparse_rows_exact() {
+fn sparse_engine_churn_keeps_rows_exact() {
     // Sparse-row engines under heavy churn, including full cancellation
-    // (delete then re-insert) — rows must stay exactly synchronized.
+    // (delete then re-insert) — rows and pair summaries must stay exactly
+    // synchronized.
     for (directed, seed) in [(false, 3u64), (true, 17)] {
         let g = random_graph(50, 200, directed, seed);
         let mut p = Partition::unit(50);
-        let mut engine = IncrementalDegrees::new_degrees_only(&g, &p);
+        let mut engine = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Sparse, 0);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut churner = Churner::new(g, seed ^ 0x5eed);
         let mut current = churner.delta.compact();

@@ -11,7 +11,7 @@
 use qsc_core::q_error::IncrementalDegrees;
 use qsc_core::rothko::{Rothko, RothkoConfig};
 use qsc_core::sweep::ColoringSweep;
-use qsc_core::{Partition, ReducedDelta};
+use qsc_core::{Partition, ReducedDelta, StorageMode};
 use qsc_graph::{Graph, GraphBuilder};
 use rand::prelude::*;
 
@@ -311,15 +311,15 @@ fn beta_change_keeps_max_error_valid_without_error_rescans() {
 }
 
 #[test]
-fn degrees_only_sparse_rows_match_dense_summary_engine() {
-    // The degrees-only engine now keeps sparse rows; its accumulator
-    // values must equal the dense summary engine's bit-for-bit across a
-    // refinement, on both directed and undirected graphs.
+fn sparse_rows_match_dense_summary_engine() {
+    // A sparse-storage engine's accumulator values must equal the dense
+    // engine's bit-for-bit across a refinement, on both directed and
+    // undirected graphs.
     for (directed, seed) in [(false, 31u64), (true, 43)] {
         let g = random_graph(70, 300, directed, seed);
         let mut p = Partition::unit(g.num_nodes());
         let mut dense = IncrementalDegrees::new(&g, &p);
-        let mut sparse = IncrementalDegrees::new_degrees_only(&g, &p);
+        let mut sparse = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Sparse, 0);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..30 {
             let k = p.num_colors();

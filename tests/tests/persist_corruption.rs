@@ -963,3 +963,78 @@ fn rle_bomb_in_any_f64_block_fails_typed_before_allocating() {
         }
     }
 }
+
+/// Overwrite one of the engine's retired mode-flag bytes in the scalar
+/// block and re-seal that block's CRCs. `from_end` counts back from the
+/// end of the unpadded scalar blob, whose tail after the summary flag
+/// (storage and promote flags, β, the reduced presence scalars, the WAL
+/// sequence and — in v2 — the edge count) is fixed-size. The original
+/// byte must be `expect`, so a format change fails here instead of
+/// silently patching the wrong field.
+fn with_engine_flag(bytes: &[u8], v2: bool, from_end: usize, expect: u8, value: u8) -> Vec<u8> {
+    const FIRST_BLOCK: usize = 20;
+    let header = if v2 { 28 } else { 24 };
+    let mut b = bytes.to_vec();
+    assert_eq!(u16::from_le_bytes([b[20], b[21]]), 0, "scalar block first");
+    let count = u64::from_le_bytes(b[24..32].try_into().unwrap()) as usize;
+    let at = FIRST_BLOCK + header + count - from_end - if v2 { 8 } else { 0 };
+    assert_eq!(b[at], expect, "engine flag byte at {at}");
+    b[at] = value;
+    let len = u64::from_le_bytes(b[32..40].try_into().unwrap()) as usize;
+    let payload = FIRST_BLOCK + header;
+    let pcrc = qsc_persist::codec::crc32(&b[payload..payload + len]);
+    b[40..44].copy_from_slice(&pcrc.to_le_bytes());
+    if v2 {
+        let hcrc = qsc_persist::codec::crc32(&b[20..44]);
+        b[44..48].copy_from_slice(&hcrc.to_le_bytes());
+    }
+    b
+}
+
+#[test]
+fn retired_engine_mode_flags_fail_typed() {
+    // Engines always track pair summaries, and their rows promote exactly
+    // when storage is sparse. A checkpoint claiming otherwise behind valid
+    // CRCs must fail with its own context instead of restoring an engine
+    // whose first `maintain()` would find no summaries.
+    const SUMMARY_FROM_END: usize = 29;
+    const STORAGE_FROM_END: usize = 28;
+    const PROMOTE_FROM_END: usize = 27;
+    for (bytes, v2) in [
+        (checkpoint_bytes(11), false),
+        (mapped_checkpoint_bytes(11), true),
+    ] {
+        let decoded = decode_checkpoint(&bytes).unwrap();
+        let sparse = u8::from(decoded.run.engine.as_ref().unwrap().sparse_accum);
+        let storage = with_engine_flag(&bytes, v2, STORAGE_FROM_END, sparse, sparse);
+        assert_eq!(
+            storage, bytes,
+            "helper re-seals an unchanged block to the same bytes"
+        );
+        for (from_end, expect, value, context) in [
+            (SUMMARY_FROM_END, 1, 0, "engine summary flag is clear"),
+            (
+                PROMOTE_FROM_END,
+                sparse,
+                1 - sparse,
+                "engine promote flag differs from its storage flag",
+            ),
+        ] {
+            let crafted = with_engine_flag(&bytes, v2, from_end, expect, value);
+            match decode_checkpoint(&crafted) {
+                Err(PersistError::Corrupt { context: got }) => {
+                    assert_eq!(got, context, "v2 = {v2}")
+                }
+                other => panic!("v2 = {v2}: expected {context:?}, got {other:?}"),
+            }
+            if v2 && zero_copy_available() {
+                let (dir, path) = mapped_file_with("engine-flags", &crafted);
+                match MappedStore::open(&path) {
+                    Err(PersistError::Corrupt { context: got }) => assert_eq!(got, context),
+                    other => panic!("mapped: expected {context:?}, got {:?}", other.err()),
+                }
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}

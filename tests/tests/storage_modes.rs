@@ -134,7 +134,10 @@ fn snapshot_bits(s: &EngineSnapshot) -> Vec<Vec<u64>> {
             r.dense.iter().map(|&d| u64::from(d)).collect(),
         ]
     }
-    let flags = [s.symmetric, s.track_summaries, s.sparse_accum, s.promote];
+    // The second and fourth flags stand where the snapshot once recorded
+    // summary tracking (always on) and row promotion (always equal to
+    // sparse storage); hashing their values keeps the pinned digests.
+    let flags = [s.symmetric, true, s.sparse_accum, s.sparse_accum];
     let mut out = vec![
         vec![s.n as u64, s.k as u64, s.last_beta.to_bits()],
         flags.iter().map(|&b| u64::from(b)).collect(),
