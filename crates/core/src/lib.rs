@@ -120,23 +120,27 @@
 //! **Persistence layer.** Everything the pipeline maintains is also
 //! *checkpointable*: [`IncrementalDegrees::snapshot`],
 //! [`RothkoRun::snapshot`], [`ReducedDelta::snapshot`] (and
-//! `qsc_lp::sweep::ReducedLpDelta::snapshot`) capture each layer's exact
-//! logical state — accumulators, pair summaries with their witnesses,
-//! partition member order, pending dirty sets — as plain columnar
-//! structs, and the matching `from_snapshot` constructors rebuild the
-//! layer bit-identically (derived caches restart dirty and are
-//! recomputed; strides and thread pools are reconstructed, neither is
-//! observable). The `qsc-persist` crate turns those snapshots into an
-//! on-disk format: a columnar checkpoint (delta+varint encoded,
-//! CRC-guarded blocks) plus a write-ahead log of the *input* event
-//! batches ([`qsc_graph::delta::EdgeEvent`] / node churn / maintain
-//! calls) appended as they are applied. A warm restart loads the
-//! checkpoint columns straight back into `Graph` / [`Partition`] /
+//! `qsc_lp::sweep::ReducedLpDelta::snapshot`) capture the part of each
+//! layer's logical state that cannot be recomputed — accumulators,
+//! partition member order, reduced sums, pending dirty sets — as plain
+//! columnar structs, and the matching `from_snapshot` constructors
+//! rebuild the layer from them. Everything derivable is rebuilt rather
+//! than stored: the engine's pair summaries are folded from the restored
+//! accumulator rows by the same per-color scan a fresh build runs (values
+//! and nonzero counts bit-identical, extremum attainers the first ones,
+//! which only gate rescans), derived caches restart dirty, and strides
+//! and thread pools are reconstructed; none of it is observable. The
+//! `qsc-persist` crate turns those snapshots into an on-disk format: a
+//! columnar checkpoint (delta+varint encoded, CRC-guarded blocks) plus a
+//! write-ahead log of the *input* event batches
+//! ([`qsc_graph::delta::EdgeEvent`] / node churn / maintain calls)
+//! appended as they are applied. A warm restart loads the checkpoint
+//! columns straight back into `Graph` / [`Partition`] /
 //! [`IncrementalDegrees`] / [`ReducedDelta`] state and replays the WAL
 //! tail through the same public API the writer used — the determinism
-//! contract below is what makes the replayed state bit-identical to the
-//! writer's, so restart skips the full build at the cost of reading a
-//! file.
+//! contract below is what makes the replayed colorings, q-errors and
+//! reduced instances bit-identical to the writer's, so restart skips the
+//! full build at the cost of reading a file.
 //!
 //! **Borrowed columns.** The restore path does not even have to *read*
 //! the file eagerly: every `Graph` column and the engine's persisted

@@ -190,8 +190,8 @@
 //! values, extremum attainers, touched order and witness sequence;
 //! `tests/tests/parallel_engine.rs` pins this across thread counts
 //! {1, 2, 8} and batch sizes {1, 4}, `tests/tests/storage_modes.rs`
-//! compares whole engine snapshots across shard counts and pins their
-//! digest, and the per-split debug cross-check
+//! compares whole engine states (snapshot plus pair summaries) across
+//! shard counts and pins their digest, and the per-split debug cross-check
 //! ([`IncrementalDegrees::verify_against`]) covers every shard count. The
 //! dispatch thresholds ([`IncrementalDegrees::set_parallel_thresholds`])
 //! only trade scheduling, never semantics.
@@ -235,7 +235,7 @@ use crate::kernels;
 use crate::parallel::{chunk_range, default_threads, SyncSliceMut, ThreadPool};
 use crate::partition::{MergeEvent, Partition, SplitEvent};
 use crate::similarity::Similarity;
-use crate::storage::{pad_into, regrow, tight, Accum, ResolvedStorage, StorageMode};
+use crate::storage::{regrow, tight, Accum, ResolvedStorage, StorageMode};
 use qsc_graph::delta::{EdgeEvent, NodeRemap};
 use qsc_graph::{ColumnAdvice, ColumnBuf, Graph, NodeId};
 use std::collections::HashMap;
@@ -1207,42 +1207,6 @@ impl Side {
         pr.extend(idx, new, u, new, u);
     }
 
-    /// Tight snapshot columns over the live `k` colors.
-    fn snapshot(&self, k: usize, cap: usize) -> SideColumns {
-        let (plane, rows) = self.acc.snapshot(k);
-        let pr = &self.pairs;
-        let rows_of = |v: usize| if v == 0 { 0 } else { k };
-        SideColumns {
-            plane,
-            rows,
-            min: tight(&pr.min, rows_of(pr.min.len()), k, cap),
-            max: tight(&pr.max, rows_of(pr.max.len()), k, cap),
-            min_arg: tight(&pr.min_arg, rows_of(pr.min_arg.len()), k, cap),
-            max_arg: tight(&pr.max_arg, rows_of(pr.max_arg.len()), k, cap),
-            nz: tight(&pr.nz, rows_of(pr.nz.len()), k, cap),
-        }
-    }
-
-    /// Copy tight `k × k` snapshot summaries into this side's matrices.
-    #[allow(clippy::too_many_arguments)]
-    fn load(
-        &mut self,
-        k: usize,
-        cap: usize,
-        min: &[f64],
-        max: &[f64],
-        min_arg: &[u32],
-        max_arg: &[u32],
-        nz: &[u32],
-    ) {
-        let pr = &mut self.pairs;
-        pad_into(&mut pr.min, min, k, k, cap);
-        pad_into(&mut pr.max, max, k, k, cap);
-        pad_into(&mut pr.min_arg, min_arg, k, k, cap);
-        pad_into(&mut pr.max_arg, max_arg, k, k, cap);
-        pad_into(&mut pr.nz, nz, k, k, cap);
-    }
-
     /// Heap bytes of every buffer this side owns.
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -1255,18 +1219,6 @@ impl Side {
             + self.combined_slot.capacity() * size_of::<((NodeId, u32), usize)>()
             + self.capture.capacity() * size_of::<(NodeId, f64, f64)>()
     }
-}
-
-/// One side's tight snapshot columns (the per-direction half of an
-/// [`EngineSnapshot`]).
-struct SideColumns {
-    plane: ColumnBuf<f64>,
-    rows: RowsSnapshot,
-    min: Vec<f64>,
-    max: Vec<f64>,
-    min_arg: Vec<u32>,
-    max_arg: Vec<u32>,
-    nz: Vec<u32>,
 }
 
 /// Whether a member's value moving from `old` to `new` loses the entry its
@@ -1330,26 +1282,33 @@ impl RowsSnapshot {
     }
 }
 
-/// The engine's complete *logical* state, captured by
-/// [`IncrementalDegrees::snapshot`] and restored bit-exactly by
+/// The engine state that cannot be recomputed, captured by
+/// [`IncrementalDegrees::snapshot`] and rebuilt into an engine by
 /// [`IncrementalDegrees::from_snapshot`] — the persistence layer's view
 /// of the engine.
 ///
-/// What is **included**: the accumulators (exact `f64` bits, tight
-/// `n × k` for dense engines, columnar tiered rows for sparse ones), the
-/// pair-summary min/max matrices with their extremum witnesses and
-/// nonzero-member counts (tight `k × k`), and the mode flags + `last_beta`.
-/// The nonzero counts are semantic (they drive the dominant rescan-skip
-/// rule), so they are serialized exactly rather than recomputed.
+/// What is **included** is only what cannot be recomputed: the
+/// accumulators (exact `f64` bits, tight `n × k` for dense engines,
+/// columnar tiered rows for sparse ones) and the mode flags +
+/// `last_beta`. The accumulators are state, not a cache: a maintained
+/// float sum can differ in its bits from a fresh one over the same edges.
 ///
-/// What is deliberately **excluded** (derivable, so restoring it would
-/// only bloat checkpoints): the witness-row cache, which a restored
-/// engine marks all-dirty — the next
-/// [`IncrementalDegrees::refresh`] recomputes it from the summary
-/// entries, a pure function, so the recomputed values are bit-identical
-/// to the writer's; every per-event scratch buffer; and the thread pool
-/// (rebuilt from the restore-time thread count — the determinism
-/// contract makes results independent of it).
+/// What is deliberately **excluded** (derivable, so storing it would only
+/// bloat checkpoints and hand the restore an input it would have to
+/// trust):
+/// * the pair summaries — min, max, nonzero counts and extremum
+///   attainers per entry. They are a pure function of the accumulators
+///   and the partition, and the restore folds them from the accumulator
+///   rows with the construction path's own per-color scan. Values and
+///   counts come back bit-identical; attainers come back as first
+///   attainers, which can differ from the writer's maintained ones but
+///   only ever gate rescans, never a value;
+/// * the witness-row cache, which a restored engine marks all-dirty — the
+///   next [`IncrementalDegrees::refresh`] recomputes it from the summary
+///   entries;
+/// * every per-event scratch buffer, and the thread pool (rebuilt from the
+///   restore-time thread count — the determinism contract makes results
+///   independent of it).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineSnapshot {
     /// Node count.
@@ -1377,27 +1336,6 @@ pub struct EngineSnapshot {
     pub rows_out: RowsSnapshot,
     /// Tiered in rows (empty when `!sparse_accum` or `symmetric`).
     pub rows_in: RowsSnapshot,
-    /// Pair-summary matrices, tight `k × k` row-major (the `in_*` halves
-    /// empty when `symmetric`).
-    pub out_min: Vec<f64>,
-    /// See [`Self::out_min`].
-    pub out_max: Vec<f64>,
-    /// See [`Self::out_min`].
-    pub in_min: Vec<f64>,
-    /// See [`Self::out_min`].
-    pub in_max: Vec<f64>,
-    /// Extremum witnesses, tight `k × k` ([`NO_ARG`] = unknown attainer).
-    pub out_min_arg: Vec<u32>,
-    /// See [`Self::out_min_arg`].
-    pub out_max_arg: Vec<u32>,
-    /// See [`Self::out_min_arg`].
-    pub in_min_arg: Vec<u32>,
-    /// See [`Self::out_min_arg`].
-    pub in_max_arg: Vec<u32>,
-    /// Nonzero-member counts, tight `k × k`.
-    pub out_nz: Vec<u32>,
-    /// See [`Self::out_nz`].
-    pub in_nz: Vec<u32>,
 }
 
 /// Per-shard scratch of the data-parallel phases (one per pool slot; a
@@ -1819,29 +1757,26 @@ impl IncrementalDegrees {
         let out = Accum::build(tier, n, cap, k, colors, |v| g.out_arcs(v));
         let in_rows = if symmetric { 0 } else { n };
         let inn = Accum::build(tier, in_rows, cap, k, colors, |v| g.in_arcs(v));
-        let mut engine = Self::assemble(n, k, symmetric, threads, 0.0, [out, inn]);
-        // Pair summaries: scan each color's members once.
-        for s in 0..k {
-            engine.recompute_color_axis(p, s);
-        }
-        engine
+        Self::assemble(p, symmetric, threads, 0.0, [out, inn])
     }
 
-    /// The one constructor: an engine over the given accumulators with
-    /// fresh ("no edges") pair summaries, an all-dirty witness cache and
-    /// empty scratch.
+    /// The one constructor: an engine over the given accumulators for
+    /// partition `p`, its pair summaries folded from the accumulator rows
+    /// one color's members at a time ([`Self::recompute_color_axis`]), an
+    /// all-dirty witness cache and empty scratch. A fresh build and a
+    /// snapshot restore differ only in where the accumulators come from.
     fn assemble(
-        n: usize,
-        k: usize,
+        p: &Partition,
         symmetric: bool,
         threads: usize,
         last_beta: f64,
         [out, inn]: [Accum; 2],
     ) -> Self {
+        let (n, k) = (p.num_nodes(), p.num_colors());
         let cap = k.next_power_of_two().max(4);
         let in_cap = if symmetric { 0 } else { cap };
         let pool = Pool(ThreadPool::new(threads));
-        IncrementalDegrees {
+        let mut engine = IncrementalDegrees {
             n,
             k,
             cap,
@@ -1864,49 +1799,48 @@ impl IncrementalDegrees {
             par_min_scan_work: PAR_MIN_SCAN_WORK,
             dirty_scratch: Vec::new(),
             chunk_out: Vec::new(),
+        };
+        for s in 0..k {
+            engine.recompute_color_axis(p, s);
         }
+        engine
     }
 
     /// Capture the engine's complete logical state for persistence.
     ///
-    /// The snapshot holds *tight* columns — `n × k` accumulators and
-    /// `k × k` summaries with the capacity padding stripped — so the
-    /// on-disk size tracks the live state, not the power-of-two stride.
-    /// [`Self::from_snapshot`] re-pads on load; the stride itself is
-    /// unobservable (it is recomputed from `k` the same way
-    /// construction computes it), so round-tripping through a snapshot
-    /// is bit-exact. See [`EngineSnapshot`] for what is included vs.
-    /// recomputed.
+    /// The snapshot holds *tight* accumulator columns — the capacity
+    /// padding stripped — so the on-disk size tracks the live state, not
+    /// the power-of-two stride. [`Self::from_snapshot`] re-pads on load;
+    /// the stride itself is unobservable (it is recomputed from `k` the
+    /// same way construction computes it). See [`EngineSnapshot`] for
+    /// what is included vs. recomputed.
     #[must_use]
     pub fn snapshot(&self) -> EngineSnapshot {
-        let [out, inn] = [&self.sides[0], &self.sides[1]].map(|s| s.snapshot(self.k, self.cap));
-        let sparse_accum = self.sides[0].acc.tier() == ResolvedStorage::Sparse;
+        let [(dout, rows_out), (din, rows_in)] =
+            [&self.sides[0], &self.sides[1]].map(|s| s.acc.snapshot(self.k));
         EngineSnapshot {
             n: self.n,
             k: self.k,
             symmetric: self.symmetric,
-            sparse_accum,
+            sparse_accum: self.sides[0].acc.tier() == ResolvedStorage::Sparse,
             last_beta: self.last_beta,
-            dout: out.plane,
-            din: inn.plane,
-            rows_out: out.rows,
-            rows_in: inn.rows,
-            out_min: out.min,
-            out_max: out.max,
-            in_min: inn.min,
-            in_max: inn.max,
-            out_min_arg: out.min_arg,
-            out_max_arg: out.max_arg,
-            in_min_arg: inn.min_arg,
-            in_max_arg: inn.max_arg,
-            out_nz: out.nz,
-            in_nz: inn.nz,
+            dout,
+            din,
+            rows_out,
+            rows_in,
         }
     }
 
-    /// Rebuild an engine from a snapshot, bit-identical to the one that
-    /// produced it.
+    /// Rebuild an engine for partition `p` from a snapshot of its
+    /// accumulators.
     ///
+    /// The accumulators are restored bit for bit; the pair summaries are
+    /// then folded from them through the same per-color member scan a
+    /// fresh build runs, so their min/max values and nonzero counts are
+    /// bit-identical to the writer's. Extremum attainers come back as
+    /// *first* attainers, which may differ from the writer's maintained
+    /// ones: they only decide whether a later rescan runs, never a value,
+    /// so colorings, q-error bits, witnesses and merges are unaffected.
     /// The capacity stride, scratch buffers, and thread pool are
     /// reconstructed exactly as the engine constructor would build them;
     /// the witness-row caches start all-dirty and the first refresh
@@ -1914,12 +1848,13 @@ impl IncrementalDegrees {
     /// writer's — results do not depend on it.
     ///
     /// # Panics
-    /// On snapshots whose column lengths are inconsistent with their
-    /// header fields. The persistence layer validates untrusted bytes
-    /// before constructing a snapshot; this is a backstop against
-    /// programmer error, not a parser.
+    /// If `p` does not match the snapshot's dimensions, or on snapshots
+    /// whose column lengths are inconsistent with their header fields.
+    /// The persistence layer validates untrusted bytes before constructing
+    /// a snapshot; this is a backstop against programmer error, not a
+    /// parser.
     #[must_use]
-    pub fn from_snapshot(snap: &EngineSnapshot, threads: usize) -> Self {
+    pub fn from_snapshot(snap: &EngineSnapshot, p: &Partition, threads: usize) -> Self {
         let EngineSnapshot {
             n,
             k,
@@ -1927,6 +1862,11 @@ impl IncrementalDegrees {
             sparse_accum,
             ..
         } = *snap;
+        assert_eq!(
+            (p.num_nodes(), p.num_colors()),
+            (n, k),
+            "partition does not match snapshot"
+        );
         let cap = k.next_power_of_two().max(4);
         let tier = if sparse_accum {
             ResolvedStorage::Sparse
@@ -1936,27 +1876,31 @@ impl IncrementalDegrees {
         let in_rows = if symmetric { 0 } else { n };
         let out = Accum::restore(tier, &snap.dout, &snap.rows_out, n, k, cap, k);
         let inn = Accum::restore(tier, &snap.din, &snap.rows_in, in_rows, k, cap, k);
-        let mut engine = Self::assemble(n, k, symmetric, threads, snap.last_beta, [out, inn]);
-        let s = snap;
-        engine.sides[0].load(
-            k,
-            cap,
-            &s.out_min,
-            &s.out_max,
-            &s.out_min_arg,
-            &s.out_max_arg,
-            &s.out_nz,
-        );
-        engine.sides[1].load(
-            k,
-            cap,
-            &s.in_min,
-            &s.in_max,
-            &s.in_min_arg,
-            &s.in_max_arg,
-            &s.in_nz,
-        );
-        engine
+        Self::assemble(p, symmetric, threads, snap.last_beta, [out, inn])
+    }
+
+    /// Direction `outgoing`'s pair summaries as tight `k × k` row-major
+    /// columns, `(min, max, min attainers, max attainers, nonzero
+    /// counts)`, in storage order: the out side's row `i` holds out-entries
+    /// `(i, ·)` and a directed engine's in side's row `i` holds in-entries
+    /// `(i, ·)`. A symmetric engine keeps no in side, so its in columns
+    /// are empty. A read-only view for audits and tests.
+    #[must_use]
+    #[allow(clippy::type_complexity)]
+    pub fn summary_columns(
+        &self,
+        outgoing: bool,
+    ) -> (Vec<f64>, Vec<f64>, Vec<u32>, Vec<u32>, Vec<u32>) {
+        let pr = &self.sides[usize::from(!outgoing)].pairs;
+        let (k, cap) = (self.k, self.cap);
+        let rows = if pr.nz.is_empty() { 0 } else { k };
+        (
+            tight(&pr.min, rows, k, cap),
+            tight(&pr.max, rows, k, cap),
+            tight(&pr.min_arg, rows, k, cap),
+            tight(&pr.max_arg, rows, k, cap),
+            tight(&pr.nz, rows, k, cap),
+        )
     }
 
     /// The one direction accessor: the index into `sides` of the side

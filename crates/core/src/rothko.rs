@@ -568,7 +568,9 @@ impl<'g> RothkoRun<'g> {
     /// Rebuild a run from a snapshot plus the graph and config it was
     /// captured with, bit-identical in all future behaviour to the run
     /// that produced it (same splits, witnesses, q-error bits, and
-    /// maintenance events — the determinism contract).
+    /// maintenance events — the determinism contract). The engine folds
+    /// its pair summaries from the snapshot's accumulators and partition
+    /// (see [`IncrementalDegrees::from_snapshot`]).
     ///
     /// The graph is taken by value (a restore owns its graph; there is no
     /// borrowed original), so the returned run is `'static`. The engine's
@@ -602,7 +604,7 @@ impl<'g> RothkoRun<'g> {
                 "snapshot engine does not match partition"
             );
             let threads = config.threads.unwrap_or_else(default_threads);
-            let mut engine = IncrementalDegrees::from_snapshot(e, threads);
+            let mut engine = IncrementalDegrees::from_snapshot(e, &snap.partition, threads);
             const RESERVE_BUDGET_LIMIT: usize = 4096;
             if config.max_colors <= RESERVE_BUDGET_LIMIT {
                 engine.reserve_colors(config.max_colors);

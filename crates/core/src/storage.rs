@@ -1047,32 +1047,6 @@ pub(crate) fn tight<T: Copy>(padded: &[T], rows: usize, cols: usize, stride: usi
     out
 }
 
-/// Copy a tight `rows × cols` matrix into the leading block of `dst`
-/// (row stride `stride`). An empty `dst` is an absent matrix, whose tight
-/// column must be empty too.
-///
-/// # Panics
-/// On a column length that does not match.
-pub(crate) fn pad_into<T: Copy>(
-    dst: &mut [T],
-    tight: &[T],
-    rows: usize,
-    cols: usize,
-    stride: usize,
-) {
-    if dst.is_empty() {
-        assert!(
-            tight.is_empty(),
-            "snapshot column for absent matrix is non-empty"
-        );
-        return;
-    }
-    assert_eq!(tight.len(), rows * cols, "snapshot column length mismatch");
-    for r in 0..rows {
-        dst[r * stride..r * stride + cols].copy_from_slice(&tight[r * cols..(r + 1) * cols]);
-    }
-}
-
 /// Regrow a row-major matrix from `rows × old_cap` to `new_rows × new_cap`
 /// columns, filling fresh cells with `fill`. One geometric allocation to
 /// the final footprint (both axes at once — no intermediate copy through

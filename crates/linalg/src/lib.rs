@@ -6,7 +6,6 @@
 //! * [`DenseMatrix`] — row-major dense matrices with matrix/vector products.
 //! * [`Cholesky`] — Cholesky factorization with optional diagonal
 //!   regularization, used by the interior-point normal equations.
-//! * [`Lu`] — LU factorization with partial pivoting.
 //! * [`SparseMatrix`] — CSR sparse matrices for LP constraint storage.
 //! * [`vec_ops`] — small vector helpers (dot, norms, axpy).
 //! * [`lanes`] — the lane-kernel substrate under `vec_ops` (and under
@@ -21,11 +20,9 @@
 pub mod cholesky;
 pub mod dense;
 pub mod lanes;
-pub mod lu;
 pub mod sparse;
 pub mod vec_ops;
 
 pub use cholesky::Cholesky;
 pub use dense::DenseMatrix;
-pub use lu::Lu;
 pub use sparse::SparseMatrix;

@@ -1,7 +1,7 @@
-//! The columnar checkpoint: one file holding the complete engine stack
-//! state — graph CSR, coloring, accumulator rows, pair summaries,
-//! reduced instance, run config and counters — as independently
-//! CRC-guarded, individually encoded column blocks.
+//! The columnar checkpoint: one file holding the engine stack state that
+//! cannot be recomputed — graph CSR, coloring, accumulator rows, reduced
+//! instance, run config and counters — as independently CRC-guarded,
+//! individually encoded column blocks.
 //!
 //! See the crate docs for the full format specification. The writer is
 //! [`write_checkpoint_file`] (atomic: temp file + rename + fsync); the
@@ -35,23 +35,36 @@ use crate::error::PersistError;
 
 /// Checkpoint file magic.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"QSC_CKPT";
-/// Packed checkpoint format version. Readers accept exactly the
-/// versions they know; see the crate docs for the versioning policy.
-pub const CHECKPOINT_VERSION: u32 = 1;
-/// Mapped (raw-layout) checkpoint format version: mappable columns are
-/// pinned to [`ENC_RAW`] and 64-byte-aligned so a reader can serve them
-/// as zero-copy views straight out of a memory map.
-pub const CHECKPOINT_VERSION_MAPPED: u32 = 2;
+/// Packed checkpoint format version the writer emits. Readers also
+/// accept the older versions; see the crate docs for the versioning
+/// policy.
+pub const CHECKPOINT_VERSION: u32 = 3;
+/// Mapped (raw-layout) checkpoint format version the writer emits:
+/// mappable columns are pinned to [`ENC_RAW`] and 64-byte-aligned so a
+/// reader can serve them as zero-copy views straight out of a memory map.
+pub const CHECKPOINT_VERSION_MAPPED: u32 = 4;
+
+/// Whether `version` is a mapped layout: 2, or its successor
+/// [`CHECKPOINT_VERSION_MAPPED`].
+pub(crate) fn is_mapped_version(version: u32) -> bool {
+    version == 2 || version == CHECKPOINT_VERSION_MAPPED
+}
+
+/// Whether `version` predates [`CHECKPOINT_VERSION`]: versions 1 and 2
+/// carry the retired pair-summary blocks and scalar flag bytes.
+fn is_legacy(version: u32) -> bool {
+    version < CHECKPOINT_VERSION
+}
 
 /// On-disk layout a checkpoint is written in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Layout {
-    /// Version-1 packed layout: every column goes through size-first
+    /// Packed layout (version 3): every column goes through size-first
     /// encoding selection (varint / delta / shuffle / raw, whichever is
     /// smallest). Smallest files; restore decodes every column.
     #[default]
     Packed,
-    /// Version-2 mapped layout: the large mappable columns (graph CSR,
+    /// Mapped layout (version 4): the large mappable columns (graph CSR,
     /// partition, accumulator planes, reduced sum) are stored as raw
     /// little-endian values with their payloads 64-byte-aligned in the
     /// file, so [`crate::MappedStore`] can hand out borrowed slices
@@ -60,20 +73,17 @@ pub enum Layout {
 }
 
 /// File header length: magic + version + block count + header CRC.
-pub(crate) const FILE_HEADER: usize = 20;
-/// v1 block header: id, enc, reserved, count, payload_len, pcrc.
-const BLOCK_HEADER_V1: usize = 24;
-/// v2 block header: v1 fields + a CRC over the 24 bytes before it, so a
-/// damaged header (most importantly the `enc` byte, which v1 leaves
-/// unguarded) is caught at open rather than misdirecting a decoder.
-pub(crate) const BLOCK_HEADER_V2: usize = 28;
-/// Alignment every mappable payload starts on in a v2 file — enough for
-/// any scalar column plus full-width SIMD loads.
-pub(crate) const MAP_ALIGN: usize = 64;
-
-/// `u32::MAX` — the "no attainer recorded" witness sentinel mirrored
-/// from the engine.
-const NO_ARG: u32 = u32::MAX;
+const FILE_HEADER: usize = 20;
+/// Packed block header: id, enc, reserved, count, payload_len, pcrc.
+const BLOCK_HEADER_PACKED: usize = 24;
+/// Mapped block header: the packed fields + a CRC over the 24 bytes
+/// before it, so a damaged header (most importantly the `enc` byte, which
+/// the packed header leaves unguarded) is caught at open rather than
+/// misdirecting a decoder.
+const BLOCK_HEADER_MAPPED: usize = 28;
+/// Alignment every mappable payload starts on in a mapped file — enough
+/// for any scalar column plus full-width SIMD loads.
+const MAP_ALIGN: usize = 64;
 
 // Block ids, fixed per format version. New columns get new ids in a new
 // version; ids are never reused with a different meaning.
@@ -93,22 +103,34 @@ pub(crate) const BLK_ROWS_IN_OFFSETS: u16 = 12;
 pub(crate) const BLK_ROWS_IN_COLORS: u16 = 13;
 pub(crate) const BLK_ROWS_IN_WEIGHTS: u16 = 14;
 pub(crate) const BLK_ROWS_IN_DENSE: u16 = 15;
-pub(crate) const BLK_OUT_MIN: u16 = 16;
-pub(crate) const BLK_OUT_MAX: u16 = 17;
-pub(crate) const BLK_IN_MIN: u16 = 18;
-pub(crate) const BLK_IN_MAX: u16 = 19;
-pub(crate) const BLK_OUT_MIN_ARG: u16 = 20;
-pub(crate) const BLK_OUT_MAX_ARG: u16 = 21;
-pub(crate) const BLK_IN_MIN_ARG: u16 = 22;
-pub(crate) const BLK_IN_MAX_ARG: u16 = 23;
-pub(crate) const BLK_OUT_NZ: u16 = 24;
-pub(crate) const BLK_IN_NZ: u16 = 25;
+/// Versions 1 and 2 only: the pair summaries (per side: min, max,
+/// attainer ids, nonzero counts), ids 16 through 25. Restores fold them
+/// from the accumulator rows, so readers check these blocks' header
+/// counts and skip them undecoded.
+const LEGACY_SUMMARY_FIRST: u16 = 16;
+const LEGACY_SUMMARY_LAST: u16 = 25;
+/// The in-direction blocks among the retired summaries (empty on a
+/// symmetric engine).
+const LEGACY_SUMMARY_IN: [u16; 5] = [18, 19, 22, 23, 25];
 pub(crate) const BLK_RED_SUM: u16 = 26;
 pub(crate) const BLK_RED_SIZES: u16 = 27;
 pub(crate) const BLK_RED_DIRTY: u16 = 28;
-/// v2-only padding block: `count == payload_len` zero bytes inserted so
-/// the next (mappable) payload lands on a [`MAP_ALIGN`] boundary.
-pub(crate) const BLK_PAD: u16 = 0xFFFF;
+/// Mapped-layout padding block: `count == payload_len` zero bytes
+/// inserted so the next (mappable) payload lands on a [`MAP_ALIGN`]
+/// boundary.
+const BLK_PAD: u16 = 0xFFFF;
+
+/// The block-id rule: every version knows ids 0–15 and 26–28, versions 1
+/// and 2 also the retired summaries 16–25, and the mapped layouts the
+/// padding id. Any other id under a known version is an error.
+fn known_block(version: u32, id: u16) -> bool {
+    match id {
+        BLK_SCALARS..=BLK_ROWS_IN_DENSE | BLK_RED_SUM..=BLK_RED_DIRTY => true,
+        LEGACY_SUMMARY_FIRST..=LEGACY_SUMMARY_LAST => is_legacy(version),
+        BLK_PAD => is_mapped_version(version),
+        _ => false,
+    }
+}
 
 /// Element width (bytes) of a block pinned to raw encoding and aligned
 /// in the mapped layout, or `None` for blocks that stay packed. The
@@ -285,7 +307,7 @@ struct BlockSink {
 }
 
 impl BlockSink {
-    /// Append one block: header, then payload. v2 headers carry a CRC
+    /// Append one block: header, then payload. Mapped headers carry a CRC
     /// over their own first 24 bytes so a damaged header field (id,
     /// enc, count, length, even the payload CRC itself) is caught at
     /// open instead of misdirecting a decoder.
@@ -299,7 +321,7 @@ impl BlockSink {
             .extend_from_slice(&(payload.len() as u64).to_le_bytes());
         self.out.extend_from_slice(&crc32(payload).to_le_bytes());
         if self.layout == Layout::MappedRaw {
-            let hcrc = crc32(&self.out[start..start + BLOCK_HEADER_V1]);
+            let hcrc = crc32(&self.out[start..start + BLOCK_HEADER_PACKED]);
             self.out.extend_from_slice(&hcrc.to_le_bytes());
         }
         self.out.extend_from_slice(payload);
@@ -311,17 +333,18 @@ impl BlockSink {
     /// layout needs this payload on a [`MAP_ALIGN`] boundary.
     fn push_block(&mut self, id: u16, enc: u8, count: usize, payload: &[u8], natural: usize) {
         if self.layout == Layout::MappedRaw && is_mappable(id) {
-            let payload_at = FILE_HEADER + self.out.len() + BLOCK_HEADER_V2;
+            let payload_at = FILE_HEADER + self.out.len() + BLOCK_HEADER_MAPPED;
             if !payload_at.is_multiple_of(MAP_ALIGN) {
                 // A pad block shifts the next payload by its own header
                 // plus `pad` zero bytes; solve for the shift that lands
                 // the payload on the boundary.
-                let pad = (MAP_ALIGN - ((payload_at + BLOCK_HEADER_V2) % MAP_ALIGN)) % MAP_ALIGN;
+                let pad =
+                    (MAP_ALIGN - ((payload_at + BLOCK_HEADER_MAPPED) % MAP_ALIGN)) % MAP_ALIGN;
                 let zeros = [0u8; MAP_ALIGN];
                 self.emit(BLK_PAD, ENC_RAW, pad, &zeros[..pad], 0);
             }
             debug_assert!(
-                (FILE_HEADER + self.out.len() + BLOCK_HEADER_V2).is_multiple_of(MAP_ALIGN)
+                (FILE_HEADER + self.out.len() + BLOCK_HEADER_MAPPED).is_multiple_of(MAP_ALIGN)
             );
         }
         self.emit(id, enc, count, payload, natural);
@@ -421,9 +444,6 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
     s.opt_u64(c.threads.map(|v| v as u64));
     s.u64(c.batch as u64);
     s.flag(c.coarsen);
-    // Retired relaxed-summation flag: its byte stays so the format is
-    // unchanged, always written as 0.
-    s.flag(false);
     s.u8(storage_tag(c.storage));
     s.u64(data.run.iterations as u64);
     s.u64(data.run.merges as u64);
@@ -435,11 +455,6 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
     if let Some(e) = eng {
         s.u64(e.k as u64);
         s.flag(e.symmetric);
-        // Retired engine-mode flags, kept so the bytes stay unchanged:
-        // pair summaries are always tracked (written as 1) and sparse rows
-        // promote exactly when the accumulators are sparse.
-        s.flag(true);
-        s.flag(e.sparse_accum);
         s.flag(e.sparse_accum);
         s.f64(e.last_beta);
     }
@@ -450,8 +465,8 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
     }
     s.u64(data.wal_seq);
     if layout == Layout::MappedRaw {
-        // v2 appends the edge count so a mapped reader can cross-check
-        // the CSR it serves without re-deriving it eagerly.
+        // The mapped layout appends the edge count so a reader can
+        // cross-check the CSR it serves without re-deriving it eagerly.
         s.u64(g.num_edges() as u64);
     }
 
@@ -511,16 +526,6 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
             sink.f64s(ids[2], &snap.weights);
             sink.bools(ids[3], &snap.dense);
         }
-        sink.f64s(BLK_OUT_MIN, &e.out_min);
-        sink.f64s(BLK_OUT_MAX, &e.out_max);
-        sink.f64s(BLK_IN_MIN, &e.in_min);
-        sink.f64s(BLK_IN_MAX, &e.in_max);
-        sink.u32s(BLK_OUT_MIN_ARG, &e.out_min_arg);
-        sink.u32s(BLK_OUT_MAX_ARG, &e.out_max_arg);
-        sink.u32s(BLK_IN_MIN_ARG, &e.in_min_arg);
-        sink.u32s(BLK_IN_MAX_ARG, &e.in_max_arg);
-        sink.u32s(BLK_OUT_NZ, &e.out_nz);
-        sink.u32s(BLK_IN_NZ, &e.in_nz);
     }
 
     if let Some(r) = &data.reduced {
@@ -550,50 +555,70 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct RawBlock<'a> {
-    enc: u8,
-    count: usize,
-    payload: &'a [u8],
+/// One entry of a checkpoint's block table: a block's header fields and
+/// where its payload sits in the file.
+pub(crate) struct BlockEntry {
+    pub id: u16,
+    /// Payload encoding tag (`codec::ENC_*`).
+    pub enc: u8,
+    /// Logical element count.
+    pub count: usize,
+    /// Payload byte offset from the start of the file.
+    pub offset: usize,
+    /// Payload byte length.
+    pub len: usize,
+    /// CRC over the payload.
+    pub pcrc: u32,
 }
 
-struct BlockMap<'a> {
-    version: u32,
-    blocks: Vec<(u16, RawBlock<'a>)>,
+/// Index of block `id` in a block table.
+pub(crate) fn find_block(blocks: &[BlockEntry], id: u16) -> Result<usize, PersistError> {
+    blocks
+        .iter()
+        .position(|b| b.id == id)
+        .ok_or(PersistError::Corrupt {
+            context: "checkpoint is missing a required block",
+        })
 }
 
-impl<'a> BlockMap<'a> {
-    fn get(&self, id: u16) -> Result<&RawBlock<'a>, PersistError> {
-        self.blocks
-            .iter()
-            .find(|(i, _)| *i == id)
-            .map(|(_, b)| b)
-            .ok_or(PersistError::Corrupt {
-                context: "checkpoint is missing a required block",
-            })
-    }
-}
-
-/// Column access the checkpoint assembler is generic over. The packed
-/// path ([`BlockMap`]) decodes owned vectors from encoded payloads; the
-/// mapped path ([`crate::MappedStore`]) serves raw-pinned columns as
-/// borrowed slices straight out of a memory map. The `*_col` hooks are
-/// where zero-copy plugs in — their defaults fall back to owned
-/// decoding, so a source only overrides the columns it can actually
-/// map.
+/// Column access the checkpoint assembler is generic over: a block table
+/// plus payload bytes. The packed path ([`BlockMap`]) checks every
+/// payload CRC up front; the mapped path ([`crate::MappedStore`]) checks
+/// each on first touch and serves raw-pinned columns as borrowed slices
+/// straight out of a memory map. The `*_col` hooks are where zero-copy
+/// plugs in — their defaults fall back to owned decoding, so a source
+/// only overrides the columns it can actually map.
 pub(crate) trait ColumnSource {
     /// Format version the bytes declared (validated by the source).
     fn version(&self) -> u32;
-    /// The raw scalar blob (block 0), already CRC-checked.
+    /// Block `id`'s table entry.
+    fn entry(&self, id: u16) -> Result<&BlockEntry, PersistError>;
+    /// Block `id`'s payload, CRC-checked.
+    fn payload(&self, id: u16) -> Result<&[u8], PersistError>;
+    /// The raw scalar blob (block 0), CRC-checked.
     fn scalar_payload(&self) -> Result<&[u8], PersistError>;
-    fn u64s(&self, id: u16) -> Result<Vec<u64>, PersistError>;
-    fn u32s(&self, id: u16) -> Result<Vec<u32>, PersistError>;
+    fn u64s(&self, id: u16) -> Result<Vec<u64>, PersistError> {
+        let e = self.entry(id)?;
+        decode_u64s(e.enc, self.payload(id)?, e.count)
+    }
+    fn u32s(&self, id: u16) -> Result<Vec<u32>, PersistError> {
+        let e = self.entry(id)?;
+        decode_u32s(e.enc, self.payload(id)?, e.count)
+    }
     /// An `f64` column that must hold exactly `expect` elements: the count
     /// already-decoded, byte-bounded columns imply. One RLE run token
     /// expands to any length, so a shuffled payload cannot bound its own
     /// header count; a count that disagrees fails typed before the decoder
     /// allocates anything.
-    fn f64s(&self, id: u16, expect: usize) -> Result<Vec<f64>, PersistError>;
-    fn bools(&self, id: u16) -> Result<Vec<bool>, PersistError>;
+    fn f64s(&self, id: u16, expect: usize) -> Result<Vec<f64>, PersistError> {
+        let e = self.entry(id)?;
+        check_f64_count(e.count, expect)?;
+        decode_f64s(e.enc, self.payload(id)?, e.count)
+    }
+    fn bools(&self, id: u16) -> Result<Vec<bool>, PersistError> {
+        let e = self.entry(id)?;
+        decode_bools(e.enc, self.payload(id)?, e.count)
+    }
     fn usizes(&self, id: u16) -> Result<Vec<usize>, PersistError> {
         self.u64s(id)?
             .into_iter()
@@ -633,60 +658,34 @@ fn count_product(a: usize, b: usize) -> Result<usize, PersistError> {
     })
 }
 
+/// A packed decode's view of the file: the block table, every payload
+/// CRC already checked.
+struct BlockMap<'a> {
+    version: u32,
+    bytes: &'a [u8],
+    blocks: Vec<BlockEntry>,
+}
+
 impl ColumnSource for BlockMap<'_> {
     fn version(&self) -> u32 {
         self.version
     }
     fn scalar_payload(&self) -> Result<&[u8], PersistError> {
-        let b = self.get(BLK_SCALARS)?;
-        if b.enc != ENC_RAW || b.count != b.payload.len() {
-            return Err(PersistError::Corrupt {
-                context: "scalar block has a non-raw encoding",
-            });
-        }
-        Ok(b.payload)
+        scalar_blob(self.bytes, &self.blocks)
     }
-    fn u64s(&self, id: u16) -> Result<Vec<u64>, PersistError> {
-        let b = self.get(id)?;
-        decode_u64s(b.enc, b.payload, b.count)
+    fn entry(&self, id: u16) -> Result<&BlockEntry, PersistError> {
+        Ok(&self.blocks[find_block(&self.blocks, id)?])
     }
-    fn u32s(&self, id: u16) -> Result<Vec<u32>, PersistError> {
-        let b = self.get(id)?;
-        decode_u32s(b.enc, b.payload, b.count)
+    fn payload(&self, id: u16) -> Result<&[u8], PersistError> {
+        let e = self.entry(id)?;
+        Ok(&self.bytes[e.offset..e.offset + e.len])
     }
-    fn f64s(&self, id: u16, expect: usize) -> Result<Vec<f64>, PersistError> {
-        let b = self.get(id)?;
-        check_f64_count(b.count, expect)?;
-        decode_f64s(b.enc, b.payload, b.count)
-    }
-    fn bools(&self, id: u16) -> Result<Vec<bool>, PersistError> {
-        let b = self.get(id)?;
-        decode_bools(b.enc, b.payload, b.count)
-    }
-}
-
-/// The file header's block count, capped by how many block headers the
-/// bytes after the file header can hold, so a crafted count fails typed
-/// instead of sizing an allocation. `file_len` must be at least
-/// [`FILE_HEADER`].
-pub(crate) fn bounded_block_count(
-    block_count: u32,
-    file_len: usize,
-    block_header: usize,
-) -> Result<usize, PersistError> {
-    let count = usize::try_from(block_count).unwrap_or(usize::MAX);
-    if count > (file_len - FILE_HEADER) / block_header {
-        return Err(PersistError::Truncated {
-            context: "checkpoint block table",
-        });
-    }
-    Ok(count)
 }
 
 /// The payload of `len` bytes at `pos`, or a typed error when it runs past
 /// the end of `bytes` (`len` comes from the file, so `pos + len` may
 /// overflow).
-pub(crate) fn block_payload(bytes: &[u8], pos: usize, len: usize) -> Result<&[u8], PersistError> {
+fn block_payload(bytes: &[u8], pos: usize, len: usize) -> Result<&[u8], PersistError> {
     pos.checked_add(len)
         .and_then(|end| bytes.get(pos..end))
         .ok_or(PersistError::Truncated {
@@ -694,7 +693,15 @@ pub(crate) fn block_payload(bytes: &[u8], pos: usize, len: usize) -> Result<&[u8
         })
 }
 
-fn parse_blocks(bytes: &[u8]) -> Result<BlockMap<'_>, PersistError> {
+/// Validate the file header and walk the block table, returning the
+/// version and every non-padding block. Both readers go through it, so
+/// they enforce the same rules: headers in bounds (and, in the mapped
+/// layouts, CRC-guarded), only [`known_block`] ids, no id twice, padding
+/// blocks all zeros, mappable payloads raw and aligned, and blocks that
+/// cover the file exactly. Payload CRCs are left to the caller: the
+/// packed decoder checks them all up front, a [`crate::MappedStore`] on
+/// each block's first touch.
+pub(crate) fn block_table(bytes: &[u8]) -> Result<(u32, Vec<BlockEntry>), PersistError> {
     if bytes.len() < FILE_HEADER {
         return Err(PersistError::Truncated {
             context: "checkpoint shorter than its header",
@@ -704,7 +711,7 @@ fn parse_blocks(bytes: &[u8]) -> Result<BlockMap<'_>, PersistError> {
         return Err(PersistError::BadMagic { kind: "checkpoint" });
     }
     let version = crate::le::le_u32(&bytes[8..12])?;
-    if version != CHECKPOINT_VERSION && version != CHECKPOINT_VERSION_MAPPED {
+    if !(1..=CHECKPOINT_VERSION_MAPPED).contains(&version) {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: CHECKPOINT_VERSION_MAPPED,
@@ -717,20 +724,39 @@ fn parse_blocks(bytes: &[u8]) -> Result<BlockMap<'_>, PersistError> {
             context: "checkpoint header",
         });
     }
-    let block_header = if version == CHECKPOINT_VERSION {
-        BLOCK_HEADER_V1
+    let mapped = is_mapped_version(version);
+    let block_header = if mapped {
+        BLOCK_HEADER_MAPPED
     } else {
-        BLOCK_HEADER_V2
+        BLOCK_HEADER_PACKED
     };
-    let block_count = bounded_block_count(block_count, bytes.len(), block_header)?;
+    // Cap the count by how many block headers the bytes can hold, so a
+    // crafted count fails typed instead of sizing an allocation.
+    let block_count = usize::try_from(block_count).unwrap_or(usize::MAX);
+    if block_count > (bytes.len() - FILE_HEADER) / block_header {
+        return Err(PersistError::Truncated {
+            context: "checkpoint block table",
+        });
+    }
     let mut pos = FILE_HEADER;
-    let mut blocks = Vec::with_capacity(block_count);
+    let mut blocks: Vec<BlockEntry> = Vec::with_capacity(block_count);
     for _ in 0..block_count {
         let hdr = bytes
             .get(pos..pos + block_header)
             .ok_or(PersistError::Truncated {
                 context: "checkpoint block header",
             })?;
+        if mapped {
+            // Mapped headers guard themselves: the CRC covers id, enc,
+            // count, length and the payload CRC, so no header flip can
+            // misdirect the decoder (packed headers leave `enc` unguarded).
+            let want = crate::le::le_u32(&hdr[24..28])?;
+            if crc32(&hdr[..BLOCK_HEADER_PACKED]) != want {
+                return Err(PersistError::CrcMismatch {
+                    context: "checkpoint block header",
+                });
+            }
+        }
         let id = crate::le::le_u16(&hdr[0..2])?;
         let enc = hdr[2];
         let count = usize::try_from(crate::le::le_u64(&hdr[4..12])?).map_err(|_| {
@@ -744,75 +770,91 @@ fn parse_blocks(bytes: &[u8]) -> Result<BlockMap<'_>, PersistError> {
             }
         })?;
         let pcrc = crate::le::le_u32(&hdr[20..24])?;
-        if version == CHECKPOINT_VERSION_MAPPED {
-            // v2 headers guard themselves: the CRC covers id, enc,
-            // count, length and the payload CRC, so no header flip can
-            // misdirect the decoder (v1 leaves `enc` unguarded).
-            let want = crate::le::le_u32(&hdr[24..28])?;
-            if crc32(&hdr[..BLOCK_HEADER_V1]) != want {
-                return Err(PersistError::CrcMismatch {
-                    context: "checkpoint block header",
+        pos += block_header;
+        let offset = pos;
+        let payload = block_payload(bytes, pos, len)?;
+        pos += len;
+        if !known_block(version, id) {
+            return Err(PersistError::Corrupt {
+                context: "unknown block id for the checkpoint version",
+            });
+        }
+        if id == BLK_PAD {
+            // Alignment filler: exactly its declared zero bytes (tiny, so
+            // checked eagerly), and never looked up by id.
+            if count != len || payload.iter().any(|&b| b != 0) {
+                return Err(PersistError::Corrupt {
+                    context: "padding block holds nonzero bytes",
+                });
+            }
+            continue;
+        }
+        if let Some(width) = mappable_width(id).filter(|_| mapped) {
+            if enc != ENC_RAW {
+                return Err(PersistError::Corrupt {
+                    context: "mappable block is not raw-encoded in the mapped layout",
+                });
+            }
+            if count.checked_mul(width) != Some(len) {
+                return Err(PersistError::Corrupt {
+                    context: "mappable block length disagrees with its element count",
+                });
+            }
+            if !offset.is_multiple_of(MAP_ALIGN) {
+                return Err(PersistError::Misaligned {
+                    context: "mappable block payload is off its alignment boundary",
                 });
             }
         }
-        pos += block_header;
-        let payload_at = pos;
-        let payload = block_payload(bytes, pos, len)?;
-        pos += len;
-        if crc32(payload) != pcrc {
-            return Err(PersistError::CrcMismatch {
-                context: "checkpoint block payload",
-            });
-        }
-        if version == CHECKPOINT_VERSION_MAPPED {
-            if id == BLK_PAD {
-                // Alignment filler: must be exactly its declared zero
-                // bytes, and never looked up by id.
-                if count != len || payload.iter().any(|&b| b != 0) {
-                    return Err(PersistError::Corrupt {
-                        context: "padding block holds nonzero bytes",
-                    });
-                }
-                continue;
-            }
-            if let Some(width) = mappable_width(id) {
-                if enc != ENC_RAW {
-                    return Err(PersistError::Corrupt {
-                        context: "mappable block is not raw-encoded in the mapped layout",
-                    });
-                }
-                if count.checked_mul(width) != Some(len) {
-                    return Err(PersistError::Corrupt {
-                        context: "mappable block length disagrees with its element count",
-                    });
-                }
-                if !payload_at.is_multiple_of(MAP_ALIGN) {
-                    return Err(PersistError::Misaligned {
-                        context: "mappable block payload is off its alignment boundary",
-                    });
-                }
-            }
-        }
-        if blocks.iter().any(|(i, _)| *i == id) {
+        if blocks.iter().any(|b| b.id == id) {
             return Err(PersistError::Corrupt {
                 context: "duplicate block id in checkpoint",
             });
         }
-        blocks.push((
+        blocks.push(BlockEntry {
             id,
-            RawBlock {
-                enc,
-                count,
-                payload,
-            },
-        ));
+            enc,
+            count,
+            offset,
+            len,
+            pcrc,
+        });
     }
     if pos != bytes.len() {
         return Err(PersistError::Corrupt {
             context: "checkpoint has trailing bytes after the last block",
         });
     }
-    Ok(BlockMap { version, blocks })
+    Ok((version, blocks))
+}
+
+/// The scalar blob (block 0) of a block table: raw-encoded, one element
+/// per byte, CRC-checked.
+pub(crate) fn scalar_blob<'a>(
+    bytes: &'a [u8],
+    blocks: &[BlockEntry],
+) -> Result<&'a [u8], PersistError> {
+    let e = &blocks[find_block(blocks, BLK_SCALARS)?];
+    if e.enc != ENC_RAW || e.count != e.len {
+        return Err(PersistError::Corrupt {
+            context: "scalar block has a non-raw encoding",
+        });
+    }
+    checked_payload(bytes, e)
+}
+
+/// Verify block `e`'s payload CRC, returning the payload.
+pub(crate) fn checked_payload<'a>(
+    bytes: &'a [u8],
+    e: &BlockEntry,
+) -> Result<&'a [u8], PersistError> {
+    let payload = &bytes[e.offset..e.offset + e.len];
+    if crc32(payload) != e.pcrc {
+        return Err(PersistError::CrcMismatch {
+            context: "checkpoint block payload",
+        });
+    }
+    Ok(payload)
 }
 
 fn check_offsets(
@@ -909,14 +951,15 @@ pub(crate) struct ScalarState {
     pub engine: Option<EngineScalars>,
     pub reduced: Option<ReducedScalars>,
     pub wal_seq: u64,
-    /// v2 only: the writer's edge count, cross-checked against the CSR
-    /// during assembly.
+    /// Mapped layouts only: the writer's edge count, cross-checked against
+    /// the CSR during assembly.
     pub num_edges: Option<u64>,
 }
 
 /// Parse the scalar blob for the given (already validated) format
 /// version.
 pub(crate) fn parse_scalars(version: u32, payload: &[u8]) -> Result<ScalarState, PersistError> {
+    let legacy = is_legacy(version);
     let mut s = ScalarReader::new(payload);
     let n = s.usize()?;
     let directed = s.flag()?;
@@ -940,8 +983,10 @@ pub(crate) fn parse_scalars(version: u32, payload: &[u8]) -> Result<ScalarState,
         batch: s.usize()?,
         coarsen: s.flag()?,
         storage: {
-            // Retired relaxed-summation flag: read and ignored.
-            s.flag()?;
+            if legacy {
+                // Retired relaxed-summation flag: read and ignored.
+                s.flag()?;
+            }
             match s.u8()? {
                 0 => StorageMode::Dense,
                 1 => StorageMode::Sparse,
@@ -967,13 +1012,16 @@ pub(crate) fn parse_scalars(version: u32, payload: &[u8]) -> Result<ScalarState,
     let engine = if s.flag()? {
         let k = s.usize()?;
         let symmetric = s.flag()?;
-        if !s.flag()? {
+        // Versions 1 and 2 frame the storage flag with two retired mode
+        // flags: summary tracking (always set) and row promotion (always
+        // equal to the storage flag).
+        if legacy && !s.flag()? {
             return Err(PersistError::Corrupt {
                 context: "engine summary flag is clear",
             });
         }
         let sparse_accum = s.flag()?;
-        if s.flag()? != sparse_accum {
+        if legacy && s.flag()? != sparse_accum {
             return Err(PersistError::Corrupt {
                 context: "engine promote flag differs from its storage flag",
             });
@@ -996,7 +1044,7 @@ pub(crate) fn parse_scalars(version: u32, payload: &[u8]) -> Result<ScalarState,
         None
     };
     let wal_seq = s.u64()?;
-    let num_edges = if version == CHECKPOINT_VERSION_MAPPED {
+    let num_edges = if is_mapped_version(version) {
         Some(s.u64()?)
     } else {
         None
@@ -1147,42 +1195,19 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
                 });
             }
         }
-        let square = count_product(k, k)?;
-        let in_square = if symmetric { 0 } else { square };
-        let out_min = src.f64s(BLK_OUT_MIN, square)?;
-        let out_max = src.f64s(BLK_OUT_MAX, square)?;
-        let in_min = src.f64s(BLK_IN_MIN, in_square)?;
-        let in_max = src.f64s(BLK_IN_MAX, in_square)?;
-        let out_min_arg = src.u32s(BLK_OUT_MIN_ARG)?;
-        let out_max_arg = src.u32s(BLK_OUT_MAX_ARG)?;
-        let in_min_arg = src.u32s(BLK_IN_MIN_ARG)?;
-        let in_max_arg = src.u32s(BLK_IN_MAX_ARG)?;
-        let out_nz = src.u32s(BLK_OUT_NZ)?;
-        let in_nz = src.u32s(BLK_IN_NZ)?;
-        for (len, expect) in [
-            (out_min_arg.len(), square),
-            (out_max_arg.len(), square),
-            (in_min_arg.len(), in_square),
-            (in_max_arg.len(), in_square),
-            (out_nz.len(), square),
-            (in_nz.len(), in_square),
-        ] {
-            if len != expect {
-                return Err(PersistError::Corrupt {
-                    context: "pair-summary matrix length mismatch",
-                });
-            }
-        }
-        for &a in out_min_arg
-            .iter()
-            .chain(&out_max_arg)
-            .chain(&in_min_arg)
-            .chain(&in_max_arg)
-        {
-            if a != NO_ARG && a as usize >= n {
-                return Err(PersistError::Corrupt {
-                    context: "pair-summary witness id out of range",
-                });
+        if is_legacy(src.version()) {
+            // The retired pair-summary blocks: the restore folds the
+            // summaries from the accumulator rows, so these are checked
+            // for shape and skipped, never decoded or trusted.
+            let square = count_product(k, k)?;
+            for id in LEGACY_SUMMARY_FIRST..=LEGACY_SUMMARY_LAST {
+                let in_side = LEGACY_SUMMARY_IN.contains(&id);
+                let expect = if symmetric && in_side { 0 } else { square };
+                if src.entry(id)?.count != expect {
+                    return Err(PersistError::Corrupt {
+                        context: "retired pair-summary block count disagrees with the color count",
+                    });
+                }
             }
         }
         Some(EngineSnapshot {
@@ -1195,16 +1220,6 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
             din,
             rows_out,
             rows_in,
-            out_min,
-            out_max,
-            in_min,
-            in_max,
-            out_min_arg,
-            out_max_arg,
-            in_min_arg,
-            in_max_arg,
-            out_nz,
-            in_nz,
         })
     } else {
         None
@@ -1275,8 +1290,15 @@ pub(crate) fn assemble_checkpoint<S: ColumnSource>(
 /// Decode a checkpoint from bytes (either layout), validating every
 /// structural invariant before touching a panicking constructor.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, PersistError> {
-    let map = parse_blocks(bytes)?;
-    assemble_checkpoint(&map)
+    let (version, blocks) = block_table(bytes)?;
+    for e in &blocks {
+        checked_payload(bytes, e)?;
+    }
+    assemble_checkpoint(&BlockMap {
+        version,
+        bytes,
+        blocks,
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -5,28 +5,29 @@
 //! Two artifacts live in a store directory (see [`store::Store`]):
 //! a **checkpoint** (full columnar snapshot of the stack) and a **WAL**
 //! (the input batches logged since that snapshot). Recovery loads the
-//! checkpoint columns straight into engine state and replays the WAL
-//! tail through the public API.
+//! checkpoint columns straight into engine state, folds the engine's
+//! pair summaries from its accumulator rows, and replays the WAL tail
+//! through the public API.
 //!
-//! # Checkpoint format (`CHECKPOINT`, versions 1 and 2)
+//! # Checkpoint format (`CHECKPOINT`, versions 3 and 4)
 //!
 //! All integers little-endian. The file is a 20-byte header followed by
 //! `block_count` self-describing blocks:
 //!
 //! ```text
 //! header:  magic  b"QSC_CKPT"            8 bytes
-//!          version u32                   4 bytes   (1 = packed, 2 = mapped)
+//!          version u32                   4 bytes   (3 = packed, 4 = mapped)
 //!          block_count u32               4 bytes
 //!          crc32 over the 16 bytes above 4 bytes
 //! block:   id u16 | enc u8 | reserved u8 (= 0)
 //!          count u64                     logical element count
 //!          payload_len u64               encoded payload bytes
 //!          crc32 u32                     over the payload
-//!          crc32 u32                     over the 24 header bytes above (v2 only)
+//!          crc32 u32                     over the 24 header bytes above (mapped only)
 //!          payload                       payload_len bytes
 //! ```
 //!
-//! Block ids are assigned once per version and **never reused**:
+//! Block ids are assigned once and **never reused**:
 //!
 //! | id    | column                                   | element |
 //! |-------|------------------------------------------|---------|
@@ -36,10 +37,15 @@
 //! | 6–7   | engine accumulators: dout / din          | f64     |
 //! | 8–11  | sparse rows out: offsets / colors / weights / dense flags | u64 / u32 / f64 / bool |
 //! | 12–15 | sparse rows in: same four columns        |         |
-//! | 16–19 | summaries: out\_min / out\_max / in\_min / in\_max | f64 |
-//! | 20–23 | witness args for the four summaries      | u32     |
-//! | 24–25 | nonzero counts: out / in                 | u32     |
+//! | 16–25 | retired, versions 1 and 2 only: pair summaries (min / max per side, their attainer ids, nonzero counts) | f64 / u32 |
 //! | 26–28 | reduced instance: sums / sizes / dirty queue | f64 / u64 / u32 |
+//!
+//! The checkpoint holds only state that cannot be recomputed. The pair
+//! summaries are a pure function of the accumulator rows and the
+//! partition, so a restore folds them from the rows with the engine's
+//! construction scan instead of reading them; the accumulator rows and
+//! the reduced sums stay, because a maintained float sum carries bits a
+//! fresh one need not reproduce.
 //!
 //! The scalar blob (block 0) packs dimensions, the full `RothkoConfig`
 //! (minus the non-persistable `initial` partition), run counters, engine
@@ -67,9 +73,9 @@
 //! Floats round-trip through `to_bits`, so `-0.0`, infinities and NaN
 //! payloads survive exactly; restored state is bit-identical.
 //!
-//! # Mapped layout (version 2)
+//! # Mapped layout (version 4)
 //!
-//! Version 2 ([`checkpoint::Layout::MappedRaw`]) holds the same blocks
+//! Version 4 ([`checkpoint::Layout::MappedRaw`]) holds the same blocks
 //! with three changes, so a reader can serve the large columns straight
 //! out of a memory map ([`MappedStore`]):
 //!
@@ -83,13 +89,13 @@
 //!   is a multiple of 64. The writer inserts explicit padding blocks
 //!   (id `0xFFFF`, `count == payload_len` zero bytes) to get there;
 //!   readers verify the zeros and skip them.
-//! * **Guarded headers.** Each v2 block header ends with a CRC over its
-//!   own first 24 bytes, so no single header flip (id, enc, count,
-//!   length, or the payload CRC itself) can misdirect a decoder —
-//!   version 1 leaves the `enc` byte unguarded and relies on the
+//! * **Guarded headers.** Each mapped block header ends with a CRC over
+//!   its own first 24 bytes, so no single header flip (id, enc, count,
+//!   length, or the payload CRC itself) can misdirect a decoder — the
+//!   packed layout leaves the `enc` byte unguarded and relies on the
 //!   payload CRC alone.
 //!
-//! The v2 scalar blob additionally appends the graph's edge count
+//! The mapped scalar blob additionally appends the graph's edge count
 //! (u64) after `wal_seq`, cross-checked against the served CSR during
 //! full assembly. Payload CRCs still guard every block; a
 //! [`MappedStore`] verifies each one **lazily on the block's first
@@ -110,13 +116,22 @@
 //!
 //! # Versioning policy
 //!
-//! Readers accept exactly the versions they know (currently: 1, 2) and
-//! reject anything else with [`PersistError::UnsupportedVersion`] — no
-//! silent best-effort parsing of future formats. Format evolution adds
-//! new block ids / record types under a bumped version number; existing
-//! ids keep their meaning forever and are never reassigned. Unknown
-//! block ids under a known version are an error, not ignorable padding:
-//! version 1 files contain exactly the blocks documented here.
+//! The writer emits only the current versions, 3 (packed) and 4
+//! (mapped). Readers accept exactly the versions they know — 1 through 4
+//! — and reject anything else with [`PersistError::UnsupportedVersion`]:
+//! no silent best-effort parsing of future formats. Format evolution adds
+//! or retires block ids and scalar fields under bumped version numbers;
+//! existing ids keep their meaning forever and are never reassigned.
+//! Versions 1 and 2 are versions 3 and 4 plus the retired summary
+//! blocks 16–25 and three retired scalar flag bytes (a relaxed-summation
+//! flag after `coarsen`, and a summary-tracking and a row-promotion
+//! flag around the engine's storage flag). Readers check that a legacy
+//! file's summary blocks are present with header counts of `k × k` (0
+//! for a symmetric engine's in side) and skip them undecoded, and reject
+//! flag bytes that name a retired engine mode. Unknown block ids under a
+//! known version are an error, not ignorable padding: each version's
+//! files contain exactly the blocks documented here, and both readers
+//! enforce that through one block-table walk.
 //!
 //! # Corruption handling
 //!

@@ -1,5 +1,5 @@
 //! Zero-copy checkpoint access: a [`MappedStore`] memory-maps a
-//! mapped-layout (v2) checkpoint and serves its raw-pinned columns as
+//! mapped-layout (v2 or v4) checkpoint and serves its raw-pinned columns as
 //! borrowed slices, so opening a checkpoint costs O(blocks) header
 //! validation instead of O(bytes) decoding — and a graph bigger than
 //! RAM stays on the page cache, faulted in as it is touched.
@@ -27,37 +27,25 @@ use qsc_core::mmap::{MapError, MappedFile, MappedSlice, Pod};
 use qsc_graph::{ColumnBuf, NodeId, SharedColumn};
 
 use crate::checkpoint::{
-    assemble_checkpoint, block_payload, bounded_block_count, check_f64_count, mappable_width,
-    parse_scalars, CheckpointData, ColumnSource, ScalarState, BLK_PAD, BLK_PART_MEMBERS,
-    BLK_PART_OFFSETS, BLK_RED_SUM, BLK_SCALARS, BLOCK_HEADER_V2, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION_MAPPED, FILE_HEADER, MAP_ALIGN,
+    assemble_checkpoint, block_table, check_f64_count, checked_payload, find_block,
+    is_mapped_version, mappable_width, parse_scalars, scalar_blob, BlockEntry, CheckpointData,
+    ColumnSource, ScalarState, BLK_PART_MEMBERS, BLK_PART_OFFSETS, BLK_RED_SUM,
 };
-use crate::codec::{crc32, decode_bools, decode_f64s, decode_u32s, decode_u64s, ENC_RAW};
 use crate::error::PersistError;
 use crate::store::CHECKPOINT_FILE;
-
-/// One block's location inside the map, plus its lazy-validation state.
-struct BlockEntry {
-    id: u16,
-    enc: u8,
-    count: usize,
-    /// Payload byte offset from the start of the file.
-    offset: usize,
-    /// Payload byte length.
-    len: usize,
-    pcrc: u32,
-    /// Set once the payload CRC has been verified. Two threads racing
-    /// the first touch both validate (benign: same bytes, same answer);
-    /// Acquire/Release orders the flag against the reads it guards.
-    validated: AtomicBool,
-}
 
 /// A checkpoint opened as a memory map: O(blocks) open, lazy per-block
 /// payload validation, zero-copy column views for the mappable set.
 pub struct MappedStore {
     file: Arc<MappedFile>,
+    version: u32,
     scalars: ScalarState,
     blocks: Vec<BlockEntry>,
+    /// Per block, set once its payload CRC has been verified. Two threads
+    /// racing the first touch both validate (benign: same bytes, same
+    /// answer); Acquire/Release orders the flag against the reads it
+    /// guards.
+    validated: Vec<AtomicBool>,
 }
 
 fn map_err(e: MapError, context: &'static str) -> PersistError {
@@ -79,9 +67,10 @@ impl MappedStore {
     }
 
     /// Map `path` and validate its skeleton: file header, every block
-    /// header (v2 headers carry their own CRC), padding-block zeroing,
-    /// mappable alignment, and the scalar blob. Payload CRCs of the
-    /// remaining blocks are deferred to first touch.
+    /// header (mapped headers carry their own CRC), the block-id rule,
+    /// padding-block zeroing, mappable alignment, and the scalar blob —
+    /// the same block-table walk the owned decoder runs. Payload CRCs of
+    /// the remaining blocks are deferred to first touch.
     pub fn open(path: &Path) -> Result<Self, PersistError> {
         if !MappedFile::zero_copy_eligible() {
             // Raw little-endian payloads cannot be reinterpreted in
@@ -92,131 +81,22 @@ impl MappedStore {
             });
         }
         let file = Arc::new(MappedFile::open(path)?);
-        let bytes = file.bytes();
-        if bytes.len() < FILE_HEADER {
-            return Err(PersistError::Truncated {
-                context: "checkpoint shorter than its header",
-            });
-        }
-        if &bytes[0..8] != CHECKPOINT_MAGIC {
-            return Err(PersistError::BadMagic { kind: "checkpoint" });
-        }
-        let version = crate::le::le_u32(&bytes[8..12])?;
-        if version != CHECKPOINT_VERSION_MAPPED {
+        let (version, blocks) = block_table(file.bytes())?;
+        if !is_mapped_version(version) {
             return Err(PersistError::Mismatch {
                 context: "checkpoint is not in the mapped layout",
             });
         }
-        let block_count = crate::le::le_u32(&bytes[12..16])?;
-        let hcrc = crate::le::le_u32(&bytes[16..20])?;
-        if crc32(&bytes[0..16]) != hcrc {
-            return Err(PersistError::CrcMismatch {
-                context: "checkpoint header",
-            });
-        }
-        let block_count = bounded_block_count(block_count, bytes.len(), BLOCK_HEADER_V2)?;
-        let mut pos = FILE_HEADER;
-        let mut blocks: Vec<BlockEntry> = Vec::with_capacity(block_count);
-        for _ in 0..block_count {
-            let hdr = bytes
-                .get(pos..pos + BLOCK_HEADER_V2)
-                .ok_or(PersistError::Truncated {
-                    context: "checkpoint block header",
-                })?;
-            let id = crate::le::le_u16(&hdr[0..2])?;
-            let enc = hdr[2];
-            let count = usize::try_from(crate::le::le_u64(&hdr[4..12])?).map_err(|_| {
-                PersistError::Corrupt {
-                    context: "block element count overflows usize",
-                }
-            })?;
-            let len = usize::try_from(crate::le::le_u64(&hdr[12..20])?).map_err(|_| {
-                PersistError::Corrupt {
-                    context: "block payload length overflows usize",
-                }
-            })?;
-            let pcrc = crate::le::le_u32(&hdr[20..24])?;
-            let want = crate::le::le_u32(&hdr[24..28])?;
-            if crc32(&hdr[..24]) != want {
-                return Err(PersistError::CrcMismatch {
-                    context: "checkpoint block header",
-                });
-            }
-            pos += BLOCK_HEADER_V2;
-            let offset = pos;
-            let payload = block_payload(bytes, pos, len)?;
-            pos += len;
-            if id == BLK_PAD {
-                // Pads are tiny (< MAP_ALIGN bytes): validate eagerly.
-                if count != len || payload.iter().any(|&b| b != 0) {
-                    return Err(PersistError::Corrupt {
-                        context: "padding block holds nonzero bytes",
-                    });
-                }
-                continue;
-            }
-            if let Some(width) = mappable_width(id) {
-                if enc != ENC_RAW {
-                    return Err(PersistError::Corrupt {
-                        context: "mappable block is not raw-encoded in the mapped layout",
-                    });
-                }
-                if count.checked_mul(width) != Some(len) {
-                    return Err(PersistError::Corrupt {
-                        context: "mappable block length disagrees with its element count",
-                    });
-                }
-                if !offset.is_multiple_of(MAP_ALIGN) {
-                    return Err(PersistError::Misaligned {
-                        context: "mappable block payload is off its alignment boundary",
-                    });
-                }
-            }
-            if blocks.iter().any(|b| b.id == id) {
-                return Err(PersistError::Corrupt {
-                    context: "duplicate block id in checkpoint",
-                });
-            }
-            blocks.push(BlockEntry {
-                id,
-                enc,
-                count,
-                offset,
-                len,
-                pcrc,
-                validated: AtomicBool::new(false),
-            });
-        }
-        if pos != bytes.len() {
-            return Err(PersistError::Corrupt {
-                context: "checkpoint has trailing bytes after the last block",
-            });
-        }
         // Scalars are validated and parsed eagerly — every later query
         // needs them, and the blob is tiny.
-        let scalar = blocks
-            .iter()
-            .find(|b| b.id == BLK_SCALARS)
-            .ok_or(PersistError::Corrupt {
-                context: "checkpoint is missing a required block",
-            })?;
-        let payload = &bytes[scalar.offset..scalar.offset + scalar.len];
-        if crc32(payload) != scalar.pcrc {
-            return Err(PersistError::CrcMismatch {
-                context: "checkpoint block payload",
-            });
-        }
-        if scalar.enc != ENC_RAW || scalar.count != scalar.len {
-            return Err(PersistError::Corrupt {
-                context: "scalar block has a non-raw encoding",
-            });
-        }
-        scalar.validated.store(true, Ordering::Release);
-        let scalars = parse_scalars(CHECKPOINT_VERSION_MAPPED, payload)?;
+        let scalars = parse_scalars(version, scalar_blob(file.bytes(), &blocks)?)?;
+        let validated = blocks.iter().map(|_| AtomicBool::new(false)).collect();
         Ok(MappedStore {
             file,
+            version,
             scalars,
             blocks,
+            validated,
         })
     }
 
@@ -243,30 +123,6 @@ impl MappedStore {
     #[must_use]
     pub fn wal_seq(&self) -> u64 {
         self.scalars.wal_seq
-    }
-
-    fn entry(&self, id: u16) -> Result<&BlockEntry, PersistError> {
-        self.blocks
-            .iter()
-            .find(|b| b.id == id)
-            .ok_or(PersistError::Corrupt {
-                context: "checkpoint is missing a required block",
-            })
-    }
-
-    /// The block's payload bytes, CRC-validated on first touch.
-    fn payload(&self, id: u16) -> Result<&[u8], PersistError> {
-        let e = self.entry(id)?;
-        let payload = &self.file.bytes()[e.offset..e.offset + e.len];
-        if !e.validated.load(Ordering::Acquire) {
-            if crc32(payload) != e.pcrc {
-                return Err(PersistError::CrcMismatch {
-                    context: "checkpoint block payload",
-                });
-            }
-            e.validated.store(true, Ordering::Release);
-        }
-        Ok(payload)
     }
 
     /// A zero-copy typed view of a mappable block, CRC-validated on
@@ -372,27 +228,25 @@ impl std::fmt::Debug for MappedStore {
 
 impl ColumnSource for MappedStore {
     fn version(&self) -> u32 {
-        CHECKPOINT_VERSION_MAPPED
+        self.version
     }
     fn scalar_payload(&self) -> Result<&[u8], PersistError> {
-        self.payload(BLK_SCALARS)
+        scalar_blob(self.file.bytes(), &self.blocks)
     }
-    fn u64s(&self, id: u16) -> Result<Vec<u64>, PersistError> {
-        let e = self.entry(id)?;
-        decode_u64s(e.enc, self.payload(id)?, e.count)
+    fn entry(&self, id: u16) -> Result<&BlockEntry, PersistError> {
+        Ok(&self.blocks[find_block(&self.blocks, id)?])
     }
-    fn u32s(&self, id: u16) -> Result<Vec<u32>, PersistError> {
-        let e = self.entry(id)?;
-        decode_u32s(e.enc, self.payload(id)?, e.count)
-    }
-    fn f64s(&self, id: u16, expect: usize) -> Result<Vec<f64>, PersistError> {
-        let e = self.entry(id)?;
-        check_f64_count(e.count, expect)?;
-        decode_f64s(e.enc, self.payload(id)?, e.count)
-    }
-    fn bools(&self, id: u16) -> Result<Vec<bool>, PersistError> {
-        let e = self.entry(id)?;
-        decode_bools(e.enc, self.payload(id)?, e.count)
+    /// The block's payload bytes, CRC-validated on first touch.
+    fn payload(&self, id: u16) -> Result<&[u8], PersistError> {
+        let i = find_block(&self.blocks, id)?;
+        let bytes = self.file.bytes();
+        let e = &self.blocks[i];
+        if self.validated[i].load(Ordering::Acquire) {
+            return Ok(&bytes[e.offset..e.offset + e.len]);
+        }
+        let payload = checked_payload(bytes, e)?;
+        self.validated[i].store(true, Ordering::Release);
+        Ok(payload)
     }
     // The zero-copy hooks: mappable columns come back borrowed from the
     // map, everything else falls through to owned decoding.

@@ -37,8 +37,8 @@ use qsc_core::rothko::{NodeChurnBatch, RothkoRun};
 use qsc_graph::delta::{EdgeEvent, GraphDelta};
 
 use crate::checkpoint::{
-    read_checkpoint_file, write_checkpoint_file_with, CheckpointData, CheckpointStats, Layout,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION_MAPPED,
+    is_mapped_version, read_checkpoint_file, write_checkpoint_file_with, CheckpointData,
+    CheckpointStats, Layout, CHECKPOINT_MAGIC,
 };
 use crate::error::PersistError;
 use crate::mapped::MappedStore;
@@ -210,10 +210,10 @@ impl Store {
     /// thread-count independent; the pool is rebuilt either way).
     ///
     /// The checkpoint's layout is auto-detected from its header:
-    /// mapped-layout (v2) files restore through a [`MappedStore`], so
+    /// mapped-layout (v2, v4) files restore through a [`MappedStore`], so
     /// the graph CSR and accumulator planes come back as borrowed
     /// views over the page cache instead of decoded copies. Packed
-    /// (v1) files — and any platform where zero-copy reinterpretation
+    /// (v1, v3) files — and any platform where zero-copy reinterpretation
     /// is unsound — take the owned decode path. Either way the
     /// recovered state is bit-identical.
     pub fn recover(dir: &Path, threads: Option<usize>) -> Result<Recovered, PersistError> {
@@ -234,8 +234,9 @@ impl Store {
     }
 }
 
-/// Load a checkpoint choosing the read path by its header version:
-/// v2 + a zero-copy-capable platform goes through [`MappedStore`]
+/// Load a checkpoint choosing the read path by its header version: a
+/// mapped layout (v2 or v4) on a zero-copy-capable platform goes through
+/// [`MappedStore`]
 /// (borrowed columns), everything else through the owned decoder.
 fn load_checkpoint_auto(path: &Path) -> Result<CheckpointData, PersistError> {
     use std::io::Read as _;
@@ -251,8 +252,7 @@ fn load_checkpoint_auto(path: &Path) -> Result<CheckpointData, PersistError> {
         }
     };
     let mapped = head.is_some_and(|h| {
-        h[0..8] == *CHECKPOINT_MAGIC
-            && crate::le::le_u32(&h[8..12]).is_ok_and(|v| v == CHECKPOINT_VERSION_MAPPED)
+        h[0..8] == *CHECKPOINT_MAGIC && crate::le::le_u32(&h[8..12]).is_ok_and(is_mapped_version)
     });
     if mapped && qsc_core::mmap::MappedFile::zero_copy_eligible() {
         MappedStore::open(path)?.checkpoint_data()

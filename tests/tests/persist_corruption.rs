@@ -147,7 +147,7 @@ fn checkpoint_header_fields_fail_with_specific_errors() {
         decode_checkpoint(&v),
         Err(PersistError::UnsupportedVersion {
             found: 99,
-            supported: 2
+            supported: 4
         })
     ));
     // Block count (header CRC catches the edit).
@@ -525,7 +525,7 @@ fn semantically_poisoned_wal_records_fail_replay_without_panicking() {
 }
 
 // ---------------------------------------------------------------------
-// Mapped layout (version 2): the raw-pinned format must be exactly as
+// Mapped layout (version 4): the raw-pinned format must be exactly as
 // hostile-byte-proof as the packed one, through both the owned decoder
 // and the zero-copy `MappedStore` reader.
 // ---------------------------------------------------------------------
@@ -542,9 +542,9 @@ fn mapped_checkpoint_bytes(seed: u64) -> Vec<u8> {
     encode_checkpoint_with(&data, Layout::MappedRaw).0
 }
 
-/// A block's position inside a v2 file: (id, header offset, payload
+/// A block's position inside a mapped file: (id, header offset, payload
 /// offset, payload length).
-fn v2_blocks(bytes: &[u8]) -> Vec<(u16, usize, usize, usize)> {
+fn mapped_blocks(bytes: &[u8]) -> Vec<(u16, usize, usize, usize)> {
     const FILE_HEADER: usize = 20;
     const BLOCK_HEADER: usize = 28;
     let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
@@ -560,9 +560,9 @@ fn v2_blocks(bytes: &[u8]) -> Vec<(u16, usize, usize, usize)> {
     out
 }
 
-/// Recompute a v2 block's payload CRC and header CRC after a test
+/// Recompute a mapped block's payload CRC and header CRC after a test
 /// mutated its payload, isolating the structural check under test.
-fn fix_v2_block_crcs(bytes: &mut [u8], header_at: usize) {
+fn fix_mapped_block_crcs(bytes: &mut [u8], header_at: usize) {
     let len =
         u64::from_le_bytes(bytes[header_at + 12..header_at + 20].try_into().unwrap()) as usize;
     let payload_at = header_at + 28;
@@ -632,7 +632,7 @@ fn mapped_store_rejects_truncated_maps_typed() {
     let bytes = mapped_checkpoint_bytes(6);
     // Every header-walk boundary plus a sample of interior cuts: open
     // must fail typed, never panic and never hand out a short column.
-    let mut cuts: Vec<usize> = v2_blocks(&bytes)
+    let mut cuts: Vec<usize> = mapped_blocks(&bytes)
         .iter()
         .flat_map(|&(_, h, p, len)| [h, h + 1, p, p + 1, p + len - 1])
         .collect();
@@ -662,7 +662,7 @@ fn mapped_store_surfaces_payload_damage_on_first_touch() {
         return;
     }
     let bytes = mapped_checkpoint_bytes(8);
-    let blocks = v2_blocks(&bytes);
+    let blocks = mapped_blocks(&bytes);
 
     // Damage the partition members payload (id 5): open succeeds (lazy
     // payload validation), the coloring query that touches it fails.
@@ -710,11 +710,11 @@ fn mapped_store_surfaces_payload_damage_on_first_touch() {
 /// Grow one padding block by `extra` zero bytes (fixing its header and
 /// CRCs) so every later payload shifts by `extra`.
 fn grow_pad(bytes: &[u8], extra: usize) -> Vec<u8> {
-    let blocks = v2_blocks(bytes);
+    let blocks = mapped_blocks(bytes);
     let &(_, header_at, payload_at, len) = blocks
         .iter()
         .find(|b| b.0 == 0xFFFF)
-        .expect("v2 file must contain a padding block");
+        .expect("mapped file must contain a padding block");
     let mut out = Vec::with_capacity(bytes.len() + extra);
     out.extend_from_slice(&bytes[..payload_at + len]);
     out.extend(std::iter::repeat_n(0u8, extra));
@@ -722,7 +722,7 @@ fn grow_pad(bytes: &[u8], extra: usize) -> Vec<u8> {
     let new_len = (len + extra) as u64;
     out[header_at + 4..header_at + 12].copy_from_slice(&new_len.to_le_bytes());
     out[header_at + 12..header_at + 20].copy_from_slice(&new_len.to_le_bytes());
-    fix_v2_block_crcs(&mut out, header_at);
+    fix_mapped_block_crcs(&mut out, header_at);
     out
 }
 
@@ -755,14 +755,14 @@ fn mapped_misaligned_payload_is_rejected() {
 #[test]
 fn mapped_nonzero_padding_is_rejected() {
     let bytes = mapped_checkpoint_bytes(10);
-    let blocks = v2_blocks(&bytes);
+    let blocks = mapped_blocks(&bytes);
     let &(_, header_at, payload_at, len) = blocks
         .iter()
         .find(|b| b.0 == 0xFFFF && b.3 > 0)
-        .expect("v2 file must contain a non-empty padding block");
+        .expect("mapped file must contain a non-empty padding block");
     let mut m = bytes.clone();
     m[payload_at + len - 1] = 1;
-    fix_v2_block_crcs(&mut m, header_at); // CRC-valid, semantically bad
+    fix_mapped_block_crcs(&mut m, header_at); // CRC-valid, semantically bad
     assert!(matches!(
         decode_checkpoint(&m),
         Err(PersistError::Corrupt { .. })
@@ -782,7 +782,7 @@ fn mapped_store_rejects_packed_files_and_vice_versa() {
     if !zero_copy_available() {
         return;
     }
-    // A v1 (packed) file through MappedStore: typed Mismatch, not a
+    // A packed file through MappedStore: typed Mismatch, not a
     // misparse.
     let packed = checkpoint_bytes(12);
     let (dir, path) = mapped_file_with("packed-as-mapped", &packed);
@@ -812,12 +812,13 @@ fn with_block_count(bytes: &[u8], count: u32) -> Vec<u8> {
     b
 }
 
-/// Overwrite the first block's payload length (header at byte 20); v2
-/// headers get their header CRC re-sealed so only the length is wrong.
-fn with_first_payload_len(bytes: &[u8], len: u64, v2: bool) -> Vec<u8> {
+/// Overwrite the first block's payload length (header at byte 20);
+/// mapped headers get their header CRC re-sealed so only the length is
+/// wrong.
+fn with_first_payload_len(bytes: &[u8], len: u64, mapped: bool) -> Vec<u8> {
     let mut b = bytes.to_vec();
     b[32..40].copy_from_slice(&len.to_le_bytes());
-    if v2 {
+    if mapped {
         let crc = qsc_persist::codec::crc32(&b[20..44]);
         b[44..48].copy_from_slice(&crc.to_le_bytes());
     }
@@ -855,18 +856,18 @@ fn crafted_block_count_fails_typed_in_both_layouts() {
 fn crafted_payload_length_fails_typed_in_both_layouts() {
     // A length near u64::MAX would overflow `offset + len`.
     for len in [u64::MAX, u64::MAX - 8] {
-        let v1 = with_first_payload_len(&checkpoint_bytes(9), len, false);
+        let packed = with_first_payload_len(&checkpoint_bytes(9), len, false);
         assert!(matches!(
-            decode_checkpoint(&v1),
+            decode_checkpoint(&packed),
             Err(PersistError::Truncated { .. })
         ));
-        let v2 = with_first_payload_len(&mapped_checkpoint_bytes(9), len, true);
+        let mapped = with_first_payload_len(&mapped_checkpoint_bytes(9), len, true);
         assert!(matches!(
-            decode_checkpoint(&v2),
+            decode_checkpoint(&mapped),
             Err(PersistError::Truncated { .. })
         ));
         if zero_copy_available() {
-            let (dir, path) = mapped_file_with("payload-len", &v2);
+            let (dir, path) = mapped_file_with("payload-len", &mapped);
             assert!(matches!(
                 MappedStore::open(&path),
                 Err(PersistError::Truncated { .. })
@@ -880,11 +881,11 @@ fn crafted_payload_length_fails_typed_in_both_layouts() {
 /// `ENC_SHUFFLE` column claiming `2^34` elements whose eight byte planes
 /// are each one zero run of that length (56 bytes). Zero bytes pad the
 /// payload so its length changes by a multiple of 64, keeping every later
-/// v2 payload on its alignment boundary.
-fn with_f64_bomb(bytes: &[u8], id: u16, v2: bool) -> Vec<u8> {
+/// mapped payload on its alignment boundary.
+fn with_f64_bomb(bytes: &[u8], id: u16, mapped: bool) -> Vec<u8> {
     const FILE_HEADER: usize = 20;
     const COUNT: u64 = 1 << 34;
-    let header = if v2 { 28 } else { 24 };
+    let header = if mapped { 28 } else { 24 };
     let mut bomb = Vec::new();
     for _ in 0..8 {
         qsc_persist::codec::put_varint(&mut bomb, (COUNT << 1) | 1);
@@ -910,7 +911,7 @@ fn with_f64_bomb(bytes: &[u8], id: u16, v2: bool) -> Vec<u8> {
             hdr[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
             let pcrc = qsc_persist::codec::crc32(&payload);
             hdr[20..24].copy_from_slice(&pcrc.to_le_bytes());
-            if v2 {
+            if mapped {
                 let hcrc = qsc_persist::codec::crc32(&hdr[..24]);
                 hdr[24..28].copy_from_slice(&hcrc.to_le_bytes());
             }
@@ -926,30 +927,52 @@ fn with_f64_bomb(bytes: &[u8], id: u16, v2: bool) -> Vec<u8> {
     out
 }
 
+/// A checked-in legacy checkpoint: version 1 (packed) or 2 (mapped),
+/// the versions that still carry the retired pair-summary blocks 16–25
+/// and mode-flag bytes.
+fn legacy_fixture(mapped: bool) -> Vec<u8> {
+    let name = if mapped {
+        "golden_checkpoint_v2_raw.ckpt"
+    } else {
+        "golden_checkpoint_v1.ckpt"
+    };
+    fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("fixtures")
+            .join(name),
+    )
+    .unwrap()
+}
+
 #[test]
 fn rle_bomb_in_any_f64_block_fails_typed_before_allocating() {
     // Every f64 block: graph weights, the dense planes, tiered-row
-    // weights, pair-summary min/max and the reduced sum. The count the
-    // sibling columns imply is known before the payload is decoded, so a
-    // header claiming 2^34 elements (128 GiB of f64) fails typed instead
-    // of aborting on the allocation.
-    const F64_BLOCKS: [u16; 10] = [3, 6, 7, 10, 14, 16, 17, 18, 19, 26];
-    for (bytes, v2) in [
-        (checkpoint_bytes(10), false),
-        (mapped_checkpoint_bytes(10), true),
+    // weights and the reduced sum in current files, and the retired
+    // pair-summary min/max blocks in legacy ones. The count the sibling
+    // columns imply is known before the payload is decoded, so a header
+    // claiming 2^34 elements (128 GiB of f64) fails typed instead of
+    // aborting on the allocation; the retired blocks fail the header-count
+    // check and are never decoded at all.
+    const F64_BLOCKS: [u16; 6] = [3, 6, 7, 10, 14, 26];
+    const LEGACY_F64_BLOCKS: [u16; 4] = [16, 17, 18, 19];
+    for (bytes, mapped, ids) in [
+        (checkpoint_bytes(10), false, &F64_BLOCKS[..]),
+        (mapped_checkpoint_bytes(10), true, &F64_BLOCKS[..]),
+        (legacy_fixture(false), false, &LEGACY_F64_BLOCKS[..]),
+        (legacy_fixture(true), true, &LEGACY_F64_BLOCKS[..]),
     ] {
-        for id in F64_BLOCKS {
-            let crafted = with_f64_bomb(&bytes, id, v2);
+        for &id in ids {
+            let crafted = with_f64_bomb(&bytes, id, mapped);
             assert!(
                 matches!(
                     decode_checkpoint(&crafted),
                     Err(PersistError::Corrupt { .. })
                 ),
-                "block {id} (v2 = {v2})"
+                "block {id} (mapped = {mapped})"
             );
             // The mapped reader's owned-decode fallback serves the same
             // non-mappable blocks.
-            if v2 && zero_copy_available() {
+            if mapped && zero_copy_available() {
                 let (dir, path) = mapped_file_with("f64-bomb", &crafted);
                 match MappedStore::open(&path) {
                     Ok(store) => assert!(
@@ -965,12 +988,12 @@ fn rle_bomb_in_any_f64_block_fails_typed_before_allocating() {
 }
 
 /// Overwrite one of the engine's retired mode-flag bytes in the scalar
-/// block and re-seal that block's CRCs. `from_end` counts back from the
-/// end of the unpadded scalar blob, whose tail after the summary flag
-/// (storage and promote flags, β, the reduced presence scalars, the WAL
-/// sequence and — in v2 — the edge count) is fixed-size. The original
-/// byte must be `expect`, so a format change fails here instead of
-/// silently patching the wrong field.
+/// block of a legacy (v1 or v2) checkpoint and re-seal that block's
+/// CRCs. `from_end` counts back from the end of the unpadded scalar blob,
+/// whose tail after the summary flag (storage and promote flags, β, the
+/// reduced presence scalars, the WAL sequence and — in v2 — the edge
+/// count) is fixed-size. The original byte must be `expect`, so a format
+/// change fails here instead of silently patching the wrong field.
 fn with_engine_flag(bytes: &[u8], v2: bool, from_end: usize, expect: u8, value: u8) -> Vec<u8> {
     const FIRST_BLOCK: usize = 20;
     let header = if v2 { 28 } else { 24 };
@@ -994,16 +1017,14 @@ fn with_engine_flag(bytes: &[u8], v2: bool, from_end: usize, expect: u8, value: 
 #[test]
 fn retired_engine_mode_flags_fail_typed() {
     // Engines always track pair summaries, and their rows promote exactly
-    // when storage is sparse. A checkpoint claiming otherwise behind valid
-    // CRCs must fail with its own context instead of restoring an engine
-    // whose first `maintain()` would find no summaries.
+    // when storage is sparse. Versions 1 and 2 still carry both flags; a
+    // legacy checkpoint claiming otherwise behind valid CRCs must fail
+    // with its own context instead of restoring an engine whose first
+    // `maintain()` would find no summaries.
     const SUMMARY_FROM_END: usize = 29;
     const STORAGE_FROM_END: usize = 28;
     const PROMOTE_FROM_END: usize = 27;
-    for (bytes, v2) in [
-        (checkpoint_bytes(11), false),
-        (mapped_checkpoint_bytes(11), true),
-    ] {
+    for (bytes, v2) in [(legacy_fixture(false), false), (legacy_fixture(true), true)] {
         let decoded = decode_checkpoint(&bytes).unwrap();
         let sparse = u8::from(decoded.run.engine.as_ref().unwrap().sparse_accum);
         let storage = with_engine_flag(&bytes, v2, STORAGE_FROM_END, sparse, sparse);
@@ -1033,6 +1054,62 @@ fn retired_engine_mode_flags_fail_typed() {
                     Err(PersistError::Corrupt { context: got }) => assert_eq!(got, context),
                     other => panic!("mapped: expected {context:?}, got {:?}", other.err()),
                 }
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
+/// Append one CRC-sealed block with `id` (an 8-byte payload) to a
+/// checkpoint of either layout and bump the header's block count.
+fn with_extra_block(bytes: &[u8], id: u16) -> Vec<u8> {
+    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let payload = [0u8; 8];
+    let mut b = bytes.to_vec();
+    let start = b.len();
+    b.extend_from_slice(&id.to_le_bytes());
+    b.extend_from_slice(&[qsc_persist::codec::ENC_RAW, 0]);
+    b.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    b.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    b.extend_from_slice(&qsc_persist::codec::crc32(&payload).to_le_bytes());
+    if version.is_multiple_of(2) {
+        let hcrc = qsc_persist::codec::crc32(&b[start..start + 24]);
+        b.extend_from_slice(&hcrc.to_le_bytes());
+    }
+    b.extend_from_slice(&payload);
+    let count = u32::from_le_bytes(b[12..16].try_into().unwrap()) + 1;
+    with_block_count(&b, count)
+}
+
+#[test]
+fn unknown_block_ids_fail_typed() {
+    // Block ids are fixed per version: a CRC-valid block whose id the
+    // file's version does not define is corruption, in both readers. The
+    // retired summary ids 16–25 are known only to versions 1 and 2, and
+    // the padding id only to the mapped layouts (2 and 4).
+    let cases: [(&str, Vec<u8>, &[u16]); 4] = [
+        ("v1", legacy_fixture(false), &[29, 40, 0xFFFF]),
+        ("v2", legacy_fixture(true), &[29, 40]),
+        ("v3", checkpoint_bytes(13), &[16, 25, 29, 40, 0xFFFF]),
+        ("v4", mapped_checkpoint_bytes(13), &[16, 25, 29, 40]),
+    ];
+    for (version, bytes, ids) in cases {
+        assert!(decode_checkpoint(&bytes).is_ok(), "{version}");
+        for &id in ids {
+            let crafted = with_extra_block(&bytes, id);
+            assert!(
+                matches!(
+                    decode_checkpoint(&crafted),
+                    Err(PersistError::Corrupt { .. })
+                ),
+                "{version}: block id {id}"
+            );
+            if zero_copy_available() {
+                let (dir, path) = mapped_file_with("unknown-id", &crafted);
+                assert!(
+                    matches!(MappedStore::open(&path), Err(PersistError::Corrupt { .. })),
+                    "{version}: mapped block id {id}"
+                );
                 let _ = fs::remove_dir_all(&dir);
             }
         }

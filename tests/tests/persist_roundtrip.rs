@@ -61,7 +61,11 @@ fn random_graph(n: usize, edges: usize, directed: bool, seed: u64) -> Graph {
     b.build()
 }
 
-/// Canonical byte encoding of a stack's full observable state.
+/// Canonical byte encoding of a stack's full observable state: its
+/// checkpoint bytes, then the engine's pair-summary values and nonzero
+/// counts. Checkpoints do not carry the summaries (a restore folds them
+/// from the accumulator rows), and a restore's extremum attainers are
+/// first attainers, so attainers are left out.
 fn state_bytes(run: &RothkoRun<'_>, reduced: Option<&ReducedDelta>) -> Vec<u8> {
     let mut config = run.config().clone();
     config.initial = None; // not persisted; normalize for comparison
@@ -72,7 +76,19 @@ fn state_bytes(run: &RothkoRun<'_>, reduced: Option<&ReducedDelta>) -> Vec<u8> {
         reduced: reduced.map(ReducedDelta::snapshot),
         wal_seq: 0,
     };
-    encode_checkpoint(&data).0
+    let mut bytes = encode_checkpoint(&data).0;
+    if let Some(e) = run.engine() {
+        for outgoing in [true, false] {
+            let (min, max, _, _, nz) = e.summary_columns(outgoing);
+            for x in min.iter().chain(&max) {
+                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            for c in nz {
+                bytes.extend_from_slice(&c.to_le_bytes());
+            }
+        }
+    }
+    bytes
 }
 
 /// Random edge mutations over `delta`, returning the drained events.
@@ -287,7 +303,7 @@ fn restored_stack_is_bit_identical_across_modes_and_threads() {
 
 #[test]
 fn restored_stack_is_bit_identical_from_mapped_checkpoints() {
-    // Same grid as the packed sweep, but the store writes version-2
+    // Same grid as the packed sweep, but the store writes version-4
     // (mapped raw) checkpoints and recovery serves the large columns
     // zero-copy out of the map. Bit-identity must hold regardless.
     for storage in [StorageMode::Dense, StorageMode::Sparse, StorageMode::Auto] {
@@ -325,14 +341,16 @@ fn mapped_vs_owned_equivalence(threads: usize) {
     store.checkpoint(&run, Some(&reduced)).unwrap();
     drop(store);
 
-    // Owned restore: decode the same v2 file eagerly into owned columns.
+    // Owned restore: decode the same mapped file eagerly into owned
+    // columns.
     let path = dir.join(qsc_persist::CHECKPOINT_FILE);
     let bytes = std::fs::read(&path).unwrap();
     let owned = qsc_persist::decode_checkpoint(&bytes).unwrap();
     let mut owned_run = RothkoRun::from_snapshot(owned.graph.clone(), owned.config, &owned.run);
     let mut owned_reduced = ReducedDelta::from_snapshot(owned.reduced.as_ref().unwrap());
 
-    // Mapped restore: recovery auto-detects v2 and borrows the columns.
+    // Mapped restore: recovery auto-detects the mapped layout and
+    // borrows the columns.
     let rec = Store::recover(&dir, None).unwrap();
     let mut rec_run = rec.run;
     let mut rec_reduced = rec.reduced.unwrap();
@@ -702,7 +720,7 @@ proptest! {
         roundtrip_trace(storage, threads, directed, seed, rounds, Layout::Packed);
     }
 
-    /// The same fuzzed schedules against version-2 mapped checkpoints:
+    /// The same fuzzed schedules against version-4 mapped checkpoints:
     /// recovery borrows the large columns from the map instead of
     /// decoding, and must remain byte-identical to the live stack.
     #[test]

@@ -9,15 +9,15 @@
 //! multi-shard apply/rescan/axis paths actually run): colorings, witness
 //! sequences, q-error bits, q-reports and reduced emissions all compared
 //! across every storage mode × thread count combination. Within a storage
-//! mode, whole engine snapshots — extremum attainers included — must
-//! also match across shard counts, and a digest of those snapshots taken
-//! after every operation is pinned to a recorded constant per
-//! (directedness, storage mode), so a change that moves attainers or
-//! nonzero counts in every mode alike still fails. Weights are multiples
-//! of 0.5 so all sums are exact and equalities can be required
-//! bit-for-bit.
+//! mode, whole engine states — snapshot plus live pair summaries,
+//! extremum attainers included — must also match across shard counts,
+//! and a digest of those states taken after every operation is pinned to
+//! a recorded constant per (directedness, storage mode), so a change that
+//! moves attainers or nonzero counts in every mode alike still fails.
+//! Weights are multiples of 0.5 so all sums are exact and equalities can
+//! be required bit-for-bit.
 
-use qsc_core::q_error::{EngineSnapshot, IncrementalDegrees, RowsSnapshot};
+use qsc_core::q_error::{IncrementalDegrees, RowsSnapshot};
 use qsc_core::reduced::quotient_matrix;
 use qsc_core::rothko::{Rothko, RothkoConfig};
 use qsc_core::{Partition, StorageMode};
@@ -118,8 +118,11 @@ fn engine_variants(g: &Graph, p: &Partition) -> Vec<(String, IncrementalDegrees)
     out
 }
 
-/// Every field of an engine snapshot, `f64` values as raw bits.
-fn snapshot_bits(s: &EngineSnapshot) -> Vec<Vec<u64>> {
+/// Every field of an engine's snapshot, `f64` values as raw bits, then
+/// its live pair summaries in the column order snapshots once carried
+/// them: mins and maxes, extremum attainers (only when `attainers`),
+/// nonzero counts.
+fn snapshot_bits(e: &IncrementalDegrees, attainers: bool) -> Vec<Vec<u64>> {
     fn f(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -134,6 +137,7 @@ fn snapshot_bits(s: &EngineSnapshot) -> Vec<Vec<u64>> {
             r.dense.iter().map(|&d| u64::from(d)).collect(),
         ]
     }
+    let s = e.snapshot();
     // The second and fourth flags stand where the snapshot once recorded
     // summary tracking (always on) and row promotion (always equal to
     // sparse storage); hashing their values keeps the pinned digests.
@@ -146,29 +150,28 @@ fn snapshot_bits(s: &EngineSnapshot) -> Vec<Vec<u64>> {
     ];
     out.extend(rows(&s.rows_out));
     out.extend(rows(&s.rows_in));
-    for v in [&s.out_min, &s.out_max, &s.in_min, &s.in_max] {
-        out.push(f(v));
+    let (omin, omax, omin_arg, omax_arg, onz) = e.summary_columns(true);
+    let (imin, imax, imin_arg, imax_arg, inz) = e.summary_columns(false);
+    for v in [omin, omax, imin, imax] {
+        out.push(f(&v));
     }
-    for v in [
-        &s.out_min_arg,
-        &s.out_max_arg,
-        &s.in_min_arg,
-        &s.in_max_arg,
-        &s.out_nz,
-        &s.in_nz,
-    ] {
-        out.push(u(v));
+    if attainers {
+        for v in [omin_arg, omax_arg, imin_arg, imax_arg] {
+            out.push(u(&v));
+        }
     }
+    out.push(u(&onz));
+    out.push(u(&inz));
     out
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold a snapshot into a running FNV-1a digest: every column's length,
-/// then its values, each as 8 little-endian bytes.
-fn fold_digest(mut h: u64, s: &EngineSnapshot) -> u64 {
-    for col in snapshot_bits(s) {
+/// Fold an engine's snapshot and summaries into a running FNV-1a digest:
+/// every column's length, then its values, each as 8 little-endian bytes.
+fn fold_digest(mut h: u64, e: &IncrementalDegrees) -> u64 {
+    for col in snapshot_bits(e, true) {
         for x in std::iter::once(col.len() as u64).chain(col) {
             for b in x.to_le_bytes() {
                 h ^= u64::from(b);
@@ -182,7 +185,7 @@ fn fold_digest(mut h: u64, s: &EngineSnapshot) -> u64 {
 /// Fold every engine's current snapshot into its digest.
 fn fold_all(engines: &[(String, IncrementalDegrees)], digests: &mut [u64]) {
     for ((_, e), h) in engines.iter().zip(digests.iter_mut()) {
-        *h = fold_digest(*h, &e.snapshot());
+        *h = fold_digest(*h, e);
     }
 }
 
@@ -297,8 +300,8 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                     .find(|(n, _)| n.split('/').next() == name.split('/').next())
                     .expect("each mode lists its default engine first");
                 assert_eq!(
-                    snapshot_bits(&e.snapshot()),
-                    snapshot_bits(&reference.snapshot()),
+                    snapshot_bits(e, true),
+                    snapshot_bits(reference, true),
                     "round {round}: snapshot {name} vs {ref_name}"
                 );
             }
@@ -547,19 +550,20 @@ fn assert_dense_matches_sparse(
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&d.dout), bits(&expand(&s.rows_out)), "{step}: dout");
     assert_eq!(bits(&d.din), bits(&expand(&s.rows_in)), "{step}: din");
-    for (a, b) in [
-        (&d.out_min, &s.out_min),
-        (&d.out_max, &s.out_max),
-        (&d.in_min, &s.in_min),
-        (&d.in_max, &s.in_max),
-    ] {
-        assert_eq!(bits(a), bits(b), "{step}: summaries");
+    for outgoing in [true, false] {
+        let (dmin, dmax, _, _, dnz) = dense.summary_columns(outgoing);
+        let (smin, smax, _, _, snz) = sparse.summary_columns(outgoing);
+        assert_eq!(bits(&dmin), bits(&smin), "{step}: summaries");
+        assert_eq!(bits(&dmax), bits(&smax), "{step}: summaries");
+        assert_eq!(dnz, snz, "{step}: nz");
     }
-    assert_eq!((&d.out_nz, &d.in_nz), (&s.out_nz, &s.in_nz), "{step}: nz");
-    let restored = IncrementalDegrees::from_snapshot(&d, 1);
+    // A restore folds its summaries afresh: values and nonzero counts
+    // match, attainers are first attainers and need not.
+    let restored = IncrementalDegrees::from_snapshot(&d, p, 1);
+    assert_eq!(restored.verify_against(g, p), Ok(()), "{step}: restored");
     assert_eq!(
-        snapshot_bits(&restored.snapshot()),
-        snapshot_bits(&d),
+        snapshot_bits(&restored, false),
+        snapshot_bits(dense, false),
         "{step}: snapshot round trip"
     );
 }
