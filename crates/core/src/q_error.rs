@@ -112,13 +112,17 @@
 //!   axes are patched with the split path's rules, the winner's member
 //!   axis is rebuilt, and the last color is relabeled into the freed slot
 //!   (`O(touched + k)` row/column copies). Merge *selection*
-//!   ([`IncrementalDegrees::pick_merge`]) is the dual of the witness rule:
-//!   it picks the pair minimizing the **post-merge q-error bound** — exact
-//!   for the merged member-axis rows (`min`/`max` over a union is the
+//!   ([`IncrementalDegrees::merge_candidates`]) is the dual of the witness
+//!   rule: it ranks pairs by the **post-merge q-error bound** — exact for
+//!   the merged member-axis rows (`min`/`max` over a union is the
 //!   `min`/`max` of the parts) and an upper bound for the folded columns
 //!   (the spread of a sum is at most the sum of the spreads) — so a
 //!   maintained run can coarsen while provably staying within its error
-//!   target.
+//!   target. The scan bounds only the pairs that can pass: a pair whose
+//!   out maxima on a projection column differ by more than the band
+//!   cannot, so colors sorted by that key are paired within a band-wide
+//!   window, and the surviving pairs read contiguous copies of their
+//!   column-side terms. The list equals the exhaustive scan's bit for bit.
 //! * **Node churn** ([`IncrementalDegrees::apply_node_inserts`] /
 //!   [`IncrementalDegrees::apply_node_removals`]). Fresh isolated nodes
 //!   append all-zero rows and extend their color's entries with explicit
@@ -604,9 +608,10 @@ pub struct WitnessCandidate {
     pub error: f64,
 }
 
-/// A coarsening candidate produced by [`IncrementalDegrees::pick_merge`]:
-/// the color pair whose merge has the smallest provable post-merge q-error
-/// bound (the dual of the split-witness rule).
+/// A coarsening candidate produced by
+/// [`IncrementalDegrees::merge_candidates`] or [`pick_merge_scratch`]: a
+/// color pair and its provable post-merge q-error bound (the dual of the
+/// split-witness rule).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MergeCandidate {
     /// The surviving color (always the smaller id).
@@ -619,15 +624,129 @@ pub struct MergeCandidate {
     pub bound: f64,
 }
 
-/// Read-only min/max access shared by the incremental and from-scratch
-/// merge-bound computations, so both evaluate the identical operation
-/// sequence (the engine/scratch pick-equivalence contract, as with witness
-/// selection).
+/// Deterministic work counters of an [`IncrementalDegrees`] engine. Each
+/// count is a pure function of the engine's inputs, so it is equal for
+/// every thread count and storage mode; a restored or freshly built
+/// engine starts from zero.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Eligible color pairs offered to
+    /// [`IncrementalDegrees::merge_candidates`]: the pair bounds an
+    /// exhaustive scan would evaluate.
+    pub merge_pairs_eligible: u64,
+    /// Pair bounds `merge_candidates` evaluated: the eligible pairs that
+    /// survived its projection pruning.
+    pub merge_pair_bounds: u64,
+}
+
+/// Read-only access to one set of pair summaries — the engine's live
+/// matrices or from-scratch [`DegreeMatrices`] — shared by every
+/// merge-bound evaluation, so the engine scan, the per-candidate re-check
+/// and the from-scratch pick run the one [`merge_bound`] operation
+/// sequence (the engine/scratch pick-equivalence contract, as with
+/// witness selection).
 trait PairMinMax {
+    /// Number of colors.
+    fn k(&self) -> usize;
     /// `(min, max)` of out-entry `(i, j)`.
     fn out_mm(&self, i: usize, j: usize) -> (f64, f64);
     /// `(min, max)` of in-entry `(i, j)`.
     fn in_mm(&self, i: usize, j: usize) -> (f64, f64);
+    /// Out-entries `(a, 0..k)`: row `a` of the min and max matrices.
+    fn out_row(&self, a: usize) -> (&[f64], &[f64]);
+    /// In-entries `(a, 0..k)`; empty on a [mirrored](Self::mirrored) view.
+    fn in_row(&self, a: usize) -> (&[f64], &[f64]);
+    /// Whether every in-entry `(i, j)` is out-entry `(j, i)` bit for bit
+    /// (a symmetric engine), so [`merge_bound`]'s in-direction terms
+    /// repeat its out-direction ones and are skipped.
+    fn mirrored(&self) -> bool;
+}
+
+/// Contiguous copies of some colors' column-side merge-bound operands —
+/// the terms of entries `(·, a)`, which the summary matrices hold a full
+/// stride apart — so a pair's bound reads only contiguous `k`-vectors.
+/// Per color, one block of `k` out-column spreads `max − min`, then on a
+/// non-mirrored view `k` in-column minima and `k` maxima. A spread is
+/// computed with the very subtraction the bound would apply, so reading
+/// it here changes where a value comes from, never its bits.
+#[derive(Clone, Debug, Default)]
+struct MergePanel {
+    /// Block index of each filled color, indexed by color.
+    slot: Vec<u32>,
+    terms: Vec<f64>,
+    /// Floats per block.
+    stride: usize,
+}
+
+impl MergePanel {
+    /// Copy the column-side operands of `colors` (distinct ids below
+    /// `view.k()`), in column blocks of `LANES` so each color's block is
+    /// written a cache line at a time.
+    fn fill<V: PairMinMax>(&mut self, view: &V, colors: &[u32]) {
+        let k = view.k();
+        let mirrored = view.mirrored();
+        let stride = if mirrored { k } else { 3 * k };
+        self.stride = stride;
+        self.slot.resize(self.slot.len().max(k), 0);
+        self.terms.resize(colors.len() * stride, 0.0);
+        for (s, &a) in colors.iter().enumerate() {
+            self.slot[a as usize] = s as u32;
+        }
+        for j0 in (0..k).step_by(kernels::LANES) {
+            let hi = (j0 + kernels::LANES).min(k);
+            for (block, &a) in self.terms.chunks_exact_mut(stride).zip(colors) {
+                for j in j0..hi {
+                    let (min, max) = view.out_mm(j, a as usize);
+                    block[j] = max - min;
+                    if !mirrored {
+                        (block[k + j], block[2 * k + j]) = view.in_mm(j, a as usize);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Color `a`'s operands: its summary rows and its panel block.
+    fn operands<'a, V: PairMinMax>(&'a self, view: &'a V, a: usize) -> Operands<'a> {
+        let k = view.k();
+        let block = &self.terms[self.slot[a] as usize * self.stride..][..self.stride];
+        let (col_spread, in_cols) = block.split_at(k);
+        let (in_col_min, in_col_max) = in_cols.split_at(in_cols.len() / 2);
+        let (out_min, out_max) = view.out_row(a);
+        let (in_min, in_max) = view.in_row(a);
+        Operands {
+            out_min,
+            out_max,
+            col_spread,
+            in_min,
+            in_max,
+            in_col_min,
+            in_col_max,
+        }
+    }
+}
+
+/// One color `a`'s column-sweep operands for [`merge_bound`], each a
+/// `k`-vector indexed by the other color `j`; the `in_*` vectors are
+/// empty on a mirrored view.
+struct Operands<'a> {
+    /// Out-entries `(a, j)`.
+    out_min: &'a [f64],
+    out_max: &'a [f64],
+    /// Spreads of out-entries `(j, a)`.
+    col_spread: &'a [f64],
+    /// In-entries `(a, j)`.
+    in_min: &'a [f64],
+    in_max: &'a [f64],
+    /// In-entries `(j, a)`.
+    in_col_min: &'a [f64],
+    in_col_max: &'a [f64],
+}
+
+/// Lanes `j0..hi` of a `k`-vector.
+#[inline]
+fn lanes(v: &[f64], j0: usize, hi: usize) -> &[f64] {
+    &v[j0..hi]
 }
 
 /// Upper bound on the maximum q-error after merging colors `a` and `b`
@@ -639,12 +758,21 @@ trait PairMinMax {
 ///   bound `spread(x + y) <= spread(x) + spread(y)`;
 /// * the merged self entry combines both rules.
 ///
-/// Returns `f64::INFINITY` as soon as the running bound exceeds `cap`
-/// (the early exit never changes which pairs pass a `<= cap` test or the
-/// bound reported for passing pairs, so selections stay deterministic) —
-/// this is what keeps the coarsening scans cheap: for most pairs the very
+/// Self entries read through `view`; the column sweep reads each color's
+/// [`Operands`], so `panel` must hold `a` and `b`. Returns
+/// `f64::INFINITY` as soon as the running bound exceeds `cap` (the early
+/// exit never changes which pairs pass a `<= cap` test or the bound
+/// reported for passing pairs, so selections stay deterministic) — this
+/// is what keeps the coarsening scans cheap: for most pairs the very
 /// first columns already blow the budget.
-fn merge_bound<V: PairMinMax>(view: &V, k: usize, a: usize, b: usize, cap: f64) -> f64 {
+///
+/// On a [mirrored](PairMinMax::mirrored) view each in-direction term
+/// equals an out-direction term of the same column bit for bit, so
+/// skipping them leaves every max-fold, and the result, unchanged.
+fn merge_bound<V: PairMinMax>(view: &V, panel: &MergePanel, a: usize, b: usize, cap: f64) -> f64 {
+    const L: usize = kernels::LANES;
+    const { assert!(L.is_power_of_two()) };
+    let mirrored = view.mirrored();
     let mut bound = 0.0f64;
     // Merged self entry (ab, ab), out: `w(v, P_a) + w(v, P_b)` over the
     // union — per-column union extrema, then the interval sum.
@@ -653,83 +781,75 @@ fn merge_bound<V: PairMinMax>(view: &V, k: usize, a: usize, b: usize, cap: f64) 
     let (abm, abx) = view.out_mm(a, b);
     let (bbm, bbx) = view.out_mm(b, b);
     bound = bound.max((aax.max(bax) + abx.max(bbx)) - (aam.min(bam) + abm.min(bbm)));
-    // And the in-direction self entry.
-    let (iaam, iaax) = view.in_mm(a, a);
-    let (iabm, iabx) = view.in_mm(a, b);
-    let (ibam, ibax) = view.in_mm(b, a);
-    let (ibbm, ibbx) = view.in_mm(b, b);
-    bound = bound.max((iaax.max(iabx) + ibax.max(ibbx)) - (iaam.min(iabm) + ibam.min(ibbm)));
+    if !mirrored {
+        // And the in-direction self entry.
+        let (iaam, iaax) = view.in_mm(a, a);
+        let (iabm, iabx) = view.in_mm(a, b);
+        let (ibam, ibax) = view.in_mm(b, a);
+        let (ibbm, ibbx) = view.in_mm(b, b);
+        bound = bound.max((iaax.max(iabx) + ibax.max(ibbx)) - (iaam.min(iabm) + ibam.min(ibbm)));
+    }
     if bound > cap {
         return f64::INFINITY;
     }
     // Column sweep in blocks of `LANES`: the early exit coarsens to block
     // granularity, which never changes the result (the max-fold only
     // grows, and INFINITY is returned iff the final bound exceeds `cap`),
-    // and the branch-free block body lets the per-column loads pipeline
-    // and vectorize. The `j ∈ {a, b}` columns are masked to `0.0` instead
-    // of skipped — every unmasked contribution is nonnegative (spreads and
-    // sums of spreads of nonempty member sets), so `0.0` is the identity
-    // under the max-fold.
+    // and the branch-free block body and the pairwise block max let the
+    // per-column loads pipeline. The `j ∈ {a, b}` columns are masked to
+    // `0.0` instead of skipped — every unmasked contribution is
+    // nonnegative (spreads and sums of spreads of nonempty member sets),
+    // so `0.0` is the identity under the max-fold, which is exact in any
+    // order.
+    let (x, y) = (panel.operands(view, a), panel.operands(view, b));
+    let k = view.k();
+    let pick = |p: f64, q: f64| if q > p { q } else { p };
     let mut j0 = 0;
     while j0 < k {
-        let hi = (j0 + kernels::LANES).min(k);
-        let mut block_max = 0.0f64;
-        for j in j0..hi {
+        let hi = (j0 + L).min(k);
+        let mut cs = [0.0f64; L];
+        let block = |v| lanes(v, j0, hi);
+        let (xmn, xmx, xsp) = (block(x.out_min), block(x.out_max), block(x.col_spread));
+        let (ymn, ymx, ysp) = (block(y.out_min), block(y.out_max), block(y.col_spread));
+        for (i, cell) in cs[..hi - j0].iter_mut().enumerate() {
             // Merged row (ab, j): union member axis — exact.
-            let (amn, amx) = view.out_mm(a, j);
-            let (bmn, bmx) = view.out_mm(b, j);
-            let mut c = amx.max(bmx) - amn.min(bmn);
+            let c = xmx[i].max(ymx[i]) - xmn[i].min(ymn[i]);
             // Folded column (j, ab): per-member sums — sum of spreads.
-            let (jam, jax) = view.out_mm(j, a);
-            let (jbm, jbx) = view.out_mm(j, b);
-            c = c.max((jax - jam) + (jbx - jbm));
-            // In-direction: (j, ab) ranges over the union member axis — exact.
-            let (iam, iax) = view.in_mm(j, a);
-            let (ibm, ibx) = view.in_mm(j, b);
-            c = c.max(iax.max(ibx) - iam.min(ibm));
-            // In-direction folded source (ab, j): sums over P_j's members.
-            let (ajm, ajx) = view.in_mm(a, j);
-            let (bjm, bjx) = view.in_mm(b, j);
-            c = c.max((ajx - ajm) + (bjx - bjm));
-            let masked = if j == a || j == b { 0.0 } else { c };
-            block_max = if masked > block_max {
-                masked
-            } else {
-                block_max
-            };
+            *cell = c.max(xsp[i] + ysp[i]);
         }
-        bound = bound.max(block_max);
+        if !mirrored {
+            let (xim, xix) = (block(x.in_col_min), block(x.in_col_max));
+            let (yim, yix) = (block(y.in_col_min), block(y.in_col_max));
+            let (xrm, xrx) = (block(x.in_min), block(x.in_max));
+            let (yrm, yrx) = (block(y.in_min), block(y.in_max));
+            for (i, cell) in cs[..hi - j0].iter_mut().enumerate() {
+                // In-direction: (j, ab) ranges over the union member
+                // axis — exact.
+                let c = cell.max(xix[i].max(yix[i]) - xim[i].min(yim[i]));
+                // In-direction folded source (ab, j): sums over P_j's
+                // members.
+                *cell = c.max((xrx[i] - xrm[i]) + (yrx[i] - yrm[i]));
+            }
+        }
+        for j in [a, b] {
+            if (j0..hi).contains(&j) {
+                cs[j - j0] = 0.0;
+            }
+        }
+        let mut width = L;
+        while width > 1 {
+            width /= 2;
+            for i in 0..width {
+                cs[i] = pick(cs[i], cs[i + width]);
+            }
+        }
+        bound = bound.max(cs[0]);
         if bound > cap {
             return f64::INFINITY;
         }
         j0 = hi;
     }
     bound
-}
-
-/// Scan all color pairs for the merge with the smallest post-merge bound
-/// that stays at or below `max_bound`. Ascending `(a, b)` iteration with a
-/// strict improvement test keeps the lexicographically smallest pair on
-/// ties — the deterministic dual of the witness tie-break. The running
-/// best tightens the per-pair evaluation cap (branch-and-bound; ties at
-/// the cap still evaluate fully, so the selection equals the exhaustive
-/// scan's).
-fn pick_merge_view<V: PairMinMax>(view: &V, k: usize, max_bound: f64) -> Option<MergeCandidate> {
-    let mut best: Option<MergeCandidate> = None;
-    for a in 0..k {
-        for b in (a + 1)..k {
-            let cap = best.as_ref().map_or(max_bound, |c| c.bound.min(max_bound));
-            let bound = merge_bound(view, k, a, b, cap);
-            if bound <= max_bound && best.as_ref().is_none_or(|c| bound < c.bound) {
-                best = Some(MergeCandidate {
-                    winner: a as u32,
-                    loser: b as u32,
-                    bound,
-                });
-            }
-        }
-    }
-    best
 }
 
 /// Per-row best witness candidate cached by the engine (weighted by the
@@ -879,6 +999,9 @@ pub struct IncrementalDegrees {
     /// Per-chunk `(nodes, chunk-local deltas)` lists of the chunked
     /// touched collection.
     chunk_out: Vec<(Vec<NodeId>, Vec<f64>)>,
+    /// The coarsening candidate scan's scratch.
+    merge_scan: MergeScan,
+    counters: Counters,
 }
 
 /// The engine's fork-join pool. A clone gets a pool of its own with the
@@ -971,6 +1094,69 @@ impl WitnessRows {
             + self.best.capacity() * std::mem::size_of::<Option<RowBest>>()
             + self.err_dirty.capacity()
             + self.best_dirty.capacity()
+    }
+}
+
+/// Scratch of the merge-bound evaluations ([`IncrementalDegrees::merge_candidates`]
+/// and [`IncrementalDegrees::merge_bound_pair`]), owned by the engine and
+/// reused across calls so they allocate only their result.
+#[derive(Clone, Debug, Default)]
+struct MergeScan {
+    /// The eligible colors, ascending.
+    eligible: Vec<u32>,
+    /// Per-column `(sum, sum of squares)` of the eligible colors' out
+    /// maxima, from which the projection columns are picked.
+    moments: Vec<(f64, f64)>,
+    /// Sweep keys `(out max at j₁, out max at j₂, color)` of the eligible
+    /// colors other than `j₁` itself, sorted by the first key.
+    keys: Vec<(f64, f64, u32)>,
+    panel: MergePanel,
+}
+
+impl MergeScan {
+    /// The two projection columns: the columns where the eligible colors'
+    /// out maxima have the largest variance (the first on ties). Any pick
+    /// keeps the scan exact; this one tends to spread the keys widest.
+    /// Requires `k >= 2`.
+    fn projection_columns(&mut self, view: &SummaryView) -> (usize, usize) {
+        let k = view.k;
+        self.moments.clear();
+        self.moments.resize(k, (0.0, 0.0));
+        for &a in &self.eligible {
+            for (m, &x) in self.moments.iter_mut().zip(view.out_row(a as usize).1) {
+                m.0 += x;
+                m.1 += x * x;
+            }
+        }
+        let n = self.eligible.len() as f64;
+        let variance = |j: usize| {
+            let (sum, squares) = self.moments[j];
+            let mean = sum / n;
+            squares / n - mean * mean
+        };
+        let widest = |skip: usize| {
+            (0..k)
+                .filter(|&j| j != skip)
+                .reduce(|best, j| {
+                    if variance(j) > variance(best) {
+                        j
+                    } else {
+                        best
+                    }
+                })
+                .expect("k >= 2")
+        };
+        let j1 = widest(usize::MAX);
+        (j1, widest(j1))
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.eligible.capacity() * 4
+            + self.moments.capacity() * size_of::<(f64, f64)>()
+            + self.keys.capacity() * size_of::<(f64, f64, u32)>()
+            + self.panel.slot.capacity() * 4
+            + self.panel.terms.capacity() * 8
     }
 }
 
@@ -1426,6 +1612,11 @@ impl<'a> SummaryView<'a> {
 
 impl PairMinMax for SummaryView<'_> {
     #[inline]
+    fn k(&self) -> usize {
+        self.k
+    }
+
+    #[inline]
     fn out_mm(&self, i: usize, j: usize) -> (f64, f64) {
         let idx = i * self.cap + j;
         (self.out.min[idx], self.out.max[idx])
@@ -1439,9 +1630,40 @@ impl PairMinMax for SummaryView<'_> {
         let idx = i * self.cap + j;
         (self.inn.min[idx], self.inn.max[idx])
     }
+
+    #[inline]
+    fn out_row(&self, a: usize) -> (&[f64], &[f64]) {
+        let at = a * self.cap;
+        (
+            &self.out.min[at..at + self.k],
+            &self.out.max[at..at + self.k],
+        )
+    }
+
+    #[inline]
+    fn in_row(&self, a: usize) -> (&[f64], &[f64]) {
+        if self.symmetric {
+            return (&[], &[]);
+        }
+        let at = a * self.cap;
+        (
+            &self.inn.min[at..at + self.k],
+            &self.inn.max[at..at + self.k],
+        )
+    }
+
+    #[inline]
+    fn mirrored(&self) -> bool {
+        self.symmetric
+    }
 }
 
 impl PairMinMax for DegreeMatrices {
+    #[inline]
+    fn k(&self) -> usize {
+        self.k
+    }
+
     #[inline]
     fn out_mm(&self, i: usize, j: usize) -> (f64, f64) {
         let idx = i * self.k + j;
@@ -1453,17 +1675,66 @@ impl PairMinMax for DegreeMatrices {
         let idx = i * self.k + j;
         (self.in_min[idx], self.in_max[idx])
     }
+
+    #[inline]
+    fn out_row(&self, a: usize) -> (&[f64], &[f64]) {
+        let at = a * self.k;
+        (
+            &self.out_min[at..at + self.k],
+            &self.out_max[at..at + self.k],
+        )
+    }
+
+    #[inline]
+    fn in_row(&self, a: usize) -> (&[f64], &[f64]) {
+        let at = a * self.k;
+        (&self.in_min[at..at + self.k], &self.in_max[at..at + self.k])
+    }
+
+    #[inline]
+    fn mirrored(&self) -> bool {
+        false
+    }
 }
 
-/// The merge pick over from-scratch [`DegreeMatrices`] — the reference-mode
-/// counterpart of [`IncrementalDegrees::pick_merge`], sharing the bound
-/// computation operation-for-operation so the two paths select identical
-/// pairs whenever the matrices are numerically identical.
+/// Sort a candidate list ascending by `(bound, winner, loser)`.
+fn sort_candidates(list: &mut [MergeCandidate]) {
+    list.sort_by(|x, y| {
+        x.bound
+            .partial_cmp(&y.bound)
+            .expect("finite bounds")
+            .then(x.winner.cmp(&y.winner))
+            .then(x.loser.cmp(&y.loser))
+    });
+}
+
+/// The merge pick over from-scratch [`DegreeMatrices`]: the pair with the
+/// smallest post-merge bound at or below `max_bound`, the
+/// lexicographically smallest on ties — the first entry of
+/// [`IncrementalDegrees::merge_candidates`] over numerically identical
+/// summaries, since both evaluate the same bound operation for operation.
+/// Ascending `(a, b)` iteration with a strict improvement test keeps the
+/// smallest pair on ties; the running best tightens the per-pair
+/// evaluation cap (branch-and-bound; ties at the cap still evaluate
+/// fully, so the selection equals the exhaustive scan's).
 pub fn pick_merge_scratch(m: &DegreeMatrices, max_bound: f64) -> Option<MergeCandidate> {
-    if m.k < 2 {
-        return None;
+    let mut panel = MergePanel::default();
+    panel.fill(m, &(0..m.k as u32).collect::<Vec<_>>());
+    let mut best: Option<MergeCandidate> = None;
+    for a in 0..m.k {
+        for b in (a + 1)..m.k {
+            let cap = best.as_ref().map_or(max_bound, |c| c.bound.min(max_bound));
+            let bound = merge_bound(m, &panel, a, b, cap);
+            if bound <= max_bound && best.as_ref().is_none_or(|c| bound < c.bound) {
+                best = Some(MergeCandidate {
+                    winner: a as u32,
+                    loser: b as u32,
+                    bound,
+                });
+            }
+        }
     }
-    pick_merge_view(m, m.k, max_bound)
+    best
 }
 
 impl SummaryView<'_> {
@@ -1799,6 +2070,8 @@ impl IncrementalDegrees {
             par_min_scan_work: PAR_MIN_SCAN_WORK,
             dirty_scratch: Vec::new(),
             chunk_out: Vec::new(),
+            merge_scan: MergeScan::default(),
+            counters: Counters::default(),
         };
         for s in 0..k {
             engine.recompute_color_axis(p, s);
@@ -1965,6 +2238,13 @@ impl IncrementalDegrees {
                 .sum::<usize>()
             + self.dirty_scratch.capacity() * 4
             + chunk_lists
+            + self.merge_scan.heap_bytes()
+    }
+
+    /// The engine's work counters since it was built or restored.
+    #[must_use]
+    pub fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// Number of colors currently tracked.
@@ -2228,75 +2508,166 @@ impl IncrementalDegrees {
         self.rescan_queued(side, p);
     }
 
-    /// The best coarsening candidate: the color pair whose merge has the
-    /// smallest provable post-merge q-error bound, or `None` when no pair's
-    /// bound stays at or below `max_bound` (or fewer than two colors
-    /// exist). `O(k³)` — intended for the maintenance path, where merges
-    /// are rare; the selection is deterministic (lexicographically smallest
-    /// pair on exact bound ties) and reads only the pair summaries, so
-    /// maintained and freshly built engines pick identical pairs.
-    pub fn pick_merge(&self, max_bound: f64) -> Option<MergeCandidate> {
-        if self.k < 2 {
-            return None;
-        }
-        let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
-        pick_merge_view(&view, self.k, max_bound)
-    }
-
     /// The post-merge q-error bound of one specific pair (see
-    /// [`Self::pick_merge`]), or `f64::INFINITY` as soon as it is known to
+    /// [`MergeCandidate`]), or `f64::INFINITY` as soon as it is known to
     /// exceed `cap` (pass `f64::INFINITY` for the exact bound); `O(k)`.
     /// Maintenance uses this to *re-validate* stale candidates against the
     /// current state before applying them, so a coarsening round pays one
-    /// full `O(k³)` scan plus `O(k)` per applied merge instead of `O(k³)`
-    /// per merge. The early exit never changes a `> cap` decision.
-    pub fn merge_bound_pair(&self, a: u32, b: u32, cap: f64) -> f64 {
+    /// [`Self::merge_candidates`] scan plus `O(k)` per applied merge
+    /// instead of one scan per merge. The early exit never changes a
+    /// `> cap` decision.
+    pub fn merge_bound_pair(&mut self, a: u32, b: u32, cap: f64) -> f64 {
         assert!((a as usize) < self.k && (b as usize) < self.k && a < b);
         let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
-        merge_bound(&view, self.k, a as usize, b as usize, cap)
+        let panel = &mut self.merge_scan.panel;
+        panel.fill(&view, &[a, b]);
+        merge_bound(&view, panel, a as usize, b as usize, cap)
     }
 
     /// Every color pair whose post-merge bound stays at or below
     /// `max_bound`, sorted ascending by `(bound, winner, loser)` — the
-    /// candidate list of one batched coarsening round.
+    /// candidate list of one batched coarsening round. Its first entry is
+    /// the best merge ([`pick_merge_scratch`] over the same summaries).
     ///
-    /// A merged pair's bound dominates each color's own cached row error
-    /// (every union term contains the color's own spread), so only colors
-    /// with a cached row error `<= max_bound` can participate — the scan
-    /// prefilters to those in `O(k)` and pays `O(|eligible|² · k)` for the
-    /// bounds, which in steady maintenance (most colors split right up to
-    /// the target) is far below the naive `O(k³)`. Requires
+    /// Cost follows the candidates, not `|eligible|² · k`:
+    ///
+    /// 1. *Eligibility.* A merged pair's bound dominates each color's own
+    ///    cached row error (every union term contains the color's own
+    ///    spread), so only colors with a row error `<= max_bound` can
+    ///    take part; `O(k)`.
+    /// 2. *Projection pruning* (sorted-neighbourhood blocking, Hernández
+    ///    & Stolfo 1995, made exact by the bound). For a column `j ∉ {a,
+    ///    b}` the bound's merged-row term is `fl(max(amx, bmx) − min(amn,
+    ///    bmn))`, which rounded subtraction keeps at or above
+    ///    `fl(amx − bmx)` when `amx ≥ bmx`. So a pair whose out maxima at
+    ///    `j` differ by more than `max_bound` cannot pass. The scan picks
+    ///    two projection columns `j₁`, `j₂` from the summaries, sorts the
+    ///    eligible colors by their out max at `j₁`, and bounds only the
+    ///    pairs inside a `max_bound`-wide window whose out maxima at `j₂`
+    ///    are also within `max_bound`. A projection color gets no test
+    ///    from its own column: color `j₁` pairs with every other color
+    ///    under the `j₂` test alone, and pairs holding `j₂` skip that test.
+    /// 3. *A contiguous panel.* Before the sweep, one pass down the matrix
+    ///    rows, in blocks of `LANES` rows, copies the eligible colors'
+    ///    column-side terms (out-column spreads; in-column extrema on a
+    ///    directed engine) into engine-owned scratch, so each surviving
+    ///    pair's `O(k)` bound reads contiguous vectors, and on a symmetric
+    ///    engine evaluates the mirrored in-direction terms once.
+    ///
+    /// Pruning drops only pairs the bound would reject, and the panel
+    /// holds the bound's own operands, so the list equals the exhaustive
+    /// scan's pair for pair and bit for bit (asserted under
+    /// `debug_assertions`). [`Counters`] records the eligible pairs and
+    /// the bounds evaluated; on pipebench's `stream-nodes` (k ≈ 330) the
+    /// scan bounds about one eligible pair in 14. Requires
     /// [`Self::refresh`] since the last mutation (the prefilter reads the
     /// cached row errors).
-    pub fn merge_candidates(&self, max_bound: f64) -> Vec<MergeCandidate> {
+    pub fn merge_candidates(&mut self, max_bound: f64) -> Vec<MergeCandidate> {
         debug_assert!(
             self.rows.err_dirty[..self.k].iter().all(|d| !d),
             "merge_candidates with dirty rows; call refresh() first"
         );
-        let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
-        let eligible: Vec<usize> = (0..self.k)
-            .filter(|&c| self.rows.max_err[c] <= max_bound)
-            .collect();
+        let k = self.k;
+        let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
+        let scan = &mut self.merge_scan;
+        scan.eligible.clear();
+        let rows = &self.rows;
+        scan.eligible
+            .extend((0..k as u32).filter(|&c| rows.max_err[c as usize] <= max_bound));
+        let m = scan.eligible.len() as u64;
+        self.counters.merge_pairs_eligible += m * m.saturating_sub(1) / 2;
         let mut out = Vec::new();
-        for (i, &a) in eligible.iter().enumerate() {
-            for &b in &eligible[i + 1..] {
-                let bound = merge_bound(&view, self.k, a, b, max_bound);
-                if bound <= max_bound {
-                    out.push(MergeCandidate {
-                        winner: a as u32,
-                        loser: b as u32,
-                        bound,
-                    });
+        if m < 2 {
+            return out;
+        }
+        let (j1, j2) = scan.projection_columns(&view);
+        scan.panel.fill(&view, &scan.eligible);
+        let key = |a: usize, j: usize| view.out_row(a).1[j];
+        scan.keys.clear();
+        let mut j1_key = None;
+        for &a in &scan.eligible {
+            if a as usize == j1 {
+                j1_key = Some(key(j1, j2));
+            } else {
+                scan.keys
+                    .push((key(a as usize, j1), key(a as usize, j2), a));
+            }
+        }
+        scan.keys
+            .sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.2.cmp(&y.2)));
+        let gap = |x: f64, y: f64| x.max(y) - x.min(y);
+        let j2 = j2 as u32;
+        let mut evaluated = 0u64;
+        let mut try_pair = |a: u32, b: u32| {
+            evaluated += 1;
+            let (winner, loser) = (a.min(b), a.max(b));
+            let bound = merge_bound(
+                &view,
+                &scan.panel,
+                winner as usize,
+                loser as usize,
+                max_bound,
+            );
+            if bound <= max_bound {
+                out.push(MergeCandidate {
+                    winner,
+                    loser,
+                    bound,
+                });
+            }
+        };
+        if let Some(own) = j1_key {
+            for &(_, other, b) in &scan.keys {
+                if b == j2 || gap(own, other) <= max_bound {
+                    try_pair(j1 as u32, b);
                 }
             }
         }
-        out.sort_by(|x, y| {
-            x.bound
-                .partial_cmp(&y.bound)
-                .expect("finite bounds")
-                .then(x.winner.cmp(&y.winner))
-                .then(x.loser.cmp(&y.loser))
-        });
+        for (i, &(lo, a_j2, a)) in scan.keys.iter().enumerate() {
+            for &(hi, b_j2, b) in &scan.keys[i + 1..] {
+                if hi - lo > max_bound {
+                    break;
+                }
+                if a == j2 || b == j2 || gap(a_j2, b_j2) <= max_bound {
+                    try_pair(a, b);
+                }
+            }
+        }
+        self.counters.merge_pair_bounds += evaluated;
+        sort_candidates(&mut out);
+        // The exhaustive scan, each pair bounded the way
+        // `merge_bound_pair` bounds it, must give the same list.
+        #[cfg(debug_assertions)]
+        {
+            let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
+            let eligible = &self.merge_scan.eligible;
+            let mut pair_panel = MergePanel::default();
+            let mut full = Vec::new();
+            for (i, &a) in eligible.iter().enumerate() {
+                for &b in &eligible[i + 1..] {
+                    pair_panel.fill(&view, &[a, b]);
+                    let bound = merge_bound(&view, &pair_panel, a as usize, b as usize, max_bound);
+                    if bound <= max_bound {
+                        full.push(MergeCandidate {
+                            winner: a,
+                            loser: b,
+                            bound,
+                        });
+                    }
+                }
+            }
+            sort_candidates(&mut full);
+            let bits = |l: &[MergeCandidate]| -> Vec<(u32, u32, u64)> {
+                l.iter()
+                    .map(|c| (c.winner, c.loser, c.bound.to_bits()))
+                    .collect()
+            };
+            assert_eq!(
+                bits(&out),
+                bits(&full),
+                "pruned merge scan differs from the exhaustive one"
+            );
+        }
         out
     }
 
@@ -3674,16 +4045,21 @@ mod tests {
                 sparse.apply_merge(&g, &p, &ev);
                 assert_eq!(dense.verify_against(&g, &p), Ok(()));
                 assert_eq!(sparse.verify_against(&g, &p), Ok(()));
-                // Witness state equals a freshly built engine bit-for-bit.
+                // Witness state equals a freshly built engine bit-for-bit,
+                // and every engine's best merge is the scratch pick.
                 dense.refresh(&p, 1.0);
+                sparse.refresh(&p, 1.0);
                 let mut fresh = IncrementalDegrees::new(&g, &p);
                 fresh.refresh(&p, 1.0);
                 assert_eq!(dense.max_error().to_bits(), fresh.max_error().to_bits());
                 assert_eq!(dense.pick_witness(&p, 1.0), fresh.pick_witness(&p, 1.0));
-                assert_eq!(
-                    dense.pick_merge(f64::INFINITY),
-                    fresh.pick_merge(f64::INFINITY)
-                );
+                let best = pick_merge_scratch(&DegreeMatrices::compute(&g, &p), f64::INFINITY);
+                for engine in [&mut dense, &mut sparse, &mut fresh] {
+                    assert_eq!(
+                        engine.merge_candidates(f64::INFINITY).first(),
+                        best.as_ref()
+                    );
+                }
             }
         }
     }
@@ -3702,11 +4078,9 @@ mod tests {
                 }
             }
             let m = DegreeMatrices::compute(&g, &p);
-            assert_eq!(
-                engine.pick_merge(f64::INFINITY),
-                pick_merge_scratch(&m, f64::INFINITY)
-            );
-            let cand = engine.pick_merge(f64::INFINITY).expect("k >= 2");
+            engine.refresh(&p, 0.0);
+            let cand = engine.merge_candidates(f64::INFINITY)[0];
+            assert_eq!(Some(cand), pick_merge_scratch(&m, f64::INFINITY));
             let ev = p.merge_colors(cand.winner, cand.loser);
             engine.apply_merge(&g, &p, &ev);
             let actual = max_q_error(&g, &p);
@@ -3716,6 +4090,227 @@ mod tests {
                 cand.bound
             );
         }
+    }
+
+    /// Random graph with small integer weights, so every summary and
+    /// every bound is exact.
+    fn integer_graph(n: usize, edges: usize, directed: bool, seed: u64) -> Graph {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = if directed {
+            GraphBuilder::new_directed(n)
+        } else {
+            GraphBuilder::new_undirected(n)
+        };
+        for _ in 0..edges {
+            let u = rng.random_range(0..n) as u32;
+            let v = rng.random_range(0..n) as u32;
+            if u != v {
+                b.add_edge(u, v, f64::from(rng.random_range(1u32..5)));
+            }
+        }
+        b.build()
+    }
+
+    /// Every pair bounded on its own, the way the re-check before a merge
+    /// bounds it, and sorted like a candidate list. Pairs holding an
+    /// ineligible color cannot pass: with integer weights their bound
+    /// exactly dominates that color's row error.
+    fn exhaustive_candidates(e: &mut IncrementalDegrees, band: f64) -> Vec<MergeCandidate> {
+        let k = e.num_colors() as u32;
+        let mut out = Vec::new();
+        for winner in 0..k {
+            for loser in winner + 1..k {
+                let bound = e.merge_bound_pair(winner, loser, band);
+                if bound <= band {
+                    out.push(MergeCandidate {
+                        winner,
+                        loser,
+                        bound,
+                    });
+                }
+            }
+        }
+        sort_candidates(&mut out);
+        out
+    }
+
+    fn candidate_bits(list: &[MergeCandidate]) -> Vec<(u32, u32, u64)> {
+        list.iter()
+            .map(|c| (c.winner, c.loser, c.bound.to_bits()))
+            .collect()
+    }
+
+    /// The projection columns the last `merge_candidates` call used.
+    fn last_projection(e: &mut IncrementalDegrees) -> (usize, usize) {
+        let view = SummaryView::new(&e.sides, e.k, e.cap, e.symmetric);
+        e.merge_scan.projection_columns(&view)
+    }
+
+    #[test]
+    fn merge_candidates_match_exhaustive_scan() {
+        use rand::prelude::*;
+        let (mut projection_eligible, mut one_eligible, mut pruned) = (false, false, false);
+        for (directed, seed) in [(false, 5u64), (true, 23)] {
+            let n = 48;
+            let g = integer_graph(n, 150, directed, seed);
+            let mut p = Partition::unit(n);
+            let mut engines = Vec::new();
+            for mode in [StorageMode::Dense, StorageMode::Sparse] {
+                for threads in [1usize, 4] {
+                    let mut e = IncrementalDegrees::new_with_storage(&g, &p, threads, mode, n);
+                    if threads > 1 {
+                        e.set_parallel_thresholds(1, 1);
+                    }
+                    engines.push(e);
+                }
+            }
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xB10C);
+            for _ in 0..30 {
+                let k = p.num_colors();
+                let splittable: Vec<u32> = (0..k as u32).filter(|&c| p.size(c) >= 2).collect();
+                let Some(&c) = splittable.as_slice().choose(&mut rng) else {
+                    break;
+                };
+                let members = p.members(c).to_vec();
+                let pivot = members[rng.random_range(0..members.len())];
+                let Some(ev) = p.split_color(c, |v| v >= pivot && v != members[0]) else {
+                    continue;
+                };
+                for e in &mut engines {
+                    e.apply_split(&g, &p, &ev);
+                    e.refresh(&p, 0.0);
+                }
+                // Bands: none eligible, exactly one eligible (when the
+                // smallest row error is unique), zero, the median and the
+                // largest row error (every color eligible), unbounded.
+                let k = p.num_colors();
+                let mut errs = engines[0].rows.max_err[..k].to_vec();
+                errs.sort_by(f64::total_cmp);
+                let mut bands = vec![-1.0, 0.0, errs[k / 2], errs[k - 1], f64::INFINITY];
+                if k >= 2 && errs[0] < errs[1] {
+                    bands.push(errs[0]);
+                }
+                let scratch = DegreeMatrices::compute(&g, &p);
+                for band in bands {
+                    let reference = exhaustive_candidates(&mut engines[0], band);
+                    assert_eq!(
+                        reference.first().copied(),
+                        pick_merge_scratch(&scratch, band)
+                    );
+                    let eligible = errs.iter().filter(|&&x| x <= band).count();
+                    let mut work = Vec::new();
+                    for e in &mut engines {
+                        let before = *e.counters();
+                        let got = e.merge_candidates(band);
+                        assert_eq!(
+                            candidate_bits(&got),
+                            candidate_bits(&reference),
+                            "directed={directed} k={k} band={band}"
+                        );
+                        let after = *e.counters();
+                        work.push((
+                            after.merge_pairs_eligible - before.merge_pairs_eligible,
+                            after.merge_pair_bounds - before.merge_pair_bounds,
+                        ));
+                    }
+                    assert!(work.iter().all(|&w| w == work[0]), "{work:?}");
+                    let pairs = (eligible * eligible.saturating_sub(1) / 2) as u64;
+                    assert_eq!(work[0].0, pairs);
+                    assert!(work[0].1 <= pairs);
+                    pruned |= work[0].1 < pairs;
+                    if eligible < 2 {
+                        assert!(reference.is_empty());
+                        one_eligible |= eligible == 1;
+                    } else {
+                        let (j1, j2) = last_projection(&mut engines[0]);
+                        projection_eligible |= [j1, j2]
+                            .iter()
+                            .any(|&j| engines[0].merge_scan.eligible.contains(&(j as u32)));
+                    }
+                }
+            }
+            // k = 2: both columns are projection colors.
+            let mut p2 = Partition::unit(n);
+            let ev = p2.split_color(0, |v| v % 3 == 0).expect("splits");
+            let mut e = IncrementalDegrees::new(&g, &Partition::unit(n));
+            e.apply_split(&g, &p2, &ev);
+            e.refresh(&p2, 0.0);
+            for band in [0.0, e.max_error(), f64::INFINITY] {
+                let reference = exhaustive_candidates(&mut e, band);
+                let got = e.merge_candidates(band);
+                assert_eq!(candidate_bits(&got), candidate_bits(&reference));
+            }
+            assert_eq!(e.merge_candidates(f64::INFINITY).len(), 1);
+        }
+        assert!(projection_eligible && one_eligible && pruned);
+    }
+
+    #[test]
+    fn merge_scan_keeps_a_pair_whose_key_gap_equals_the_band() {
+        // Discrete coloring: color 0 reaches every color from 2 on with
+        // weight 2 and color 1 is isolated, so the pair (0, 1) has bound
+        // exactly 2 and a key gap of exactly 2 on any other column.
+        let n = 10;
+        let mut b = GraphBuilder::new_undirected(n);
+        for v in 2..n as u32 {
+            b.add_edge(0, v, 2.0);
+        }
+        for (u, v, w) in [
+            (2, 3, 3.0),
+            (3, 4, 1.0),
+            (4, 5, 3.0),
+            (5, 6, 2.0),
+            (6, 7, 3.0),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        for (u, v, w) in [
+            (7, 8, 1.0),
+            (8, 9, 3.0),
+            (2, 9, 3.0),
+            (3, 8, 2.0),
+            (5, 9, 1.0),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        let g = b.build();
+        let identity: Vec<u32> = (0..n as u32).collect();
+        let p = Partition::from_assignment(&identity);
+        let mut e = IncrementalDegrees::new(&g, &p);
+        e.refresh(&p, 0.0);
+        let got = e.merge_candidates(2.0);
+        let (j1, _) = last_projection(&mut e);
+        assert!(j1 >= 2, "the window column must not be 0 or 1");
+        let edge = MergeCandidate {
+            winner: 0,
+            loser: 1,
+            bound: 2.0,
+        };
+        assert!(got.contains(&edge), "{got:?}");
+        assert_eq!(
+            candidate_bits(&got),
+            candidate_bits(&exhaustive_candidates(&mut e, 2.0))
+        );
+    }
+
+    #[test]
+    fn resident_bytes_counts_merge_scan_scratch() {
+        // Every color eligible: the column panel alone keeps k × k spreads
+        // resident after the scan.
+        let k = 200;
+        let g = generators::erdos_renyi_nm(k, 600, 3);
+        let identity: Vec<u32> = (0..k as u32).collect();
+        let p = Partition::from_assignment(&identity);
+        let mut engine = IncrementalDegrees::new(&g, &p);
+        engine.refresh(&p, 0.0);
+        let before = engine.resident_bytes();
+        engine.merge_candidates(f64::INFINITY);
+        let after = engine.resident_bytes();
+        assert!(
+            after >= before + k * k * 8,
+            "resident bytes {before} -> {after} miss the merge panel"
+        );
     }
 
     #[test]

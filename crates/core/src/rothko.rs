@@ -176,7 +176,7 @@ pub struct RothkoConfig {
     /// Allow [`RothkoRun::maintain`] to *coarsen*: when the maintained
     /// error sits at or below `target_error`, greedily merge the color pair
     /// with the smallest post-merge q-error bound while that bound stays
-    /// within the target (see [`IncrementalDegrees::pick_merge`]), so
+    /// within the target (see [`IncrementalDegrees::merge_candidates`]), so
     /// long-lived maintained runs shrink `k` back when churn lowers the
     /// error instead of only ever refining. Off by default — one-shot runs
     /// and budget sweeps are monotone refinements.
@@ -863,12 +863,13 @@ impl<'g> RothkoRun<'g> {
     /// before the invariant is violated; with `target == 0` only
     /// provably-exact (bound-zero) merges apply.
     ///
-    /// Incremental engines run *batched validated rounds*: one `O(k³)`
-    /// scan produces the ascending candidate list, and each candidate is
-    /// re-validated in `O(k)` against the live state before applying (its
-    /// stale bound may undershoot after earlier merges in the round), so a
-    /// round of `M` merges costs one scan plus `O(M·k)` instead of `M`
-    /// scans. Every applied merge's *current* bound is within the band, so
+    /// Incremental engines run *batched validated rounds*: one
+    /// [`IncrementalDegrees::merge_candidates`] scan (pruned to the pairs
+    /// that can pass; see its cost notes) produces the ascending candidate
+    /// list, and each candidate is re-validated in `O(k)` against the live
+    /// state before applying (its stale bound may undershoot after earlier
+    /// merges in the round), so a round of `M` merges costs one scan plus
+    /// `O(M·k)` instead of `M` scans. Every applied merge's *current* bound is within the band, so
     /// the (q, k) invariant provably survives; each merge shrinks `k` and
     /// rounds repeat only while they merged something, so the loop
     /// terminates. Rounds are pure functions of the engine state, so
@@ -932,7 +933,7 @@ impl<'g> RothkoRun<'g> {
                     continue; // already merged together this round
                 }
                 let (w, l) = (ca.min(cb), ca.max(cb));
-                let engine = self.engine.as_ref().expect("engine mode");
+                let engine = self.engine.as_mut().expect("engine mode");
                 if engine.merge_bound_pair(w, l, band) > band {
                     continue; // stale candidate; the next round re-scans
                 }

@@ -11,7 +11,7 @@
 use qsc_core::q_error::IncrementalDegrees;
 use qsc_core::reduced::ReducedDelta;
 use qsc_core::rothko::{Rothko, RothkoConfig};
-use qsc_core::{Partition, PartitionEvent};
+use qsc_core::{Partition, PartitionEvent, StorageMode};
 use qsc_graph::{Graph, GraphBuilder, GraphDelta};
 use rand::prelude::*;
 
@@ -313,9 +313,12 @@ fn sharded_merge_paths_match_serial_engine() {
                 sharded.apply_split(&g, &p, &ev);
             }
         }
+        serial.refresh(&p, 1.0);
+        sharded.refresh(&p, 1.0);
         while p.num_colors() > 1 {
-            let cand = serial.pick_merge(f64::INFINITY).expect("pairs remain");
-            assert_eq!(cand, sharded.pick_merge(f64::INFINITY).expect("pairs"));
+            let candidates = serial.merge_candidates(f64::INFINITY);
+            assert_eq!(candidates, sharded.merge_candidates(f64::INFINITY));
+            let cand = candidates[0];
             let ev = p.merge_colors(cand.winner, cand.loser);
             serial.apply_merge(&g, &p, &ev);
             sharded.apply_merge(&g, &p, &ev);
@@ -327,4 +330,66 @@ fn sharded_merge_paths_match_serial_engine() {
             assert_eq!(serial.pick_witness(&p, 1.0), sharded.pick_witness(&p, 1.0));
         }
     }
+}
+
+#[test]
+fn merge_scan_work_is_deterministic_and_pruned() {
+    // A seeded coarsening run on a Barabási–Albert graph, replayed per
+    // storage mode × thread count: the candidate scan's work counters are
+    // a pure function of the run, and projection pruning bounds at most a
+    // third of the eligible pairs.
+    let g = qsc_graph::generators::barabasi_albert(1500, 4, 7);
+    let mut runs = Vec::new();
+    for storage in [StorageMode::Dense, StorageMode::Sparse] {
+        for threads in [1usize, 4] {
+            let config = RothkoConfig {
+                max_colors: 256,
+                target_error: 5.0,
+                threads: Some(threads),
+                coarsen: true,
+                storage,
+                ..Default::default()
+            };
+            let mut run = Rothko::new(config).start(&g);
+            run.maintain();
+            // Churn rounds: drop a seeded fifth of the edges, then put
+            // them back, maintaining (and so coarsening) after each.
+            let mut delta = GraphDelta::new(g.clone());
+            let mut rng = StdRng::seed_from_u64(0x5EED);
+            for _ in 0..3 {
+                let mut dropped: Vec<(u32, u32)> = g
+                    .edges()
+                    .iter()
+                    .filter(|_| rng.random_range(0..5u32) == 0)
+                    .map(|&(u, v, _)| (u, v))
+                    .collect();
+                dropped.retain(|&(u, v)| delta.delete_edge(u, v).is_ok());
+                let events = delta.drain_events();
+                run.apply_edge_batch(delta.compact(), &events);
+                run.maintain();
+                for &(u, v) in &dropped {
+                    delta.insert_edge(u, v, 1.0).unwrap();
+                }
+                let events = delta.drain_events();
+                run.apply_edge_batch(delta.compact(), &events);
+                run.maintain();
+            }
+            let counters = *run.engine().expect("engine run").counters();
+            runs.push((
+                format!("{storage:?}/t{threads}"),
+                counters,
+                run.partition().canonical_assignment(),
+            ));
+        }
+    }
+    let (_, counters, coloring) = &runs[0];
+    for (name, c, p) in &runs[1..] {
+        assert_eq!(c, counters, "{name}");
+        assert_eq!(p, coloring, "{name}");
+    }
+    assert!(counters.merge_pairs_eligible > 0, "the run never coarsened");
+    assert!(
+        counters.merge_pair_bounds * 3 <= counters.merge_pairs_eligible,
+        "{counters:?}"
+    );
 }

@@ -305,16 +305,23 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                     "round {round}: snapshot {name} vs {ref_name}"
                 );
             }
-            // ...and every observable is bit-identical across variants.
-            for (_, e) in engines.iter_mut() {
-                e.refresh(&p, 1.0);
-            }
+            // ...and every observable is bit-identical across variants,
+            // the coarsening candidates (unpruned and at a band that
+            // prunes) and the scan's work counters included.
+            let merges: Vec<_> = engines
+                .iter_mut()
+                .map(|(_, e)| {
+                    e.refresh(&p, 1.0);
+                    let band = e.max_error() * 0.5;
+                    let lists = [e.merge_candidates(f64::INFINITY), e.merge_candidates(band)];
+                    (lists, *e.counters())
+                })
+                .collect();
             let (ref_name, reference) = &engines[0];
             let max_bits = reference.max_error().to_bits();
             let witness = reference.pick_witness(&p, 1.0);
             let report = reference.q_report();
-            let merge = reference.pick_merge(f64::INFINITY);
-            for (name, e) in engines.iter().skip(1) {
+            for ((name, e), merge) in engines.iter().zip(&merges).skip(1) {
                 assert_eq!(
                     e.max_error().to_bits(),
                     max_bits,
@@ -331,9 +338,8 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                     "round {round}: q_report {name} vs {ref_name}"
                 );
                 assert_eq!(
-                    e.pick_merge(f64::INFINITY),
-                    merge,
-                    "round {round}: merge pick {name} vs {ref_name}"
+                    merge, &merges[0],
+                    "round {round}: merge candidates {name} vs {ref_name}"
                 );
             }
         }
