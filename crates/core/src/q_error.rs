@@ -66,6 +66,22 @@
 //!    (the dominant case on sparse graphs, where ties at zero would
 //!    otherwise force a rescan storm). Unknown attainers fall back to the
 //!    conservative value-equality heuristic.
+//! 4. **Pending extremes.** An entry that provably lost an extremum is not
+//!    rescanned when it loses it: both its attainers become
+//!    `PENDING_ARG` and its member row is flagged. A pending extremum
+//!    keeps its stored value, which stays an *outer bound* (a pending min
+//!    is at most, a pending max at least, the true extremum), so the
+//!    stored spread bounds the entry's q-error from above; its nonzero
+//!    count stays exact. Later events keep the bound: an inward move or a
+//!    departing member leaves it standing, and a strictly outward
+//!    extension past it is the exact extremum again. Rothko needs only
+//!    the exact witness and the exact maximum, so entries are resolved —
+//!    one member-column scan, writing what the deferred rescan would have
+//!    written — only where a reader needs them (lazy evaluation with
+//!    stale upper bounds, as in Minoux's accelerated greedy):
+//!    [`IncrementalDegrees::refresh`] resolves the entries that decide a
+//!    witness row, and [`IncrementalDegrees::resolve_pending`] everything,
+//!    for the readers of every entry.
 //!
 //! Engine-wide, a **witness-row cache** keeps, per *split-candidate* color
 //! `s`, the maximum unweighted error over all entries whose split color is
@@ -100,7 +116,8 @@
 //!   (node, column) — the entry patch rules are sound only when each value
 //!   changes once per batch — then folds every change into its entry with
 //!   the split path's rules. Cost per batch: `O(events + touched
-//!   entries)` plus the rescans, without touching the graph. The partition
+//!   entries)`, without touching the graph and without a member scan: an
+//!   entry that lost an extremum goes pending. The partition
 //!   must be unchanged by the batch: graph updates and coloring updates
 //!   are separate deltas, sequenced by the caller
 //!   (`crate::rothko::RothkoRun::apply_edge_batch` patches the engine,
@@ -110,8 +127,11 @@
 //!   the loser's members join the winner, accumulator columns fold for the
 //!   neighbors of the moved members, entries over other colors' member
 //!   axes are patched with the split path's rules, the winner's member
-//!   axis is rebuilt, and the last color is relabeled into the freed slot
-//!   (`O(touched + k)` row/column copies). Merge *selection*
+//!   axis is rebuilt, the last color is relabeled into the freed slot
+//!   (`O(touched + k)` row/column copies), and nothing is left pending
+//!   — an entry the merge patches is rescanned at once, and entries
+//!   pending from before are resolved — since coarsening re-bounds
+//!   candidates against every entry right after. Merge *selection*
 //!   ([`IncrementalDegrees::merge_candidates`]) is the dual of the witness
 //!   rule: it ranks pairs by the **post-merge q-error bound** — exact for
 //!   the merged member-axis rows (`min`/`max` over a union is the
@@ -128,23 +148,31 @@
 //!   append all-zero rows and extend their color's entries with explicit
 //!   zero attainers. Removals (legal only for isolated nodes, whose edges
 //!   the preceding edge batch deleted) compact the node axis through the
-//!   `GraphDelta` remap, remap the attainers, and rescan only the entries
-//!   whose zero extremum lost its last zero member.
+//!   `GraphDelta` remap, remap the attainers, and mark pending only the
+//!   entries whose zero extremum lost its last zero member.
 //!
-//! Every patch phase ends with the same **settle rule** per changed entry:
-//! apply the nonzero-count delta; for each extremum flagged as possibly
-//! lost, either queue a member rescan or — when the entry's extremum is
-//! zero and a zero-valued member remains — keep the value and forget the
-//! attainer; dirty the member color's witness row. The queued rescans then
-//! run as one batch.
+//! Every patch phase ends with the same **settle rule** per changed entry
+//! (in `q_error/rescan.rs`): apply the nonzero-count delta; for each
+//! extremum flagged as possibly lost, either mark the entry pending or —
+//! when the entry's extremum is zero and a zero-valued member remains —
+//! keep the value and forget the attainer; dirty the member color's
+//! witness row. Two exceptions rescan at once: a split's parent entries
+//! over the columns `c` and `child`, whose values changed under them so
+//! that their stored extrema are not bounds, and a merge's patched
+//! entries.
 //!
-//! All paths preserve the determinism contract: the patched state equals
-//! a freshly built engine on the resulting graph/partition (bit-for-bit
-//! for exactly representable weights), so maintained and
-//! fresh-from-checkpoint runs pick identical witnesses *and* identical
-//! merge pairs. Debug builds cross-check the full state against
-//! `DegreeMatrices::compute` after every split and merge
-//! ([`IncrementalDegrees::verify_against`]).
+//! All paths preserve the determinism contract: the patched state, once
+//! [resolved](IncrementalDegrees::resolve_pending), equals a freshly built
+//! engine on the resulting graph/partition (bit-for-bit for exactly
+//! representable weights), so maintained and fresh-from-checkpoint runs
+//! pick identical witnesses *and* identical merge pairs. Resolving gives
+//! the same values at any point; resolved right after the event that
+//! deferred them, entries also get the attainers an engine rescanning
+//! each entry on the spot would hold, since nothing moves in between
+//! (the `storage_modes` digests pin this). Debug builds
+//! cross-check the full state against `DegreeMatrices::compute` after
+//! every split and merge ([`IncrementalDegrees::verify_against`]), pending
+//! extrema against the true ones they bound.
 //!
 //! # Sharded refinement: one path, any shard count
 //!
@@ -176,12 +204,15 @@
 //!   same records, as one shard.
 //! * **Member-axis scans** — an axis rebuild chunks the member list, each
 //!   shard folding a full `k`-column min/max row.
-//! * **Entry rescans** — queued lost-extremum columns are distributed
+//! * **Entry rescans and resolutions** — queued entries are distributed
 //!   whole-entry-per-shard; a shard whose entries share one member axis
 //!   hands them over together (tiered rows fold them in a single member
 //!   pass).
 //! * **Witness refresh** — stale rows are independent `O(k)` scans writing
-//!   disjoint cache slots.
+//!   disjoint cache slots. A row decided by a pending entry records it
+//!   instead; the recorded entries are resolved as one rescan batch and
+//!   their rows scanned again, so which entries get resolved depends only
+//!   on the state, not on the shard count.
 //!
 //! At every join the records merge *in shard order* using only exact
 //! reductions — min/max (selections, no arithmetic), sums of disjoint
@@ -219,10 +250,10 @@
 //!   instead of recomputing [`DegreeMatrices`] from the graph
 //!   (`O(n·k + m)`).
 //! * **Entry rescans** on the dense plane gather one contiguous column
-//!   each ([`crate::kernels::scan_gather_column`]). The parent-axis repair
-//!   after a split reads the same few columns for every queued entry, so
-//!   they stay cache-resident across the batch. Tiered rows batch that
-//!   repair into a single member pass
+//!   each ([`crate::kernels::scan_gather_column`]). Tiered rows batch the
+//!   entries of one member axis — the parent-axis repair after a split,
+//!   [`IncrementalDegrees::resolve_pending`]'s per-row queue — into a
+//!   single member pass
 //!   ([`crate::kernels::scan_gather_columns_sparse`]), probing each row
 //!   once instead of once per column.
 //! * **Split apply** walks the touched list with explicit prefetch
@@ -248,6 +279,15 @@ use std::collections::HashMap;
 /// arrays (forces the conservative rescan heuristic for that entry).
 /// Shared with the lane kernels in [`crate::kernels`].
 pub(crate) use crate::kernels::NO_ARG;
+
+/// Sentinel attainer of a *pending* extremum (module docs, "Pending
+/// extremes"): the stored value is an outer bound on the true extremum,
+/// and a member-column scan resolves it when a reader needs it exact.
+/// Node ids stay below it.
+pub(crate) const PENDING_ARG: u32 = u32::MAX - 1;
+
+mod rescan;
+use rescan::lost_extremum;
 
 /// Direction of a degree/error matrix entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -626,8 +666,11 @@ pub struct MergeCandidate {
 
 /// Deterministic work counters of an [`IncrementalDegrees`] engine. Each
 /// count is a pure function of the engine's inputs, so it is equal for
-/// every thread count and storage mode; a restored or freshly built
-/// engine starts from zero.
+/// every thread count; a restored or freshly built engine starts from
+/// zero, and counters are never persisted. The merge-scan counts are
+/// also equal across storage modes. The rescan counts are not: tiered
+/// rows report zero extrema with unknown attainers ([`NO_ARG`]), which
+/// gate rescans differently from the dense plane's first attainers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Eligible color pairs offered to
@@ -637,6 +680,19 @@ pub struct Counters {
     /// Pair bounds `merge_candidates` evaluated: the eligible pairs that
     /// survived its projection pruning.
     pub merge_pair_bounds: u64,
+    /// Lost extrema marked pending instead of rescanned at once (module
+    /// docs, "Pending extremes").
+    pub extremes_deferred: u64,
+    /// Pending entries resolved by a member-column scan, in
+    /// [`IncrementalDegrees::refresh`] or
+    /// [`IncrementalDegrees::resolve_pending`].
+    pub pending_resolved: u64,
+    /// Member values read by entry rescans and resolutions: `|P_a|` per
+    /// scanned entry `(a, b)`.
+    pub rescan_member_reads: u64,
+    /// Member rows read by member-axis rebuilds: `|P_s|` per side and
+    /// rebuilt axis `s`.
+    pub axis_member_reads: u64,
 }
 
 /// Read-only access to one set of pair summaries — the engine's live
@@ -864,6 +920,20 @@ struct RowBest {
     error: f64,
 }
 
+/// One witness-row scan over the stored summaries: the row's maximum
+/// error with the entry `(other color, outgoing)` first attaining it
+/// (`None` when every spread is zero), and its best candidate.
+struct RowScan {
+    max_err: f64,
+    max_at: Option<(u32, bool)>,
+    best: Option<RowBest>,
+}
+
+/// The pending entries `(other color, outgoing)` that decided one row's
+/// [`RowScan`] — its maximum-error attainer, its best candidate — which
+/// [`IncrementalDegrees::refresh`] resolves before it scans the row again.
+type RowWait = [Option<(u32, bool)>; 2];
+
 /// Per-color scratch record used while applying a split (one per color that
 /// contains a neighbor of a moved node).
 #[derive(Clone, Copy, Debug)]
@@ -914,7 +984,7 @@ impl TouchedColor {
 
 /// Per-entry scratch record of an edge batch: one per pair-summary entry
 /// whose member values changed, tracking the batch-start extrema (for
-/// lost-extremum detection), the queued rescan flags, and the net
+/// lost-extremum detection), the lost-extremum flags, and the net
 /// zero-crossing count — the edge-path analogue of [`TouchedColor`].
 #[derive(Clone, Copy, Debug)]
 struct EdgeEntryPatch {
@@ -994,8 +1064,10 @@ pub struct IncrementalDegrees {
     /// Parallel-dispatch thresholds (see [`Self::set_parallel_thresholds`]).
     par_min_touched: usize,
     par_min_scan_work: usize,
-    /// The refresh's stale-row list.
+    /// The refresh's stale-row list, and per listed row the pending
+    /// entries that decided its last scan.
     dirty_scratch: Vec<u32>,
+    row_waits: Vec<RowWait>,
     /// Per-chunk `(nodes, chunk-local deltas)` lists of the chunked
     /// touched collection.
     chunk_out: Vec<(Vec<NodeId>, Vec<f64>)>,
@@ -1023,7 +1095,9 @@ impl Clone for Pool {
 struct Side {
     acc: Accum,
     pairs: Pairs,
-    /// Queued member rescans, as `(member color, other color)` entries.
+    /// Entries to rescan at once, as `(member color, other color)`: the
+    /// parent's own columns after a split, and pending entries being
+    /// resolved.
     rescans: Vec<(u32, u32)>,
     /// Edge batch: patched-entry records and their entry-index → record
     /// map.
@@ -1041,9 +1115,10 @@ struct Side {
 
 /// One side's pair summaries: for every entry `(member color a, other
 /// color b)`, the min and max over `P_a`'s members of their accumulator
-/// value at `b`, the members attaining them ([`NO_ARG`] when unknown),
-/// and the number of members with a non-zero value. Entry `(a, b)` lives
-/// at `a * ms + b * os` of each `cap × cap` matrix.
+/// value at `b`, the members attaining them ([`NO_ARG`] when unknown,
+/// `PENDING_ARG` while the stored value is only an outer bound), and
+/// the number of members with a non-zero value. Entry `(a, b)` lives at
+/// `a * ms + b * os` of each `cap × cap` matrix.
 #[derive(Clone, Debug, Default)]
 struct Pairs {
     outgoing: bool,
@@ -1063,22 +1138,27 @@ struct Pairs {
 /// color size or β itself changed) — `max_err` is β-independent, so a
 /// β-only rebuild skips the error bookkeeping entirely and
 /// [`IncrementalDegrees::max_error`] stays valid across β changes.
+/// `pending[s]` is set while some entry on member axis `s` (either side)
+/// may hold a pending extremum, and cleared when the whole axis is
+/// resolved.
 #[derive(Clone, Debug)]
 struct WitnessRows {
     max_err: Vec<f64>,
     best: Vec<Option<RowBest>>,
     err_dirty: Vec<bool>,
     best_dirty: Vec<bool>,
+    pending: Vec<bool>,
 }
 
 impl WitnessRows {
-    /// `cap` slots, all dirty.
+    /// `cap` slots, all dirty, none pending.
     fn new(cap: usize) -> Self {
         WitnessRows {
             max_err: vec![0.0; cap],
             best: vec![None; cap],
             err_dirty: vec![true; cap],
             best_dirty: vec![true; cap],
+            pending: vec![false; cap],
         }
     }
 
@@ -1094,6 +1174,7 @@ impl WitnessRows {
             + self.best.capacity() * std::mem::size_of::<Option<RowBest>>()
             + self.err_dirty.capacity()
             + self.best_dirty.capacity()
+            + self.pending.capacity()
     }
 }
 
@@ -1190,16 +1271,28 @@ impl Pairs {
         member * self.ms + other * self.os
     }
 
-    /// The q-error `max − min` of entry `(member, other)`.
+    /// The q-error `max − min` of entry `(member, other)`, which must not
+    /// be pending.
     #[inline]
     fn error(&self, member: usize, other: usize) -> f64 {
         let idx = self.at(member, other);
+        assert!(
+            !self.pending(idx),
+            "entry ({member}, {other}) is pending; call resolve_pending() first"
+        );
         self.max[idx] - self.min[idx]
+    }
+
+    /// Whether either extremum of entry `idx` is pending.
+    #[inline]
+    fn pending(&self, idx: usize) -> bool {
+        self.min_arg[idx] == PENDING_ARG || self.max_arg[idx] == PENDING_ARG
     }
 
     /// Extend entry `idx` outward: a strictly smaller `lo` (attained by
     /// `lo_arg`) or strictly larger `hi` (by `hi_arg`) replaces the
-    /// extremum; ties keep the earlier attainer.
+    /// extremum; ties keep the earlier attainer. Past a pending bound the
+    /// new value is the exact extremum, so the extension resolves it.
     #[inline]
     fn extend(&mut self, idx: usize, lo: f64, lo_arg: u32, hi: f64, hi_arg: u32) {
         if lo < self.min[idx] {
@@ -1278,13 +1371,13 @@ impl Pairs {
     }
 
     /// Renumber the attainers of the first `k × k` entries through a node
-    /// remap (removed attainers become [`NO_ARG`]).
+    /// remap (removed attainers become [`NO_ARG`]; pending stays pending).
     fn remap_args(&mut self, k: usize, remap: &NodeRemap) {
         for a in 0..k {
             for b in 0..k {
                 let idx = self.at(a, b);
                 for slot in [&mut self.min_arg[idx], &mut self.max_arg[idx]] {
-                    if *slot != NO_ARG {
+                    if *slot != NO_ARG && *slot != PENDING_ARG {
                         *slot = remap.map(*slot).unwrap_or(NO_ARG);
                     }
                 }
@@ -1305,42 +1398,6 @@ impl Side {
             pairs: Pairs::new(outgoing, cap, cells_cap),
             ..Side::default()
         }
-    }
-
-    /// The settle rule (module docs) for entry `(member, other)` after a
-    /// batch changed its member values: apply the nonzero-count delta,
-    /// then queue a rescan if a flagged extremum is really lost — a zero
-    /// extremum provably stands while the entry keeps a zero-valued member
-    /// of `P_member` (`size` members), and then only forgets its attainer
-    /// — and dirty the member color's witness row.
-    #[allow(clippy::too_many_arguments)]
-    fn settle(
-        &mut self,
-        rows: &mut WitnessRows,
-        member: u32,
-        other: u32,
-        size: usize,
-        nz_delta: i64,
-        rescan_min: bool,
-        rescan_max: bool,
-    ) {
-        let pr = &mut self.pairs;
-        let idx = pr.at(member as usize, other as usize);
-        pr.nz[idx] = (i64::from(pr.nz[idx]) + nz_delta) as u32;
-        let zero_member = (pr.nz[idx] as usize) < size;
-        let need = (rescan_min && !(pr.min[idx] == 0.0 && zero_member))
-            || (rescan_max && !(pr.max[idx] == 0.0 && zero_member));
-        if need {
-            self.rescans.push((member, other));
-        } else {
-            if rescan_min {
-                pr.min_arg[idx] = NO_ARG;
-            }
-            if rescan_max {
-                pr.max_arg[idx] = NO_ARG;
-            }
-        }
-        rows.dirty(member as usize);
     }
 
     /// Add `delta` to the combined edge-batch delta of `(u, col)`.
@@ -1404,37 +1461,6 @@ impl Side {
             + self.combined.capacity() * size_of::<(NodeId, u32, f64)>()
             + self.combined_slot.capacity() * size_of::<((NodeId, u32), usize)>()
             + self.capture.capacity() * size_of::<(NodeId, f64, f64)>()
-    }
-}
-
-/// Whether a member's value moving from `old` to `new` loses the entry its
-/// batch-start extremum (`orig_min`/`orig_max`, attained by `arg_min`/
-/// `arg_max`): only when the tracked attainer moves strictly inward — an
-/// exact test, ties at the extremum do not force a rescan. An unknown
-/// attainer falls back to the conservative "the value left the extremum"
-/// heuristic. Returns `(min lost, max lost)`.
-#[inline]
-fn lost_extremum(
-    u: NodeId,
-    old: f64,
-    new: f64,
-    orig_min: f64,
-    orig_max: f64,
-    arg_min: u32,
-    arg_max: u32,
-) -> (bool, bool) {
-    if new < old {
-        (
-            false,
-            old == orig_max && (arg_max == NO_ARG || arg_max == u),
-        )
-    } else if new > old {
-        (
-            old == orig_min && (arg_min == NO_ARG || arg_min == u),
-            false,
-        )
-    } else {
-        (false, false)
     }
 }
 
@@ -1750,11 +1776,24 @@ impl SummaryView<'_> {
         max - min
     }
 
-    /// One witness row scan: the row's maximum unweighted error and its
-    /// best β-weighted candidate. This is *the* row scan — every refresh
-    /// shard and the reference stepper route through the same operation
-    /// order, which is what keeps their picks bit-identical.
-    fn scan_row(&self, p: &Partition, s: usize, beta: f64) -> (f64, Option<RowBest>) {
+    /// Whether entry `(other, outgoing)` of witness row `s` — out-entry
+    /// `(s, other)` or in-entry `(other, s)`, both on member axis `s` —
+    /// holds a pending extremum.
+    fn pending(&self, s: usize, (other, outgoing): (u32, bool)) -> bool {
+        let other = other as usize;
+        if outgoing || self.symmetric {
+            self.out.pending(s * self.cap + other)
+        } else {
+            self.inn.pending(other * self.cap + s)
+        }
+    }
+
+    /// One witness row scan over the stored summaries: the row's maximum
+    /// unweighted error and its best β-weighted candidate. This is *the*
+    /// row scan — every refresh shard and the reference stepper route
+    /// through the same operation order, which is what keeps their picks
+    /// bit-identical.
+    fn scan_row(&self, p: &Partition, s: usize, beta: f64) -> RowScan {
         let splittable = p.size(s as u32) >= 2;
         // β = 0 (the default weighting) makes every candidate's weight its
         // raw error, so the whole out-side scan collapses to "max spread
@@ -1767,6 +1806,7 @@ impl SummaryView<'_> {
                 &self.out.max[base..base + self.k],
                 &self.out.min[base..base + self.k],
             );
+            let mut max_at = (arg != NO_ARG).then_some((arg, true));
             let mut best = if splittable && max_err > 0.0 {
                 Some(RowBest {
                     weighted: max_err,
@@ -1784,6 +1824,7 @@ impl SummaryView<'_> {
                     let e = self.in_error(i, s);
                     if e > max_err {
                         max_err = e;
+                        max_at = Some((i as u32, false));
                     }
                     if splittable && e > 0.0 {
                         match &best {
@@ -1800,9 +1841,14 @@ impl SummaryView<'_> {
                     }
                 }
             }
-            return (max_err, best);
+            return RowScan {
+                max_err,
+                max_at,
+                best,
+            };
         }
         let mut max_err = 0.0f64;
+        let mut max_at = None;
         let mut best: Option<RowBest> = None;
         let mut consider = |weighted: f64, error: f64, other: u32, outgoing: bool| match &best {
             Some(b) if b.weighted >= weighted => {}
@@ -1819,6 +1865,7 @@ impl SummaryView<'_> {
             let e = self.out_error(s, j);
             if e > max_err {
                 max_err = e;
+                max_at = Some((j as u32, true));
             }
             if splittable && e > 0.0 {
                 consider(e * size_pow(p.size(j as u32), beta), e, j as u32, true);
@@ -1833,13 +1880,18 @@ impl SummaryView<'_> {
                 let e = self.in_error(i, s);
                 if e > max_err {
                     max_err = e;
+                    max_at = Some((i as u32, false));
                 }
                 if splittable && e > 0.0 {
                     consider(e * size_pow(p.size(i as u32), beta), e, i as u32, false);
                 }
             }
         }
-        (max_err, best)
+        RowScan {
+            max_err,
+            max_at,
+            best,
+        }
     }
 }
 
@@ -2069,6 +2121,7 @@ impl IncrementalDegrees {
             par_min_touched: PAR_MIN_TOUCHED,
             par_min_scan_work: PAR_MIN_SCAN_WORK,
             dirty_scratch: Vec::new(),
+            row_waits: Vec::new(),
             chunk_out: Vec::new(),
             merge_scan: MergeScan::default(),
             counters: Counters::default(),
@@ -2157,13 +2210,15 @@ impl IncrementalDegrees {
     /// counts)`, in storage order: the out side's row `i` holds out-entries
     /// `(i, ·)` and a directed engine's in side's row `i` holds in-entries
     /// `(i, ·)`. A symmetric engine keeps no in side, so its in columns
-    /// are empty. A read-only view for audits and tests.
+    /// are empty. A read-only view for audits and tests; it asserts that
+    /// nothing is pending ([`Self::resolve_pending`]).
     #[must_use]
     #[allow(clippy::type_complexity)]
     pub fn summary_columns(
         &self,
         outgoing: bool,
     ) -> (Vec<f64>, Vec<f64>, Vec<u32>, Vec<u32>, Vec<u32>) {
+        self.assert_resolved();
         let pr = &self.sides[usize::from(!outgoing)].pairs;
         let (k, cap) = (self.k, self.cap);
         let rows = if pr.nz.is_empty() { 0 } else { k };
@@ -2237,6 +2292,7 @@ impl IncrementalDegrees {
                 .map(ShardScratch::heap_bytes)
                 .sum::<usize>()
             + self.dirty_scratch.capacity() * 4
+            + self.row_waits.capacity() * size_of::<RowWait>()
             + chunk_lists
             + self.merge_scan.heap_bytes()
     }
@@ -2300,14 +2356,16 @@ impl IncrementalDegrees {
     }
 
     /// Outgoing error `U − L` at `(i, j)` (same convention as
-    /// [`DegreeMatrices::out_error`]).
+    /// [`DegreeMatrices::out_error`]). Asserts that the entry is not
+    /// pending ([`Self::resolve_pending`]).
     #[inline]
     pub fn out_error(&self, i: usize, j: usize) -> f64 {
         self.side(true).pairs.error(i, j)
     }
 
     /// Incoming error at `(i, j)` (same convention as
-    /// [`DegreeMatrices::in_error`]).
+    /// [`DegreeMatrices::in_error`]). Asserts that the entry is not
+    /// pending ([`Self::resolve_pending`]).
     #[inline]
     pub fn in_error(&self, i: usize, j: usize) -> f64 {
         self.side(false).pairs.error(j, i)
@@ -2318,7 +2376,9 @@ impl IncrementalDegrees {
     /// on the synchronized graph/partition (so the two agree exactly
     /// whenever the accumulator sums are exact, e.g. on integer weights)
     /// for `O(k²)` instead of the `O(n·k + m)` matrix recomputation.
+    /// Asserts that nothing is pending ([`Self::resolve_pending`]).
     pub fn q_report(&self) -> QErrorReport {
+        self.assert_resolved();
         let k = self.k;
         let out = &self.side(true).pairs;
         let mut max_q = 0.0f64;
@@ -2360,9 +2420,10 @@ impl IncrementalDegrees {
     /// *after* the split and `event.child` must be the next color id (splits
     /// are applied in order).
     ///
-    /// Cost: `O(deg(moved) + (|parent| + |child|)·k)` plus a one-column
-    /// member rescan for each pair summary that actually lost its tracked
-    /// extremum attainer. Engines built with more than one thread shard the
+    /// Cost: `O(deg(moved) + (|parent| + |child|)·k)`; a pair summary that
+    /// actually lost its tracked extremum attainer goes pending (the
+    /// parent's entries over columns `c` and `child` are rescanned at
+    /// once). Engines built with more than one thread shard the
     /// accumulator updates, member-axis scans and rescans of large splits
     /// across the pool (see the module docs for the merge design); the
     /// result is bit-identical for every thread count.
@@ -2386,6 +2447,7 @@ impl IncrementalDegrees {
         }
         self.rows.max_err[child] = 0.0;
         self.rows.best[child] = None;
+        self.rows.pending[child] = false;
 
         // Per side, the nodes whose rows shift from column `parent` to
         // column `child` are the moved nodes' neighbors against that
@@ -2444,10 +2506,12 @@ impl IncrementalDegrees {
     /// once), exactly as `qsc_graph::delta::GraphDelta::drain_events`
     /// produces them.
     ///
-    /// Cost: `O(events + touched entries)` plus a one-column member rescan
-    /// for each pair summary that provably lost a tracked extremum.
-    /// Touched witness rows go error-dirty; call [`Self::refresh`] before
-    /// the next [`Self::max_error`] / witness pick as after a split.
+    /// Cost: `O(events + touched entries)`, with no member scan: a pair
+    /// summary that provably lost a tracked extremum goes pending, and the
+    /// next [`Self::refresh`] scans its members only if it decides a
+    /// witness row. Touched witness rows go error-dirty; call
+    /// [`Self::refresh`] before the next [`Self::max_error`] / witness
+    /// pick as after a split.
     pub fn apply_edge_batch(&mut self, p: &Partition, events: &[EdgeEvent]) {
         assert_eq!(p.num_nodes(), self.n, "partition does not match engine");
         assert_eq!(p.num_colors(), self.k, "partition out of sync with engine");
@@ -2494,18 +2558,14 @@ impl IncrementalDegrees {
         for rec in &patches {
             let size = p.size(rec.member);
             let (lo, hi) = (rec.rescan_min, rec.rescan_max);
-            side.settle(
-                &mut self.rows,
-                rec.member,
-                rec.other,
-                size,
-                rec.nz_delta,
-                lo,
-                hi,
-            );
+            let (m, o) = (rec.member, rec.other);
+            let lost = side.settle(&mut self.rows, m, o, size, rec.nz_delta, lo, hi);
+            if lost > 0 {
+                side.defer(&mut self.rows, m, o);
+                self.counters.extremes_deferred += lost;
+            }
         }
         side.patches = patches;
-        self.rescan_queued(side, p);
     }
 
     /// The post-merge q-error bound of one specific pair (see
@@ -2515,9 +2575,12 @@ impl IncrementalDegrees {
     /// current state before applying them, so a coarsening round pays one
     /// [`Self::merge_candidates`] scan plus `O(k)` per applied merge
     /// instead of one scan per merge. The early exit never changes a
-    /// `> cap` decision.
+    /// `> cap` decision. Asserts that nothing is pending
+    /// ([`Self::resolve_pending`]; [`Self::apply_merge`] leaves nothing
+    /// pending).
     pub fn merge_bound_pair(&mut self, a: u32, b: u32, cap: f64) -> f64 {
         assert!((a as usize) < self.k && (b as usize) < self.k && a < b);
+        self.assert_resolved();
         let view = SummaryView::new(&self.sides, self.k, self.cap, self.symmetric);
         let panel = &mut self.merge_scan.panel;
         panel.fill(&view, &[a, b]);
@@ -2561,12 +2624,14 @@ impl IncrementalDegrees {
     /// the bounds evaluated; on pipebench's `stream-nodes` (k ≈ 330) the
     /// scan bounds about one eligible pair in 14. Requires
     /// [`Self::refresh`] since the last mutation (the prefilter reads the
-    /// cached row errors).
+    /// cached row errors) and asserts that nothing is pending
+    /// ([`Self::resolve_pending`]).
     pub fn merge_candidates(&mut self, max_bound: f64) -> Vec<MergeCandidate> {
         debug_assert!(
             self.rows.err_dirty[..self.k].iter().all(|d| !d),
             "merge_candidates with dirty rows; call refresh() first"
         );
+        self.assert_resolved();
         let k = self.k;
         let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
         let scan = &mut self.merge_scan;
@@ -2681,7 +2746,9 @@ impl IncrementalDegrees {
     /// colors' member axes are patched with the split path's exact
     /// lost-extremum machinery (plus one-column rescans where an extremum
     /// was provably lost), the winner's member axis is rebuilt, and the
-    /// relabel is `O(touched + k)` row/column copies.
+    /// relabel is `O(touched + k)` row/column copies. The merge ends with
+    /// [`Self::resolve_pending`], so entries still pending before it are
+    /// resolved too.
     pub fn apply_merge(&mut self, g: &Graph, p: &Partition, event: &MergeEvent) {
         let winner = event.winner as usize;
         let loser = event.loser as usize;
@@ -2754,6 +2821,12 @@ impl IncrementalDegrees {
             }
         }
 
+        // ---- Coarsening re-validates its next candidate against every
+        // entry (`merge_bound_pair`), so a merge leaves nothing pending:
+        // it rescanned its own entries, and resolves any still pending
+        // from before it.
+        self.resolve_pending(p);
+
         #[cfg(debug_assertions)]
         debug_assert_eq!(
             self.verify_against(g, p),
@@ -2764,7 +2837,10 @@ impl IncrementalDegrees {
 
     /// One side of a merge's entry patch: fold the captured winner-column
     /// changes into the entries `(member color, winner)` over the other
-    /// colors' member axes (as one shard), then settle and rescan them.
+    /// colors' member axes (as one shard), then settle them. An entry that
+    /// lost an extremum is rescanned at once rather than deferred:
+    /// coarsening bounds its next candidate against every entry right
+    /// after the merge.
     fn patch_merge_side(&mut self, side: &mut Side, p: &Partition, winner: usize) {
         self.begin_shard_records(1);
         let sc = &mut self.shard_scratch[0];
@@ -2779,7 +2855,7 @@ impl IncrementalDegrees {
             sc.fold(i as u32, u, old, new, 0.0, mn, mx, amn, amx);
         }
         self.merge_shard_records(side, 1, winner);
-        self.settle_touched(side, p, winner);
+        self.settle_touched(side, p, winner, true);
         self.rescan_queued(side, p);
     }
 
@@ -2805,6 +2881,8 @@ impl IncrementalDegrees {
         rows.best[loser] = rows.best[last];
         rows.err_dirty[loser] = rows.err_dirty[last];
         rows.best_dirty[loser] = rows.best_dirty[last];
+        rows.pending[loser] = rows.pending[last];
+        rows.pending[last] = false;
     }
 
     /// Grow the node axis for freshly inserted isolated nodes. `p` is the
@@ -2861,8 +2939,9 @@ impl IncrementalDegrees {
     /// compaction produced, and `removed_colors` the colors the removed
     /// nodes belonged to (any order, duplicates fine).
     ///
-    /// Cost: `O(n)` row compaction + `O(k²)` witness remap + a one-column
-    /// rescan per stale entry of an affected color.
+    /// Cost: `O(n)` row compaction + `O(k²)` witness remap + `O(k)` per
+    /// affected color; a zero extremum that lost its last zero member goes
+    /// pending.
     pub fn apply_node_removals(
         &mut self,
         p: &Partition,
@@ -2898,27 +2977,30 @@ impl IncrementalDegrees {
         // iff a zero extremum just lost its last zero member (`nz == new
         // size`). Everything else keeps its value — negative minima /
         // positive maxima are attained by survivors, and a zero extremum
-        // with another zero member stands. `O(k)` exact checks per
-        // affected color plus a one-column rescan per stale entry, instead
-        // of a full member-axis rebuild.
+        // with another zero member stands. The stale zero stays an outer
+        // bound (the survivors are all non-zero on that side of it), so
+        // the entry goes pending: `O(k)` exact checks per affected color,
+        // no member scan, instead of a full member-axis rebuild.
         let mut affected: Vec<u32> = removed_colors.to_vec();
         affected.sort_unstable();
         affected.dedup();
         for &outgoing in self.directions() {
             self.with_side(outgoing, |e, side| {
-                let pr = &mut side.pairs;
-                pr.remap_args(k, remap);
+                side.pairs.remap_args(k, remap);
                 for &c in &affected {
                     for j in 0..k {
+                        let pr = &side.pairs;
                         let idx = pr.at(c as usize, j);
-                        if (pr.nz[idx] as usize) == p.size(c)
-                            && (pr.min[idx] == 0.0 || pr.max[idx] == 0.0)
-                        {
-                            side.rescans.push((c, j as u32));
+                        if (pr.nz[idx] as usize) == p.size(c) {
+                            let lost =
+                                u64::from(pr.min[idx] == 0.0) + u64::from(pr.max[idx] == 0.0);
+                            if lost > 0 {
+                                side.defer(&mut e.rows, c, j as u32);
+                                e.counters.extremes_deferred += lost;
+                            }
                         }
                     }
                 }
-                e.rescan_queued(side, p);
             });
         }
         for &c in &affected {
@@ -2940,7 +3022,7 @@ impl IncrementalDegrees {
     /// Apply one side of a split to the accumulators and pair summaries:
     /// shift every touched node's mass from the parent to the child
     /// column, patch the entries over *other* colors' member axes, then
-    /// settle the batch (child-column entries, lost-extremum rescans,
+    /// settle the batch (child-column entries, pending lost extrema,
     /// witness-row invalidation). `collect_touched` must have run for the
     /// matching direction.
     ///
@@ -3003,7 +3085,7 @@ impl IncrementalDegrees {
         self.merge_shard_records(side, shards, c);
         // Settle the parent-column entries, then install the child-column
         // entries from the folded child values.
-        self.settle_touched(side, p, c);
+        self.settle_touched(side, p, c, false);
         let pr = &mut side.pairs;
         for t in &self.touched_colors {
             let (mut mn, mut mx) = (t.child_min, t.child_max);
@@ -3027,7 +3109,6 @@ impl IncrementalDegrees {
             pr.max_arg[idx] = amx;
             pr.nz[idx] = t.child_nonzero;
         }
-        self.rescan_queued(side, p);
         self.touched_nodes = touched;
         self.touched_deltas = deltas;
     }
@@ -3099,33 +3180,44 @@ impl IncrementalDegrees {
         pr.extend(idx, r.ext_min, r.ext_min_arg, r.ext_max, r.ext_max_arg);
     }
 
-    /// Settle every entry `(touched color, c)` of the merged batch.
-    fn settle_touched(&mut self, side: &mut Side, p: &Partition, c: usize) {
+    /// Settle every entry `(touched color, c)` of the merged batch. An
+    /// entry that lost an extremum goes pending, or, when `rescan`, is
+    /// queued for a rescan instead.
+    fn settle_touched(&mut self, side: &mut Side, p: &Partition, c: usize, rescan: bool) {
+        let c = c as u32;
         for t in &self.touched_colors {
             let size = p.size(t.color);
             let (lo, hi) = (t.rescan_min, t.rescan_max);
-            side.settle(&mut self.rows, t.color, c as u32, size, t.nz_delta, lo, hi);
+            let lost = side.settle(&mut self.rows, t.color, c, size, t.nz_delta, lo, hi);
+            if lost == 0 {
+                continue;
+            }
+            if rescan {
+                side.rescans.push((t.color, c));
+            } else {
+                side.defer(&mut self.rows, t.color, c);
+                self.counters.extremes_deferred += lost;
+            }
         }
     }
 
     /// Repair the parent's member axis after a split: entries `(c, j)`.
-    /// Columns `c`/`child` saw their accumulator values change and are
-    /// always rescanned; for every other column the values are untouched
-    /// and membership only shrank, so the nonzero count drops by what the
-    /// child took (the child axis was rebuilt just before this) and the
-    /// old extremum stands unless its tracked attainer departed to the
-    /// child — with unknown attainers falling back to the conservative
-    /// "the child attained the parent's extremum" heuristic. The settle
-    /// rule decides the rest. Cost: `O(k)` exact checks plus `O(|parent|)`
-    /// per column that actually lost an extremum.
+    /// Columns `c`/`child` saw their accumulator values change, so their
+    /// stored extrema are not bounds: they are rescanned at once. For
+    /// every other column the values are untouched and membership only
+    /// shrank, so the nonzero count drops by what the child took (the
+    /// child axis was rebuilt just before this) and the old extremum
+    /// stands unless its tracked attainer departed to the child — with
+    /// unknown attainers falling back to the conservative "the child
+    /// attained the parent's extremum" heuristic, and a pending extremum
+    /// staying a bound. The settle rule decides the rest. Cost: `O(k)`
+    /// exact checks plus `O(|parent|)` for each of the two rescans.
     fn repair_parent_axis(&mut self, side: &mut Side, p: &Partition, c: usize, child: usize) {
         let parent_size = p.size(c as u32);
-        let departed = |arg: u32, fallback: bool| {
-            if arg == NO_ARG {
-                fallback
-            } else {
-                p.color_of(arg) != c as u32
-            }
+        let departed = |arg: u32, fallback: bool| match arg {
+            NO_ARG => fallback,
+            PENDING_ARG => false,
+            _ => p.color_of(arg) != c as u32,
         };
         for j in 0..self.k {
             if j == c || j == child {
@@ -3138,15 +3230,12 @@ impl IncrementalDegrees {
             let lost_max = departed(pr.max_arg[idx], pr.max[cidx] == pr.max[idx]);
             let nz_delta = -i64::from(pr.nz[cidx]);
             let (cu, ju) = (c as u32, j as u32);
-            side.settle(
-                &mut self.rows,
-                cu,
-                ju,
-                parent_size,
-                nz_delta,
-                lost_min,
-                lost_max,
-            );
+            let rows = &mut self.rows;
+            let lost = side.settle(rows, cu, ju, parent_size, nz_delta, lost_min, lost_max);
+            if lost > 0 {
+                side.defer(rows, cu, ju);
+                self.counters.extremes_deferred += lost;
+            }
         }
         self.rescan_queued(side, p);
     }
@@ -3160,6 +3249,19 @@ impl IncrementalDegrees {
     /// stale rows are sharded across the pool — each row is an independent
     /// `O(k)` scan writing only its own cache slots, so results do not
     /// depend on the shard count.
+    ///
+    /// The scan reads the stored summaries, pending bounds included. A
+    /// pending entry's stored spread is at least its true one, so a row
+    /// whose maximum-error attainer and best candidate (first under the
+    /// tie-breaks) are exact has its exact maximum and best, whatever
+    /// else in it is pending. When a pending entry decides either, the
+    /// entry is resolved (one member-column scan) and the row scanned
+    /// again; if a pending entry decides it again, every pending entry of
+    /// the row is resolved, so the third scan finds it exact. Afterwards
+    /// [`Self::max_error`], [`Self::pick_witness`] and
+    /// [`Self::pick_witnesses`] return what they would on an engine with
+    /// no pending entries; the readers of every entry need
+    /// [`Self::resolve_pending`] instead.
     pub fn refresh(&mut self, p: &Partition, beta: f64) {
         if beta != self.last_beta {
             self.rows.best_dirty[..self.k].fill(true);
@@ -3172,38 +3274,62 @@ impl IncrementalDegrees {
             (0..k as u32)
                 .filter(|&s| self.rows.err_dirty[s as usize] || self.rows.best_dirty[s as usize]),
         );
-        if dirty.is_empty() {
-            self.dirty_scratch = dirty;
-            return;
+        let mut first = true;
+        while !dirty.is_empty() {
+            self.scan_rows(p, beta, &dirty);
+            let waits = std::mem::take(&mut self.row_waits);
+            self.resolve_winners(p, &mut dirty, &waits, first);
+            self.row_waits = waits;
+            first = false;
         }
+        self.dirty_scratch = dirty;
+    }
+
+    /// One pass of [`Self::refresh`] over the stale rows `dirty`: scan
+    /// each row, cache its results when the entries that decided them are
+    /// exact, and otherwise record those entries in `row_waits` and leave
+    /// the row stale.
+    fn scan_rows(&mut self, p: &Partition, beta: f64, dirty: &[u32]) {
+        let k = self.k;
         let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
         let shards = if dirty.len() >= 2 && dirty.len() * k >= self.par_min_scan_work {
             self.pool.0.slots()
         } else {
             1
         };
+        self.row_waits.clear();
+        self.row_waits.resize(dirty.len(), [None, None]);
+        let waits = SyncSliceMut::new(&mut self.row_waits);
         let row_max_err = SyncSliceMut::new(&mut self.rows.max_err);
         let row_best = SyncSliceMut::new(&mut self.rows.best);
         let err_dirty = SyncSliceMut::new(&mut self.rows.err_dirty);
         let best_dirty = SyncSliceMut::new(&mut self.rows.best_dirty);
         run_shards(&self.pool.0, shards, |shard| {
             let (lo, hi) = chunk_range(dirty.len(), shards, shard);
-            for &s in &dirty[lo..hi] {
+            // SAFETY: chunks are disjoint, so each shard claims its own
+            // range of waits; the dirty list is duplicate-free, so each
+            // row's cache slots are written by one shard.
+            let waits = unsafe { waits.slice_mut(lo, hi) };
+            for (&s, wait) in dirty[lo..hi].iter().zip(waits) {
                 let s = s as usize;
-                let (max_err, best) = view.scan_row(p, s, beta);
-                // SAFETY: the dirty list is duplicate-free and chunks are
-                // disjoint, so each row's slots are written by one shard.
+                let scan = view.scan_row(p, s, beta);
+                let pending = |e: Option<(u32, bool)>| e.filter(|&e| view.pending(s, e));
                 unsafe {
-                    if *err_dirty.get_mut(s) {
-                        *row_max_err.get_mut(s) = max_err;
+                    let err = *err_dirty.get_mut(s);
+                    let best_at = scan.best.map(|b| (b.other, b.outgoing));
+                    *wait = [pending(scan.max_at.filter(|_| err)), pending(best_at)];
+                    if *wait != [None, None] {
+                        continue;
+                    }
+                    if err {
+                        *row_max_err.get_mut(s) = scan.max_err;
                         *err_dirty.get_mut(s) = false;
                     }
-                    *row_best.get_mut(s) = best;
+                    *row_best.get_mut(s) = scan.best;
                     *best_dirty.get_mut(s) = false;
                 }
             }
         });
-        self.dirty_scratch = dirty;
     }
 
     /// Maximum q-error over all pairs and directions. Requires
@@ -3303,9 +3429,11 @@ impl IncrementalDegrees {
 
     /// Cross-check the full maintained state against a from-scratch
     /// [`DegreeMatrices::compute`] (and freshly recomputed accumulators),
-    /// with a small tolerance for floating-point associativity. Returns a
+    /// with a small tolerance for floating-point associativity. A pending
+    /// extremum must bracket the true one (an outer bound), and its row
+    /// must be flagged pending; every other extremum must match. Returns a
     /// description of the first mismatch. Intended for tests and the debug
-    /// assertion inside [`Self::apply_split`].
+    /// assertions after every split, merge and edge batch.
     pub fn verify_against(&self, g: &Graph, p: &Partition) -> Result<(), String> {
         let k = self.k;
         if p.num_colors() != k {
@@ -3313,45 +3441,56 @@ impl IncrementalDegrees {
         }
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs()));
         let scratch = DegreeMatrices::compute(g, p);
-        let view = SummaryView::new(&self.sides, k, self.cap, self.symmetric);
-        for i in 0..k {
-            for j in 0..k {
-                let sidx = i * k + j;
-                let (out_min, out_max) = view.out_mm(i, j);
-                let (in_min, in_max) = view.in_mm(i, j);
-                for (name, ours, theirs) in [
-                    ("out_min", out_min, scratch.out_min[sidx]),
-                    ("out_max", out_max, scratch.out_max[sidx]),
-                    ("in_min", in_min, scratch.in_min[sidx]),
-                    ("in_max", in_max, scratch.in_max[sidx]),
-                ] {
-                    if !close(ours, theirs) {
-                        return Err(format!(
-                            "{name}[{i}][{j}]: incremental {ours} vs scratch {theirs}"
-                        ));
-                    }
-                }
-            }
-        }
-        // Per kept side, entry (a, b): tracked attainers, when known,
-        // must attain the entry's value and belong to the member axis,
-        // and the nonzero-member count must match a recount of the
-        // maintained values. The recount deliberately uses maintained
-        // *values*: with inexact weights an incremental subtraction
-        // can leave a tiny residue where a fresh sum gives an exact
-        // zero, and the zero-skip rule is sound for exactly this
+        // Per direction, entry (a, b) of the side holding it: out-entry
+        // (a, b), or in-entry (b, a) — on symmetric engines the mirrored
+        // out-entry, whose attainers and counts the out pass checks.
+        // Tracked attainers, when known, must attain the entry's value and
+        // belong to the member axis, and the nonzero-member count must
+        // match a recount of the maintained values — pending or not. The recount deliberately uses
+        // maintained *values*: with inexact weights an incremental
+        // subtraction can leave a tiny residue where a fresh sum gives an
+        // exact zero, and the zero-skip rule is sound for exactly this
         // value-based count.
-        for &outgoing in self.directions() {
+        for outgoing in [true, false] {
             let (side, dir) = (self.side(outgoing), if outgoing { "out" } else { "in" });
+            let pr = &side.pairs;
+            let mirror = self.symmetric && !outgoing;
             for a in 0..k {
                 for b in 0..k {
-                    let pr = &side.pairs;
                     let idx = pr.at(a, b);
-                    for (name, arg, val) in [
-                        ("min", pr.min_arg[idx], pr.min[idx]),
-                        ("max", pr.max_arg[idx], pr.max[idx]),
+                    let (true_min, true_max) = if outgoing {
+                        (scratch.out_min[a * k + b], scratch.out_max[a * k + b])
+                    } else {
+                        (scratch.in_min[b * k + a], scratch.in_max[b * k + a])
+                    };
+                    for (name, arg, val, truth) in [
+                        ("min", pr.min_arg[idx], pr.min[idx], true_min),
+                        ("max", pr.max_arg[idx], pr.max[idx], true_max),
                     ] {
-                        if arg == NO_ARG {
+                        if arg == PENDING_ARG {
+                            let outer = if name == "min" {
+                                val < truth
+                            } else {
+                                val > truth
+                            };
+                            if !self.rows.pending[a] {
+                                return Err(format!(
+                                    "{dir} {name} of ({a}, {b}) is pending in an unflagged row"
+                                ));
+                            }
+                            if !(close(val, truth) || outer) {
+                                return Err(format!(
+                                    "{dir} pending {name} of ({a}, {b}): {val} does not bound scratch {truth}"
+                                ));
+                            }
+                            continue;
+                        }
+                        if !close(val, truth) {
+                            return Err(format!(
+                                "{dir}_{name}[{a}][{b}]: incremental {val} vs scratch {truth}"
+                            ));
+                        }
+                        if arg == NO_ARG || mirror {
                             continue;
                         }
                         let attained = side.acc.get(arg, b as u32);
@@ -3361,6 +3500,9 @@ impl IncrementalDegrees {
                                 p.color_of(arg)
                             ));
                         }
+                    }
+                    if mirror {
+                        continue;
                     }
                     let count = p
                         .members(a as u32)
@@ -3429,6 +3571,7 @@ impl IncrementalDegrees {
     fn rebuild_axis(&mut self, side: &mut Side, p: &Partition, s: usize) {
         let (k, cap) = (self.k, self.cap);
         let members = p.members(s as u32);
+        self.counters.axis_member_reads += members.len() as u64;
         let shards = if members.len() >= 2 && members.len() * k >= self.par_min_scan_work {
             self.pool.0.slots()
         } else {
@@ -3578,79 +3721,6 @@ impl IncrementalDegrees {
         self.chunk_out = lists;
     }
 
-    /// Recompute the side's queued rescans from their member axes: entry
-    /// `(a, b)` scans `P_a`'s members at column `b` (values, first
-    /// attainers in member order, nonzero counts), then clears the queue.
-    /// Each shard (one below the scan-work threshold) takes a contiguous
-    /// chunk of whole entries and writes only those, so results do not
-    /// depend on the shard count. A chunk whose entries share one member
-    /// axis — the parent-axis repair after a split always does — hands all
-    /// its columns over at once (tiered rows fold them in a single member
-    /// pass, the dense plane gathers each contiguous column in turn); per
-    /// column that is the same member-order fold, bit for bit.
-    fn rescan_queued(&mut self, side: &mut Side, p: &Partition) {
-        let entries = std::mem::take(&mut side.rescans);
-        if !entries.is_empty() {
-            let work: usize = entries.iter().map(|&(a, _)| p.size(a)).sum();
-            let shards = if entries.len() >= 2 && work >= self.par_min_scan_work {
-                self.pool.0.slots()
-            } else {
-                1
-            };
-            let cap = self.cap;
-            for sc in &mut self.shard_scratch[..shards] {
-                sc.size_axis(cap);
-            }
-            let acc = &side.acc;
-            let pr = &mut side.pairs;
-            let (ms, os) = (pr.ms, pr.os);
-            let (emin, emax) = (
-                SyncSliceMut::new(&mut pr.min),
-                SyncSliceMut::new(&mut pr.max),
-            );
-            let amin = SyncSliceMut::new(&mut pr.min_arg);
-            let amax = SyncSliceMut::new(&mut pr.max_arg);
-            let enz = SyncSliceMut::new(&mut pr.nz);
-            let write = |&(a, b): &(u32, u32), (mn, mx, an, ax, nz): (f64, f64, u32, u32, u32)| {
-                let idx = a as usize * ms + b as usize * os;
-                // SAFETY: the entry list is duplicate-free and chunks are
-                // disjoint, so each entry is written by one shard.
-                unsafe {
-                    *emin.get_mut(idx) = mn;
-                    *emax.get_mut(idx) = mx;
-                    *amin.get_mut(idx) = an;
-                    *amax.get_mut(idx) = ax;
-                    *enz.get_mut(idx) = nz;
-                }
-            };
-            let scratch = SyncSliceMut::new(&mut self.shard_scratch);
-            run_shards(&self.pool.0, shards, |shard| {
-                let (lo, hi) = chunk_range(entries.len(), shards, shard);
-                let chunk = &entries[lo..hi];
-                let Some(&(axis, _)) = chunk.first() else {
-                    return;
-                };
-                if chunk.len() < 2 || chunk.iter().any(|e| e.0 != axis) {
-                    for e in chunk {
-                        write(e, acc.scan_column(p.members(e.0), e.1));
-                    }
-                    return;
-                }
-                debug_assert!(chunk.len() <= cap);
-                let cols: Vec<u32> = chunk.iter().map(|e| e.1).collect();
-                // SAFETY: each shard touches only its own scratch entry.
-                let sc = unsafe { scratch.get_mut(shard) };
-                let (mn, mx, amn, amx, nz) = sc.axis_rows(cap);
-                acc.scan_columns(p.members(axis), &cols, mn, mx, amn, amx, nz);
-                for (s, e) in chunk.iter().enumerate() {
-                    write(e, (mn[s], mx[s], amn[s], amx[s], nz[s]));
-                }
-            });
-        }
-        side.rescans = entries;
-        side.rescans.clear();
-    }
-
     /// Grow the column capacity to hold `needed` colors. Capacity doubles
     /// (`next_power_of_two`), so a long split sequence pays `O(log k)`
     /// regrowths — amortized `O(1)` copies per new color — and each matrix
@@ -3671,6 +3741,7 @@ impl IncrementalDegrees {
         rows.best.resize(new_cap, None);
         rows.err_dirty.resize(new_cap, true);
         rows.best_dirty.resize(new_cap, true);
+        rows.pending.resize(new_cap, false);
         self.color_slot.resize(new_cap, u32::MAX);
         self.cap = new_cap;
     }
@@ -4078,6 +4149,7 @@ mod tests {
                 }
             }
             let m = DegreeMatrices::compute(&g, &p);
+            engine.resolve_pending(&p);
             engine.refresh(&p, 0.0);
             let cand = engine.merge_candidates(f64::INFINITY)[0];
             assert_eq!(Some(cand), pick_merge_scratch(&m, f64::INFINITY));
@@ -4179,6 +4251,7 @@ mod tests {
                 };
                 for e in &mut engines {
                     e.apply_split(&g, &p, &ev);
+                    e.resolve_pending(&p);
                     e.refresh(&p, 0.0);
                 }
                 // Bands: none eligible, exactly one eligible (when the
@@ -4235,6 +4308,7 @@ mod tests {
             let ev = p2.split_color(0, |v| v % 3 == 0).expect("splits");
             let mut e = IncrementalDegrees::new(&g, &Partition::unit(n));
             e.apply_split(&g, &p2, &ev);
+            e.resolve_pending(&p2);
             e.refresh(&p2, 0.0);
             for band in [0.0, e.max_error(), f64::INFINITY] {
                 let reference = exhaustive_candidates(&mut e, band);
@@ -4419,6 +4493,104 @@ mod tests {
             assert_eq!(dense.max_error().to_bits(), fresh.max_error().to_bits());
             assert_eq!(dense.pick_witness(&p, 0.0), fresh.pick_witness(&p, 0.0));
         }
+    }
+
+    #[test]
+    fn lost_maxima_stay_pending_until_they_decide_a_row() {
+        use qsc_graph::GraphDelta;
+        // A = {0, 1, 2}, B = {3, 6}, C = {4, 5}, D = {7}. Out-values of
+        // A's members at B: 5, 6, 0 (spread 6, the row winner); at C: 3,
+        // 1, 0 (spread 3); at D: 0, 0, 4 (spread 4). In-values from A: B's
+        // 8, 3 and C's 1, 3, so each deletion below only extends an
+        // in-side minimum, which stays exact.
+        let mut b = GraphBuilder::new_directed(8);
+        for (u, v, w) in [
+            (0u32, 3u32, 5.0),
+            (1, 3, 3.0),
+            (1, 6, 3.0),
+            (0, 4, 1.0),
+            (0, 5, 2.0),
+            (1, 5, 1.0),
+            (2, 7, 4.0),
+        ] {
+            b.add_edge(u, v, w);
+        }
+        let classes = vec![vec![0, 1, 2], vec![3, 6], vec![4, 5], vec![7]];
+        let p = Partition::from_classes(8, classes);
+        let g = b.build();
+        let mut engine = IncrementalDegrees::new(&g, &p);
+        engine.refresh(&p, 0.0);
+        let pending = |e: &IncrementalDegrees, other: usize| {
+            let pr = &e.sides[0].pairs;
+            pr.pending(pr.at(0, other))
+        };
+        let mut delta = GraphDelta::new(g);
+        let mut step = |engine: &mut IncrementalDegrees, u: u32, v: u32| {
+            delta.delete_edge(u, v).unwrap();
+            engine.apply_edge_batch(&p, &delta.drain_events());
+            let g = delta.compact();
+            assert_eq!(engine.verify_against(&g, &p), Ok(()));
+            g
+        };
+
+        // Node 0's value at C drops from the entry's maximum 3 to 2: the
+        // entry goes pending without a member read, and the next refresh
+        // leaves it pending, since (A, B) still decides row A.
+        let before = engine.counters;
+        let g = step(&mut engine, 0, 4);
+        assert!(pending(&engine, 2));
+        assert_eq!(
+            engine.counters.extremes_deferred,
+            before.extremes_deferred + 1
+        );
+        assert_eq!(
+            engine.counters.rescan_member_reads,
+            before.rescan_member_reads
+        );
+        engine.refresh(&p, 0.0);
+        assert!(pending(&engine, 2));
+        assert_eq!(engine.counters.pending_resolved, before.pending_resolved);
+        assert_eq!(
+            engine.counters.rescan_member_reads,
+            before.rescan_member_reads
+        );
+        let mut fresh = IncrementalDegrees::new(&g, &p);
+        fresh.refresh(&p, 0.0);
+        assert_eq!(engine.rows.max_err[0], 6.0);
+        assert_eq!(engine.max_error(), fresh.max_error());
+        assert_eq!(engine.pick_witness(&p, 0.0), fresh.pick_witness(&p, 0.0));
+
+        // Node 1's value at B drops from the maximum 6 to 3: the row
+        // winner goes pending, and the next refresh resolves it — one
+        // scan of A's three members — to the exact spread 5. (A, C)'s
+        // stored bound 3 stays below the exact (A, D) at 4, so (A, C)
+        // stays pending.
+        let before = engine.counters;
+        let g = step(&mut engine, 1, 6);
+        assert!(pending(&engine, 1));
+        engine.refresh(&p, 0.0);
+        assert!(!pending(&engine, 1) && pending(&engine, 2));
+        assert_eq!(
+            engine.counters.pending_resolved,
+            before.pending_resolved + 1
+        );
+        assert_eq!(
+            engine.counters.rescan_member_reads,
+            before.rescan_member_reads + 3
+        );
+        let mut fresh = IncrementalDegrees::new(&g, &p);
+        fresh.refresh(&p, 0.0);
+        assert_eq!(engine.rows.max_err[0], 5.0);
+        assert_eq!(engine.max_error(), fresh.max_error());
+        assert_eq!(engine.pick_witness(&p, 0.0), fresh.pick_witness(&p, 0.0));
+        // Resolved once: a clean refresh scans nothing.
+        let settled = engine.counters;
+        engine.refresh(&p, 0.0);
+        assert_eq!(engine.counters, settled);
+        // Resolving everything makes the summaries the fresh engine's.
+        engine.resolve_pending(&p);
+        assert!(!pending(&engine, 2));
+        assert_eq!(engine.q_report(), fresh.q_report());
     }
 
     #[test]

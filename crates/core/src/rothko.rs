@@ -908,10 +908,12 @@ impl<'g> RothkoRun<'g> {
             if k < 2 {
                 break;
             }
-            // Refresh before the scan: the candidate prefilter reads the
-            // cached row errors, which the previous round's merges dirtied.
+            // The scan bounds every entry, so nothing may be pending; and
+            // its candidate prefilter reads the cached row errors, which
+            // the previous round's merges dirtied.
             let beta = self.config.beta;
             let engine = self.engine.as_mut().expect("engine mode");
+            engine.resolve_pending(&self.partition);
             engine.refresh(&self.partition, beta);
             let candidates = engine.merge_candidates(band);
             if candidates.is_empty() {
@@ -1104,12 +1106,24 @@ impl<'g> RothkoRun<'g> {
         }
     }
 
+    /// Make every pair summary of the engine exact
+    /// ([`IncrementalDegrees::resolve_pending`]), for readers of the whole
+    /// summary state through [`Self::engine`]; a no-op in reference mode.
+    /// Witness picks and [`Self::exact_max_error`] do not need it.
+    pub fn resolve_pending(&mut self) {
+        if let Some(engine) = &mut self.engine {
+            engine.resolve_pending(&self.partition);
+        }
+    }
+
     /// Stop now and package the current coloring with exact quality metrics.
-    pub fn finish(self) -> Coloring {
+    pub fn finish(mut self) -> Coloring {
         // Incremental mode reads the report straight off the engine's pair
         // summaries (`O(k²)`, same scan order and fold as the from-graph
-        // recomputation — exactly equal on integer weights); reference mode
-        // rebuilds the matrices from the graph.
+        // recomputation — exactly equal on integer weights), once every
+        // pending entry is resolved; reference mode rebuilds the matrices
+        // from the graph.
+        self.resolve_pending();
         let report = match &self.engine {
             Some(engine) => engine.q_report(),
             None => q_error_report(self.graph.get(), &self.partition),

@@ -11,7 +11,7 @@
 //! so all sums are exact and equalities are required bit-for-bit, across
 //! dense / sparse / symmetric engine modes and thread counts 1 and 4.
 
-use qsc_core::q_error::IncrementalDegrees;
+use qsc_core::q_error::{Counters, IncrementalDegrees};
 use qsc_core::reduced::{quotient_matrix, PatchedReducedGraph, ReducedDelta, ReducedSnapshot};
 use qsc_core::rothko::{NodeChurnBatch, Rothko, RothkoConfig};
 use qsc_core::sweep::ColoringSweep;
@@ -114,48 +114,118 @@ fn random_split(p: &mut Partition, rng: &mut StdRng) -> Option<qsc_core::SplitEv
     p.split_color(c, |v| v >= pivot && v != members[0])
 }
 
+/// The exact-value view of an engine's pair summaries: per direction, the
+/// min and max bits and the nonzero counts, read once every pending entry
+/// is resolved (on a clone, so the engine itself keeps its pending entries
+/// into the next round).
+fn resolved_summaries(e: &IncrementalDegrees, p: &Partition) -> Vec<Vec<u64>> {
+    let mut e = e.clone();
+    e.resolve_pending(p);
+    let mut out = Vec::new();
+    for outgoing in [true, false] {
+        let (min, max, _, _, nz) = e.summary_columns(outgoing);
+        out.push(min.iter().map(|x| x.to_bits()).collect());
+        out.push(max.iter().map(|x| x.to_bits()).collect());
+        out.push(nz.iter().map(|&c| u64::from(c)).collect());
+    }
+    out
+}
+
 #[test]
 fn engine_churn_matches_scratch_across_modes_and_threads() {
     for (directed, seed) in [(false, 5u64), (true, 23)] {
         let g = random_graph(60, 260, directed, seed);
         let mut p = Partition::unit(60);
-        let mut dense1 = IncrementalDegrees::new_with_threads(&g, &p, 1);
-        let mut dense4 = IncrementalDegrees::new_with_threads(&g, &p, 4);
-        dense4.set_parallel_thresholds(1, 1);
-        let mut sparse = IncrementalDegrees::new_with_storage(&g, &p, 1, StorageMode::Sparse, 0);
+        // Per storage mode, threads 1 and a forced four-shard engine (so
+        // the sharded refresh resolutions run on every pass).
+        let mut engines: Vec<(String, IncrementalDegrees)> = Vec::new();
+        for mode in [StorageMode::Dense, StorageMode::Sparse] {
+            for threads in [1usize, 4] {
+                let mut e = IncrementalDegrees::new_with_storage(&g, &p, threads, mode, 0);
+                if threads > 1 {
+                    e.set_parallel_thresholds(1, 1);
+                }
+                engines.push((format!("{mode:?}/t{threads}"), e));
+            }
+        }
         let mut churner = Churner::new(g, seed ^ 0xc0ffee);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
         let mut current = churner.delta.compact();
+        let mut counters = Counters::default();
         for round in 0..6 {
             // A couple of splits between batches keeps the interleaving
             // honest (churn over a refined coloring, not just k = 1).
             for _ in 0..2 {
                 if let Some(ev) = random_split(&mut p, &mut rng) {
-                    dense1.apply_split(&current, &p, &ev);
-                    dense4.apply_split(&current, &p, &ev);
-                    sparse.apply_split(&current, &p, &ev);
+                    for (_, e) in &mut engines {
+                        e.apply_split(&current, &p, &ev);
+                    }
                 }
             }
             let events = churner.batch(14);
-            dense1.apply_edge_batch(&p, &events);
-            dense4.apply_edge_batch(&p, &events);
-            sparse.apply_edge_batch(&p, &events);
-            current = churner.delta.compact();
-            assert_eq!(dense1.verify_against(&current, &p), Ok(()), "round {round}");
-            assert_eq!(dense4.verify_against(&current, &p), Ok(()), "round {round}");
-            assert_eq!(sparse.verify_against(&current, &p), Ok(()), "round {round}");
-            // Witness state: bit-identical across thread counts and to a
-            // freshly built engine on the compacted graph.
-            dense1.refresh(&p, 1.0);
-            dense4.refresh(&p, 1.0);
-            sparse.refresh(&p, 1.0);
-            let mut fresh = IncrementalDegrees::new(&current, &p);
-            fresh.refresh(&p, 1.0);
-            for engine in [&dense1, &dense4, &sparse] {
-                assert_eq!(engine.max_error().to_bits(), fresh.max_error().to_bits());
-                assert_eq!(engine.pick_witness(&p, 1.0), fresh.pick_witness(&p, 1.0));
+            for (_, e) in &mut engines {
+                e.apply_edge_batch(&p, &events);
             }
+            current = churner.delta.compact();
+            for (name, e) in &engines {
+                assert_eq!(
+                    e.verify_against(&current, &p),
+                    Ok(()),
+                    "round {round}: {name}"
+                );
+            }
+            // Witness state: bit-identical across modes and thread counts
+            // and to a freshly built engine on the compacted graph, with
+            // the entries no witness decision needed still pending.
+            let mut fresh = IncrementalDegrees::new(&current, &p);
+            for beta in [0.0, 1.0] {
+                fresh.refresh(&p, beta);
+                for (name, e) in &mut engines {
+                    e.refresh(&p, beta);
+                    assert_eq!(
+                        e.max_error().to_bits(),
+                        fresh.max_error().to_bits(),
+                        "round {round} beta {beta}: {name}"
+                    );
+                    for alpha in [0.0, 1.0] {
+                        assert_eq!(
+                            e.pick_witness(&p, alpha),
+                            fresh.pick_witness(&p, alpha),
+                            "round {round} beta {beta} alpha {alpha}: {name}"
+                        );
+                    }
+                    assert_eq!(
+                        e.pick_witnesses(&p, 1.0, 3),
+                        fresh.pick_witnesses(&p, 1.0, 3),
+                        "round {round} beta {beta}: {name}"
+                    );
+                }
+            }
+            // Resolved, every summary value and count is the fresh one.
+            let expected = resolved_summaries(&fresh, &p);
+            for (name, e) in &engines {
+                assert_eq!(resolved_summaries(e, &p), expected, "round {round}: {name}");
+            }
+            // Work counters are equal across thread counts within a
+            // storage mode (attainers, and so rescans, differ across
+            // modes).
+            for pair in engines.chunks(2) {
+                assert_eq!(
+                    pair[0].1.counters(),
+                    pair[1].1.counters(),
+                    "round {round}: {} vs {}",
+                    pair[0].0,
+                    pair[1].0
+                );
+            }
+            counters = *engines[0].1.counters();
         }
+        // Refreshes resolved some entries and left others pending.
+        assert!(counters.pending_resolved > 0, "{counters:?}");
+        assert!(
+            counters.pending_resolved < counters.extremes_deferred,
+            "{counters:?}"
+        );
     }
 }
 

@@ -61,7 +61,9 @@ fn check_random_splits(g: &Graph, seed: u64) {
             "engine diverged after splitting color {c} (seed {seed})"
         );
     }
-    // Spot-check the error entries against the scratch matrices directly.
+    // Spot-check the error entries against the scratch matrices directly,
+    // once the entries the splits left pending are resolved.
+    engine.resolve_pending(&p);
     let scratch = DegreeMatrices::compute(g, &p);
     for i in 0..p.num_colors() {
         for j in 0..p.num_colors() {

@@ -313,6 +313,8 @@ fn sharded_merge_paths_match_serial_engine() {
                 sharded.apply_split(&g, &p, &ev);
             }
         }
+        serial.resolve_pending(&p);
+        sharded.resolve_pending(&p);
         serial.refresh(&p, 1.0);
         sharded.refresh(&p, 1.0);
         while p.num_colors() > 1 {

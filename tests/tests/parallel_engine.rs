@@ -144,6 +144,7 @@ fn forced_sharding_is_bit_identical_to_serial_engine() {
                 serial.pick_witness(&p_serial, 1.0),
                 par.pick_witness(&p_par, 1.0)
             );
+            assert_eq!(serial.counters(), par.counters());
             assert_eq!(par.verify_against(&g, &p_par), Ok(()));
         }
         assert!(p_serial.num_colors() > 10, "splits actually happened");
@@ -196,6 +197,9 @@ fn sharded_touched_collection_is_bit_identical() {
             }
             assert_eq!(picks[0], picks[1], "threads 1 vs 4 (seed {seed})");
             assert_eq!(picks[0], picks[2], "threads 1 vs 8 (seed {seed})");
+            for e in &engines[1..] {
+                assert_eq!(e.counters(), engines[0].counters(), "seed {seed}");
+            }
             assert_eq!(engines[1].verify_against(&g, &p1), Ok(()));
         }
         assert!(p1.num_colors() >= 8, "splits actually happened");

@@ -63,10 +63,12 @@ fn random_graph(n: usize, edges: usize, directed: bool, seed: u64) -> Graph {
 
 /// Canonical byte encoding of a stack's full observable state: its
 /// checkpoint bytes, then the engine's pair-summary values and nonzero
-/// counts. Checkpoints do not carry the summaries (a restore folds them
-/// from the accumulator rows), and a restore's extremum attainers are
-/// first attainers, so attainers are left out.
-fn state_bytes(run: &RothkoRun<'_>, reduced: Option<&ReducedDelta>) -> Vec<u8> {
+/// counts, once every pending entry is resolved. Checkpoints do not carry
+/// the summaries (a restore folds them from the accumulator rows), and a
+/// restore's extremum attainers are first attainers, so attainers are
+/// left out.
+fn state_bytes(run: &mut RothkoRun<'_>, reduced: Option<&ReducedDelta>) -> Vec<u8> {
+    run.resolve_pending();
     let mut config = run.config().clone();
     config.initial = None; // not persisted; normalize for comparison
     let data = CheckpointData {
@@ -248,10 +250,10 @@ fn roundtrip_trace(
         if round == rounds / 2 {
             store.checkpoint(&run, Some(&reduced)).unwrap();
         }
-        let rec = Store::recover(&dir, None).unwrap();
+        let mut rec = Store::recover(&dir, None).unwrap();
         assert_eq!(
-            state_bytes(&run, Some(&reduced)),
-            state_bytes(&rec.run, rec.reduced.as_ref()),
+            state_bytes(&mut run, Some(&reduced)),
+            state_bytes(&mut rec.run, rec.reduced.as_ref()),
             "restored state diverged (storage {storage:?}, threads {threads}, \
              directed {directed}, round {round})"
         );
@@ -278,8 +280,8 @@ fn roundtrip_trace(
         _ => {}
     });
     assert_eq!(
-        state_bytes(&run, Some(&reduced)),
-        state_bytes(&rec_run, Some(&rec_reduced)),
+        state_bytes(&mut run, Some(&reduced)),
+        state_bytes(&mut rec_run, Some(&rec_reduced)),
         "advanced-after-restore state diverged (storage {storage:?}, threads {threads}, \
          directed {directed})"
     );
@@ -355,8 +357,8 @@ fn mapped_vs_owned_equivalence(threads: usize) {
     let mut rec_run = rec.run;
     let mut rec_reduced = rec.reduced.unwrap();
     assert_eq!(
-        state_bytes(&owned_run, Some(&owned_reduced)),
-        state_bytes(&rec_run, Some(&rec_reduced)),
+        state_bytes(&mut owned_run, Some(&owned_reduced)),
+        state_bytes(&mut rec_run, Some(&rec_reduced)),
         "mapped and owned restores diverged before any churn (threads {threads})"
     );
 
@@ -381,8 +383,8 @@ fn mapped_vs_owned_equivalence(threads: usize) {
             _ => {}
         });
         assert_eq!(
-            state_bytes(&owned_run, Some(&owned_reduced)),
-            state_bytes(&rec_run, Some(&rec_reduced)),
+            state_bytes(&mut owned_run, Some(&owned_reduced)),
+            state_bytes(&mut rec_run, Some(&rec_reduced)),
             "mapped and owned stacks diverged after churn round {round} (threads {threads})"
         );
     }
@@ -469,17 +471,17 @@ fn recovery_is_idempotent_and_reports_coverage() {
     let seq_logged = store.last_seq();
     drop(store);
 
-    let a = Store::recover(&dir, None).unwrap();
-    let b = Store::recover(&dir, None).unwrap();
+    let mut a = Store::recover(&dir, None).unwrap();
+    let mut b = Store::recover(&dir, None).unwrap();
     assert_eq!(a.replayed, 1);
     assert_eq!(a.last_seq, seq_logged);
     assert_eq!(
-        state_bytes(&a.run, a.reduced.as_ref()),
-        state_bytes(&b.run, b.reduced.as_ref())
+        state_bytes(&mut a.run, a.reduced.as_ref()),
+        state_bytes(&mut b.run, b.reduced.as_ref())
     );
     assert_eq!(
-        state_bytes(&run, Some(&reduced)),
-        state_bytes(&a.run, a.reduced.as_ref())
+        state_bytes(&mut run, Some(&reduced)),
+        state_bytes(&mut a.run, a.reduced.as_ref())
     );
 
     // Resume logging from the recovered position and recover again.
@@ -495,11 +497,11 @@ fn recovery_is_idempotent_and_reports_coverage() {
         8,
     );
     store.sync().unwrap();
-    let c = Store::recover(&dir, None).unwrap();
+    let mut c = Store::recover(&dir, None).unwrap();
     assert_eq!(c.replayed, 2);
     assert_eq!(
-        state_bytes(&run2, Some(&reduced2)),
-        state_bytes(&c.run, c.reduced.as_ref())
+        state_bytes(&mut run2, Some(&reduced2)),
+        state_bytes(&mut c.run, c.reduced.as_ref())
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -577,10 +579,10 @@ fn zero_weight_edge_recovers(tag: &str, mutate: impl FnOnce(&mut GraphDelta)) {
     run.apply_edge_batch(delta.compact(), &events);
     reduced.apply_edge_batch(run.partition(), &events);
     store.sync().unwrap();
-    let rec = Store::recover(&dir, None).unwrap();
+    let mut rec = Store::recover(&dir, None).unwrap();
     assert_eq!(
-        state_bytes(&run, Some(&reduced)),
-        state_bytes(&rec.run, rec.reduced.as_ref())
+        state_bytes(&mut run, Some(&reduced)),
+        state_bytes(&mut rec.run, rec.reduced.as_ref())
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -696,6 +698,83 @@ fn patched_graph_checkpoints_like_its_flat_copy() {
                 encode_checkpoint_with(&data(&patched), layout).0,
                 encode_checkpoint_with(&data(&flat), layout).0,
                 "directed {directed}, {layout:?}"
+            );
+        }
+    }
+}
+
+/// A checkpoint taken between edge batches and the next refresh — where
+/// `restart`-style budget-capped rounds stop — catches the engine with
+/// pending pair summaries. Checkpoints hold no summaries, so its bytes
+/// equal a checkpoint of the same state resolved, in both layouts, and the
+/// recovered run answers the witness queries exactly as the live one.
+#[test]
+fn checkpoint_with_pending_summaries_restores_the_live_answers() {
+    for (directed, seed) in [(false, 71u64), (true, 73)] {
+        for storage in [StorageMode::Dense, StorageMode::Sparse] {
+            let g = random_graph(90, 420, directed, seed);
+            let config = RothkoConfig {
+                max_colors: 30,
+                target_error: 2.0,
+                storage,
+                ..Default::default()
+            };
+            let mut run = Rothko::new(config).start(&g);
+            run.maintain();
+            let deferred = |run: &RothkoRun<'_>| {
+                run.engine()
+                    .expect("engine run")
+                    .counters()
+                    .extremes_deferred
+            };
+            let before = deferred(&run);
+            let mut delta = GraphDelta::new(g.clone());
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x9e57);
+            for _ in 0..3 {
+                let events = edge_churn(&mut delta, &mut rng, 12);
+                run.apply_edge_batch(delta.compact(), &events);
+            }
+            // Nothing resolves a pending entry but a refresh, a merge or
+            // `resolve_pending`, and none has run since the batches.
+            assert!(deferred(&run) > before, "the batches deferred nothing");
+            let encode = |run: &RothkoRun<'_>, layout| {
+                let data = CheckpointData {
+                    graph: run.graph().clone(),
+                    config: run.config().clone(),
+                    run: run.snapshot(),
+                    reduced: None,
+                    wal_seq: 0,
+                };
+                encode_checkpoint_with(&data, layout).0
+            };
+            let layouts = [Layout::Packed, Layout::MappedRaw];
+            let pending = layouts.map(|layout| encode(&run, layout));
+            let alpha = run.config().alpha;
+            run.exact_max_error();
+            let live = run.engine().expect("engine run");
+            let answer = (
+                live.max_error().to_bits(),
+                live.pick_witness(run.partition(), alpha),
+            );
+            for bytes in &pending {
+                let data = qsc_persist::decode_checkpoint(bytes).unwrap();
+                let mut rec = RothkoRun::from_snapshot(data.graph, data.config, &data.run);
+                rec.exact_max_error();
+                let engine = rec.engine().expect("engine run");
+                assert_eq!(
+                    (
+                        engine.max_error().to_bits(),
+                        engine.pick_witness(rec.partition(), alpha)
+                    ),
+                    answer,
+                    "directed={directed} {storage:?}"
+                );
+            }
+            run.resolve_pending();
+            assert_eq!(
+                pending,
+                layouts.map(|layout| encode(&run, layout)),
+                "directed={directed} {storage:?}"
             );
         }
     }

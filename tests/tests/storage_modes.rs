@@ -121,8 +121,9 @@ fn engine_variants(g: &Graph, p: &Partition) -> Vec<(String, IncrementalDegrees)
 /// Every field of an engine's snapshot, `f64` values as raw bits, then
 /// its live pair summaries in the column order snapshots once carried
 /// them: mins and maxes, extremum attainers (only when `attainers`),
-/// nonzero counts.
-fn snapshot_bits(e: &IncrementalDegrees, attainers: bool) -> Vec<Vec<u64>> {
+/// nonzero counts. Pending entries are resolved first, so the summaries
+/// read are the ones an engine that rescans at once would hold.
+fn snapshot_bits(e: &mut IncrementalDegrees, p: &Partition, attainers: bool) -> Vec<Vec<u64>> {
     fn f(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -137,6 +138,7 @@ fn snapshot_bits(e: &IncrementalDegrees, attainers: bool) -> Vec<Vec<u64>> {
             r.dense.iter().map(|&d| u64::from(d)).collect(),
         ]
     }
+    e.resolve_pending(p);
     let s = e.snapshot();
     // The second and fourth flags stand where the snapshot once recorded
     // summary tracking (always on) and row promotion (always equal to
@@ -170,8 +172,8 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Fold an engine's snapshot and summaries into a running FNV-1a digest:
 /// every column's length, then its values, each as 8 little-endian bytes.
-fn fold_digest(mut h: u64, e: &IncrementalDegrees) -> u64 {
-    for col in snapshot_bits(e, true) {
+fn fold_digest(mut h: u64, e: &mut IncrementalDegrees, p: &Partition) -> u64 {
+    for col in snapshot_bits(e, p, true) {
         for x in std::iter::once(col.len() as u64).chain(col) {
             for b in x.to_le_bytes() {
                 h ^= u64::from(b);
@@ -183,9 +185,9 @@ fn fold_digest(mut h: u64, e: &IncrementalDegrees) -> u64 {
 }
 
 /// Fold every engine's current snapshot into its digest.
-fn fold_all(engines: &[(String, IncrementalDegrees)], digests: &mut [u64]) {
-    for ((_, e), h) in engines.iter().zip(digests.iter_mut()) {
-        *h = fold_digest(*h, e);
+fn fold_all(engines: &mut [(String, IncrementalDegrees)], p: &Partition, digests: &mut [u64]) {
+    for ((_, e), h) in engines.iter_mut().zip(digests.iter_mut()) {
+        *h = fold_digest(*h, e, p);
     }
 }
 
@@ -210,7 +212,7 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
         let mut p = Partition::unit(60);
         let mut engines = engine_variants(&g, &p);
         let mut digests = vec![FNV_OFFSET; engines.len()];
-        fold_all(&engines, &mut digests);
+        fold_all(&mut engines, &p, &mut digests);
         let mut node_rng = StdRng::seed_from_u64(seed ^ 0x0DE5);
         let mut delta = GraphDelta::new(g);
         let mut edges: Vec<(u32, u32)> = delta
@@ -228,7 +230,7 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                     for (_, e) in engines.iter_mut() {
                         e.apply_split(&current, &p, &ev);
                     }
-                    fold_all(&engines, &mut digests);
+                    fold_all(&mut engines, &p, &mut digests);
                 }
             }
             // ...an occasional merge (the relabel-last path) once enough
@@ -241,14 +243,14 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                 for (_, e) in engines.iter_mut() {
                     e.apply_merge(&current, &p, &ev);
                 }
-                fold_all(&engines, &mut digests);
+                fold_all(&mut engines, &p, &mut digests);
             }
             // ...an edge batch...
             let events = churn_batch(&mut delta, &mut edges, &mut rng, 14);
             for (_, e) in engines.iter_mut() {
                 e.apply_edge_batch(&p, &events);
             }
-            fold_all(&engines, &mut digests);
+            fold_all(&mut engines, &p, &mut digests);
             current = delta.compact();
             // ...and every other round node churn, driven through the
             // engine calls `RothkoRun::apply_node_batch` makes.
@@ -264,18 +266,18 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
                 for (_, e) in engines.iter_mut() {
                     e.apply_node_inserts(&p, first, &batch.inserted_colors);
                 }
-                fold_all(&engines, &mut digests);
+                fold_all(&mut engines, &p, &mut digests);
                 for (_, e) in engines.iter_mut() {
                     e.apply_edge_batch(&p, &batch.edge_events);
                 }
-                fold_all(&engines, &mut digests);
+                fold_all(&mut engines, &p, &mut digests);
                 let removed_colors: Vec<u32> =
                     batch.removed.iter().map(|&v| p.color_of(v)).collect();
                 p.apply_node_remap(&batch.remap);
                 for (_, e) in engines.iter_mut() {
                     e.apply_node_removals(&p, &batch.remap, &removed_colors);
                 }
-                fold_all(&engines, &mut digests);
+                fold_all(&mut engines, &p, &mut digests);
                 edges = delta
                     .base()
                     .edges()
@@ -294,15 +296,19 @@ fn engine_storage_modes_bit_identical_under_mixed_churn() {
             }
             // ...every engine's full state, extremum attainers included,
             // is bit-identical to its storage mode's default engine...
-            for (name, e) in engines.iter() {
-                let (ref_name, reference) = engines
+            let states: Vec<_> = engines
+                .iter_mut()
+                .map(|(_, e)| snapshot_bits(e, &p, true))
+                .collect();
+            for ((name, _), state) in engines.iter().zip(&states) {
+                let r = engines
                     .iter()
-                    .find(|(n, _)| n.split('/').next() == name.split('/').next())
+                    .position(|(n, _)| n.split('/').next() == name.split('/').next())
                     .expect("each mode lists its default engine first");
                 assert_eq!(
-                    snapshot_bits(e, true),
-                    snapshot_bits(reference, true),
-                    "round {round}: snapshot {name} vs {ref_name}"
+                    state, &states[r],
+                    "round {round}: snapshot {name} vs {}",
+                    engines[r].0
                 );
             }
             // ...and every observable is bit-identical across variants,
@@ -530,12 +536,14 @@ fn node_round(
 /// dense snapshot (transposed out of the color-major plane) restores to
 /// an engine with the same snapshot.
 fn assert_dense_matches_sparse(
-    dense: &IncrementalDegrees,
-    sparse: &IncrementalDegrees,
+    dense: &mut IncrementalDegrees,
+    sparse: &mut IncrementalDegrees,
     g: &Graph,
     p: &Partition,
     step: &str,
 ) {
+    dense.resolve_pending(p);
+    sparse.resolve_pending(p);
     assert_eq!(dense.verify_against(g, p), Ok(()), "{step}: dense");
     assert_eq!(sparse.verify_against(g, p), Ok(()), "{step}: sparse");
     let (d, s) = (dense.snapshot(), sparse.snapshot());
@@ -565,11 +573,11 @@ fn assert_dense_matches_sparse(
     }
     // A restore folds its summaries afresh: values and nonzero counts
     // match, attainers are first attainers and need not.
-    let restored = IncrementalDegrees::from_snapshot(&d, p, 1);
+    let mut restored = IncrementalDegrees::from_snapshot(&d, p, 1);
     assert_eq!(restored.verify_against(g, p), Ok(()), "{step}: restored");
     assert_eq!(
-        snapshot_bits(&restored, false),
-        snapshot_bits(dense, false),
+        snapshot_bits(&mut restored, p, false),
+        snapshot_bits(dense, p, false),
         "{step}: snapshot round trip"
     );
 }
@@ -595,7 +603,7 @@ fn dense_plane_node_and_color_growth_match_sparse() {
             dense.apply_split(&current, &p, &ev);
             sparse.apply_split(&current, &p, &ev);
         }
-        assert_dense_matches_sparse(&dense, &sparse, &current, &p, "splits");
+        assert_dense_matches_sparse(&mut dense, &mut sparse, &current, &p, "splits");
         let steps: [(usize, &[u32], &str); 6] = [
             (3, &[], "first append past the node capacity"),
             (12, &[], "second append past it"),
@@ -607,20 +615,26 @@ fn dense_plane_node_and_color_growth_match_sparse() {
         for (inserts, victims, step) in steps {
             let mut engines = [&mut dense, &mut sparse];
             current = node_round(&mut delta, &mut p, &mut engines, &mut rng, inserts, victims);
-            assert_dense_matches_sparse(&dense, &sparse, &current, &p, step);
+            assert_dense_matches_sparse(&mut dense, &mut sparse, &current, &p, step);
         }
         assert_eq!(p.num_nodes(), 64);
         // Color capacity 8 → 64 while the plane holds node slack, then
         // splits that use the appended columns.
         dense.reserve_colors(40);
         sparse.reserve_colors(40);
-        assert_dense_matches_sparse(&dense, &sparse, &current, &p, "color capacity");
+        assert_dense_matches_sparse(&mut dense, &mut sparse, &current, &p, "color capacity");
         for _ in 0..12 {
             let ev = random_split(&mut p, &mut rng).expect("splittable color");
             dense.apply_split(&current, &p, &ev);
             sparse.apply_split(&current, &p, &ev);
         }
         assert!(p.num_colors() > 8);
-        assert_dense_matches_sparse(&dense, &sparse, &current, &p, "splits past capacity");
+        assert_dense_matches_sparse(
+            &mut dense,
+            &mut sparse,
+            &current,
+            &p,
+            "splits past capacity",
+        );
     }
 }
