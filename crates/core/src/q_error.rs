@@ -68,7 +68,7 @@
 //!    conservative value-equality heuristic.
 //! 4. **Pending extremes.** An entry that provably lost an extremum is not
 //!    rescanned when it loses it: both its attainers become
-//!    `PENDING_ARG` and its member row is flagged. A pending extremum
+//!    `PENDING_ARG` and the entry is listed as deferred. A pending extremum
 //!    keeps its stored value, which stays an *outer bound* (a pending min
 //!    is at most, a pending max at least, the true extremum), so the
 //!    stored spread bounds the entry's q-error from above; its nonzero
@@ -81,7 +81,10 @@
 //!    stale upper bounds, as in Minoux's accelerated greedy):
 //!    [`IncrementalDegrees::refresh`] resolves the entries that decide a
 //!    witness row, and [`IncrementalDegrees::resolve_pending`] everything,
-//!    for the readers of every entry.
+//!    for the readers of every entry, walking the list of entries deferred
+//!    since its last call (its cost follows the deferrals, not `k²`). A
+//!    coarsening [`RothkoRun`](crate::rothko::RothkoRun) needs every entry
+//!    for its merge scans, so it resolves everything before each refresh.
 //!
 //! Engine-wide, a **witness-row cache** keeps, per *split-candidate* color
 //! `s`, the maximum unweighted error over all entries whose split color is
@@ -128,10 +131,10 @@
 //!   neighbors of the moved members, entries over other colors' member
 //!   axes are patched with the split path's rules, the winner's member
 //!   axis is rebuilt, the last color is relabeled into the freed slot
-//!   (`O(touched + k)` row/column copies), and nothing is left pending
-//!   — an entry the merge patches is rescanned at once, and entries
-//!   pending from before are resolved — since coarsening re-bounds
-//!   candidates against every entry right after. Merge *selection*
+//!   (`O(touched + k)` row/column copies). A merge defers like a split
+//!   and then resolves every pending entry, its own and those from
+//!   before, since coarsening re-bounds candidates against every entry
+//!   right after. Merge *selection*
 //!   ([`IncrementalDegrees::merge_candidates`]) is the dual of the witness
 //!   rule: it ranks pairs by the **post-merge q-error bound** — exact for
 //!   the merged member-axis rows (`min`/`max` over a union is the
@@ -156,10 +159,9 @@
 //! extremum flagged as possibly lost, either mark the entry pending or —
 //! when the entry's extremum is zero and a zero-valued member remains —
 //! keep the value and forget the attainer; dirty the member color's
-//! witness row. Two exceptions rescan at once: a split's parent entries
+//! witness row. One exception rescans at once: a split's parent entries
 //! over the columns `c` and `child`, whose values changed under them so
-//! that their stored extrema are not bounds, and a merge's patched
-//! entries.
+//! that their stored extrema are not bounds.
 //!
 //! All paths preserve the determinism contract: the patched state, once
 //! [resolved](IncrementalDegrees::resolve_pending), equals a freshly built
@@ -273,7 +275,7 @@ use crate::similarity::Similarity;
 use crate::storage::{regrow, tight, Accum, ResolvedStorage, StorageMode};
 use qsc_graph::delta::{EdgeEvent, NodeRemap};
 use qsc_graph::{ColumnAdvice, ColumnBuf, Graph, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Sentinel for "extremum attainer unknown" in the pair-summary witness
 /// arrays (forces the conservative rescan heuristic for that entry).
@@ -1099,6 +1101,13 @@ struct Side {
     /// parent's own columns after a split, and pending entries being
     /// resolved.
     rescans: Vec<(u32, u32)>,
+    /// The entries marked pending since the last
+    /// [`IncrementalDegrees::resolve_pending`], as `(member color, other
+    /// color)`: every pending entry, and entries that have become exact
+    /// since (resolved by a refresh, or extended outward), which
+    /// resolution skips. Kept within twice the pending entries
+    /// ([`Side::defer`]).
+    deferred: Vec<(u32, u32)>,
     /// Edge batch: patched-entry records and their entry-index → record
     /// map.
     patches: Vec<EdgeEntryPatch>,
@@ -1138,27 +1147,22 @@ struct Pairs {
 /// color size or β itself changed) — `max_err` is β-independent, so a
 /// β-only rebuild skips the error bookkeeping entirely and
 /// [`IncrementalDegrees::max_error`] stays valid across β changes.
-/// `pending[s]` is set while some entry on member axis `s` (either side)
-/// may hold a pending extremum, and cleared when the whole axis is
-/// resolved.
 #[derive(Clone, Debug)]
 struct WitnessRows {
     max_err: Vec<f64>,
     best: Vec<Option<RowBest>>,
     err_dirty: Vec<bool>,
     best_dirty: Vec<bool>,
-    pending: Vec<bool>,
 }
 
 impl WitnessRows {
-    /// `cap` slots, all dirty, none pending.
+    /// `cap` slots, all dirty.
     fn new(cap: usize) -> Self {
         WitnessRows {
             max_err: vec![0.0; cap],
             best: vec![None; cap],
             err_dirty: vec![true; cap],
             best_dirty: vec![true; cap],
-            pending: vec![false; cap],
         }
     }
 
@@ -1174,7 +1178,6 @@ impl WitnessRows {
             + self.best.capacity() * std::mem::size_of::<Option<RowBest>>()
             + self.err_dirty.capacity()
             + self.best_dirty.capacity()
-            + self.pending.capacity()
     }
 }
 
@@ -1455,7 +1458,7 @@ impl Side {
         use std::mem::size_of;
         self.acc.heap_bytes()
             + self.pairs.heap_bytes()
-            + self.rescans.capacity() * size_of::<(u32, u32)>()
+            + (self.rescans.capacity() + self.deferred.capacity()) * size_of::<(u32, u32)>()
             + self.patches.capacity() * size_of::<EdgeEntryPatch>()
             + self.patch_slot.capacity() * size_of::<(usize, usize)>()
             + self.combined.capacity() * size_of::<(NodeId, u32, f64)>()
@@ -2447,7 +2450,6 @@ impl IncrementalDegrees {
         }
         self.rows.max_err[child] = 0.0;
         self.rows.best[child] = None;
-        self.rows.pending[child] = false;
 
         // Per side, the nodes whose rows shift from column `parent` to
         // column `child` are the moved nodes' neighbors against that
@@ -2559,11 +2561,8 @@ impl IncrementalDegrees {
             let size = p.size(rec.member);
             let (lo, hi) = (rec.rescan_min, rec.rescan_max);
             let (m, o) = (rec.member, rec.other);
-            let lost = side.settle(&mut self.rows, m, o, size, rec.nz_delta, lo, hi);
-            if lost > 0 {
-                side.defer(&mut self.rows, m, o);
-                self.counters.extremes_deferred += lost;
-            }
+            self.counters.extremes_deferred +=
+                side.settle(&mut self.rows, m, o, size, rec.nz_delta, lo, hi);
         }
         side.patches = patches;
     }
@@ -2744,11 +2743,10 @@ impl IncrementalDegrees {
     /// Cost: `O(touched + |merged| · k + k)` — accumulator columns fold for
     /// the in/out-neighbors of the moved members, entries over other
     /// colors' member axes are patched with the split path's exact
-    /// lost-extremum machinery (plus one-column rescans where an extremum
-    /// was provably lost), the winner's member axis is rebuilt, and the
-    /// relabel is `O(touched + k)` row/column copies. The merge ends with
-    /// [`Self::resolve_pending`], so entries still pending before it are
-    /// resolved too.
+    /// lost-extremum machinery, the winner's member axis is rebuilt, and
+    /// the relabel is `O(touched + k)` row/column copies. The merge ends
+    /// with [`Self::resolve_pending`] (one member-column scan per entry
+    /// that lost an extremum, here or before the merge).
     pub fn apply_merge(&mut self, g: &Graph, p: &Partition, event: &MergeEvent) {
         let winner = event.winner as usize;
         let loser = event.loser as usize;
@@ -2786,6 +2784,21 @@ impl IncrementalDegrees {
         }
         self.k -= 1;
         let k = self.k;
+        // Deferred entries follow the relabel; those naming the dropped
+        // slot go. An entry that named the loser now names the relabeled
+        // color's entry, which resolution rescans only if it is pending
+        // (and then once: a duplicate is skipped).
+        let kept = self.directions().len();
+        for side in &mut self.sides[..kept] {
+            side.deferred.retain_mut(|(a, b)| {
+                for x in [&mut *a, &mut *b] {
+                    if *x as usize == last {
+                        *x = loser as u32;
+                    }
+                }
+                (*a as usize) < k && (*b as usize) < k
+            });
+        }
 
         // ---- Patch entries over other colors' member axes from the
         // captured folds, now with partition and engine ids aligned.
@@ -2823,8 +2836,7 @@ impl IncrementalDegrees {
 
         // ---- Coarsening re-validates its next candidate against every
         // entry (`merge_bound_pair`), so a merge leaves nothing pending:
-        // it rescanned its own entries, and resolves any still pending
-        // from before it.
+        // it resolves its own entries and any still pending from before.
         self.resolve_pending(p);
 
         #[cfg(debug_assertions)]
@@ -2837,10 +2849,7 @@ impl IncrementalDegrees {
 
     /// One side of a merge's entry patch: fold the captured winner-column
     /// changes into the entries `(member color, winner)` over the other
-    /// colors' member axes (as one shard), then settle them. An entry that
-    /// lost an extremum is rescanned at once rather than deferred:
-    /// coarsening bounds its next candidate against every entry right
-    /// after the merge.
+    /// colors' member axes (as one shard), then settle them.
     fn patch_merge_side(&mut self, side: &mut Side, p: &Partition, winner: usize) {
         self.begin_shard_records(1);
         let sc = &mut self.shard_scratch[0];
@@ -2855,8 +2864,7 @@ impl IncrementalDegrees {
             sc.fold(i as u32, u, old, new, 0.0, mn, mx, amn, amx);
         }
         self.merge_shard_records(side, 1, winner);
-        self.settle_touched(side, p, winner, true);
-        self.rescan_queued(side, p);
+        self.settle_touched(side, p, winner);
     }
 
     /// Move color `last = k - 1`'s engine state into the freed `loser`
@@ -2881,8 +2889,6 @@ impl IncrementalDegrees {
         rows.best[loser] = rows.best[last];
         rows.err_dirty[loser] = rows.err_dirty[last];
         rows.best_dirty[loser] = rows.best_dirty[last];
-        rows.pending[loser] = rows.pending[last];
-        rows.pending[last] = false;
     }
 
     /// Grow the node axis for freshly inserted isolated nodes. `p` is the
@@ -2995,7 +3001,7 @@ impl IncrementalDegrees {
                             let lost =
                                 u64::from(pr.min[idx] == 0.0) + u64::from(pr.max[idx] == 0.0);
                             if lost > 0 {
-                                side.defer(&mut e.rows, c, j as u32);
+                                side.defer(c, j as u32);
                                 e.counters.extremes_deferred += lost;
                             }
                         }
@@ -3085,7 +3091,7 @@ impl IncrementalDegrees {
         self.merge_shard_records(side, shards, c);
         // Settle the parent-column entries, then install the child-column
         // entries from the folded child values.
-        self.settle_touched(side, p, c, false);
+        self.settle_touched(side, p, c);
         let pr = &mut side.pairs;
         for t in &self.touched_colors {
             let (mut mn, mut mx) = (t.child_min, t.child_max);
@@ -3180,24 +3186,15 @@ impl IncrementalDegrees {
         pr.extend(idx, r.ext_min, r.ext_min_arg, r.ext_max, r.ext_max_arg);
     }
 
-    /// Settle every entry `(touched color, c)` of the merged batch. An
-    /// entry that lost an extremum goes pending, or, when `rescan`, is
-    /// queued for a rescan instead.
-    fn settle_touched(&mut self, side: &mut Side, p: &Partition, c: usize, rescan: bool) {
+    /// Settle every entry `(touched color, c)` of the merged batch; an
+    /// entry that lost an extremum goes pending.
+    fn settle_touched(&mut self, side: &mut Side, p: &Partition, c: usize) {
         let c = c as u32;
         for t in &self.touched_colors {
             let size = p.size(t.color);
             let (lo, hi) = (t.rescan_min, t.rescan_max);
-            let lost = side.settle(&mut self.rows, t.color, c, size, t.nz_delta, lo, hi);
-            if lost == 0 {
-                continue;
-            }
-            if rescan {
-                side.rescans.push((t.color, c));
-            } else {
-                side.defer(&mut self.rows, t.color, c);
-                self.counters.extremes_deferred += lost;
-            }
+            self.counters.extremes_deferred +=
+                side.settle(&mut self.rows, t.color, c, size, t.nz_delta, lo, hi);
         }
     }
 
@@ -3231,11 +3228,8 @@ impl IncrementalDegrees {
             let nz_delta = -i64::from(pr.nz[cidx]);
             let (cu, ju) = (c as u32, j as u32);
             let rows = &mut self.rows;
-            let lost = side.settle(rows, cu, ju, parent_size, nz_delta, lost_min, lost_max);
-            if lost > 0 {
-                side.defer(rows, cu, ju);
-                self.counters.extremes_deferred += lost;
-            }
+            self.counters.extremes_deferred +=
+                side.settle(rows, cu, ju, parent_size, nz_delta, lost_min, lost_max);
         }
         self.rescan_queued(side, p);
     }
@@ -3430,8 +3424,8 @@ impl IncrementalDegrees {
     /// Cross-check the full maintained state against a from-scratch
     /// [`DegreeMatrices::compute`] (and freshly recomputed accumulators),
     /// with a small tolerance for floating-point associativity. A pending
-    /// extremum must bracket the true one (an outer bound), and its row
-    /// must be flagged pending; every other extremum must match. Returns a
+    /// extremum must bracket the true one (an outer bound), and its entry
+    /// must be listed as deferred; every other extremum must match. Returns a
     /// description of the first mismatch. Intended for tests and the debug
     /// assertions after every split, merge and edge batch.
     pub fn verify_against(&self, g: &Graph, p: &Partition) -> Result<(), String> {
@@ -3455,6 +3449,7 @@ impl IncrementalDegrees {
             let (side, dir) = (self.side(outgoing), if outgoing { "out" } else { "in" });
             let pr = &side.pairs;
             let mirror = self.symmetric && !outgoing;
+            let listed: HashSet<(u32, u32)> = side.deferred.iter().copied().collect();
             for a in 0..k {
                 for b in 0..k {
                     let idx = pr.at(a, b);
@@ -3473,9 +3468,9 @@ impl IncrementalDegrees {
                             } else {
                                 val > truth
                             };
-                            if !self.rows.pending[a] {
+                            if !listed.contains(&(a as u32, b as u32)) {
                                 return Err(format!(
-                                    "{dir} {name} of ({a}, {b}) is pending in an unflagged row"
+                                    "{dir} {name} of ({a}, {b}) is pending but not listed"
                                 ));
                             }
                             if !(close(val, truth) || outer) {
@@ -3741,7 +3736,6 @@ impl IncrementalDegrees {
         rows.best.resize(new_cap, None);
         rows.err_dirty.resize(new_cap, true);
         rows.best_dirty.resize(new_cap, true);
-        rows.pending.resize(new_cap, false);
         self.color_slot.resize(new_cap, u32::MAX);
         self.cap = new_cap;
     }

@@ -17,9 +17,9 @@ impl Side {
     /// then judge whether a flagged extremum is really lost — a zero
     /// extremum provably stands while the entry keeps a zero-valued member
     /// of `P_member` (`size` members), and then only forgets its attainer
-    /// — and dirty the member color's witness row. Returns the number of
-    /// extrema really lost; when it is not zero the caller marks the entry
-    /// pending ([`Self::defer`]) or, on the merge path, rescans it.
+    /// — and dirty the member color's witness row. An entry that really
+    /// lost an extremum goes pending ([`Self::defer`]). Returns the number
+    /// of extrema really lost.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn settle(
         &mut self,
@@ -37,7 +37,9 @@ impl Side {
         let zero_member = (pr.nz[idx] as usize) < size;
         let lost = u64::from(lost_min && !(pr.min[idx] == 0.0 && zero_member))
             + u64::from(lost_max && !(pr.max[idx] == 0.0 && zero_member));
-        if lost == 0 {
+        if lost > 0 {
+            self.defer(member, other);
+        } else {
             if lost_min {
                 pr.min_arg[idx] = NO_ARG;
             }
@@ -49,15 +51,29 @@ impl Side {
         lost
     }
 
-    /// Mark entry `(member, other)` pending in place of a member rescan.
-    /// A rescan rewrites both extrema with first attainers, so both go
-    /// pending: resolving the entry then writes exactly what the rescan
-    /// would have, attainers included.
-    pub(super) fn defer(&mut self, rows: &mut WitnessRows, member: u32, other: u32) {
-        let idx = self.pairs.at(member as usize, other as usize);
-        self.pairs.min_arg[idx] = PENDING_ARG;
-        self.pairs.max_arg[idx] = PENDING_ARG;
-        rows.pending[member as usize] = true;
+    /// Mark entry `(member, other)` pending in place of a member rescan,
+    /// and list it unless it already was pending. A rescan rewrites both
+    /// extrema with first attainers, so both go pending: resolving the
+    /// entry then writes exactly what the rescan would have, attainers
+    /// included. A full list first drops its entries that are exact again
+    /// and its duplicates, and leaves at least half its capacity free, so
+    /// the list stays within twice the pending entries at an amortized
+    /// `O(log)` per deferral.
+    pub(super) fn defer(&mut self, member: u32, other: u32) {
+        let pr = &mut self.pairs;
+        let idx = pr.at(member as usize, other as usize);
+        if !pr.pending(idx) {
+            let list = &mut self.deferred;
+            if list.len() == list.capacity() {
+                list.retain(|&(a, b)| pr.pending(pr.at(a as usize, b as usize)));
+                list.sort_unstable();
+                list.dedup();
+                list.reserve(list.len().max(16));
+            }
+            list.push((member, other));
+        }
+        pr.min_arg[idx] = PENDING_ARG;
+        pr.max_arg[idx] = PENDING_ARG;
     }
 }
 
@@ -106,20 +122,32 @@ impl IncrementalDegrees {
     /// [`Self::q_report`], [`Self::summary_columns`], [`Self::out_error`],
     /// [`Self::in_error`], [`Self::merge_candidates`] and
     /// [`Self::merge_bound_pair`] assert that nothing is pending.
-    /// [`Self::apply_merge`] resolves on its own. `O(rows holding pending
-    /// entries · k)` plus `|P_a|` per resolved entry `(a, ·)`.
+    /// [`Self::apply_merge`] resolves on its own. `O(entries deferred
+    /// since the last call)` plus `|P_a|` per resolved entry `(a, ·)`.
     pub fn resolve_pending(&mut self, p: &Partition) {
         assert_eq!(p.num_colors(), self.k, "partition out of sync with engine");
-        let flagged: Vec<u32> = (0..self.k as u32)
-            .filter(|&s| self.rows.pending[s as usize])
-            .collect();
-        if !flagged.is_empty() {
-            self.resolve_rows(p, &flagged);
+        let kept = self.directions().len();
+        for side in &mut self.sides[..kept] {
+            // Claim each listed entry that is still pending: its
+            // attainers, which the rescan rewrites, turn unknown, so a
+            // duplicate later in the list is skipped.
+            let pr = &mut side.pairs;
+            for &(a, b) in &side.deferred {
+                let idx = pr.at(a as usize, b as usize);
+                if pr.pending(idx) {
+                    pr.min_arg[idx] = NO_ARG;
+                    pr.max_arg[idx] = NO_ARG;
+                    side.rescans.push((a, b));
+                }
+            }
+            side.deferred.clear();
         }
+        self.resolve_queued(p);
     }
 
     /// Resolve every pending entry on the member axes `rows`, on every
-    /// kept side, and clear their flags.
+    /// kept side. They stay listed as deferred; once exact, resolution
+    /// skips them.
     pub(super) fn resolve_rows(&mut self, p: &Partition, rows: &[u32]) {
         let k = self.k;
         for &outgoing in self.directions() {
@@ -134,9 +162,6 @@ impl IncrementalDegrees {
             }
         }
         self.resolve_queued(p);
-        for &s in rows {
-            self.rows.pending[s as usize] = false;
-        }
     }
 
     /// Rescan the entries queued for resolution on every kept side.
@@ -151,8 +176,9 @@ impl IncrementalDegrees {
 
     /// Assert that no entry is pending (see [`Self::resolve_pending`]).
     pub(super) fn assert_resolved(&self) {
+        let kept = self.directions().len();
         assert!(
-            !self.rows.pending[..self.k].contains(&true),
+            self.sides[..kept].iter().all(|s| s.deferred.is_empty()),
             "pending pair summaries; call resolve_pending() first"
         );
     }

@@ -452,6 +452,19 @@ pub struct RothkoRun<'g> {
     done: bool,
 }
 
+/// Refresh the engine's witness rows at the run's β. A coarsening run
+/// resolves every pending entry first: its merge scans need every entry
+/// resolved, so nearly all of them would be resolved before long anyway,
+/// and resolving them ahead of the refresh does it once per entry however
+/// many events deferred it, and spares the refresh a second scan of each
+/// row a pending entry decides.
+fn refresh_engine(engine: &mut IncrementalDegrees, p: &Partition, config: &RothkoConfig) {
+    if config.coarsen {
+        engine.resolve_pending(p);
+    }
+    engine.refresh(p, config.beta);
+}
+
 impl<'g> RothkoRun<'g> {
     fn new(graph: &'g Graph, config: RothkoConfig, from_scratch: bool) -> Self {
         let n = graph.num_nodes();
@@ -908,13 +921,12 @@ impl<'g> RothkoRun<'g> {
             if k < 2 {
                 break;
             }
-            // The scan bounds every entry, so nothing may be pending; and
-            // its candidate prefilter reads the cached row errors, which
-            // the previous round's merges dirtied.
-            let beta = self.config.beta;
+            // The scan bounds every entry, so nothing may be pending (a
+            // coarsening run's refresh resolves them all); and its
+            // candidate prefilter reads the cached row errors, which the
+            // previous round's merges dirtied.
             let engine = self.engine.as_mut().expect("engine mode");
-            engine.resolve_pending(&self.partition);
-            engine.refresh(&self.partition, beta);
+            refresh_engine(engine, &self.partition, &self.config);
             let candidates = engine.merge_candidates(band);
             if candidates.is_empty() {
                 break;
@@ -1003,7 +1015,7 @@ impl<'g> RothkoRun<'g> {
 
         let witnesses = match &mut self.engine {
             Some(engine) => {
-                engine.refresh(&self.partition, self.config.beta);
+                refresh_engine(engine, &self.partition, &self.config);
                 self.last_max_error = engine.max_error();
                 if self.last_max_error <= self.config.target_error {
                     Vec::new()
@@ -1099,7 +1111,7 @@ impl<'g> RothkoRun<'g> {
     pub fn exact_max_error(&mut self) -> f64 {
         match &mut self.engine {
             Some(engine) => {
-                engine.refresh(&self.partition, self.config.beta);
+                refresh_engine(engine, &self.partition, &self.config);
                 engine.max_error()
             }
             None => DegreeMatrices::compute(self.graph.get(), &self.partition).max_error(),

@@ -131,6 +131,28 @@ fn resolved_summaries(e: &IncrementalDegrees, p: &Partition) -> Vec<Vec<u64>> {
     out
 }
 
+/// `g` over `n` node ids with node `v` renamed `id(v)`: the graphs a node
+/// churn batch passes through before its renumbering.
+fn renamed(g: &Graph, n: usize, id: impl Fn(u32) -> u32) -> Graph {
+    let mut b = if g.is_directed() {
+        GraphBuilder::new_directed(n)
+    } else {
+        GraphBuilder::new_undirected(n)
+    };
+    for (u, v, w) in g.edges() {
+        b.add_edge(id(u), id(v), w);
+    }
+    b.build()
+}
+
+/// Whether `e` holds a pending entry: resolving a clone resolves some.
+fn has_pending(e: &IncrementalDegrees, p: &Partition) -> bool {
+    let mut e = e.clone();
+    let before = e.counters().pending_resolved;
+    e.resolve_pending(p);
+    e.counters().pending_resolved > before
+}
+
 #[test]
 fn engine_churn_matches_scratch_across_modes_and_threads() {
     for (directed, seed) in [(false, 5u64), (true, 23)] {
@@ -150,9 +172,19 @@ fn engine_churn_matches_scratch_across_modes_and_threads() {
         }
         let mut churner = Churner::new(g, seed ^ 0xc0ffee);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbeef);
+        let mut node_rng = StdRng::seed_from_u64(seed ^ 0x0de5);
         let mut current = churner.delta.compact();
         let mut counters = Counters::default();
-        for round in 0..6 {
+        // Events that found an entry pending: node inserts, node removals,
+        // merges.
+        let mut met_pending = [false; 3];
+        let verify =
+            |engines: &[(String, IncrementalDegrees)], g: &Graph, p: &Partition, at: &str| {
+                for (name, e) in engines {
+                    assert_eq!(e.verify_against(g, p), Ok(()), "{at}: {name}");
+                }
+            };
+        for round in 0..8 {
             // A couple of splits between batches keeps the interleaving
             // honest (churn over a refined coloring, not just k = 1).
             for _ in 0..2 {
@@ -162,18 +194,73 @@ fn engine_churn_matches_scratch_across_modes_and_threads() {
                     }
                 }
             }
+            verify(&engines, &current, &p, &format!("round {round} splits"));
+            // Every other round node churn, through the engine calls
+            // `RothkoRun::apply_node_batch` makes, each checked against
+            // the graph it leaves with the entries still pending.
+            if round % 2 == 0 {
+                let (batch, compacted) = qsc_bench::random_node_churn(
+                    &mut churner.delta,
+                    &p,
+                    &mut node_rng,
+                    3,
+                    2,
+                    3,
+                    |rng| (rng.random_range(1u32..9) as f64) * 0.5,
+                );
+                let first = p.num_nodes() as u32;
+                met_pending[0] |= has_pending(&engines[0].1, &p);
+                for &c in &batch.inserted_colors {
+                    p.insert_node(c);
+                }
+                for (_, e) in &mut engines {
+                    e.apply_node_inserts(&p, first, &batch.inserted_colors);
+                }
+                let grown = renamed(&current, p.num_nodes(), |v| v);
+                verify(&engines, &grown, &p, &format!("round {round} inserts"));
+                for (_, e) in &mut engines {
+                    e.apply_edge_batch(&p, &batch.edge_events);
+                }
+                let mut old_of = vec![0u32; batch.remap.new_len()];
+                for v in 0..batch.remap.old_len() as u32 {
+                    if let Some(w) = batch.remap.map(v) {
+                        old_of[w as usize] = v;
+                    }
+                }
+                let wired = renamed(&compacted, p.num_nodes(), |v| old_of[v as usize]);
+                verify(&engines, &wired, &p, &format!("round {round} node edges"));
+                let removed_colors: Vec<u32> =
+                    batch.removed.iter().map(|&v| p.color_of(v)).collect();
+                met_pending[1] |= has_pending(&engines[0].1, &p);
+                p.apply_node_remap(&batch.remap);
+                for (_, e) in &mut engines {
+                    e.apply_node_removals(&p, &batch.remap, &removed_colors);
+                }
+                verify(&engines, &compacted, &p, &format!("round {round} removals"));
+                churner.edges = compacted.edges().iter().map(|&(u, v, _)| (u, v)).collect();
+            } else if p.num_colors() >= 4 {
+                // ...or a merge (the relabel-last path, which moves
+                // pending entries), which leaves nothing pending.
+                let k = p.num_colors() as u32;
+                let loser = rng.random_range(1..k);
+                let winner = rng.random_range(0..loser);
+                met_pending[2] |= has_pending(&engines[0].1, &p);
+                let ev = p.merge_colors(winner, loser);
+                for (_, e) in &mut engines {
+                    e.apply_merge(&current, &p, &ev);
+                    assert!(
+                        !has_pending(e, &p),
+                        "round {round}: merge left entries pending"
+                    );
+                }
+                verify(&engines, &current, &p, &format!("round {round} merge"));
+            }
             let events = churner.batch(14);
             for (_, e) in &mut engines {
                 e.apply_edge_batch(&p, &events);
             }
             current = churner.delta.compact();
-            for (name, e) in &engines {
-                assert_eq!(
-                    e.verify_against(&current, &p),
-                    Ok(()),
-                    "round {round}: {name}"
-                );
-            }
+            verify(&engines, &current, &p, &format!("round {round} edges"));
             // Witness state: bit-identical across modes and thread counts
             // and to a freshly built engine on the compacted graph, with
             // the entries no witness decision needed still pending.
@@ -220,7 +307,9 @@ fn engine_churn_matches_scratch_across_modes_and_threads() {
             }
             counters = *engines[0].1.counters();
         }
-        // Refreshes resolved some entries and left others pending.
+        // Refreshes resolved some entries and left others pending, and
+        // node inserts, node removals and merges each met pending entries.
+        assert_eq!(met_pending, [true; 3], "directed={directed}");
         assert!(counters.pending_resolved > 0, "{counters:?}");
         assert!(
             counters.pending_resolved < counters.extremes_deferred,

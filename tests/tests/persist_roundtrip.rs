@@ -63,12 +63,12 @@ fn random_graph(n: usize, edges: usize, directed: bool, seed: u64) -> Graph {
 
 /// Canonical byte encoding of a stack's full observable state: its
 /// checkpoint bytes, then the engine's pair-summary values and nonzero
-/// counts, once every pending entry is resolved. Checkpoints do not carry
+/// counts, read off a clone of the engine with every pending entry
+/// resolved (the run keeps its pending entries). Checkpoints do not carry
 /// the summaries (a restore folds them from the accumulator rows), and a
 /// restore's extremum attainers are first attainers, so attainers are
 /// left out.
-fn state_bytes(run: &mut RothkoRun<'_>, reduced: Option<&ReducedDelta>) -> Vec<u8> {
-    run.resolve_pending();
+fn state_bytes(run: &RothkoRun<'_>, reduced: Option<&ReducedDelta>) -> Vec<u8> {
     let mut config = run.config().clone();
     config.initial = None; // not persisted; normalize for comparison
     let data = CheckpointData {
@@ -80,6 +80,8 @@ fn state_bytes(run: &mut RothkoRun<'_>, reduced: Option<&ReducedDelta>) -> Vec<u
     };
     let mut bytes = encode_checkpoint(&data).0;
     if let Some(e) = run.engine() {
+        let mut e = e.clone();
+        e.resolve_pending(run.partition());
         for outgoing in [true, false] {
             let (min, max, _, _, nz) = e.summary_columns(outgoing);
             for x in min.iter().chain(&max) {
@@ -250,10 +252,10 @@ fn roundtrip_trace(
         if round == rounds / 2 {
             store.checkpoint(&run, Some(&reduced)).unwrap();
         }
-        let mut rec = Store::recover(&dir, None).unwrap();
+        let rec = Store::recover(&dir, None).unwrap();
         assert_eq!(
-            state_bytes(&mut run, Some(&reduced)),
-            state_bytes(&mut rec.run, rec.reduced.as_ref()),
+            state_bytes(&run, Some(&reduced)),
+            state_bytes(&rec.run, rec.reduced.as_ref()),
             "restored state diverged (storage {storage:?}, threads {threads}, \
              directed {directed}, round {round})"
         );
@@ -280,8 +282,8 @@ fn roundtrip_trace(
         _ => {}
     });
     assert_eq!(
-        state_bytes(&mut run, Some(&reduced)),
-        state_bytes(&mut rec_run, Some(&rec_reduced)),
+        state_bytes(&run, Some(&reduced)),
+        state_bytes(&rec_run, Some(&rec_reduced)),
         "advanced-after-restore state diverged (storage {storage:?}, threads {threads}, \
          directed {directed})"
     );
@@ -357,8 +359,8 @@ fn mapped_vs_owned_equivalence(threads: usize) {
     let mut rec_run = rec.run;
     let mut rec_reduced = rec.reduced.unwrap();
     assert_eq!(
-        state_bytes(&mut owned_run, Some(&owned_reduced)),
-        state_bytes(&mut rec_run, Some(&rec_reduced)),
+        state_bytes(&owned_run, Some(&owned_reduced)),
+        state_bytes(&rec_run, Some(&rec_reduced)),
         "mapped and owned restores diverged before any churn (threads {threads})"
     );
 
@@ -383,8 +385,8 @@ fn mapped_vs_owned_equivalence(threads: usize) {
             _ => {}
         });
         assert_eq!(
-            state_bytes(&mut owned_run, Some(&owned_reduced)),
-            state_bytes(&mut rec_run, Some(&rec_reduced)),
+            state_bytes(&owned_run, Some(&owned_reduced)),
+            state_bytes(&rec_run, Some(&rec_reduced)),
             "mapped and owned stacks diverged after churn round {round} (threads {threads})"
         );
     }
@@ -471,17 +473,17 @@ fn recovery_is_idempotent_and_reports_coverage() {
     let seq_logged = store.last_seq();
     drop(store);
 
-    let mut a = Store::recover(&dir, None).unwrap();
-    let mut b = Store::recover(&dir, None).unwrap();
+    let a = Store::recover(&dir, None).unwrap();
+    let b = Store::recover(&dir, None).unwrap();
     assert_eq!(a.replayed, 1);
     assert_eq!(a.last_seq, seq_logged);
     assert_eq!(
-        state_bytes(&mut a.run, a.reduced.as_ref()),
-        state_bytes(&mut b.run, b.reduced.as_ref())
+        state_bytes(&a.run, a.reduced.as_ref()),
+        state_bytes(&b.run, b.reduced.as_ref())
     );
     assert_eq!(
-        state_bytes(&mut run, Some(&reduced)),
-        state_bytes(&mut a.run, a.reduced.as_ref())
+        state_bytes(&run, Some(&reduced)),
+        state_bytes(&a.run, a.reduced.as_ref())
     );
 
     // Resume logging from the recovered position and recover again.
@@ -497,11 +499,11 @@ fn recovery_is_idempotent_and_reports_coverage() {
         8,
     );
     store.sync().unwrap();
-    let mut c = Store::recover(&dir, None).unwrap();
+    let c = Store::recover(&dir, None).unwrap();
     assert_eq!(c.replayed, 2);
     assert_eq!(
-        state_bytes(&mut run2, Some(&reduced2)),
-        state_bytes(&mut c.run, c.reduced.as_ref())
+        state_bytes(&run2, Some(&reduced2)),
+        state_bytes(&c.run, c.reduced.as_ref())
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -579,10 +581,10 @@ fn zero_weight_edge_recovers(tag: &str, mutate: impl FnOnce(&mut GraphDelta)) {
     run.apply_edge_batch(delta.compact(), &events);
     reduced.apply_edge_batch(run.partition(), &events);
     store.sync().unwrap();
-    let mut rec = Store::recover(&dir, None).unwrap();
+    let rec = Store::recover(&dir, None).unwrap();
     assert_eq!(
-        state_bytes(&mut run, Some(&reduced)),
-        state_bytes(&mut rec.run, rec.reduced.as_ref())
+        state_bytes(&run, Some(&reduced)),
+        state_bytes(&rec.run, rec.reduced.as_ref())
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
