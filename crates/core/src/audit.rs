@@ -13,14 +13,19 @@
 //! soundness tests: run them with `--features audit` and any sharding bug
 //! that produces aliased `&mut`s dies loudly instead of corrupting floats.
 //!
-//! Scoping: claims live for the duration of a fork-join *region*
-//! ([`ThreadPool::run`] bumps a global epoch at entry, and the join
-//! barrier guarantees worker references are dead by return), so only
-//! same-epoch claims are compared. Same-thread overlapping claims are
-//! deliberately exempt: sequential re-borrows from one thread (claim,
-//! drop, claim again) are the common legitimate pattern and are
-//! indistinguishable from genuine same-thread aliasing without tracking
-//! reference lifetimes.
+//! Scoping: claims live for the duration of a fork-join *region*. Every
+//! [`ThreadPool::run`] (and every inline single-shard phase) opens a region
+//! with a fresh id, and each of its slots runs with that id set on its
+//! thread, so every claim carries the region it was made in. Only claims of
+//! the same region are compared: the join barrier guarantees a finished
+//! region's references are dead by the time `run` returns, and regions of
+//! unrelated pools (say, two tests on libtest's parallel threads) never
+//! share references at all, even when the allocator hands one region the
+//! bytes another just freed. A claim made outside every region is not
+//! checked. Same-thread overlapping claims are deliberately exempt:
+//! sequential re-borrows from one thread (claim, drop, claim again) are the
+//! common legitimate pattern and are indistinguishable from genuine
+//! same-thread aliasing without tracking reference lifetimes.
 //!
 //! The checker is best-effort by design — publish-then-scan over a
 //! fixed-size ring means detection is guaranteed only while a region's
@@ -33,6 +38,7 @@
 //! [`ThreadPool::run`]: crate::parallel::ThreadPool::run
 
 use std::cell::Cell;
+use std::io::Write as _;
 use std::panic::Location;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 
@@ -40,7 +46,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 /// are made per region; engine regions make one per worker slot.
 const LOG_LEN: usize = 256;
 
-/// One published claim. `meta` packs `(epoch << 32) | thread_token` and is
+/// One published claim. `meta` packs `(region << 32) | thread_token` and is
 /// written last / read first (seqlock): a scanner re-reads `meta` after
 /// `lo` / `hi` / `loc` and discards the entry if it changed underneath.
 struct Entry {
@@ -61,17 +67,19 @@ const EMPTY: Entry = Entry {
 static LOG: [Entry; LOG_LEN] = [EMPTY; LOG_LEN];
 /// Next ring slot; monotonically increasing, wrapped mod [`LOG_LEN`].
 static CURSOR: AtomicU64 = AtomicU64::new(0);
-/// Current fork-join region epoch. Starts at 1 so a packed `meta` of 0
-/// always means "slot never written". Stored truncated to 32 bits in
-/// `meta`; a stale entry masquerading as current needs 2³² intervening
-/// regions *and* a surviving ring slot, which the 256-slot ring recycles
-/// after 256 claims.
-static REGION_EPOCH: AtomicU64 = AtomicU64::new(1);
+/// Region-id allocator. Starts at 1: region 0 means "outside every
+/// region", so a packed `meta` of 0 always means "slot never written".
+/// Ids are 32 bits; a stale entry masquerading as a live region needs 2³²
+/// intervening regions *and* a surviving ring slot, which the 256-slot
+/// ring recycles after 256 claims.
+static NEXT_REGION: AtomicU32 = AtomicU32::new(1);
 /// Thread-token allocator; 0 is reserved for "not yet assigned".
 static NEXT_TOKEN: AtomicU32 = AtomicU32::new(1);
 
 thread_local! {
     static TOKEN: Cell<u32> = const { Cell::new(0) };
+    /// The region this thread is running a slot of (0: none).
+    static REGION: Cell<u32> = const { Cell::new(0) };
 }
 
 fn thread_token() -> u32 {
@@ -85,17 +93,38 @@ fn thread_token() -> u32 {
     })
 }
 
-/// Start a new fork-join region: claims published before this call are no
-/// longer live and stop participating in overlap checks. Called by
-/// [`ThreadPool::run`](crate::parallel::ThreadPool::run) on entry; the
-/// join barrier it returns through is what makes the retired claims'
-/// references provably dead.
-pub(crate) fn begin_region() {
-    REGION_EPOCH.fetch_add(1, Ordering::SeqCst);
+/// The id of a fork-join region, as its claims carry it.
+pub(crate) type RegionId = u32;
+
+/// Open a new fork-join region and return its id. Called by
+/// [`ThreadPool::run`](crate::parallel::ThreadPool::run) on entry; each
+/// slot then runs inside [`in_region`] with the id.
+pub(crate) fn begin_region() -> RegionId {
+    loop {
+        // Skip 0 when the 32-bit id wraps: it means "no region".
+        let id = NEXT_REGION.fetch_add(1, Ordering::Relaxed);
+        if id != 0 {
+            return id;
+        }
+    }
+}
+
+/// Run `f` on this thread as a slot of region `id`: claims it makes are
+/// compared with the region's other claims only. The previous region is
+/// restored afterwards, also on unwind, so nested regions nest.
+pub(crate) fn in_region<R>(id: RegionId, f: impl FnOnce() -> R) -> R {
+    struct Restore(RegionId);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            REGION.with(|r| r.set(self.0));
+        }
+    }
+    let _restore = Restore(REGION.with(|r| r.replace(id)));
+    f()
 }
 
 /// Publish a claim over the byte range `[lo, hi)` and abort if it overlaps
-/// a live same-epoch claim from a different thread.
+/// a claim of the same region from a different thread.
 ///
 /// Publish-then-scan with `SeqCst` metadata stores gives two genuinely
 /// concurrent overlapping claims a total order: whichever publishes second
@@ -106,10 +135,13 @@ pub(crate) fn claim(lo: u64, hi: u64) {
     if lo >= hi {
         return; // empty ranges cannot alias anything
     }
+    let region = REGION.with(Cell::get);
+    if region == 0 {
+        return; // outside every region: nothing runs beside it
+    }
     let here: &'static Location<'static> = Location::caller();
     let tok = thread_token();
-    let epoch32 = REGION_EPOCH.load(Ordering::SeqCst) as u32;
-    let meta = (u64::from(epoch32) << 32) | u64::from(tok);
+    let meta = (u64::from(region) << 32) | u64::from(tok);
 
     // Publish first (see above).
     let slot = (CURSOR.fetch_add(1, Ordering::Relaxed) as usize) % LOG_LEN;
@@ -128,8 +160,8 @@ pub(crate) fn claim(lo: u64, hi: u64) {
             continue;
         }
         let m = entry.meta.load(Ordering::SeqCst);
-        if m == 0 || (m >> 32) as u32 != epoch32 || (m & 0xffff_ffff) as u32 == tok {
-            continue; // empty, retired epoch, or our own thread
+        if m == 0 || (m >> 32) as u32 != region || (m & 0xffff_ffff) as u32 == tok {
+            continue; // empty, another region, or our own thread
         }
         let (other_lo, other_hi) = (
             entry.lo.load(Ordering::Relaxed),
@@ -152,12 +184,15 @@ pub(crate) fn claim(lo: u64, hi: u64) {
                 // recycled between the loads.
                 unsafe { (*other_loc).to_string() }
             };
-            eprintln!(
+            // Straight to the stderr handle: `eprintln!` goes through the
+            // test harness's output capture, which `abort` never flushes.
+            let msg = format!(
                 "qsc-audit: overlapping claim: bytes [{lo:#x}, {hi:#x}) claimed at {here} \
                  overlap live claim [{other_lo:#x}, {other_hi:#x}) from another thread \
                  at {other_site}; SyncSliceMut shards must be pairwise disjoint \
-                 within a parallel region"
+                 within a parallel region\n"
             );
+            let _ = std::io::stderr().write_all(msg.as_bytes());
             std::process::abort();
         }
     }

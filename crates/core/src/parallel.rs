@@ -46,11 +46,30 @@ pub fn default_threads() -> usize {
 #[derive(Clone, Copy)]
 struct Job {
     f: *const (dyn Fn(usize) + Sync),
+    /// The claim checker's region the job's slots run in.
+    region: RegionId,
+}
+
+// The claim checker's regions (see `crate::audit`); without the `audit`
+// feature a region is nothing and entering one just calls the closure.
+#[cfg(feature = "audit")]
+use crate::audit::{begin_region, in_region, RegionId};
+#[cfg(not(feature = "audit"))]
+#[derive(Clone, Copy)]
+struct RegionId;
+#[cfg(not(feature = "audit"))]
+fn begin_region() -> RegionId {
+    RegionId
+}
+#[cfg(not(feature = "audit"))]
+fn in_region<R>(_: RegionId, f: impl FnOnce() -> R) -> R {
+    f()
 }
 
 // SAFETY: the pointee is `Sync` (the closure is shared immutably across
 // workers) and `run` keeps it alive for the whole time workers can observe
-// the job, so shipping the pointer across threads is sound.
+// the job, so shipping the pointer across threads is sound; `region` is a
+// plain id.
 unsafe impl Send for Job {}
 
 struct PoolState {
@@ -135,15 +154,14 @@ impl ThreadPool {
     /// (the protocol serves one broadcast at a time; overlapping calls
     /// could otherwise free a borrowed closure under a running worker).
     pub fn run<F: Fn(usize) + Sync>(&self, f: F) {
-        // New fork-join region: SyncSliceMut claims from earlier regions
-        // are retired (their references are dead — the previous `run`
-        // returned through the join barrier before this one started).
-        #[cfg(feature = "audit")]
-        crate::audit::begin_region();
         if self.slots == 1 {
-            f(0);
+            run_inline(f);
             return;
         }
+        // A new fork-join region: SyncSliceMut claims are checked against
+        // this region's other claims only (the previous `run` returned
+        // through the join barrier, so its references are dead).
+        let region = begin_region();
         assert!(
             self.busy
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -159,6 +177,7 @@ impl ThreadPool {
         #[allow(clippy::missing_transmute_annotations)]
         let job = Job {
             f: unsafe { std::mem::transmute(wide) },
+            region,
         };
         {
             let mut state = self.shared.state.lock().unwrap();
@@ -170,7 +189,8 @@ impl ThreadPool {
         }
         // The caller is slot 0. Defer a caller-side panic until the
         // workers are done with the closure.
-        let caller_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(0)));
+        let caller_result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| in_region(region, || f(0))));
         let mut state = self.shared.state.lock().unwrap();
         while state.running > 0 {
             state = self.shared.done.wait(state).unwrap();
@@ -182,6 +202,12 @@ impl ThreadPool {
             std::panic::resume_unwind(payload);
         }
     }
+}
+
+/// Run `f(0)` on the calling thread as a fork-join region of its own: what
+/// [`ThreadPool::run`] does with one slot, for phases that skip the pool.
+pub(crate) fn run_inline(f: impl FnOnce(usize)) {
+    in_region(begin_region(), || f(0));
 }
 
 impl fmt::Debug for ThreadPool {
@@ -223,8 +249,9 @@ fn worker_loop(shared: &Shared, slot: usize) {
         };
         // SAFETY: `run` keeps the closure alive until `running` drops to
         // zero, which happens strictly after this dereference.
-        let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe { (*job.f)(slot) }));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            in_region(job.region, || unsafe { (*job.f)(slot) })
+        }));
         if result.is_err() {
             // A worker panic cannot be propagated to the caller, and
             // skipping the decrement would deadlock it — fail loudly.

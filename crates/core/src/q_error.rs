@@ -3811,10 +3811,7 @@ pub fn pick_witnesses_scratch(
 /// thread (no handshake) when `shards == 1`.
 fn run_shards(pool: &ThreadPool, shards: usize, f: impl Fn(usize) + Sync) {
     if shards == 1 {
-        // A region of its own for the claim checker, as `run` opens one.
-        #[cfg(feature = "audit")]
-        crate::audit::begin_region();
-        f(0);
+        crate::parallel::run_inline(f);
     } else {
         debug_assert_eq!(shards, pool.slots());
         pool.run(f);

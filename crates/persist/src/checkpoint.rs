@@ -3,11 +3,15 @@
 //! instance, run config and counters — as independently CRC-guarded,
 //! individually encoded column blocks.
 //!
-//! See the crate docs for the full format specification. The writer is
-//! [`write_checkpoint_file`] (atomic: temp file + rename + fsync); the
-//! reader is [`read_checkpoint_file`]. Both go through the in-memory
-//! [`encode_checkpoint`] / [`decode_checkpoint`] pair, which the tests
-//! corrupt byte-by-byte.
+//! See the crate docs for the full format specification. The one encoder
+//! is [`encode_checkpoint_into`]: it streams the file block by block into
+//! any seekable writer, encoding each block into one scratch buffer that
+//! all blocks of the checkpoint reuse, and seeks back once at the end to
+//! fill in the header's block count and CRC. [`write_checkpoint_file`]
+//! streams it into a temp file (then fsync + rename + directory fsync);
+//! [`encode_checkpoint`] streams it into memory, so both produce the same
+//! bytes. The reader is [`read_checkpoint_file`], through the in-memory
+//! [`decode_checkpoint`], which the tests corrupt byte-by-byte.
 //!
 //! Decoding **validates before constructing**: every length, offset
 //! monotonicity, id range and flag consistency is checked with typed
@@ -17,7 +21,7 @@
 //! witnessed-consistent input.
 
 use std::fs;
-use std::io::Write as _;
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use qsc_core::partition::Partition;
@@ -28,8 +32,8 @@ use qsc_core::storage::StorageMode;
 use qsc_graph::{ColumnBuf, Graph, NodeId};
 
 use crate::codec::{
-    crc32, decode_bools, decode_f64s, decode_u32s, decode_u64s, encode_bools, encode_f64s,
-    encode_u32s, encode_u64s, natural_bytes, ENC_RAW,
+    crc32, decode_bools, decode_f64s, decode_u32s, decode_usizes, encode_bools, encode_f64s,
+    encode_ints, natural_bytes, put_raw_f64s, IntElem, ENC_RAW,
 };
 use crate::error::PersistError;
 
@@ -300,103 +304,128 @@ impl<'a> ScalarReader<'a> {
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct BlockSink {
-    out: Vec<u8>,
+/// Streams checkpoint blocks to `out`. Each block — header and payload,
+/// plus the padding block in front of it when the mapped layout needs one
+/// — is built in one scratch buffer that every block of the checkpoint
+/// reuses, then handed over with one `write_all`.
+struct BlockWriter<'w, W> {
+    out: &'w mut W,
+    /// Bytes written so far, counted from the start of the file.
+    at: usize,
+    /// The block being built: headers at the front, payload after.
+    scratch: Vec<u8>,
+    /// Byte-plane scratch for the `f64` shuffle encoder.
+    plane: Vec<u8>,
     stats: CheckpointStats,
     layout: Layout,
 }
 
-impl BlockSink {
-    /// Append one block: header, then payload. Mapped headers carry a CRC
-    /// over their own first 24 bytes so a damaged header field (id,
-    /// enc, count, length, even the payload CRC itself) is caught at
-    /// open instead of misdirecting a decoder.
-    fn emit(&mut self, id: u16, enc: u8, count: usize, payload: &[u8], natural: usize) {
-        let start = self.out.len();
-        self.out.extend_from_slice(&id.to_le_bytes());
-        self.out.push(enc);
-        self.out.push(0); // reserved
-        self.out.extend_from_slice(&(count as u64).to_le_bytes());
-        self.out
-            .extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.out.extend_from_slice(&crc32(payload).to_le_bytes());
-        if self.layout == Layout::MappedRaw {
-            let hcrc = crc32(&self.out[start..start + BLOCK_HEADER_PACKED]);
-            self.out.extend_from_slice(&hcrc.to_le_bytes());
+impl<W: Write> BlockWriter<'_, W> {
+    fn header_len(&self) -> usize {
+        match self.layout {
+            Layout::Packed => BLOCK_HEADER_PACKED,
+            Layout::MappedRaw => BLOCK_HEADER_MAPPED,
         }
-        self.out.extend_from_slice(payload);
-        self.stats.blocks += 1;
-        self.stats.encoded_bytes += payload.len() as u64;
-        self.stats.natural_bytes += natural as u64;
     }
-    /// Append a block, first inserting a padding block if the mapped
-    /// layout needs this payload on a [`MAP_ALIGN`] boundary.
-    fn push_block(&mut self, id: u16, enc: u8, count: usize, payload: &[u8], natural: usize) {
-        if self.layout == Layout::MappedRaw && is_mappable(id) {
-            let payload_at = FILE_HEADER + self.out.len() + BLOCK_HEADER_MAPPED;
+
+    /// Fill the block header at the start of `hdr`. Mapped headers carry
+    /// a CRC over their own first 24 bytes so a damaged header field (id,
+    /// enc, count, length, even the payload CRC itself) is caught at open
+    /// instead of misdirecting a decoder.
+    fn fill_header(layout: Layout, hdr: &mut [u8], id: u16, enc: u8, count: usize, payload: &[u8]) {
+        hdr[0..2].copy_from_slice(&id.to_le_bytes());
+        hdr[2] = enc;
+        hdr[3] = 0; // reserved
+        hdr[4..12].copy_from_slice(&(count as u64).to_le_bytes());
+        hdr[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        hdr[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
+        if layout == Layout::MappedRaw {
+            let hcrc = crc32(&hdr[..BLOCK_HEADER_PACKED]);
+            hdr[24..28].copy_from_slice(&hcrc.to_le_bytes());
+        }
+    }
+
+    /// Write one block whose payload `encode` appends to the buffer it is
+    /// given (the second buffer is `f64` plane scratch), returning the
+    /// payload's encoding tag. A mappable block in the mapped layout is
+    /// first padded onto a [`MAP_ALIGN`] boundary.
+    fn block(
+        &mut self,
+        id: u16,
+        count: usize,
+        natural: usize,
+        encode: impl FnOnce(&mut Vec<u8>, &mut Vec<u8>) -> u8,
+    ) -> io::Result<()> {
+        let header = self.header_len();
+        let mut pad = None;
+        if self.raw_pinned(id) {
+            let payload_at = self.at + header;
             if !payload_at.is_multiple_of(MAP_ALIGN) {
                 // A pad block shifts the next payload by its own header
                 // plus `pad` zero bytes; solve for the shift that lands
                 // the payload on the boundary.
-                let pad =
-                    (MAP_ALIGN - ((payload_at + BLOCK_HEADER_MAPPED) % MAP_ALIGN)) % MAP_ALIGN;
-                let zeros = [0u8; MAP_ALIGN];
-                self.emit(BLK_PAD, ENC_RAW, pad, &zeros[..pad], 0);
+                pad = Some((MAP_ALIGN - ((payload_at + header) % MAP_ALIGN)) % MAP_ALIGN);
             }
-            debug_assert!(
-                (FILE_HEADER + self.out.len() + BLOCK_HEADER_MAPPED).is_multiple_of(MAP_ALIGN)
-            );
         }
-        self.emit(id, enc, count, payload, natural);
+        let front = pad.map_or(0, |p| header + p);
+        debug_assert!(!self.raw_pinned(id) || (self.at + front + header).is_multiple_of(MAP_ALIGN));
+        self.scratch.clear();
+        self.scratch.resize(front + header, 0);
+        let enc = encode(&mut self.scratch, &mut self.plane);
+        if let Some(p) = pad {
+            let (hdr, zeros) = self.scratch[..front].split_at_mut(header);
+            Self::fill_header(self.layout, hdr, BLK_PAD, ENC_RAW, p, zeros);
+            self.stats.blocks += 1;
+            self.stats.encoded_bytes += p as u64;
+        }
+        let (hdr, payload) = self.scratch[front..].split_at_mut(header);
+        Self::fill_header(self.layout, hdr, id, enc, count, payload);
+        self.stats.blocks += 1;
+        self.stats.encoded_bytes += payload.len() as u64;
+        self.stats.natural_bytes += natural as u64;
+        self.out.write_all(&self.scratch)?;
+        self.at += self.scratch.len();
+        Ok(())
     }
+
     /// Is this column pinned to raw little-endian encoding (no
     /// size-first selection) under the current layout?
     fn raw_pinned(&self, id: u16) -> bool {
         self.layout == Layout::MappedRaw && is_mappable(id)
     }
-    fn u64s(&mut self, id: u16, vals: &[u64]) {
-        let (enc, payload) = if self.raw_pinned(id) {
-            let mut raw = Vec::with_capacity(vals.len() * 8);
-            for &v in vals {
-                raw.extend_from_slice(&v.to_le_bytes());
+
+    fn ints<T: IntElem>(&mut self, id: u16, vals: &[T]) -> io::Result<()> {
+        let raw = self.raw_pinned(id);
+        let natural = natural_bytes(vals.len(), T::WIDTH);
+        self.block(id, vals.len(), natural, |out, _| {
+            if raw {
+                T::put_raw(out, vals);
+                ENC_RAW
+            } else {
+                encode_ints(vals, out)
             }
-            (ENC_RAW, raw)
-        } else {
-            encode_u64s(vals)
-        };
-        self.push_block(id, enc, vals.len(), &payload, natural_bytes(vals.len(), 8));
+        })
     }
-    fn usizes(&mut self, id: u16, vals: &[usize]) {
-        let wide: Vec<u64> = vals.iter().map(|&v| v as u64).collect();
-        self.u64s(id, &wide);
+    fn f64s(&mut self, id: u16, vals: &[f64]) -> io::Result<()> {
+        let raw = self.raw_pinned(id);
+        self.block(
+            id,
+            vals.len(),
+            natural_bytes(vals.len(), 8),
+            |out, plane| {
+                if raw {
+                    put_raw_f64s(out, vals);
+                    ENC_RAW
+                } else {
+                    encode_f64s(vals, plane, out)
+                }
+            },
+        )
     }
-    fn u32s(&mut self, id: u16, vals: &[u32]) {
-        let (enc, payload) = if self.raw_pinned(id) {
-            let mut raw = Vec::with_capacity(vals.len() * 4);
-            for &v in vals {
-                raw.extend_from_slice(&v.to_le_bytes());
-            }
-            (ENC_RAW, raw)
-        } else {
-            encode_u32s(vals)
-        };
-        self.push_block(id, enc, vals.len(), &payload, natural_bytes(vals.len(), 4));
-    }
-    fn f64s(&mut self, id: u16, vals: &[f64]) {
-        let (enc, payload) = if self.raw_pinned(id) {
-            let mut raw = Vec::with_capacity(vals.len() * 8);
-            for &v in vals {
-                raw.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            (ENC_RAW, raw)
-        } else {
-            encode_f64s(vals)
-        };
-        self.push_block(id, enc, vals.len(), &payload, natural_bytes(vals.len(), 8));
-    }
-    fn bools(&mut self, id: u16, vals: &[bool]) {
-        let (enc, payload) = encode_bools(vals);
-        self.push_block(id, enc, vals.len(), &payload, natural_bytes(vals.len(), 1));
+    fn bools(&mut self, id: u16, vals: &[bool]) -> io::Result<()> {
+        self.block(id, vals.len(), natural_bytes(vals.len(), 1), |out, _| {
+            encode_bools(vals, out)
+        })
     }
 }
 
@@ -422,9 +451,27 @@ pub fn encode_checkpoint(data: &CheckpointData) -> (Vec<u8>, CheckpointStats) {
 }
 
 /// Encode a checkpoint in the given layout, returning the file bytes
-/// plus size accounting.
+/// plus size accounting: [`encode_checkpoint_into`] over an in-memory
+/// cursor, so the bytes are exactly the file's.
 #[must_use]
 pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>, CheckpointStats) {
+    let mut file = io::Cursor::new(Vec::new());
+    let stats = encode_checkpoint_into(&mut file, data, layout);
+    // qsc-audit: allow(no-panic-on-input) -- writes into a Vec-backed cursor have no failure mode; no input reaches this
+    let stats = stats.expect("writing to memory cannot fail");
+    (file.into_inner(), stats)
+}
+
+/// Stream a checkpoint into `out` at its current position, block by
+/// block: a placeholder file header, then each block as it is encoded,
+/// then one seek back to fill in the block count and the header CRC.
+/// `out` is left positioned after the last block. No buffer spans more
+/// than one block.
+pub fn encode_checkpoint_into<W: Write + Seek>(
+    out: &mut W,
+    data: &CheckpointData,
+    layout: Layout,
+) -> Result<CheckpointStats, PersistError> {
     let g = &data.graph;
     let p = &data.run.partition;
     let n = g.num_nodes();
@@ -470,21 +517,39 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
         s.u64(g.num_edges() as u64);
     }
 
-    let mut sink = BlockSink {
-        out: Vec::new(),
+    // File header, with the block count and its CRC filled in at the end.
+    let version = match layout {
+        Layout::Packed => CHECKPOINT_VERSION,
+        Layout::MappedRaw => CHECKPOINT_VERSION_MAPPED,
+    };
+    let start = out.stream_position()?;
+    let mut header = [0u8; FILE_HEADER];
+    header[0..8].copy_from_slice(CHECKPOINT_MAGIC);
+    header[8..12].copy_from_slice(&version.to_le_bytes());
+    out.write_all(&header)?;
+
+    let mut w = BlockWriter {
+        out: &mut *out,
+        at: FILE_HEADER,
+        scratch: Vec::new(),
+        plane: Vec::new(),
         stats: CheckpointStats::default(),
         layout,
     };
-    sink.push_block(BLK_SCALARS, ENC_RAW, s.buf.len(), &s.buf, s.buf.len());
+    w.block(BLK_SCALARS, s.buf.len(), s.buf.len(), |out, _| {
+        out.extend_from_slice(&s.buf);
+        ENC_RAW
+    })?;
 
     // Graph CSR (out direction only — symmetric in-arrays are its clone,
     // directed in-arrays a counting sort; both recomputed on load). A
     // patched graph's rows are gathered into flat arrays here, so the
     // bytes do not depend on how the graph was compacted.
     let (offs, tgts, wts) = g.out_adjacency();
-    sink.usizes(BLK_GRAPH_OFFSETS, &offs);
-    sink.u32s(BLK_GRAPH_TARGETS, &tgts);
-    sink.f64s(BLK_GRAPH_WEIGHTS, &wts);
+    w.ints(BLK_GRAPH_OFFSETS, &offs)?;
+    w.ints(BLK_GRAPH_TARGETS, &tgts)?;
+    w.f64s(BLK_GRAPH_WEIGHTS, &wts)?;
+    drop((offs, tgts, wts)); // a patched graph's gathered copies
 
     // Partition member lists, columnar: class offsets + concatenated
     // members in stored (semantic) order.
@@ -495,12 +560,12 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
         part_members.extend_from_slice(p.members(color as u32));
         part_offsets.push(part_members.len());
     }
-    sink.usizes(BLK_PART_OFFSETS, &part_offsets);
-    sink.u32s(BLK_PART_MEMBERS, &part_members);
+    w.ints(BLK_PART_OFFSETS, &part_offsets)?;
+    w.ints(BLK_PART_MEMBERS, &part_members)?;
 
     if let Some(e) = eng {
-        sink.f64s(BLK_ENG_DOUT, &e.dout);
-        sink.f64s(BLK_ENG_DIN, &e.din);
+        w.f64s(BLK_ENG_DOUT, &e.dout)?;
+        w.f64s(BLK_ENG_DIN, &e.din)?;
         for (snap, ids) in [
             (
                 &e.rows_out,
@@ -521,34 +586,28 @@ pub fn encode_checkpoint_with(data: &CheckpointData, layout: Layout) -> (Vec<u8>
                 ],
             ),
         ] {
-            sink.usizes(ids[0], &snap.offsets);
-            sink.u32s(ids[1], &snap.colors);
-            sink.f64s(ids[2], &snap.weights);
-            sink.bools(ids[3], &snap.dense);
+            w.ints(ids[0], &snap.offsets)?;
+            w.ints(ids[1], &snap.colors)?;
+            w.f64s(ids[2], &snap.weights)?;
+            w.bools(ids[3], &snap.dense)?;
         }
     }
 
     if let Some(r) = &data.reduced {
-        sink.f64s(BLK_RED_SUM, &r.sum);
-        sink.usizes(BLK_RED_SIZES, &r.sizes);
-        sink.u32s(BLK_RED_DIRTY, &r.dirty);
+        w.f64s(BLK_RED_SUM, &r.sum)?;
+        w.ints(BLK_RED_SIZES, &r.sizes)?;
+        w.ints(BLK_RED_DIRTY, &r.dirty)?;
     }
 
-    // File = header (magic, version, block count, header CRC) + blocks.
-    let version = match layout {
-        Layout::Packed => CHECKPOINT_VERSION,
-        Layout::MappedRaw => CHECKPOINT_VERSION_MAPPED,
-    };
-    let mut file = Vec::with_capacity(FILE_HEADER + sink.out.len());
-    file.extend_from_slice(CHECKPOINT_MAGIC);
-    file.extend_from_slice(&version.to_le_bytes());
-    file.extend_from_slice(&sink.stats.blocks.to_le_bytes());
-    let hcrc = crc32(&file);
-    file.extend_from_slice(&hcrc.to_le_bytes());
-    file.extend_from_slice(&sink.out);
-    let mut stats = sink.stats;
-    stats.file_bytes = file.len() as u64;
-    (file, stats)
+    let mut stats = w.stats;
+    stats.file_bytes = w.at as u64;
+    header[12..16].copy_from_slice(&stats.blocks.to_le_bytes());
+    let hcrc = crc32(&header[..16]);
+    header[16..20].copy_from_slice(&hcrc.to_le_bytes());
+    out.seek(SeekFrom::Start(start + 12))?;
+    out.write_all(&header[12..])?;
+    out.seek(SeekFrom::Start(start + stats.file_bytes))?;
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -597,10 +656,6 @@ pub(crate) trait ColumnSource {
     fn payload(&self, id: u16) -> Result<&[u8], PersistError>;
     /// The raw scalar blob (block 0), CRC-checked.
     fn scalar_payload(&self) -> Result<&[u8], PersistError>;
-    fn u64s(&self, id: u16) -> Result<Vec<u64>, PersistError> {
-        let e = self.entry(id)?;
-        decode_u64s(e.enc, self.payload(id)?, e.count)
-    }
     fn u32s(&self, id: u16) -> Result<Vec<u32>, PersistError> {
         let e = self.entry(id)?;
         decode_u32s(e.enc, self.payload(id)?, e.count)
@@ -620,14 +675,8 @@ pub(crate) trait ColumnSource {
         decode_bools(e.enc, self.payload(id)?, e.count)
     }
     fn usizes(&self, id: u16) -> Result<Vec<usize>, PersistError> {
-        self.u64s(id)?
-            .into_iter()
-            .map(|v| {
-                usize::try_from(v).map_err(|_| PersistError::Corrupt {
-                    context: "offset column element overflows usize",
-                })
-            })
-            .collect()
+        let e = self.entry(id)?;
+        decode_usizes(e.enc, self.payload(id)?, e.count)
     }
     fn usize_col(&self, id: u16) -> Result<ColumnBuf<usize>, PersistError> {
         Ok(self.usizes(id)?.into())
@@ -1305,10 +1354,11 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, PersistError> {
 // File I/O
 // ---------------------------------------------------------------------------
 
-/// Write a checkpoint atomically: encode, write to a sibling temp file,
-/// fsync it, rename over `path`, fsync the parent directory. A crash at
-/// any point leaves either the old checkpoint or the new one, never a
-/// torn file.
+/// Write a checkpoint atomically: stream its blocks into a sibling temp
+/// file as they are encoded ([`encode_checkpoint_into`]), fsync it,
+/// rename it over `path`, fsync the parent directory. A crash at any
+/// point leaves either the old checkpoint or the new one, never a torn
+/// file. The file's bytes are exactly [`encode_checkpoint_with`]'s.
 pub fn write_checkpoint_file(
     path: &Path,
     data: &CheckpointData,
@@ -1322,13 +1372,13 @@ pub fn write_checkpoint_file_with(
     data: &CheckpointData,
     layout: Layout,
 ) -> Result<CheckpointStats, PersistError> {
-    let (bytes, stats) = encode_checkpoint_with(data, layout);
     let tmp = path.with_extension("tmp");
-    {
+    let stats = {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
+        let stats = encode_checkpoint_into(&mut f, data, layout)?;
         f.sync_all()?;
-    }
+        stats
+    };
     fs::rename(&tmp, path)?;
     // The rename is durable only once the parent directory is flushed; a
     // failure to open or sync it is returned like any other write error.

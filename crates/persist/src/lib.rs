@@ -152,9 +152,9 @@ pub mod store;
 pub mod wal;
 
 pub use checkpoint::{
-    decode_checkpoint, encode_checkpoint, encode_checkpoint_with, read_checkpoint_file,
-    write_checkpoint_file, write_checkpoint_file_with, CheckpointData, CheckpointStats, Layout,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CHECKPOINT_VERSION_MAPPED,
+    decode_checkpoint, encode_checkpoint, encode_checkpoint_into, encode_checkpoint_with,
+    read_checkpoint_file, write_checkpoint_file, write_checkpoint_file_with, CheckpointData,
+    CheckpointStats, Layout, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CHECKPOINT_VERSION_MAPPED,
 };
 pub use error::PersistError;
 pub use mapped::MappedStore;

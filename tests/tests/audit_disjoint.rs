@@ -1,7 +1,8 @@
 //! Tests for the dynamic `SyncSliceMut` disjointness checker
-//! (`qsc-core --features audit`): disjoint sharding passes, epoch
-//! retirement keeps cross-region reuse legal, and deliberately
-//! overlapping cross-thread claims abort the process.
+//! (`qsc-core --features audit`): disjoint sharding passes, claims are
+//! compared only within their own fork-join region (so cross-region and
+//! cross-pool reuse stays legal), and deliberately overlapping
+//! cross-thread claims abort the process.
 //!
 //! The whole file is compiled only with the `audit` feature; the negative
 //! tests re-exec the test binary (the checker aborts, which cannot be
@@ -95,6 +96,73 @@ fn epoch_retirement_allows_cross_region_reuse() {
         });
     }
     assert!(data.iter().all(|&x| x == 8));
+}
+
+/// Two threads, each with its own pool, allocate a buffer of one size,
+/// claim it in halves, free it and go again. The allocator hands either
+/// thread's regions the bytes the other just freed; regions of different
+/// pools never share references, so none of it is an overlap.
+#[test]
+fn concurrent_pools_reusing_freed_memory_pass() {
+    if is_child() {
+        return;
+    }
+    let worker = || {
+        let pool = ThreadPool::new(2);
+        for round in 0..1_000u64 {
+            let mut data = vec![0u64; 256];
+            let shards = SyncSliceMut::new(&mut data);
+            pool.run(|slot| {
+                let (lo, hi) = chunk_range(256, 2, slot);
+                // SAFETY: the two chunks are disjoint.
+                for x in unsafe { shards.slice_mut(lo, hi) } {
+                    *x = round;
+                }
+            });
+            assert!(data.iter().all(|&x| x == round));
+        }
+    };
+    std::thread::scope(|s| {
+        let a = s.spawn(worker);
+        let b = s.spawn(worker);
+        a.join().expect("first pool thread");
+        b.join().expect("second pool thread");
+    });
+}
+
+/// The interleaving behind a shared epoch's false positive, forced with
+/// barriers: pool B opens its region, pool A claims a buffer and finishes
+/// its region, then B's still-open region claims the same buffer. The
+/// accesses are sequenced, so the checker must let them through.
+#[test]
+fn a_finished_region_does_not_block_another_pools_region() {
+    use std::sync::Barrier;
+    if is_child() {
+        return;
+    }
+    let mut data = vec![0u64; 64];
+    let shared = SyncSliceMut::new(&mut data);
+    let (opened, done) = (Barrier::new(2), Barrier::new(2));
+    std::thread::scope(|s| {
+        let (shared, opened, done) = (&shared, &opened, &done);
+        s.spawn(move || {
+            let pool_b = ThreadPool::new(1);
+            pool_b.run(|_| {
+                opened.wait();
+                done.wait();
+                // SAFETY: pool A's region has returned; its slice is dead.
+                unsafe { shared.slice_mut(0, 64) }.fill(2);
+            });
+        });
+        s.spawn(move || {
+            let pool_a = ThreadPool::new(1);
+            opened.wait();
+            // SAFETY: pool B touches the buffer only after `done`.
+            pool_a.run(|_| unsafe { shared.slice_mut(0, 64) }.fill(1));
+            done.wait();
+        });
+    });
+    assert!(data.iter().all(|&x| x == 2));
 }
 
 #[test]

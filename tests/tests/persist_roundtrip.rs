@@ -27,7 +27,8 @@ use qsc_core::StorageMode;
 use qsc_graph::delta::EdgeEvent;
 use qsc_graph::{Graph, GraphBuilder, GraphDelta};
 use qsc_persist::{
-    encode_checkpoint, encode_checkpoint_with, CheckpointData, Layout, Store, StoreOptions,
+    encode_checkpoint, encode_checkpoint_into, encode_checkpoint_with, write_checkpoint_file_with,
+    CheckpointData, Layout, Store, StoreOptions,
 };
 use rand::prelude::*;
 
@@ -703,6 +704,69 @@ fn patched_graph_checkpoints_like_its_flat_copy() {
             );
         }
     }
+}
+
+/// The streaming file writer leaves exactly the in-memory encoder's bytes
+/// on disk, in both layouts, over a flat graph and over a row-patched one
+/// (whose rows the writer gathers), and no temp file behind. Streaming
+/// into a cursor that already holds bytes appends the same checkpoint
+/// after them and leaves the cursor at its end.
+#[test]
+fn file_writer_matches_in_memory_encoder() {
+    let dir = temp_store_dir("writer");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(qsc_persist::CHECKPOINT_FILE);
+    for directed in [false, true] {
+        let g = random_graph(90, 420, directed, 31);
+        let config = RothkoConfig {
+            max_colors: 20,
+            target_error: 2.0,
+            threads: Some(1),
+            storage: StorageMode::Sparse,
+            ..Default::default()
+        };
+        let mut run = Rothko::new(config).start(&g);
+        run.maintain();
+        let mut reduced = ReducedDelta::new(&g, run.partition());
+        let data = |run: &RothkoRun<'_>, reduced: &ReducedDelta| CheckpointData {
+            graph: run.graph().clone(),
+            config: run.config().clone(),
+            run: run.snapshot(),
+            reduced: Some(reduced.snapshot()),
+            wal_seq: 5,
+        };
+        let flat = data(&run, &reduced);
+        let mut delta = GraphDelta::new(g.clone());
+        let mut rng = StdRng::seed_from_u64(37);
+        let events = edge_churn(&mut delta, &mut rng, 6);
+        let patched_graph = delta.compact();
+        assert!(patched_graph.is_patched(), "directed {directed}");
+        run.apply_edge_batch(patched_graph, &events);
+        reduced.apply_edge_batch(run.partition(), &events);
+        let patched = data(&run, &reduced);
+        for (name, data) in [("flat", &flat), ("patched", &patched)] {
+            for layout in [Layout::Packed, Layout::MappedRaw] {
+                let what = format!("{name} graph, directed {directed}, {layout:?}");
+                let (bytes, stats) = encode_checkpoint_with(data, layout);
+                let written = write_checkpoint_file_with(&path, data, layout).unwrap();
+                assert_eq!(std::fs::read(&path).unwrap(), bytes, "{what}");
+                assert_eq!(written.file_bytes, bytes.len() as u64, "{what}");
+                assert_eq!(
+                    (written.blocks, written.encoded_bytes, written.natural_bytes),
+                    (stats.blocks, stats.encoded_bytes, stats.natural_bytes),
+                    "{what}"
+                );
+                assert!(!path.with_extension("tmp").exists(), "{what}");
+
+                let mut cursor = std::io::Cursor::new(b"prefix".to_vec());
+                cursor.set_position(6);
+                encode_checkpoint_into(&mut cursor, data, layout).unwrap();
+                assert_eq!(cursor.position(), 6 + bytes.len() as u64, "{what}");
+                assert_eq!(&cursor.get_ref()[6..], &bytes[..], "{what}");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A checkpoint taken between edge batches and the next refresh — where
